@@ -113,17 +113,23 @@ def make_channel(kind: str, param=None, mu0=None, mu1=None) -> DiscreteChannel:
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
+def split_channel_spec(spec: str):
+    """(kind, argument) of a channel spec; only the kind is lower-cased."""
+    kind, _, arg = spec.strip().partition(":")
+    return kind.lower(), arg
+
+
 def parse_channel_spec(spec: str):
     """Parse 'bsc:0.1', 'bec:0.2', 'fp:0.2', 'fn:0.3', 'custom:<csv path>' or 'none'.
 
-    The CSV has a header row symbol,mu0,mu1 and one row per output symbol.
-    Returns None for 'none'.
+    The kind is case-insensitive; a custom CSV path is used as given.  The CSV
+    has a header row symbol,mu0,mu1 and one row per output symbol.  Returns
+    None for 'none'.
     """
     spec = spec.strip()
     if spec == "none":
         return None
-    kind, _, arg = spec.partition(":")
-    kind = kind.lower()
+    kind, arg = split_channel_spec(spec)
     if kind in ("bsc", "bec", "fp", "fn"):
         return make_channel(kind, float(arg))
     if kind == "custom":

@@ -138,15 +138,6 @@ class NoisyInner:
             return v >> self.w, v & ((1 << self.w) - 1)
         return payloads[0], payloads[1]
 
-    def classify(self, block_words, s: int = 0):
-        ones = sum(wd.bit_count() for wd in block_words)
-        kind = self.classifier.classify_weight(ones)
-        if kind is Occupancy.EMPTY:
-            return None
-        if kind is Occupancy.MANY:
-            return COLLISION
-        return self._unpack([self.code.decode(wd) for wd in block_words], s)
-
 
 def default_noiseless_inner(w: int, ell: int = 0, weight: int = 0) -> NoiselessInner:
     """Single block when a pair fits in a 32-bit-or-shorter block, else split."""
@@ -318,18 +309,6 @@ def observed_blocks(params: GachaParams, sick_set):
             for b, word in enumerate(blocks):
                 words[base + b] |= word
     return words
-
-
-def blocks_to_bits(params: GachaParams, words) -> np.ndarray:
-    ell = params.bits_per_symbol // params.inner.blocks
-    bits = np.zeros(params.m, dtype=np.uint8)
-    for i, word in enumerate(words):
-        off = i * ell
-        while word:
-            low = word & -word
-            bits[off + low.bit_length() - 1] = 1
-            word ^= low
-    return bits
 
 
 def bits_to_blocks(params: GachaParams, bits: np.ndarray):

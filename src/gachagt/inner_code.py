@@ -7,10 +7,12 @@ Two interchangeable inner layers:
   "nobody wrote here".  Used when tests are noiseless, where exact Hamming
   weights separate empty / one writer / several writers.
 
-* BinaryLinearCode: a seeded random systematic linear code with exhaustive
-  nearest-codeword decoding, paired with a WeightClassifier whose thresholds
-  separate the empty string, one codeword, and the OR of two codewords by
-  observed weight under a known BSC crossover.
+* BinaryLinearCode: a seeded random systematic linear code with
+  nearest-codeword decoding by a coset-leader (syndrome) table, falling back
+  to an exhaustive codebook search for cosets whose minimum-weight leader is
+  not unique; paired with a WeightClassifier whose thresholds separate the
+  empty string, one codeword, and the OR of two codewords by observed weight
+  under a known BSC crossover.
 
 Bit strings are plain ints (bit i = position i); numpy arrays of uint64 are
 used for batched decoding.
@@ -120,12 +122,62 @@ class ConstantWeightCode:
 MAX_ENUMERABLE_DIM = 20
 
 
+def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
+    """(tied, leader_lo) over the 2^(ell - dim) syndromes of a systematic code.
+
+    An error pattern e = e_lo | e_hi << dim has syndrome e_hi ^ P(e_lo), where
+    P(x) = codebook[x] >> dim is the parity of payload x.  The table is a
+    min-plus distance transform: seed f[P(x)] = min wt(x) over payloads x,
+    then relax f[s] = min(f[s], f[s ^ e_j] + 1) one syndrome bit j at a time.
+    Alongside f it carries whether two or more patterns reach the minimum and
+    the low part of one that does.  Every (pattern, syndrome) pair is reached
+    along exactly one bit-ordered path, so minimiser counts add exactly on a
+    tie; as both sides of a tie count at least one, "two or more" needs only
+    a flag.  tied[s] is set when coset s has no unique minimum-weight leader.
+
+    Each entry packs f << (dim + 1) | tied << dim | leader_lo into a uint32
+    (dim <= 20 and f <= ell + 2 <= 66), so one np.minimum takes the lighter
+    side of a pair together with its flag and leader.
+    """
+    r = ell - dim
+    tie, one = np.uint32(1 << dim), np.uint32(2 << dim)
+    payloads = np.arange(1 << dim, dtype=np.uint32)
+    parity = (codebook >> np.uint64(dim)).astype(np.intp)
+    key = np.bitwise_count(payloads) * one | payloads
+    # ell + 1 is heavier than every real error pattern
+    table = np.full(1 << r, (ell + 1) * one, dtype=np.uint32)
+    np.minimum.at(table, parity, key)
+    lightest = (key >> np.uint32(dim + 1)) == (table[parity] >> np.uint32(dim + 1))
+    table[np.bincount(parity[lightest], minlength=1 << r) > 1] |= tie
+    for j in range(r):
+        pairs = table.reshape(-1, 2, 1 << j)  # entries s and s ^ e_j
+        k0, k1 = pairs[:, 0], pairs[:, 1]
+        via0, via1 = k1 + one, k0 + one  # the partner's pattern plus bit j
+        new0, new1 = np.minimum(k0, via0), np.minimum(k1, via1)
+        new0 |= ((k0 ^ via0) < one) * tie  # equal weights: a tie
+        new1 |= ((k1 ^ via1) < one) * tie
+        k0[...], k1[...] = new0, new1
+    tied = (table & tie) != 0
+    leader_lo = table & np.uint32((1 << dim) - 1)
+    tied.setflags(write=False)
+    leader_lo.setflags(write=False)
+    return tied, leader_lo
+
+
 @dataclass(frozen=True)
 class BinaryLinearCode:
-    """Systematic seeded random code: codeword = payload | parity(payload).
+    """Systematic seeded random code: codeword = payload | parity(payload) << dim.
 
     The full codebook is enumerated at construction (dim <= 20), indexed by
     payload, so nearest-codeword ties resolve to the smallest payload.
+
+    When the 2^(ell - dim) syndromes are no more than the 2^dim codewords
+    (ell <= 2 dim), construction also builds the standard array's coset-leader
+    table (MacWilliams & Sloane, ch. 1): for every syndrome, whether its
+    minimum-weight error pattern is unique and, if so, that pattern's payload
+    part.  decode_many then reads a received word's payload off the table and
+    runs the exhaustive search only on words whose coset has tied leaders,
+    which keeps the smallest-payload tie rule exact.
     """
 
     ell: int
@@ -148,12 +200,13 @@ class BinaryLinearCode:
                     parity |= 1 << (self.dim + j)
             rows.append((1 << i) | parity)
         object.__setattr__(self, "generator_rows", tuple(rows))
-        idx = np.arange(1 << self.dim, dtype=np.uint64)
         cb = np.zeros(1 << self.dim, dtype=np.uint64)
-        for i in range(self.dim):
-            cb[((idx >> np.uint64(i)) & np.uint64(1)) == 1] ^= np.uint64(rows[i])
+        for i in range(self.dim):  # payloads with top bit i: the lower ones plus row i
+            cb[1 << i:2 << i] = cb[:1 << i] ^ np.uint64(rows[i])
         cb.setflags(write=False)
         object.__setattr__(self, "codebook", cb)
+        table = _coset_leaders(cb, self.ell, self.dim) if self.ell <= 2 * self.dim else None
+        object.__setattr__(self, "coset_table", table)
 
     def encode(self, payload: int) -> int:
         if not 0 <= payload < (1 << self.dim):
@@ -168,8 +221,27 @@ class BinaryLinearCode:
         return int(np.argmin(d))
 
     def decode_many(self, observed: np.ndarray) -> np.ndarray:
-        """Vectorized decode of a uint64 array of observed strings."""
+        """Vectorized decode of a uint64 array of observed strings.
+
+        Equal to decode on every string, and like it raises ValueError on a
+        string with a bit at or above ell.
+        """
         observed = np.asarray(observed, dtype=np.uint64)
+        if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
+            raise ValueError("observed string longer than ell")
+        if self.coset_table is None:
+            return self._nearest(observed)
+        tie_table, leader_lo = self.coset_table
+        lo = observed & np.uint64((1 << self.dim) - 1)
+        syndrome = (observed ^ self.codebook[lo]) >> np.uint64(self.dim)
+        out = (lo ^ leader_lo[syndrome]).astype(np.int64)
+        tied = tie_table[syndrome]
+        if tied.any():
+            out[tied] = self._nearest(observed[tied])
+        return out
+
+    def _nearest(self, observed: np.ndarray) -> np.ndarray:
+        """Exhaustive nearest-codeword search, ties to the smallest payload."""
         out = np.empty(observed.shape[0], dtype=np.int64)
         chunk = 256
         for lo in range(0, observed.shape[0], chunk):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .baselines import brute_force_decode, comp_decode
-from .channels import apply_plan_many, parse_channel_spec, plan_symmetrize
+from .channels import apply_plan_many, parse_channel_spec, plan_symmetrize, split_channel_spec
 from .core_model import sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
 from .gadgets import pyramid_build
@@ -129,7 +129,7 @@ def validate_config(config: SimConfig) -> None:
     if config.symmetrize not in ("auto", "on", "off"):
         raise ValueError("symmetrize must be auto, on, or off")
     if (channel is not None and config.symmetrize == "off"
-            and not config.channel.startswith("bsc") and config.scheme != "oracle"):
+            and not _is_bsc(config) and config.scheme != "oracle"):
         raise ValueError("asymmetric channels need the symmetrizer; drop symmetrize=off")
     if config.inner not in ("auto", "cw", "linear"):
         raise ValueError("inner must be auto, cw, or linear")
@@ -150,13 +150,17 @@ def validate_config(config: SimConfig) -> None:
         raise ValueError("oracle scheme needs C(n, k) <= 10^6")
 
 
+def _is_bsc(config: SimConfig) -> bool:
+    return split_channel_spec(config.channel)[0] == "bsc"
+
+
 def _want_plan(config: SimConfig, channel):
     """The symmetrizer plan to use, or None."""
     if channel is None:
         return None
     if config.symmetrize == "off":
         return None
-    if config.symmetrize == "auto" and config.channel.startswith("bsc"):
+    if config.symmetrize == "auto" and _is_bsc(config):
         return None
     return plan_symmetrize(channel)
 
@@ -169,8 +173,8 @@ def effective_crossover(config: SimConfig):
     plan = _want_plan(config, channel)
     if plan is not None:
         return plan.crossover
-    if config.channel.startswith("bsc"):
-        return float(config.channel.split(":", 1)[1])
+    if _is_bsc(config):
+        return channel.mu0[1]  # bsc(s) stores s exactly as P(1 | 0)
     return None  # raw binary asymmetric channel: caller insisted with symmetrize=off
 
 

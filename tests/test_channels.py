@@ -15,6 +15,7 @@ from gachagt.channels import (
     make_channel,
     parse_channel_spec,
     plan_symmetrize,
+    split_channel_spec,
     _error_rates,
 )
 
@@ -166,6 +167,15 @@ def test_parse_channel_spec():
         parse_channel_spec("bsc:0.6")
     with pytest.raises(ValueError):
         parse_channel_spec("what:0.1")
+
+
+def test_parse_kind_is_case_insensitive_but_path_is_not(tmp_path):
+    assert parse_channel_spec("BSC:0.1") == parse_channel_spec("bsc:0.1")
+    path = tmp_path / "Mixed" / "Ch.CSV"
+    path.parent.mkdir()
+    path.write_text("symbol,mu0,mu1\n0,0.9,0.1\n1,0.1,0.9\n")
+    assert split_channel_spec(f" Custom:{path} ") == ("custom", str(path))
+    assert parse_channel_spec(f"CUSTOM:{path}").mu0 == (0.9, 0.1)
 
 
 def test_parse_custom_csv(tmp_path):

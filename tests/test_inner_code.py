@@ -5,6 +5,8 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gachagt.inner_code import (
     ERASURE,
@@ -149,6 +151,93 @@ def test_lin_decode_many_matches_scalar():
     bulk = code.decode_many(words)
     for w, v in zip(words, bulk):
         assert code.decode(int(w)) == int(v)
+
+
+# codes small enough to get a coset-leader table (ell <= 2 dim); (32, 16, 7)
+# is the code of the noisy AC-6 shape
+TABLE_CODES = [(32, 16, 7), (24, 12, 7), (20, 16, 3)] + [(12, 6, s) for s in range(4)]
+
+
+def syndrome_of(code, word):
+    lo = word & ((1 << code.dim) - 1)
+    return (word ^ code.encode(lo)) >> code.dim
+
+
+def word_in_coset(code, lo, syndrome):
+    """The received word with payload part lo whose syndrome is `syndrome`."""
+    return lo | ((syndrome ^ (code.encode(lo) >> code.dim)) << code.dim)
+
+
+@st.composite
+def received_words(draw, code):
+    """Codeword + low-weight noise, uniform garbage, or a word in a tied coset."""
+    kind = draw(st.sampled_from(["noisy", "garbage", "tie"]))
+    lo = draw(st.integers(0, (1 << code.dim) - 1))
+    if kind == "noisy":
+        flips = draw(st.sets(st.integers(0, code.ell - 1), max_size=4))
+        return code.encode(lo) ^ sum(1 << b for b in flips)
+    if kind == "garbage":
+        return draw(st.integers(0, (1 << code.ell) - 1))
+    tied = np.flatnonzero(code.coset_table[0])
+    return word_in_coset(code, lo, int(tied[draw(st.integers(0, len(tied) - 1))]))
+
+
+@pytest.mark.parametrize("ell,dim,seed", TABLE_CODES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lin_decode_many_table_matches_scalar(ell, dim, seed, data):
+    code = linear_code(ell, dim, seed)
+    assert code.coset_table is not None
+    words = data.draw(st.lists(received_words(code), min_size=1, max_size=40))
+    bulk = code.decode_many(np.array(words, dtype=np.uint64))
+    assert [int(v) for v in bulk] == [code.decode(w) for w in words]
+
+
+@pytest.mark.parametrize("ell,dim,seed", TABLE_CODES)
+def test_lin_tie_words_land_in_tied_cosets(ell, dim, seed):
+    # the "tie" draws above must exercise the exhaustive fallback
+    code = linear_code(ell, dim, seed)
+    tie_table = code.coset_table[0]
+    assert tie_table.any() and not tie_table.all()
+    s = int(np.flatnonzero(tie_table)[0])
+    assert tie_table[syndrome_of(code, word_in_coset(code, 5, s))]
+
+
+@pytest.mark.parametrize("ell,dim,seed", [(14, 7, s) for s in range(4)]
+                         + [(12, 6, s) for s in range(4)]
+                         + [(18, 9, s) for s in range(4)]
+                         + [(20, 10, 0), (20, 16, 3), (17, 16, 1), (16, 16, 0)])
+def test_lin_coset_table_matches_brute_force(ell, dim, seed):
+    # coset s holds the error patterns x | (s ^ P(x)) << dim, one per payload x;
+    # weigh all of them and compare the table's tie flag and unique leader
+    code = BinaryLinearCode(ell, dim, seed)
+    tie_table, leader_lo = code.coset_table
+    payloads = np.arange(1 << dim, dtype=np.uint64)
+    syndromes = np.arange(1 << (ell - dim), dtype=np.uint64)
+    parity = code.codebook >> np.uint64(dim)
+    weights = (np.bitwise_count(payloads)[None, :].astype(np.int64)
+               + np.bitwise_count(syndromes[:, None] ^ parity[None, :]))
+    lightest = weights == weights.min(axis=1, keepdims=True)
+    tied = lightest.sum(axis=1) > 1
+    assert np.array_equal(tie_table, tied)
+    assert np.array_equal(leader_lo[~tied], weights.argmin(axis=1)[~tied])
+
+
+def test_lin_coset_table_only_when_no_larger_than_codebook():
+    assert linear_code(32, 12, seed=7).coset_table is None
+    assert linear_code(64, 20, seed=7).coset_table is None
+    assert linear_code(32, 16, seed=7).coset_table is not None
+
+
+@pytest.mark.parametrize("ell,dim", [(32, 16), (32, 12)])
+def test_lin_decode_many_rejects_long_words(ell, dim):
+    code = linear_code(ell, dim, seed=7)
+    for bit in (ell, 63):
+        words = np.array([code.encode(1), 1 << bit], dtype=np.uint64)
+        with pytest.raises(ValueError, match="longer than ell"):
+            code.decode_many(words)
+        with pytest.raises(ValueError, match="longer than ell"):
+            code.decode(1 << bit)
 
 
 def test_lin_block_error_rate_bsc005():

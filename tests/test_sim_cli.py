@@ -11,6 +11,7 @@ from gachagt.sim_cli import (
     TRIAL_HEADER,
     SimConfig,
     derive_seed,
+    effective_crossover,
     main,
     oracle_check,
     parse_config,
@@ -111,6 +112,21 @@ def test_run_parallel_workers_match_serial(tmp_path):
     a = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "serial" / "trials.csv")]
     b = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "pool" / "trials.csv")]
     assert a == b
+
+
+@pytest.mark.parametrize("symmetrize", ["auto", "off"])
+def test_channel_kind_is_case_insensitive(symmetrize):
+    # BSC:0.05 is the same channel as bsc:0.05: no symmetrizer under auto, no
+    # "asymmetric" rejection under off, and identical rows apart from timing
+    text = (MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
+            + f"symmetrize={symmetrize}\n")
+    lower = parse_config(text.replace("channel=none", "channel=bsc:0.05"))
+    upper = parse_config(text.replace("channel=none", "channel=BSC:0.05"))
+    assert effective_crossover(upper) == effective_crossover(lower) == 0.05
+    ts = TRIAL_HEADER.index("decode_ns")
+    for t in range(3):
+        a, b = run_trial(lower, t), run_trial(upper, t)
+        assert a[:ts] + a[ts + 1:] == b[:ts] + b[ts + 1:]
 
 
 def test_trial_rows_schema():
