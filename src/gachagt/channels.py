@@ -219,8 +219,3 @@ def apply_plan_many(plan: SymmetrizerPlan, symbols: np.ndarray,
         rank1[sym] = pos + 1
     u = rng.random(symbols.shape[0])
     return (u <= rank1[symbols] - plan.t).astype(np.uint8)
-
-
-def as_bsc(plan: SymmetrizerPlan) -> DiscreteChannel:
-    """The end-to-end channel the plan realizes, as a plain BSC."""
-    return bsc(plan.crossover)

@@ -43,100 +43,109 @@ class _Collision:
 COLLISION = _Collision()  # SynthWord slot marker: several writers, nothing readable
 
 
-class NoiselessInner:
-    """Constant-weight image per block; a symbol is one or two blocks."""
+_EMPTY, _ONE, _MANY = (k.value for k in Occupancy)
 
-    def __init__(self, code: ConstantWeightCode, w: int):
-        if code.payload_bits >= 2 * w:
+
+class PairInner:
+    """Carries a pair of w-bit values (hi, lo) per batch through an inner code.
+
+    A pair fills one block's payload when the payload holds 2w bits, else it
+    takes two blocks, hi in the first.  Subclasses encode a batch's payloads
+    (encode_blocks) and classify whole observations (classify_blocks), both
+    on (batches, blocks) uint64 arrays of block words.
+    """
+
+    def __init__(self, payload_bits: int, w: int, ell: int, what: str):
+        if payload_bits >= 2 * w:
             self.blocks = 1
-        elif code.payload_bits >= w:
+        elif payload_bits >= w:
             self.blocks = 2
         else:
             raise ValueError(
-                f"inner payload {code.payload_bits} bits cannot carry a pair of {w}-bit values"
+                f"{what} {payload_bits} bits cannot carry a pair of {w}-bit values"
             )
-        self.code = code
         self.w = w
-        self.bits_per_symbol = self.blocks * code.ell
+        self.ell = ell
+        self.bits_per_symbol = self.blocks * ell
 
-    def _payloads(self, hi: int, lo: int):
+    def pack(self, hi: int, lo: np.ndarray) -> np.ndarray:
+        """(len(lo), blocks) int64 payloads of the pairs (hi, lo[i])."""
         if self.blocks == 1:
-            return ((hi << self.w) | lo,)
-        return (hi, lo)
+            return ((hi << self.w) | lo)[:, None]
+        return np.stack([np.full_like(lo, hi), lo], axis=-1)
 
-    def encode_pair(self, hi: int, lo: int, s: int = 0):
-        return tuple(self.code.encode(p) for p in self._payloads(hi, lo))
-
-    def classify(self, block_words, s: int = 0):
-        kinds = []
-        payloads = []
-        for word in block_words:
-            kind, payload = self.code.classify_noiseless(word)
-            kinds.append(kind)
-            payloads.append(payload)
-        if all(k is Occupancy.EMPTY for k in kinds):
-            return None
-        if all(k is Occupancy.ONE for k in kinds):
-            if self.blocks == 1:
-                v = payloads[0]
-                return v >> self.w, v & ((1 << self.w) - 1)
-            return payloads[0], payloads[1]
-        return COLLISION
+    def unpack(self, payloads: np.ndarray):
+        """Inverse of pack: (hi, lo) from (..., blocks) payloads."""
+        if self.blocks == 1:
+            v = payloads[..., 0]
+            return v >> self.w, v & ((1 << self.w) - 1)
+        return payloads[..., 0], payloads[..., 1]
 
 
-def _whiten_key(s: int, b: int, dim: int) -> int:
-    """Fixed per-(batch, block) payload scrambling key (splitmix64 finalizer).
+class NoiselessInner(PairInner):
+    """Constant-weight image per block; exact weights classify each block."""
 
-    Persons whose birthday equals their fragment (low indices map to constant
-    polynomials) would otherwise write the same codeword into every block of
-    every batch, making their symbol weight a single atypical draw repeated r
-    times; XOR-ing a batch-keyed constant into the payload restores the
-    fresh-codeword-per-batch statistics the weight classifier assumes.
+    def __init__(self, code: ConstantWeightCode, w: int):
+        super().__init__(code.payload_bits, w, code.ell, "inner payload")
+        self.code = code
+
+    def encode_blocks(self, hi, lo, batches) -> np.ndarray:
+        """(len(batches), blocks) images of (hi, lo[i]) written in batches[i]."""
+        return self.code.encode_many(self.pack(hi, lo))
+
+    def classify_blocks(self, words: np.ndarray):
+        """(kinds, hi, lo) per batch: EMPTY when every block is empty, ONE when
+        every block reads one image, MANY otherwise; hi/lo hold where ONE."""
+        kinds, payloads = self.code.classify_many(words)
+        kind = np.where((kinds == _ONE).all(axis=1), _ONE, _MANY)
+        kind[(kinds == _EMPTY).all(axis=1)] = _EMPTY
+        return (kind, *self.unpack(payloads))
+
+
+def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
+    """(len(batches), blocks) payload scrambling keys, fixed per (batch, block).
+
+    A splitmix64 finalizer of 2 s + b.  Persons whose birthday equals their
+    fragment (low indices map to constant polynomials) would otherwise write
+    the same codeword into every block of every batch, making their symbol
+    weight a single atypical draw repeated r times; XOR-ing a batch-keyed
+    constant into the payload restores the fresh-codeword-per-batch
+    statistics the weight classifier assumes.
     """
-    z = (s * 2 + b + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return (z ^ (z >> 31)) & ((1 << dim) - 1)
+    z = (np.asarray(batches, dtype=np.uint64)[:, None] * np.uint64(2)
+         + np.arange(blocks, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15))
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) & np.uint64((1 << dim) - 1)).astype(np.int64)
 
 
-class NoisyInner:
+class NoisyInner(PairInner):
     """Linear-code image per block plus a weight test over the whole symbol."""
 
     def __init__(self, code: BinaryLinearCode, classifier: WeightClassifier, w: int):
-        if code.dim >= 2 * w:
-            self.blocks = 1
-        elif code.dim >= w:
-            self.blocks = 2
-        else:
-            raise ValueError(
-                f"inner dimension {code.dim} bits cannot carry a pair of {w}-bit values"
-            )
+        super().__init__(code.dim, w, code.ell, "inner dimension")
         self.code = code
         self.classifier = classifier
-        self.w = w
-        self.bits_per_symbol = self.blocks * code.ell
         if classifier.ell != self.bits_per_symbol:
             raise ValueError(
                 f"classifier covers {classifier.ell} bits but a symbol spans {self.bits_per_symbol}"
             )
 
-    def _payloads(self, hi: int, lo: int):
-        if self.blocks == 1:
-            return ((hi << self.w) | lo,)
-        return (hi, lo)
+    def encode_blocks(self, hi, lo, batches) -> np.ndarray:
+        """(len(batches), blocks) codewords of (hi, lo[i]) written in batches[i]."""
+        keys = whiten_keys(batches, self.blocks, self.code.dim)
+        return self.code.codebook[self.pack(hi, lo) ^ keys]
 
-    def encode_pair(self, hi: int, lo: int, s: int = 0):
-        return tuple(
-            self.code.encode(p ^ _whiten_key(s, b, self.code.dim))
-            for b, p in enumerate(self._payloads(hi, lo))
-        )
-
-    def _unpack(self, payloads, s: int):
-        payloads = [p ^ _whiten_key(s, b, self.code.dim) for b, p in enumerate(payloads)]
-        if self.blocks == 1:
-            v = payloads[0]
-            return v >> self.w, v & ((1 << self.w) - 1)
-        return payloads[0], payloads[1]
+    def classify_blocks(self, words: np.ndarray):
+        """(kinds, hi, lo) per batch: the symbol's weight picks the kind, and
+        batches read as ONE decode to the nearest codewords; hi/lo hold
+        where ONE."""
+        kind = self.classifier.classify_weights(np.bitwise_count(words).sum(axis=1))
+        single = np.flatnonzero(kind == _ONE)
+        payloads = np.zeros(words.shape, dtype=np.int64)
+        decoded = self.code.decode_many(words[single].ravel()).reshape(-1, self.blocks)
+        payloads[single] = decoded ^ whiten_keys(single, self.blocks, self.code.dim)
+        return (kind, *self.unpack(payloads))
 
 
 def default_noiseless_inner(w: int, ell: int = 0, weight: int = 0) -> NoiselessInner:
@@ -254,35 +263,37 @@ def person_rng(params: GachaParams, j: int) -> np.random.Generator:
     return np.random.default_rng((params.matrix_seed, j))
 
 
-def column_symbols(params: GachaParams, j: int):
-    """[(batch, block words)] for person j; deterministic in (matrix_seed, j)."""
+def column_words(params: GachaParams, j: int):
+    """(batches, words) for person j: the r sorted batches the person joins
+    and the (r, blocks) uint64 block words written there.
+
+    Deterministic in (matrix_seed, j).
+    """
     if not 0 <= j < params.n:
         raise ValueError(f"person index {j} out of range")
     rng = person_rng(params, j)
     batches = np.sort(rng.choice(params.B, size=params.r, replace=False))
     g = params.field.index_to_poly(j, params.d)
     hi = params.field.poly_eval(g, params.b0)
-    out = []
-    for s in batches:
-        lo = params.field.poly_eval(g, params.point(int(s)))
-        out.append((int(s), params.inner.encode_pair(hi, lo, int(s))))
-    return out
+    lo = params.field.poly_eval_many(g, params.point(batches))
+    return batches, params.inner.encode_blocks(hi, lo, batches)
+
+
+def column_symbols(params: GachaParams, j: int):
+    """[(batch, block words)] for person j, as ints; see column_words."""
+    batches, words = column_words(params, j)
+    return [(s, tuple(row)) for s, row in zip(batches.tolist(), words.tolist())]
 
 
 def build_column(params: GachaParams, j: int) -> np.ndarray:
     """Sparse column over m = B * bits_per_symbol tests."""
-    bps = params.bits_per_symbol
-    ell = bps // params.inner.blocks
-    idx = []
-    for s, words in column_symbols(params, j):
-        base = s * bps
-        for b, word in enumerate(words):
-            off = base + b * ell
-            while word:
-                low = word & -word
-                idx.append(off + low.bit_length() - 1)
-                word ^= low
-    return np.array(sorted(idx), dtype=np.int64)
+    batches, words = column_words(params, j)
+    ell = params.inner.ell
+    bits = (words[..., None] >> np.arange(ell, dtype=np.uint64)) & np.uint64(1)
+    # test index of bit c of block b in batch s; row-major order is sorted
+    tests = (batches[:, None, None] * params.bits_per_symbol
+             + np.arange(params.inner.blocks)[:, None] * ell + np.arange(ell))
+    return tests[bits.astype(bool)]
 
 
 def build_matrix(params: GachaParams):
@@ -295,34 +306,30 @@ def build_matrix(params: GachaParams):
     )
 
 
-def observed_blocks(params: GachaParams, sick_set):
-    """OR of the sick columns, one int per (batch, block).
+def observed_blocks(params: GachaParams, sick_set) -> np.ndarray:
+    """OR of the sick columns as a (B, blocks) uint64 array of block words.
 
-    Exactly equivalent to build_matrix + run_tests, without touching the
-    n - k healthy columns.
+    Exactly equivalent to bits_to_blocks of build_matrix + run_tests, without
+    touching the n - k healthy columns.
     """
-    nblocks = params.B * params.inner.blocks
-    words = [0] * nblocks
+    words = np.zeros((params.B, params.inner.blocks), dtype=np.uint64)
     for j in sick_set:
-        for s, blocks in column_symbols(params, j):
-            base = s * params.inner.blocks
-            for b, word in enumerate(blocks):
-                words[base + b] |= word
+        batches, blocks = column_words(params, j)
+        words[batches] |= blocks
     return words
 
 
-def bits_to_blocks(params: GachaParams, bits: np.ndarray):
-    """Pack the observed bit vector into one int per (batch, block)."""
+def bits_to_blocks(params: GachaParams, bits: np.ndarray) -> np.ndarray:
+    """Pack the observed bit vector into a (B, blocks) uint64 array; bit c of
+    a block word is test c of that block."""
     if len(bits) != params.m:
         raise ValueError(f"observed length {len(bits)} != m = {params.m}")
-    ell = params.bits_per_symbol // params.inner.blocks
-    rows = np.asarray(bits, dtype=np.uint64).reshape(-1, ell)
-    weights = np.uint64(1) << np.arange(ell, dtype=np.uint64)
-    lo = (rows[:, : min(ell, 32)] * weights[: min(ell, 32)]).sum(axis=1, dtype=np.uint64)
-    if ell > 32:
-        hi = (rows[:, 32:] * (weights[32:] >> np.uint64(32))).sum(axis=1, dtype=np.uint64)
-        lo = lo | (hi << np.uint64(32))
-    return [int(v) for v in lo]
+    ell = params.inner.ell
+    packed = np.packbits(np.asarray(bits, dtype=bool).reshape(-1, ell), axis=1,
+                         bitorder="little")
+    words = np.zeros((len(packed), 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8").reshape(params.B, params.inner.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -342,36 +349,18 @@ def synthesize(params: GachaParams, observed_bits) -> SynthWord:
 
 
 def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
-    """Same as synthesize, on pre-packed per-(batch, block) ints."""
-    nb = params.inner.blocks
-    if len(observed) != params.B * nb:
-        raise ValueError(f"expected {params.B * nb} blocks, got {len(observed)}")
-    inner = params.inner
-    symbols = []
-    if isinstance(inner, NoisyInner):
-        # classify all batches first, then decode the single-writer ones in bulk
-        kinds = []
-        for s in range(params.B):
-            ones = sum(observed[s * nb + b].bit_count() for b in range(nb))
-            kinds.append(inner.classifier.classify_weight(ones))
-        single = [s for s in range(params.B) if kinds[s] is Occupancy.ONE]
-        decoded = {}
-        if single:
-            for b in range(nb):
-                words = np.array([observed[s * nb + b] for s in single], dtype=np.uint64)
-                payloads = inner.code.decode_many(words)
-                for s, v in zip(single, payloads):
-                    decoded.setdefault(s, []).append(int(v))
-        for s in range(params.B):
-            if kinds[s] is Occupancy.EMPTY:
-                symbols.append(None)
-            elif kinds[s] is Occupancy.MANY:
-                symbols.append(COLLISION)
-            else:
-                symbols.append(inner._unpack(decoded[s], s))
-    else:
-        for s in range(params.B):
-            symbols.append(inner.classify(tuple(observed[s * nb + b] for b in range(nb)), s))
+    """Same as synthesize, on a (B, blocks) uint64 array of block words."""
+    observed = np.asarray(observed, dtype=np.uint64)
+    shape = (params.B, params.inner.blocks)
+    if observed.shape != shape:
+        raise ValueError(f"expected {shape} blocks, got {observed.shape}")
+    kinds, hi, lo = params.inner.classify_blocks(observed)
+    symbols = [None] * params.B
+    for s in np.flatnonzero(kinds == _MANY).tolist():
+        symbols[s] = COLLISION
+    one = np.flatnonzero(kinds == _ONE)
+    for s, pair in zip(one.tolist(), zip(hi[one].tolist(), lo[one].tolist())):
+        symbols[s] = pair
     return SynthWord(symbols=symbols)
 
 

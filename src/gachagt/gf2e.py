@@ -5,12 +5,21 @@ and the reduction polynomial and does all arithmetic.  Polynomials are tuples
 of coefficient ints, lowest degree first, with a fixed length ("dimension"):
 trailing zeros are kept, so (3, 0) and (3,) are different objects even though
 they evaluate identically.
+
+For w <= 16 a FieldSpec builds log/antilog tables over the smallest primitive
+element at construction, so a product is two log lookups and one antilog
+lookup, for scalars and numpy arrays alike.  Wider fields multiply by shift
+and add (_mulmod_poly), which stays the reference the tables are tested
+against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class InsufficientEvaluations(ValueError):
@@ -55,6 +64,28 @@ def _mulmod_poly(a: int, b: int, f: int) -> int:
     return r
 
 
+def _powmod_poly(a: int, e: int, f: int) -> int:
+    r = 1
+    while e:
+        if e & 1:
+            r = _mulmod_poly(r, a, f)
+        a = _mulmod_poly(a, a, f)
+        e >>= 1
+    return r
+
+
+def _prime_factors(n: int) -> set:
+    primes, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
 def _x_pow_2e_mod(e: int, f: int) -> int:
     r = 0b10
     for _ in range(e):
@@ -70,19 +101,59 @@ def is_irreducible(mask: int) -> bool:
         return False
     if _x_pow_2e_mod(w, mask) != 0b10:
         return False
-    primes, rest, p = set(), w, 2
-    while p * p <= rest:
-        while rest % p == 0:
-            primes.add(p)
-            rest //= p
-        p += 1
-    if rest > 1:
-        primes.add(rest)
-    for p in primes:
+    for p in _prime_factors(w):
         h = _x_pow_2e_mod(w // p, mask) ^ 0b10
         if _poly_gcd(mask, h) != 1:
             return False
     return True
+
+
+MAX_TABLE_WIDTH = 16
+
+
+def primitive_element(w: int, f: int) -> int:
+    """Smallest generator of the multiplicative group of GF(2)[x] / f."""
+    n = (1 << w) - 1
+    primes = _prime_factors(n)
+    g = 2
+    while any(_powmod_poly(g, n // p, f) == 1 for p in primes):
+        g += 1
+    return g
+
+
+def _log_tables(w: int, f: int):
+    """(exp, log) uint16 tables over the smallest primitive element g.
+
+    exp[i] = g^i for 0 <= i < 2(q - 1), q = 2^w, so exp[log a + log b] = a b
+    for nonzero a, b without a reduction mod q - 1; log[0] is unused.  The
+    powers are built by doubling: the next block of powers is the block so
+    far times g^size, which is GF(2)-linear and so an XOR of per-bit
+    multiples of the constant.  Each table is an array.array, for fast scalar
+    lookups; numpy reads them through np.frombuffer without a copy.
+    """
+    n = (1 << w) - 1
+    g = primitive_element(w, f)
+    exp = array("H", [0]) * (2 * n)
+    log = array("H", [0]) * (n + 1)
+    exp_np = np.frombuffer(exp, dtype=np.uint16)
+    log_np = np.frombuffer(log, dtype=np.uint16)
+    exp_np[0] = 1
+    size, c = 1, g
+    while size < n:
+        step = min(size, n - size)
+        block = exp_np[:step]
+        out = exp_np[size:size + step]
+        cb = c
+        for b in range(w):  # out ^= bit b of block * (c x^b)
+            out ^= ((block >> b) & 1) * np.uint16(cb)
+            cb = _mulmod_poly(cb, 2, f)
+        c = _mulmod_poly(c, c, f)
+        size += step
+    exp_np[n:] = exp_np[:n]
+    for lo in range(0, n, 1 << 12):  # in slices, to keep the index temporaries small
+        hi = min(lo + (1 << 12), n)
+        log_np[exp_np[lo:hi]] = np.arange(lo, hi, dtype=np.uint16)
+    return exp, log
 
 
 @dataclass(frozen=True)
@@ -101,6 +172,11 @@ class FieldSpec:
             raise ValueError("reduction polynomial degree does not match width")
         if not is_irreducible(self.reduction_poly):
             raise ValueError(f"reduction polynomial {self.reduction_poly:#x} is reducible")
+        exp = log = None
+        if self.w <= MAX_TABLE_WIDTH:
+            exp, log = _log_tables(self.w, self.reduction_poly)
+        object.__setattr__(self, "_exp", exp)
+        object.__setattr__(self, "_log", log)
 
     @property
     def order(self) -> int:
@@ -111,37 +187,35 @@ class FieldSpec:
             raise ValueError(f"{a} is not an element of GF(2^{self.w})")
         return a
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
+    def _mul(self, a: int, b: int) -> int:
+        """Product of two elements, unchecked."""
+        if not (a and b):
+            return 0
+        exp, log = self._exp, self._log
+        if exp is None:
+            return _mulmod_poly(a, b, self.reduction_poly)
+        return exp[log[a] + log[b]]
 
     def mul(self, a: int, b: int) -> int:
-        self.check(a)
-        self.check(b)
-        f, w = self.reduction_poly, self.w
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> w) & 1:
-                a ^= f
-        return r
+        return self._mul(self.check(a), self.check(b))
 
     def pow(self, a: int, e: int) -> int:
         self.check(a)
         r, base = 1, a
         while e:
             if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
+                r = self._mul(r, base)
+            base = self._mul(base, base)
             e >>= 1
         return r
 
     def inv(self, a: int) -> int:
+        self.check(a)
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
-        return self.pow(a, (1 << self.w) - 2)
+        if self._exp is None:
+            return self.pow(a, (1 << self.w) - 2)
+        return self._exp[(1 << self.w) - 1 - self._log[a]]
 
     # ----- polynomials (tuples of coefficients, low degree first) -----
 
@@ -150,7 +224,25 @@ class FieldSpec:
         self.check(p)
         acc = 0
         for c in reversed(coeffs):
-            acc = self.mul(acc, p) ^ self.check(c)
+            acc = self._mul(acc, p) ^ self.check(c)
+        return acc
+
+    def poly_eval_many(self, coeffs, points) -> np.ndarray:
+        """poly_eval at every element of an integer array, as int64."""
+        points = np.asarray(points, dtype=np.int64)
+        if self._exp is None:
+            return np.array([self.poly_eval(coeffs, p) for p in points.ravel().tolist()],
+                            dtype=np.int64).reshape(points.shape)
+        if points.size and not (0 <= points.min() and points.max() < (1 << self.w)):
+            raise ValueError(f"evaluation point outside GF(2^{self.w})")
+        exp = np.frombuffer(self._exp, dtype=np.uint16)
+        log = np.frombuffer(self._log, dtype=np.uint16)
+        log_p, zero_p = log[points].astype(np.intp), points == 0
+        acc = np.zeros(points.shape, dtype=np.int64)
+        for c in reversed(coeffs):  # Horner, a product with a zero factor is 0
+            product = exp[log[acc] + log_p].astype(np.int64)
+            product[zero_p | (acc == 0)] = 0
+            acc = product ^ self.check(c)
         return acc
 
     def interpolate(self, points, d: int):
@@ -173,24 +265,25 @@ class FieldSpec:
             raise InsufficientEvaluations(
                 f"need {d} points with distinct x-coordinates, got {len(use)}"
             )
+        mul = self._mul
         # augmented rows [x^0, ..., x^(d-1) | y]
         rows = []
         for x, y in use:
             row, xp = [], 1
             for _ in range(d):
                 row.append(xp)
-                xp = self.mul(xp, x)
+                xp = mul(xp, x)
             row.append(y)
             rows.append(row)
         for col in range(d):
             piv = next(i for i in range(col, d) if rows[i][col])
             rows[col], rows[piv] = rows[piv], rows[col]
             scale = self.inv(rows[col][col])
-            rows[col] = [self.mul(scale, v) for v in rows[col]]
+            rows[col] = [mul(scale, v) for v in rows[col]]
             for i in range(d):
                 if i != col and rows[i][col]:
                     f = rows[i][col]
-                    rows[i] = [vi ^ self.mul(f, vc) for vi, vc in zip(rows[i], rows[col])]
+                    rows[i] = [vi ^ mul(f, vc) for vi, vc in zip(rows[i], rows[col])]
         return tuple(rows[i][d] for i in range(d))
 
     # ----- the index <-> polynomial bijection -----

@@ -14,8 +14,10 @@ Two interchangeable inner layers:
   empty string, one codeword, and the OR of two codewords by observed weight
   under a known BSC crossover.
 
-Bit strings are plain ints (bit i = position i); numpy arrays of uint64 are
-used for batched decoding.
+Bit strings are plain ints (bit i = position i) for the scalar methods,
+which stay as the reference; the bulk methods (encode_many, classify_many,
+decode_many, classify_weights) take and return numpy arrays, uint64 for
+bit strings.
 """
 
 from __future__ import annotations
@@ -74,8 +76,30 @@ def combination_rank(mask: int) -> int:
 # constant-weight code
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _binomials(ell: int, weight: int) -> np.ndarray:
+    """table[i, c] = C(c, i) for 0 <= i <= weight, 0 <= c <= ell, as uint64.
+
+    Row i is the running sum of row i - 1 shifted by one (the hockey-stick
+    identity C(c, i) = sum_{t < c} C(t, i - 1)).  Exact for ell <= 64.
+    """
+    table = np.zeros((weight + 1, ell + 1), dtype=np.uint64)
+    table[0] = 1
+    for i in range(1, weight + 1):
+        np.cumsum(table[i - 1, :-1], out=table[i, 1:])
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class ConstantWeightCode:
+    """Payloads as the weight-`weight` subsets of [ell] in colex order.
+
+    encode/classify_noiseless work on one int; encode_many/classify_many on
+    uint64 arrays of any shape through a binomial table: unrank is one
+    searchsorted per set bit, rank a table gather summed over the set bits.
+    """
+
     ell: int
     weight: int
     payload_bits: int
@@ -83,6 +107,8 @@ class ConstantWeightCode:
     def __post_init__(self):
         if not 0 < self.weight < self.ell:
             raise ValueError("weight must be strictly between 0 and ell")
+        if self.ell > 64:
+            raise ValueError(f"need ell <= 64 to pack a block in a uint64, got {self.ell}")
         if comb(self.ell, self.weight) < (1 << self.payload_bits):
             raise ValueError(
                 f"C({self.ell},{self.weight}) < 2^{self.payload_bits}: payload does not fit"
@@ -95,6 +121,23 @@ class ConstantWeightCode:
         if not 0 <= payload < (1 << self.payload_bits):
             raise ValueError(f"payload {payload} out of range")
         return combination_unrank(payload, self.ell, self.weight)
+
+    def encode_many(self, payloads) -> np.ndarray:
+        """encode on every payload of an integer array (no ERASURE)."""
+        payloads = np.asarray(payloads)
+        if payloads.size and (payloads.min() < 0 or int(payloads.max()) >> self.payload_bits):
+            raise ValueError("payload out of range")
+        rank = payloads.astype(np.uint64)
+        table = _binomials(self.ell, self.weight)
+        top = np.empty((self.weight,) + rank.shape, dtype=np.uint64)
+        for i in range(self.weight, 0, -1):
+            # the largest c with C(c, i) <= rank is the count of c' in [1, ell]
+            # with C(c', i) <= rank, as C(0, i) = 0
+            row = table[i]
+            c = row[1:].searchsorted(rank, side="right")
+            rank -= row[c]
+            top[i - 1] = c
+        return np.bitwise_or.reduce(np.uint64(1) << top, axis=0)
 
     def classify_noiseless(self, observed: int):
         """(Occupancy, payload | None) from an exact observed string.
@@ -113,6 +156,32 @@ class ConstantWeightCode:
             if payload < (1 << self.payload_bits):
                 return Occupancy.ONE, payload
         return Occupancy.MANY, None
+
+    def classify_many(self, observed):
+        """classify_noiseless on every string of a uint64 array.
+
+        Returns (kinds, payloads) of the same shape: kinds holds Occupancy
+        values as uint8, payloads the decoded payload where kinds is ONE and
+        0 elsewhere.
+        """
+        observed = np.asarray(observed, dtype=np.uint64)
+        if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
+            raise ValueError("observed string longer than ell")
+        weights = np.bitwise_count(observed)
+        kinds = np.where(weights == 0, Occupancy.EMPTY.value, Occupancy.MANY.value).astype(np.uint8)
+        payloads = np.zeros(observed.shape, dtype=np.int64)
+        at = np.flatnonzero(weights == self.weight)
+        # bits[c, t]: bit c of the t-th string of the right weight
+        bytes_ = observed.ravel()[at].astype("<u8").view(np.uint8).reshape(-1, 8)
+        bits = np.unpackbits(bytes_, axis=1, count=self.ell, bitorder="little").T
+        # the i-th lowest set bit, at position c, adds C(c, i)
+        ith = np.cumsum(bits, axis=0, dtype=np.uint8)
+        terms = _binomials(self.ell, self.weight)[ith, np.arange(self.ell)[:, None]]
+        rank = (terms * bits).sum(axis=0, dtype=np.uint64)
+        image = rank < np.uint64(1 << self.payload_bits)
+        kinds.ravel()[at[image]] = Occupancy.ONE.value
+        payloads.ravel()[at[image]] = rank[image]
+        return kinds, payloads
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +312,7 @@ class BinaryLinearCode:
     def _nearest(self, observed: np.ndarray) -> np.ndarray:
         """Exhaustive nearest-codeword search, ties to the smallest payload."""
         out = np.empty(observed.shape[0], dtype=np.int64)
-        chunk = 256
+        chunk = max(1, (1 << 19) // len(self.codebook))  # a 4 MiB distance block
         for lo in range(0, observed.shape[0], chunk):
             block = observed[lo:lo + chunk]
             d = np.bitwise_count(block[:, None] ^ self.codebook[None, :])
@@ -299,6 +368,14 @@ class WeightClassifier:
         if mean < self.theta:
             return Occupancy.ONE
         return Occupancy.MANY
+
+    def classify_weights(self, ones) -> np.ndarray:
+        """classify_weight on every count of an array, as uint8 Occupancy values."""
+        mean = np.asarray(ones) / self.ell
+        kinds = np.full(mean.shape, Occupancy.MANY.value, dtype=np.uint8)
+        kinds[mean < self.theta] = Occupancy.ONE.value
+        kinds[mean < self.tau] = Occupancy.EMPTY.value
+        return kinds
 
     def classify(self, observed: int) -> Occupancy:
         if observed >> self.ell:

@@ -26,7 +26,7 @@ from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import expander_build, fault_injected, identity_scheme, serial_build
 from gachagt.gf2e import field
 from gachagt.inner_code import linear_code
-from gachagt.sim_cli import oracle_check, parse_config, run
+from gachagt.sim_cli import oracle_check, parse_config, run, run_trial
 
 AC1_CONFIG = """
 scheme=gacha
@@ -268,17 +268,21 @@ def test_ac8_oracle_equivalence():
     )
 
 
-def test_ac9_decode_time_scaling(tmp_path):
-    medians = {}
-    for k in (8, 16, 32):
-        cfg = parse_config(
+def test_ac9_decode_time_scaling():
+    configs = {
+        k: parse_config(
             f"scheme=gacha\nn=65536\nk={k}\nchannel=none\ntrials=50\nmaster_seed=99\n"
             f"w=16\nd=2\nr=18\nB={24 * 2 * k}\nell=28\nweight=14\n"
         )
-        out = tmp_path / f"k{k}"
-        run(cfg, out_dir=out)
-        rows = list(csv.reader(open(out / "trials.csv")))[1:]
-        medians[k] = float(np.median([int(r[7]) for r in rows]))
+        for k in (8, 16, 32)
+    }
+    # the same 50 trials per k that `run` makes, taken in rotation (one trial
+    # of each k at a time) so a drift in machine speed reaches every k alike
+    decode_ns = {k: [] for k in configs}
+    for t in range(50):
+        for k, cfg in configs.items():
+            decode_ns[k].append(run_trial(cfg, t)[7])
+    medians = {k: float(np.median(v)) for k, v in decode_ns.items()}
     r1 = medians[16] / medians[8]
     r2 = medians[32] / medians[16]
     ok = r1 <= 2.5 and r2 <= 2.5

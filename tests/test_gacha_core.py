@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gachagt.channels import bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import run_tests, sample_instance, score
+from gachagt.inner_code import Occupancy, combination_unrank
 from gachagt.gacha_core import (
     COLLISION,
     GachaParams,
+    NoiselessInner,
     analytic_budget,
     bits_to_blocks,
     build_column,
@@ -17,7 +21,9 @@ from gachagt.gacha_core import (
     default_params,
     gacha_scheme,
     list_decode,
+    whiten_keys,
     observed_blocks,
+    person_rng,
     synthesize,
     synthesize_blocks,
 )
@@ -84,9 +90,9 @@ def test_shared_batch_is_or_of_images():
     words1 = dict(column_symbols(p, j1))[shared]
     words2 = dict(column_symbols(p, j2))[shared]
     got = bits_to_blocks(p, y)
-    nb = p.inner.blocks
-    for b in range(nb):
-        assert got[shared * nb + b] == words1[b] | words2[b]
+    assert got.shape == (p.B, p.inner.blocks) and got.dtype == np.uint64
+    expect = np.array(words1, dtype=np.uint64) | np.array(words2, dtype=np.uint64)
+    assert np.array_equal(got[shared], expect)
 
 
 def test_build_matrix_shape_and_m():
@@ -130,7 +136,7 @@ def test_lazy_observed_equals_run_tests():
         assert np.array_equal(lazy, full)
         # the packed-block path agrees bit for bit too
         words = observed_blocks(p, inst.sick_set)
-        assert words == bits_to_blocks(p, full)
+        assert np.array_equal(words, bits_to_blocks(p, full))
 
 
 def test_synthesize_all_zero():
@@ -318,3 +324,158 @@ def test_fp_channel_with_plan_decodes():
         got = decode_pipeline(params, None, z, plan=plan, rng=rng)
         hits += len(got & inst.sick_set)
     assert hits >= 38  # crossover 1/21: nearly all persons recovered
+
+
+# ---------------------------------------------------------------------------
+# bulk encode and synthesis against a scalar per-batch reference
+# ---------------------------------------------------------------------------
+
+INNER_SHAPES = {
+    "cw-2-blocks": lambda: ac1_params(seed=3),
+    "cw-1-block": lambda: small_params(seed=3),
+    "lin-2-blocks": lambda: default_params(1 << 16, 8, channel_crossover=0.05, matrix_seed=3,
+                                           w=16, d=2, r=18, B=384, code_seed=7),
+    "lin-1-block": lambda: default_params(256, 2, channel_crossover=0.05, matrix_seed=3,
+                                          w=8, code_seed=7),
+}
+
+
+def splitmix_key(s, b, dim):
+    """The whitening key of block b of batch s: splitmix64's finalizer of 2 s + b."""
+    mask = (1 << 64) - 1
+    z = (s * 2 + b + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & ((1 << dim) - 1)
+
+
+def scalar_payloads(inner, hi, lo):
+    return [(hi << inner.w) | lo] if inner.blocks == 1 else [hi, lo]
+
+
+def scalar_pair(inner, payloads):
+    if inner.blocks == 1:
+        return payloads[0] >> inner.w, payloads[0] & ((1 << inner.w) - 1)
+    return payloads[0], payloads[1]
+
+
+def reference_symbols(p, words):
+    """One batch at a time, through the scalar inner-code methods."""
+    inner, out = p.inner, []
+    noiseless = isinstance(inner, NoiselessInner)
+    for s in range(p.B):
+        row = [int(x) for x in words[s]]
+        if noiseless:
+            read = [inner.code.classify_noiseless(x) for x in row]
+            if all(k is Occupancy.EMPTY for k, _ in read):
+                out.append(None)
+            elif all(k is Occupancy.ONE for k, _ in read):
+                out.append(scalar_pair(inner, [v for _, v in read]))
+            else:
+                out.append(COLLISION)
+            continue
+        kind = inner.classifier.classify_weight(sum(x.bit_count() for x in row))
+        if kind is Occupancy.EMPTY:
+            out.append(None)
+        elif kind is Occupancy.MANY:
+            out.append(COLLISION)
+        else:
+            out.append(scalar_pair(inner, [inner.code.decode(x) ^ splitmix_key(s, b, inner.code.dim)
+                                           for b, x in enumerate(row)]))
+    return out
+
+
+def reference_words(p, j):
+    """[(batch, block words)] of person j through the scalar encoders."""
+    inner = p.inner
+    rng = person_rng(p, j)
+    batches = np.sort(rng.choice(p.B, size=p.r, replace=False)).tolist()
+    g = p.field.index_to_poly(j, p.d)
+    hi = p.field.poly_eval(g, p.b0)
+    out = []
+    for s in batches:
+        pay = scalar_payloads(inner, hi, p.field.poly_eval(g, p.point(s)))
+        if isinstance(inner, NoiselessInner):
+            words = tuple(inner.code.encode(v) for v in pay)
+        else:
+            words = tuple(inner.code.encode(v ^ splitmix_key(s, b, inner.code.dim))
+                          for b, v in enumerate(pay))
+        out.append((s, words))
+    return out
+
+
+def reference_column(p, j):
+    ell = p.inner.ell
+    return sorted(s * p.bits_per_symbol + b * ell + c
+                  for s, words in reference_words(p, j)
+                  for b, word in enumerate(words)
+                  for c in range(ell) if word >> c & 1)
+
+
+@pytest.mark.parametrize("shape", INNER_SHAPES)
+def test_bulk_encode_matches_scalar_reference(shape):
+    p = INNER_SHAPES[shape]()
+    rng = np.random.default_rng(17)
+    for j in [0, 1, p.n - 1] + [int(v) for v in rng.integers(0, p.n, size=12)]:
+        assert column_symbols(p, j) == reference_words(p, j)
+        col = build_column(p, j)
+        assert col.dtype == np.int64 and col.tolist() == reference_column(p, j)
+
+
+def test_whiten_keys_match_splitmix():
+    for blocks, dim in ((1, 16), (2, 16), (2, 20)):
+        batches = np.array([0, 1, 2, 191, 383, 65535])
+        want = [[splitmix_key(s, b, dim) for b in range(blocks)] for s in batches.tolist()]
+        assert whiten_keys(batches, blocks, dim).tolist() == want
+
+
+def or_of_sick_blocks(p, rng):
+    """OR of a random sick set, lightly to heavily loaded; under BSC noise
+    for the linear inner code."""
+    k = int(rng.choice([1, p.k_cap, 3 * p.k_cap]))
+    sick = set(int(v) for v in rng.choice(p.n, size=min(k, p.n), replace=False))
+    if isinstance(p.inner, NoiselessInner):
+        return observed_blocks(p, sick)
+    y = gacha_scheme(p).observed_bits(sick)
+    return bits_to_blocks(p, bsc(0.05).transmit_many(y, rng).astype(np.uint8))
+
+
+def garbage_blocks(p, rng):
+    """Uniform block words, and for the constant-weight code a mix of empty
+    blocks, images and right-weight non-images so every kind turns up."""
+    ell, shape = p.inner.ell, (p.B, p.inner.blocks)
+    words = rng.integers(0, 1 << ell, size=shape, dtype=np.uint64)
+    if isinstance(p.inner, NoiselessInner):
+        code = p.inner.code
+        pick = rng.integers(0, 4, size=shape)
+        images = code.encode_many(rng.integers(0, 1 << code.payload_bits, size=shape))
+        words = np.where(pick == 1, images, words)
+        words[pick == 2] = 0
+        top = (1 << code.payload_bits) + rng.integers(0, 1 << 10, size=int((pick == 3).sum()))
+        words[pick == 3] = [combination_unrank(int(r), ell, code.weight) for r in top]
+    return words
+
+
+@pytest.mark.parametrize("source", [or_of_sick_blocks, garbage_blocks])
+@pytest.mark.parametrize("shape", INNER_SHAPES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_synthesize_blocks_matches_scalar_reference(shape, source, seed):
+    p = INNER_SHAPES[shape]()
+    words = source(p, np.random.default_rng(seed))
+    assert synthesize_blocks(p, words).symbols == reference_symbols(p, words)
+
+
+def test_bits_to_blocks_matches_scalar_packing():
+    for p in (ac1_params(), small_params(), INNER_SHAPES["lin-2-blocks"]()):
+        bits = np.random.default_rng(5).integers(0, 2, size=p.m, dtype=np.uint8)
+        ell, nb = p.inner.ell, p.inner.blocks
+        want = [[sum(int(bits[(s * nb + b) * ell + c]) << c for c in range(ell))
+                 for b in range(nb)] for s in range(p.B)]
+        assert bits_to_blocks(p, bits).tolist() == want
+
+
+def test_synthesize_blocks_shape_checked():
+    p = ac1_params()
+    with pytest.raises(ValueError):
+        synthesize_blocks(p, np.zeros(p.B * p.inner.blocks, dtype=np.uint64))

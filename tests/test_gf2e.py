@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gachagt.gf2e import (
     IRREDUCIBLE_POLY,
+    MAX_TABLE_WIDTH,
     FieldSpec,
     InsufficientEvaluations,
+    _mulmod_poly,
     field,
     is_irreducible,
+    primitive_element,
 )
 
 
@@ -153,3 +158,142 @@ def test_index_out_of_range():
     f = field(4)
     with pytest.raises(ValueError):
         f.index_to_poly(1 << 8, 2)
+
+
+# ---------------------------------------------------------------------------
+# log/antilog tables against the shift-and-add oracle
+# ---------------------------------------------------------------------------
+
+def oracle_pow(w, a, e):
+    f, r = IRREDUCIBLE_POLY[w], 1
+    for _ in range(e):
+        r = _mulmod_poly(r, a, f)
+    return r
+
+
+def oracle_eval(w, coeffs, p):
+    """Power-sum evaluation with shift-and-add products only."""
+    f, acc = IRREDUCIBLE_POLY[w], 0
+    for i, c in enumerate(coeffs):
+        term = c
+        for _ in range(i):
+            term = _mulmod_poly(term, p, f)
+        acc ^= term
+    return acc
+
+
+def prime_factors(n):
+    out, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            out.add(p)
+            n //= p
+        p += 1
+    return out | ({n} if n > 1 else set())
+
+
+@pytest.mark.parametrize("w", range(2, MAX_TABLE_WIDTH + 1))
+def test_generator_has_full_order(w):
+    f = field(w)
+    poly, n = IRREDUCIBLE_POLY[w], (1 << w) - 1
+    g = primitive_element(w, poly)
+    # g^n = 1 and g^(n/p) != 1 for every prime p | n: the order is exactly n
+    assert _powmod(g, n, poly) == 1
+    for p in prime_factors(n):
+        assert _powmod(g, n // p, poly) != 1
+    # no smaller element generates the group
+    assert all(any(_powmod(h, n // p, poly) == 1 for p in prime_factors(n))
+               for h in range(2, g))
+    # the antilog table walks every nonzero element once
+    exp = np.frombuffer(f._exp, dtype=np.uint16)
+    assert sorted(exp[:n].tolist()) == list(range(1, n + 1))
+
+
+def _powmod(a, e, f):
+    r = 1
+    while e:
+        if e & 1:
+            r = _mulmod_poly(r, a, f)
+        a = _mulmod_poly(a, a, f)
+        e >>= 1
+    return r
+
+
+def test_x_is_not_a_generator_for_some_builtin_polys():
+    # why the tables pick the smallest primitive element rather than x
+    assert [w for w in range(2, 17) if primitive_element(w, IRREDUCIBLE_POLY[w]) != 2] \
+        == [8, 9, 12, 14, 16]
+
+
+@pytest.mark.parametrize("w", range(2, 9))
+def test_table_arithmetic_exhaustive_small_fields(w):
+    f, q, poly = field(w), 1 << w, IRREDUCIBLE_POLY[w]
+    want = [[_mulmod_poly(a, b, poly) for b in range(q)] for a in range(q)]
+    assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == want
+    # the polynomial b x evaluated at every a: the array product path
+    grid = np.array([f.poly_eval_many((0, b), np.arange(q)) for b in range(q)])
+    assert np.array_equal(grid.T, np.array(want))
+    for a in range(1, q):
+        assert f.inv(a) == oracle_pow(w, a, q - 2)
+    with pytest.raises(ZeroDivisionError):
+        f.inv(0)
+    rng = np.random.default_rng(w)
+    for d in (1, 2, 3):
+        g = tuple(int(v) for v in rng.integers(0, q, size=d))
+        want = [oracle_eval(w, g, p) for p in range(q)]
+        assert [f.poly_eval(g, p) for p in range(q)] == want
+        assert f.poly_eval_many(g, np.arange(q)).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_table_arithmetic_matches_oracle_large_fields(data):
+    w = data.draw(st.integers(9, MAX_TABLE_WIDTH))
+    q, poly = 1 << w, IRREDUCIBLE_POLY[w]
+    f = field(w)
+    elem = st.integers(0, q - 1)
+    a, b = data.draw(elem), data.draw(elem)
+    assert f.mul(a, b) == _mulmod_poly(a, b, poly)
+    xs = data.draw(st.lists(elem, min_size=1, max_size=8))
+    assert f.poly_eval_many((0, b), xs).tolist() == [_mulmod_poly(x, b, poly) for x in xs]
+    if a:
+        assert _mulmod_poly(a, f.inv(a), poly) == 1
+    g = tuple(data.draw(st.lists(elem, min_size=1, max_size=4)))
+    assert f.poly_eval(g, a) == oracle_eval(w, g, a)
+    assert f.poly_eval_many(g, xs).tolist() == [oracle_eval(w, g, x) for x in xs]
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_interpolate_matches_oracle_evaluations(data):
+    w = data.draw(st.integers(2, MAX_TABLE_WIDTH + 4))
+    q = 1 << w
+    d = data.draw(st.integers(1, min(4, q)))
+    g = tuple(data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d)))
+    xs = data.draw(st.lists(st.integers(0, q - 1), min_size=d, max_size=d, unique=True))
+    assert field(w).interpolate([(x, oracle_eval(w, g, x)) for x in xs], d) == g
+
+
+@pytest.mark.parametrize("w", [17, 20, 24, 32])
+def test_wide_fields_keep_shift_and_add(w):
+    f, q, poly = field(w), 1 << w, IRREDUCIBLE_POLY[w]
+    assert f._exp is None and f._log is None
+    rng = np.random.default_rng(w)
+    xs = [int(v) for v in rng.integers(0, q, size=40)] + [0, 1, q - 1]
+    for a in xs[:10]:
+        assert [f.mul(a, b) for b in xs] == [_mulmod_poly(a, b, poly) for b in xs]
+        assert f.poly_eval_many((0, a), xs).tolist() == [_mulmod_poly(b, a, poly) for b in xs]
+        if a:
+            assert _mulmod_poly(a, f.inv(a), poly) == 1
+    g = tuple(xs[:3])
+    assert [f.poly_eval(g, p) for p in xs] == [oracle_eval(w, g, p) for p in xs]
+    assert f.poly_eval_many(g, xs).tolist() == [oracle_eval(w, g, p) for p in xs]
+
+
+def test_poly_eval_many_range_checks():
+    f = field(8)
+    with pytest.raises(ValueError):
+        f.poly_eval_many((1, 2), [3, 256])
+    with pytest.raises(ValueError):
+        f.poly_eval_many((1, 256), [3])
+    assert f.poly_eval_many((1, 2), []).shape == (0,)

@@ -15,6 +15,7 @@ from gachagt.inner_code import (
     Occupancy,
     UnsupportedCodeSize,
     WeightClassifier,
+    _binomials,
     combination_rank,
     combination_unrank,
     linear_code,
@@ -91,6 +92,89 @@ def test_cw_classify_empty_and_non_image():
     # weight-4 string with rank >= 64 is not an image: conservative collision
     heavy = combination_unrank(69, 8, 4)
     assert code.classify_noiseless(heavy) == (Occupancy.MANY, None)
+
+
+CW_CODES = [(8, 4, 6), (28, 14, 16), (28, 14, 25), (20, 3, 10), (33, 2, 9),
+            (40, 20, 36), (64, 32, 60)]
+
+
+def test_cw_binomial_table_is_exact():
+    for ell, weight, _ in CW_CODES:
+        table = _binomials(ell, weight)
+        want = [[comb(c, i) for c in range(ell + 1)] for i in range(weight + 1)]
+        assert table.dtype == np.uint64 and table.tolist() == want
+
+
+@st.composite
+def cw_words(draw, code):
+    """Observed strings of every class: images, empty, wrong weight, and
+    right-weight strings whose rank is past the payload range."""
+    kind = draw(st.sampled_from(["image", "empty", "weight", "non-image"]))
+    if kind == "image":
+        return code.encode(draw(st.integers(0, (1 << code.payload_bits) - 1)))
+    if kind == "empty":
+        return 0
+    if kind == "non-image":
+        rank = draw(st.integers(1 << code.payload_bits, comb(code.ell, code.weight) - 1))
+        return combination_unrank(rank, code.ell, code.weight)
+    bits = draw(st.sets(st.integers(0, code.ell - 1), min_size=1, max_size=code.ell)
+                .filter(lambda b: len(b) != code.weight))
+    return sum(1 << b for b in bits)
+
+
+@pytest.mark.parametrize("ell,weight,payload_bits", CW_CODES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cw_encode_many_matches_scalar(ell, weight, payload_bits, data):
+    code = ConstantWeightCode(ell, weight, payload_bits)
+    payloads = data.draw(st.lists(st.integers(0, (1 << payload_bits) - 1),
+                                  min_size=1, max_size=24))
+    want = [combination_unrank(v, ell, weight) for v in payloads]
+    assert code.encode_many(np.array(payloads)).tolist() == want
+    grid = np.array(payloads[:len(payloads) // 2 * 2]).reshape(-1, 2)
+    assert code.encode_many(grid).tolist() == [want[i:i + 2] for i in range(0, grid.size, 2)]
+
+
+@pytest.mark.parametrize("ell,weight,payload_bits", CW_CODES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cw_classify_many_matches_scalar(ell, weight, payload_bits, data):
+    code = ConstantWeightCode(ell, weight, payload_bits)
+    words = data.draw(st.lists(cw_words(code), min_size=1, max_size=24))
+    kinds, payloads = code.classify_many(np.array(words, dtype=np.uint64))
+    got = [(Occupancy(k), int(v) if k == Occupancy.ONE.value else None)
+           for k, v in zip(kinds, payloads)]
+    assert got == [code.classify_noiseless(w) for w in words]
+    for w, (kind, payload) in zip(words, got):
+        if kind is Occupancy.ONE:
+            assert combination_rank(w) == payload
+
+
+def test_cw_non_image_words_exist_for_every_code():
+    # the "non-image" draws above need room past the payload range
+    for ell, weight, payload_bits in CW_CODES:
+        assert comb(ell, weight) > 1 << payload_bits
+
+
+@pytest.mark.parametrize("ell,weight,payload_bits", [(28, 14, 16), (63, 3, 10)])
+def test_cw_bulk_rejects_long_words_and_payloads(ell, weight, payload_bits):
+    code = ConstantWeightCode(ell, weight, payload_bits)
+    for bit in (ell, 63):
+        word = (1 << bit) | code.encode(3)
+        with pytest.raises(ValueError, match="longer than ell"):
+            code.classify_noiseless(word)
+        with pytest.raises(ValueError, match="longer than ell"):
+            code.classify_many(np.array([code.encode(1), word], dtype=np.uint64))
+    for bad in (-1, 1 << payload_bits):
+        with pytest.raises(ValueError):
+            code.encode(bad)
+        with pytest.raises(ValueError):
+            code.encode_many(np.array([0, bad]))
+
+
+def test_cw_block_longer_than_a_word_rejected():
+    with pytest.raises(ValueError):
+        ConstantWeightCode(66, 2, 8)
 
 
 def test_min_even_block_length():
@@ -380,3 +464,12 @@ def test_classifier_misclassification_rate():
     sigma = (expect * (1 - expect) / trials) ** 0.5
     assert abs(miss - expect) < 3 * sigma + 0.005, (miss, expect)
     assert miss <= 0.06, miss
+
+
+@pytest.mark.parametrize("ell,p", [(32, 0.0), (64, 0.05), (64, 1 / 21), (40, 0.2), (7, 0.49)])
+def test_classify_weights_matches_scalar(ell, p):
+    clf = WeightClassifier(ell=ell, p=p)
+    ones = np.arange(ell + 1)
+    want = [clf.classify_weight(int(v)).value for v in ones]
+    assert clf.classify_weights(ones).tolist() == want
+    assert clf.classify_weights(ones.reshape(1, -1)).tolist() == [want]
