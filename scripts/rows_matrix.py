@@ -1,0 +1,63 @@
+"""Digest the trial rows of a grid of small configs, to compare two trees.
+
+Every combination of a channel, a symmetrize setting and a scheme is parsed
+and run with `sim_cli.run`; each prints one line with the SHA-256 of its
+`trials.csv` rows without the `decode_ns` column, or the error it raised.
+Run it against each tree and diff the outputs:
+
+    PYTHONPATH=src python scripts/rows_matrix.py > rows_a.txt
+"""
+
+from __future__ import annotations
+
+import csv
+import hashlib
+import itertools
+import sys
+import tempfile
+from pathlib import Path
+
+from gachagt import sim_cli
+
+CHANNELS = ("none", "bsc:0.05", "BSC:0.05", "fp:0.05", "fn:0.1", "bec:0.1", "custom")
+SYMMETRIZE = ("auto", "on", "off")
+# sized tight enough that noise moves the fp/fn columns
+SCHEMES = {
+    "gacha": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\n",
+    "gacha+gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\n"
+                      "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
+    "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
+    "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
+}
+CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
+
+
+def digest(text: str, out: Path) -> str:
+    try:
+        config = sim_cli.parse_config(text)
+    except ValueError as e:
+        return f"config error: {type(e).__name__}"
+    try:
+        sim_cli.run(config, out_dir=str(out))
+    except Exception as e:  # a failed trial aborts the run
+        return f"run error: {type(e).__name__}: {e}"
+    with (out / "trials.csv").open(newline="") as fh:
+        rows = [r[:7] for r in csv.reader(fh)]  # decode_ns is column 7, the last
+    return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        custom = Path(tmp) / "channel.csv"
+        custom.write_text(CUSTOM_CSV)
+        for i, (scheme, channel, sym) in enumerate(
+                itertools.product(SCHEMES, CHANNELS, SYMMETRIZE)):
+            spec = f"custom:{custom}" if channel == "custom" else channel
+            text = SCHEMES[scheme] + f"channel={spec}\nsymmetrize={sym}\n"
+            print(f"{scheme} {channel} {sym}: {digest(text, Path(tmp) / str(i))}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from .core_model import ConfigMatrix, ProblemInstance, TrialMetrics, run_tests, 
 from .gf2e import FieldSpec, InsufficientEvaluations, field
 from .channels import (
     DiscreteChannel,
+    NoiseModel,
     SymmetrizerPlan,
     ZeroCapacityError,
     apply_symmetrized,
@@ -21,7 +22,6 @@ from .channels import (
 from .inner_code import (
     BinaryLinearCode,
     ConstantWeightCode,
-    ERASURE,
     Occupancy,
     UnsupportedCodeSize,
     WeightClassifier,
@@ -33,8 +33,6 @@ from .gacha_core import (
     SynthWord,
     analytic_budget,
     build_column,
-    build_matrix,
-    decode_pipeline,
     default_params,
     gacha_scheme,
     list_decode,

@@ -219,3 +219,47 @@ def apply_plan_many(plan: SymmetrizerPlan, symbols: np.ndarray,
         rank1[sym] = pos + 1
     u = rng.random(symbols.shape[0])
     return (u <= rank1[symbols] - plan.t).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class NoiseModel:
+    """A parsed channel spec and symmetrize setting, resolved once.
+
+    channel    the DiscreteChannel, or None when the results are noiseless
+    plan       the SymmetrizerPlan applied after the channel, or None
+    crossover  the BSC crossover the decoder assumes, or None when noiseless
+    raw        hand the decoder raw channel symbols (the exhaustive oracle)
+    """
+
+    channel: DiscreteChannel | None = None
+    plan: SymmetrizerPlan | None = None
+    crossover: float | None = None
+    raw: bool = False
+
+    @classmethod
+    def parse(cls, spec: str, symmetrize: str = "auto", raw: bool = False) -> "NoiseModel":
+        """symmetrize: auto plans for every kind but bsc, on always plans, off
+        never (only bsc may go without a plan); raw skips the plan."""
+        if symmetrize not in ("auto", "on", "off"):
+            raise ValueError("symmetrize must be auto, on, or off")
+        channel = parse_channel_spec(spec)
+        if channel is None or raw:
+            return cls(channel, raw=raw)
+        is_bsc = split_channel_spec(spec)[0] == "bsc"
+        if symmetrize == "on" or (symmetrize == "auto" and not is_bsc):
+            plan = plan_symmetrize(channel)
+            return cls(channel, plan, plan.crossover)
+        if not is_bsc:
+            raise ValueError("asymmetric channels need the symmetrizer; drop symmetrize=off")
+        return cls(channel, crossover=channel.mu0[1])  # bsc(s) stores s exactly as P(1 | 0)
+
+    def receive(self, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """What the decoder reads for the noiseless results y: the channel's
+        symbols, collapsed to uint8 bits by the plan when there is one; raw
+        symbols stay int64."""
+        if self.channel is None:
+            return y
+        z = self.channel.transmit_many(y, rng)
+        if self.plan is not None:
+            return apply_plan_many(self.plan, z, rng)
+        return z if self.raw else z.astype(np.uint8)

@@ -296,21 +296,12 @@ def build_column(params: GachaParams, j: int) -> np.ndarray:
     return tests[bits.astype(bool)]
 
 
-def build_matrix(params: GachaParams):
-    from .core_model import ConfigMatrix
-
-    return ConfigMatrix(
-        m=params.m,
-        n=params.n,
-        columns=[build_column(params, j) for j in range(params.n)],
-    )
-
-
 def observed_blocks(params: GachaParams, sick_set) -> np.ndarray:
     """OR of the sick columns as a (B, blocks) uint64 array of block words.
 
-    Exactly equivalent to bits_to_blocks of build_matrix + run_tests, without
-    touching the n - k healthy columns.
+    Exactly equivalent to bits_to_blocks of run_tests on the full matrix
+    (gacha_scheme(params).build()), without touching the n - k healthy
+    columns.
     """
     words = np.zeros((params.B, params.inner.blocks), dtype=np.uint64)
     for j in sick_set:
@@ -412,21 +403,6 @@ def list_decode(params: GachaParams, word: SynthWord):
         groups.setdefault(hi, []).append((s, lo))
     return recover_from_groups(params.field, params.d, params.b0, groups,
                                params.point, params.n)
-
-
-def decode_pipeline(params: GachaParams, matrix, z, plan=None, rng=None):
-    """Symmetrize (when a plan is given) -> synthesize -> list-decode."""
-    m = matrix.m if matrix is not None else params.m
-    z = np.asarray(z)
-    if len(z) != m:
-        raise ValueError(f"observed length {len(z)} != m = {m}")
-    if plan is not None:
-        from .channels import apply_plan_many
-
-        if rng is None:
-            raise ValueError("symmetrization needs an rng for the threshold draws")
-        z = apply_plan_many(plan, z.astype(np.int64), rng)
-    return list_decode(params, synthesize(params, z.astype(np.uint8)))
 
 
 def gacha_scheme(params: GachaParams) -> SchemeHandle:

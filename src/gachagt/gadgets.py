@@ -93,7 +93,6 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         m=pi * inner.m,
         column=column,
         decode=decode,
-        expected_eps=inner.expected_eps,
         layers=inner.layers + (f"parallel(pi={pi})",),
     )
 
@@ -135,7 +134,6 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
         m=sigma * inner.m,
         column=column,
         decode=decode,
-        expected_eps=inner.expected_eps,
         layers=inner.layers + (f"serial(sigma={sigma})",),
     )
 
@@ -200,7 +198,6 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         m=R * inner.m,
         column=column,
         decode=decode,
-        expected_eps=inner.expected_eps,
         layers=inner.layers + (f"expander(rho={rho},R={R},w={outer_w})",),
     )
 
@@ -289,6 +286,5 @@ def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHand
         m=inner.m,
         column=inner.column,
         decode=decode,
-        expected_eps=eps,
         layers=inner.layers + (f"faults(eps={eps})",),
     )

@@ -36,9 +36,6 @@ class Occupancy(enum.Enum):
     MANY = 2
 
 
-ERASURE = object()  # payload sentinel for "write nothing"
-
-
 class UnsupportedCodeSize(ValueError):
     pass
 
@@ -115,15 +112,13 @@ class ConstantWeightCode:
             )
 
     def encode(self, payload) -> int:
-        """ERASURE -> all-zero; otherwise the payload-th constant-weight string."""
-        if payload is ERASURE:
-            return 0
+        """The payload-th constant-weight string."""
         if not 0 <= payload < (1 << self.payload_bits):
             raise ValueError(f"payload {payload} out of range")
         return combination_unrank(payload, self.ell, self.weight)
 
     def encode_many(self, payloads) -> np.ndarray:
-        """encode on every payload of an integer array (no ERASURE)."""
+        """encode on every payload of an integer array."""
         payloads = np.asarray(payloads)
         if payloads.size and (payloads.min() < 0 or int(payloads.max()) >> self.payload_bits):
             raise ValueError("payload out of range")

@@ -21,7 +21,6 @@ class SchemeHandle:
     m: int
     column: "callable"          # person index -> sorted np.ndarray of test indices
     decode: "callable"          # np.ndarray of observed bits (uint8) -> set of indices
-    expected_eps: float = 0.0   # caller-estimated per-person failure rate, bookkeeping only
     layers: tuple = ()          # composition labels, outermost last
 
     def build(self) -> ConfigMatrix:

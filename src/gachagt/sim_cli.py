@@ -17,16 +17,17 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .baselines import brute_force_decode, comp_decode
-from .channels import apply_plan_many, parse_channel_spec, plan_symmetrize, split_channel_spec
+from .channels import NoiseModel
 from .core_model import sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
-from .gadgets import pyramid_build
+from .gadgets import GadgetParams, pyramid_build
 from .scheme import SchemeHandle
 
 SEED_FOLD = 0x9E3779B97F4A7C15
@@ -42,7 +43,7 @@ class SimConfig:
     k: int
     trials: int
     master_seed: int
-    channel: str = "none"
+    noise: NoiseModel = NoiseModel()  # the channel= and symmetrize= keys, resolved
     # core sizing (0 = fill from the standard ratios)
     w: int = 0
     d: int = 0
@@ -53,7 +54,6 @@ class SimConfig:
     weight: int = 0         # constant-weight ones per block
     lin_dim: int = 0        # linear-code payload bits per block
     code_seed: int = 7
-    symmetrize: str = "auto"  # auto | on | off
     # gadget stack
     pi: int = 1
     sigma: int = 1
@@ -113,7 +113,9 @@ def parse_config(text: str) -> SimConfig:
             raise ValueError(f"keys {bad} only apply to the gacha schemes")
     if scheme in ("gacha", "gacha+gadgets") and "m" in values:
         raise ValueError("key m only applies to scheme=comp or scheme=oracle")
-    config = SimConfig(**values)
+    noise = NoiseModel.parse(values.pop("channel", "none"), values.pop("symmetrize", "auto"),
+                             raw=scheme == "oracle")  # the oracle reads raw symbols
+    config = SimConfig(noise=noise, **values)
     validate_config(config)
     return config
 
@@ -125,57 +127,18 @@ def validate_config(config: SimConfig) -> None:
         raise ValueError(f"need 0 < k < n, got k={config.k}, n={config.n}")
     if config.trials < 0:
         raise ValueError("trials must be >= 0")
-    channel = parse_channel_spec(config.channel)  # raises on bad spec / parameters
-    if config.symmetrize not in ("auto", "on", "off"):
-        raise ValueError("symmetrize must be auto, on, or off")
-    if (channel is not None and config.symmetrize == "off"
-            and not _is_bsc(config) and config.scheme != "oracle"):
-        raise ValueError("asymmetric channels need the symmetrizer; drop symmetrize=off")
+    noisy = config.noise.channel is not None
     if config.inner not in ("auto", "cw", "linear"):
         raise ValueError("inner must be auto, cw, or linear")
-    if config.inner == "cw" and channel is not None:
+    if config.inner == "cw" and noisy:
         raise ValueError("the constant-weight inner layer is noiseless-only; use inner=linear")
-    if config.scheme == "comp" and channel is not None:
+    if config.scheme == "comp" and noisy:
         raise ValueError("comp decodes noiseless results only; use channel=none")
     if config.scheme == "gacha+gadgets":
-        if not 1 < config.rho < config.R:
-            raise ValueError(
-                f"expander needs 1 < rho < R, got rho={config.rho}, R={config.R}"
-            )
-        if config.tau_depth < 2:
-            raise ValueError(f"pyramid needs tau_depth >= 2, got {config.tau_depth}")
-        if config.pi < 1 or config.sigma < 1:
-            raise ValueError("need pi >= 1 and sigma >= 1")
+        GadgetParams(pi=config.pi, sigma=config.sigma, rho=config.rho, R=config.R,
+                     tau_depth=config.tau_depth)
     if config.scheme == "oracle" and math.comb(config.n, config.k) > 10 ** 6:
         raise ValueError("oracle scheme needs C(n, k) <= 10^6")
-
-
-def _is_bsc(config: SimConfig) -> bool:
-    return split_channel_spec(config.channel)[0] == "bsc"
-
-
-def _want_plan(config: SimConfig, channel):
-    """The symmetrizer plan to use, or None."""
-    if channel is None:
-        return None
-    if config.symmetrize == "off":
-        return None
-    if config.symmetrize == "auto" and _is_bsc(config):
-        return None
-    return plan_symmetrize(channel)
-
-
-def effective_crossover(config: SimConfig):
-    """The BSC crossover the decoder should assume, or None when noiseless."""
-    channel = parse_channel_spec(config.channel)
-    if channel is None:
-        return None
-    plan = _want_plan(config, channel)
-    if plan is not None:
-        return plan.crossover
-    if _is_bsc(config):
-        return channel.mu0[1]  # bsc(s) stores s exactly as P(1 | 0)
-    return None  # raw binary asymmetric channel: caller insisted with symmetrize=off
 
 
 def derive_seed(master_seed: int, trial: int) -> int:
@@ -195,7 +158,7 @@ def base_gacha_config(config: SimConfig) -> SimConfig:
 
 def gacha_params_for(config: SimConfig, matrix_seed: int):
     config = base_gacha_config(config)
-    crossover = effective_crossover(config)
+    crossover = config.noise.crossover
     if crossover is None and config.inner == "linear":
         crossover = 0.0
     if config.inner == "cw":
@@ -230,10 +193,8 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
                 f"population {config.n} exceeds the composed capacity {handle.n}"
             )
         return handle
-    if config.scheme == "comp":
+    if config.scheme in ("comp", "oracle"):
         return _bernoulli_scheme(config, matrix_seed)
-    if config.scheme == "oracle":
-        return _oracle_scheme(config, matrix_seed)
     raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
@@ -250,27 +211,20 @@ def _bernoulli_matrix(config: SimConfig, matrix_seed: int):
 
 
 def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
+    """A Bernoulli design decoded by COMP, or by the exhaustive oracle on the
+    channel's raw symbols."""
     matrix = _bernoulli_matrix(config, matrix_seed)
-    return SchemeHandle(
-        n=matrix.n, k_design=config.k, m=matrix.m,
-        column=lambda j: matrix.columns[j],
-        decode=lambda bits: comp_decode(matrix, bits),
-        layers=("comp",),
-    )
-
-
-def _oracle_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
-    matrix = _bernoulli_matrix(config, matrix_seed)
-    channel = parse_channel_spec(config.channel)
-
-    def decode(z):
-        return set(brute_force_decode(matrix, z, config.k, channel).best)
+    if config.scheme == "comp":
+        decode = partial(comp_decode, matrix)
+    else:
+        def decode(z):
+            return set(brute_force_decode(matrix, z, config.k, config.noise.channel).best)
 
     return SchemeHandle(
         n=matrix.n, k_design=config.k, m=matrix.m,
         column=lambda j: matrix.columns[j],
         decode=decode,
-        layers=("oracle",),
+        layers=(config.scheme,),
     )
 
 
@@ -281,22 +235,8 @@ def run_trial(config: SimConfig, trial: int):
     matrix_seed = int(rng.integers(SEED_MASK))
     gadget_seed = int(rng.integers(SEED_MASK))
     handle = build_scheme(config, matrix_seed, gadget_seed)
-    channel = parse_channel_spec(config.channel)
-    plan = _want_plan(config, channel)
     inst = sample_instance(config.n, config.k, rng)
-    y = handle.observed_bits(inst.sick_set)
-    if channel is None:
-        bits = y
-    else:
-        z = channel.transmit_many(y, rng)
-        if plan is not None:
-            bits = apply_plan_many(plan, z, rng)
-        elif channel.q == 2:
-            bits = z.astype(np.uint8)
-        else:
-            raise ValueError("non-binary channel output reached the decoder without a plan")
-        if config.scheme == "oracle":
-            bits = z  # the oracle consumes raw symbols with the channel model
+    bits = config.noise.receive(handle.observed_bits(inst.sick_set), rng)
     t0 = time.perf_counter_ns()
     estimate = handle.decode(bits)
     decode_ns = time.perf_counter_ns() - t0
@@ -405,8 +345,11 @@ def oracle_check(config: SimConfig):
     """
     if config.n > 4096:
         raise ValueError("oracle-check is for tiny instances (n <= 4096)")
-    if parse_channel_spec(config.channel) is not None:
+    if config.noise.channel is not None:
         raise ValueError("oracle-check compares noiseless decoders; use channel=none")
+    if config.scheme == "gacha+gadgets":
+        raise ValueError("oracle-check does not take scheme=gacha+gadgets: its composed "
+                         "population exceeds n")
     from .core_model import run_tests
 
     unique = full = mismatches = comp_bad = 0
@@ -414,9 +357,7 @@ def oracle_check(config: SimConfig):
         seed_t = derive_seed(config.master_seed, trial)
         rng = np.random.default_rng(seed_t)
         matrix_seed = int(rng.integers(SEED_MASK))
-        int(rng.integers(SEED_MASK))  # keep the draw order of run_trial
-        params = gacha_params_for(config, matrix_seed)
-        handle = gacha_scheme(params)
+        handle = build_scheme(config, matrix_seed, int(rng.integers(SEED_MASK)))
         matrix = handle.build()
         inst = sample_instance(config.n, config.k, rng)
         y = run_tests(matrix, inst)
@@ -476,7 +417,11 @@ def main(argv=None) -> int:
               f"budget={report.budget:.6g}")
         return 0
 
-    trials, unique, full, mismatches, comp_bad = oracle_check(config)
+    try:
+        trials, unique, full, mismatches, comp_bad = oracle_check(config)
+    except ValueError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 2
     print(f"trials={trials} unique_explanation={unique} full_emits={full} "
           f"mismatches={mismatches} comp_violations={comp_bad}")
     return 0 if mismatches == 0 and comp_bad == 0 else 1

@@ -5,6 +5,7 @@ import pytest
 
 from gachagt.channels import (
     DiscreteChannel,
+    NoiseModel,
     ZeroCapacityError,
     apply_plan_many,
     apply_symmetrized,
@@ -188,3 +189,36 @@ def test_parse_custom_csv(tmp_path):
     bad.write_text("a,b\n1,2\n")
     with pytest.raises(ValueError):
         parse_channel_spec(f"custom:{bad}")
+
+
+def test_noise_model_resolution():
+    assert NoiseModel.parse("none", "on") == NoiseModel()
+    for sym in ("auto", "off"):  # a bsc needs no plan: the decoder assumes s
+        assert NoiseModel.parse("BSC:0.05", sym) == NoiseModel(bsc(0.05), crossover=0.05)
+    forced = NoiseModel.parse("bsc:0.05", "on")
+    assert forced.plan == plan_symmetrize(bsc(0.05))
+    assert forced.crossover == forced.plan.crossover
+    fp = NoiseModel.parse("fp:0.2")
+    assert fp.plan == plan_symmetrize(fp_channel(0.2))
+    assert fp.crossover == pytest.approx(1 / 6)
+    with pytest.raises(ValueError, match="asymmetric"):
+        NoiseModel.parse("fp:0.2", "off")
+    with pytest.raises(ValueError, match="auto, on, or off"):
+        NoiseModel.parse("bsc:0.05", "yes")
+    assert NoiseModel.parse("bec:0.2", "off", raw=True) == NoiseModel(bec(0.2), raw=True)
+
+
+def test_noise_model_receive_dtypes():
+    y = np.array([0, 1] * 50, dtype=np.uint8)
+    assert NoiseModel().receive(y, np.random.default_rng(0)) is y
+    cases = [("bsc:0.1", "auto", False, np.uint8), ("bec:0.2", "auto", False, np.uint8),
+             ("bec:0.2", "off", True, np.int64)]
+    for spec, sym, raw, dtype in cases:
+        model = NoiseModel.parse(spec, sym, raw=raw)
+        got = model.receive(y, np.random.default_rng(1))
+        assert got.dtype == dtype and got.shape == y.shape
+        # same draws as transmitting, then symmetrizing when there is a plan
+        rng = np.random.default_rng(1)
+        z = model.channel.transmit_many(y, rng)
+        expect = apply_plan_many(model.plan, z, rng) if model.plan else z
+        assert np.array_equal(got, expect)

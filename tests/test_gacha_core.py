@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gachagt.channels import bsc, plan_symmetrize, fp_channel
+from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import run_tests, sample_instance, score
 from gachagt.inner_code import Occupancy, combination_unrank
 from gachagt.gacha_core import (
@@ -15,9 +15,7 @@ from gachagt.gacha_core import (
     analytic_budget,
     bits_to_blocks,
     build_column,
-    build_matrix,
     column_symbols,
-    decode_pipeline,
     default_params,
     gacha_scheme,
     list_decode,
@@ -97,7 +95,7 @@ def test_shared_batch_is_or_of_images():
 
 def test_build_matrix_shape_and_m():
     p = small_params(n=64, k=2)
-    A = build_matrix(p)
+    A = gacha_scheme(p).build()
     assert A.m == p.B * p.bits_per_symbol
     assert A.n == 64
     rng = np.random.default_rng(0)
@@ -108,7 +106,7 @@ def test_build_matrix_shape_and_m():
 
 def test_single_column_matrix():
     p = default_params(1, 1, matrix_seed=3)
-    A = build_matrix(p)
+    A = gacha_scheme(p).build()
     assert A.n == 1
     image_weight = p.inner.blocks * p.inner.code.weight
     assert len(A.columns[0]) == p.r * image_weight
@@ -127,7 +125,7 @@ def test_classic_sizing_ratio():
 
 def test_lazy_observed_equals_run_tests():
     p = small_params(seed=8, n=128, k=3)
-    A = build_matrix(p)
+    A = gacha_scheme(p).build()
     h = gacha_scheme(p)
     for seed in range(5):
         inst = sample_instance(128, 3, seed)
@@ -207,18 +205,18 @@ def test_decode_deterministic():
 
 def test_decode_pipeline_k1_exact_all_seeds():
     p = ac1_params(seed=13, k=1)
-    A = None
+    h = gacha_scheme(p)
     for seed in range(40):
         rng = np.random.default_rng(seed)
         inst = sample_instance(p.n, 1, rng)
-        y = gacha_scheme(p).observed_bits(inst.sick_set)
-        assert decode_pipeline(p, A, y) == inst.sick_set
+        y = h.observed_bits(inst.sick_set)
+        assert h.decode(y) == inst.sick_set
 
 
 def test_decode_pipeline_length_check():
     p = small_params()
     with pytest.raises(ValueError):
-        decode_pipeline(p, None, np.zeros(p.m + 1, dtype=np.uint8))
+        gacha_scheme(p).decode(np.zeros(p.m + 1, dtype=np.uint8))
 
 
 def test_budget_formula():
@@ -321,7 +319,7 @@ def test_fp_channel_with_plan_decodes():
         inst = sample_instance(params.n, 4, rng)
         y = h.observed_bits(inst.sick_set)
         z = ch.transmit_many(y, rng)
-        got = decode_pipeline(params, None, z, plan=plan, rng=rng)
+        got = h.decode(apply_plan_many(plan, z, rng))
         hits += len(got & inst.sick_set)
     assert hits >= 38  # crossover 1/21: nearly all persons recovered
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt.inner_code import (
-    ERASURE,
     BinaryLinearCode,
     ConstantWeightCode,
     Occupancy,
@@ -56,11 +55,6 @@ def test_unrank_colex_order_matches_enumeration():
 # ---------------------------------------------------------------------------
 # constant-weight code
 # ---------------------------------------------------------------------------
-
-def test_cw_erasure_is_all_zero():
-    code = ConstantWeightCode(8, 4, 6)
-    assert code.encode(ERASURE) == 0
-
 
 def test_cw_capacity_checked():
     with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from gachagt.sim_cli import (
     TRIAL_HEADER,
     SimConfig,
     derive_seed,
-    effective_crossover,
     main,
     oracle_check,
     parse_config,
@@ -122,7 +121,7 @@ def test_channel_kind_is_case_insensitive(symmetrize):
             + f"symmetrize={symmetrize}\n")
     lower = parse_config(text.replace("channel=none", "channel=bsc:0.05"))
     upper = parse_config(text.replace("channel=none", "channel=BSC:0.05"))
-    assert effective_crossover(upper) == effective_crossover(lower) == 0.05
+    assert upper.noise.crossover == lower.noise.crossover == 0.05
     ts = TRIAL_HEADER.index("decode_ns")
     for t in range(3):
         a, b = run_trial(lower, t), run_trial(upper, t)
@@ -202,3 +201,56 @@ def test_validate_inapplicable_keys():
         parse_config(MINIMAL.replace("channel=none", "channel=bsc:0.1") + "inner=cw\n")
     with pytest.raises(ValueError, match="noiseless results"):
         parse_config("scheme=comp\nn=50\nk=2\nchannel=bsc:0.1\ntrials=1\nmaster_seed=1\n")
+
+
+def test_oracle_reads_raw_symbols_without_symmetrizer(tmp_path):
+    # the oracle ranks supports by the channel's own likelihoods, so a
+    # non-binary channel needs no plan even under symmetrize=off
+    text = ("scheme=oracle\nn=12\nk=2\nchannel=bec:0.2\nsymmetrize=off\n"
+            "trials=5\nmaster_seed=3\nm=30\n")
+    cfg = parse_config(text)
+    assert cfg.noise.plan is None and cfg.noise.raw
+    report = run(cfg, out_dir=tmp_path)
+    assert report.trials == 5
+
+
+def test_oracle_check_builds_the_configured_scheme():
+    text = "scheme=comp\nn=64\nk=2\nchannel=none\ntrials=3\nmaster_seed=1\nm=40\n"
+    assert oracle_check(parse_config(text)) == (3, 3, 3, 0, 0)
+    gadgets = ("scheme=gacha+gadgets\nn=64\nk=2\nchannel=none\ntrials=3\nmaster_seed=1\n"
+               "rho=4\nR=16\n")
+    with pytest.raises(ValueError, match="gacha\\+gadgets"):
+        oracle_check(parse_config(gadgets))
+
+
+def test_custom_channel_is_read_once(tmp_path):
+    csv_path = tmp_path / "channel.csv"
+    csv_path.write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
+    text = MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
+    cfg = parse_config(text.replace("channel=none", f"channel=custom:{csv_path}"))
+    expect = [run_trial(cfg, t) for t in range(2)]
+    csv_path.unlink()
+    ts = TRIAL_HEADER.index("decode_ns")
+    for t, row in enumerate(expect):
+        got = run_trial(cfg, t)
+        assert got[:ts] == row[:ts]
+
+
+def test_run_parallel_workers_match_serial_noisy(tmp_path):
+    text = MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
+    cfg = parse_config(text.replace("channel=none", "channel=fp:0.05"))
+    assert cfg.noise.plan is not None
+    run(cfg, out_dir=tmp_path / "serial", threads=1)
+    run(cfg, out_dir=tmp_path / "pool", threads=2)
+    ts = TRIAL_HEADER.index("decode_ns")
+    a = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "serial" / "trials.csv")]
+    b = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "pool" / "trials.csv")]
+    assert len(a) == 1 + cfg.trials and a == b
+
+
+def test_cli_oracle_check_rejects_unsupported_scheme(tmp_path, capsys):
+    cfg_path = tmp_path / "gadgets.cfg"
+    cfg_path.write_text("scheme=gacha+gadgets\nn=64\nk=2\nchannel=none\ntrials=2\n"
+                        "master_seed=2\nrho=4\nR=16\n")
+    assert main(["oracle-check", str(cfg_path)]) == 2
+    assert "gacha+gadgets" in capsys.readouterr().err
