@@ -26,6 +26,11 @@ SCHEMES = {
     "gacha": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\n",
     "gacha+gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\n"
                       "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
+    # two stacked expander layers, and a vote layer under a parallel one
+    "gadgets-tau3": ("scheme=gacha+gadgets\nn=65536\nk=4\ntrials=2\nmaster_seed=5\n"
+                     "rho=3\nR=8\ntau_depth=3\nouter_w=8\nB=24\n"),
+    "gadgets-sigma3-pi2": ("scheme=gacha+gadgets\nn=100000\nk=8\ntrials=2\nmaster_seed=5\n"
+                           "rho=4\nR=8\nsigma=3\npi=2\nouter_w=8\nB=24\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
 }

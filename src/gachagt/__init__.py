@@ -42,8 +42,6 @@ from .scheme import SchemeHandle
 from .gadgets import (
     GadgetParams,
     expander_build,
-    fault_injected,
-    identity_scheme,
     parallel_build,
     pyramid_build,
     serial_build,

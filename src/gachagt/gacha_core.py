@@ -30,7 +30,7 @@ from .inner_code import (
     WeightClassifier,
     min_even_block_length,
 )
-from .scheme import SchemeHandle
+from .scheme import SchemeHandle, stacked_args
 
 
 class _Collision:
@@ -68,11 +68,12 @@ class PairInner:
         self.ell = ell
         self.bits_per_symbol = self.blocks * ell
 
-    def pack(self, hi: int, lo: np.ndarray) -> np.ndarray:
-        """(len(lo), blocks) int64 payloads of the pairs (hi, lo[i])."""
+    def pack(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """(..., blocks) int64 payloads of the pairs (hi, lo), hi broadcast
+        against lo."""
         if self.blocks == 1:
-            return ((hi << self.w) | lo)[:, None]
-        return np.stack([np.full_like(lo, hi), lo], axis=-1)
+            return ((hi << self.w) | lo)[..., None]
+        return np.stack(np.broadcast_arrays(hi, lo), axis=-1)
 
     def unpack(self, payloads: np.ndarray):
         """Inverse of pack: (hi, lo) from (..., blocks) payloads."""
@@ -90,7 +91,8 @@ class NoiselessInner(PairInner):
         self.code = code
 
     def encode_blocks(self, hi, lo, batches) -> np.ndarray:
-        """(len(batches), blocks) images of (hi, lo[i]) written in batches[i]."""
+        """(..., blocks) images of the pairs (hi, lo) written in batches, all
+        three broadcast to one shape."""
         return self.code.encode_many(self.pack(hi, lo))
 
     def classify_blocks(self, words: np.ndarray):
@@ -103,7 +105,7 @@ class NoiselessInner(PairInner):
 
 
 def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
-    """(len(batches), blocks) payload scrambling keys, fixed per (batch, block).
+    """(*batches.shape, blocks) payload scrambling keys, fixed per (batch, block).
 
     A splitmix64 finalizer of 2 s + b.  Persons whose birthday equals their
     fragment (low indices map to constant polynomials) would otherwise write
@@ -112,7 +114,7 @@ def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
     constant into the payload restores the fresh-codeword-per-batch
     statistics the weight classifier assumes.
     """
-    z = (np.asarray(batches, dtype=np.uint64)[:, None] * np.uint64(2)
+    z = (np.asarray(batches, dtype=np.uint64)[..., None] * np.uint64(2)
          + np.arange(blocks, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15))
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
@@ -132,7 +134,8 @@ class NoisyInner(PairInner):
             )
 
     def encode_blocks(self, hi, lo, batches) -> np.ndarray:
-        """(len(batches), blocks) codewords of (hi, lo[i]) written in batches[i]."""
+        """(..., blocks) codewords of the pairs (hi, lo) written in batches,
+        all three broadcast to one shape."""
         keys = whiten_keys(batches, self.blocks, self.code.dim)
         return self.code.codebook[self.pack(hi, lo) ^ keys]
 
@@ -263,51 +266,62 @@ def person_rng(params: GachaParams, j: int) -> np.random.Generator:
     return np.random.default_rng((params.matrix_seed, j))
 
 
-def column_words(params: GachaParams, j: int):
-    """(batches, words) for person j: the r sorted batches the person joins
-    and the (r, blocks) uint64 block words written there.
+def column_words(params: GachaParams, js: np.ndarray):
+    """(batches, words) for an int64 array js of persons in [0, n): the
+    (len(js), r) sorted batches each person joins and the (len(js), r,
+    blocks) uint64 block words written there.
 
-    Deterministic in (matrix_seed, j).
+    Person j's batches come from its own person_rng stream, so each row is
+    deterministic in (matrix_seed, j) whatever else js holds.  One
+    poly_eval_many call evaluates every person's polynomial at b0 and at
+    its batches' points, and one encode_blocks call encodes every pair.
     """
-    if not 0 <= j < params.n:
-        raise ValueError(f"person index {j} out of range")
-    rng = person_rng(params, j)
-    batches = np.sort(rng.choice(params.B, size=params.r, replace=False))
-    g = params.field.index_to_poly(j, params.d)
-    hi = params.field.poly_eval(g, params.b0)
-    lo = params.field.poly_eval_many(g, params.point(batches))
-    return batches, params.inner.encode_blocks(hi, lo, batches)
+    batches = np.empty((len(js), params.r), dtype=np.int64)
+    for i, j in enumerate(js.tolist()):
+        batches[i] = person_rng(params, j).choice(params.B, size=params.r, replace=False)
+    batches.sort(axis=1)
+    points = np.concatenate([np.full((len(js), 1), params.b0), params.point(batches)], axis=1)
+    fld = params.field
+    evals = fld.poly_eval_many(fld.index_to_poly_many(js, params.d), points)
+    return batches, params.inner.encode_blocks(evals[:, :1], evals[:, 1:], batches)
 
 
 def column_symbols(params: GachaParams, j: int):
     """[(batch, block words)] for person j, as ints; see column_words."""
-    batches, words = column_words(params, j)
-    return [(s, tuple(row)) for s, row in zip(batches.tolist(), words.tolist())]
+    batches, words = column_words(params, stacked_args([j], [0], 1, params.n)[0])
+    return [(s, tuple(row)) for s, row in zip(batches[0].tolist(), words[0].tolist())]
 
 
 def build_column(params: GachaParams, j: int) -> np.ndarray:
     """Sparse column over m = B * bits_per_symbol tests."""
-    batches, words = column_words(params, j)
-    ell = params.inner.ell
-    bits = (words[..., None] >> np.arange(ell, dtype=np.uint64)) & np.uint64(1)
-    # test index of bit c of block b in batch s; row-major order is sorted
-    tests = (batches[:, None, None] * params.bits_per_symbol
-             + np.arange(params.inner.blocks)[:, None] * ell + np.arange(ell))
-    return tests[bits.astype(bool)]
+    return np.flatnonzero(blocks_to_bits(params, observed_blocks(params, [j])))
 
 
-def observed_blocks(params: GachaParams, sick_set) -> np.ndarray:
-    """OR of the sick columns as a (B, blocks) uint64 array of block words.
+def observed_blocks(params: GachaParams, js, rows=None, nrows: int = 1) -> np.ndarray:
+    """OR of the columns of persons js as an (nrows * B, blocks) uint64 array
+    of block words, js[i]'s column written in copy rows[i] (copy 0 when rows
+    is None).
 
-    Exactly equivalent to bits_to_blocks of run_tests on the full matrix
-    (gacha_scheme(params).build()), without touching the n - k healthy
-    columns.
+    With one copy, exactly equivalent to bits_to_blocks of run_tests on the
+    full matrix (gacha_scheme(params).build()), without touching the n - k
+    healthy columns.
     """
-    words = np.zeros((params.B, params.inner.blocks), dtype=np.uint64)
-    for j in sick_set:
-        batches, blocks = column_words(params, j)
-        words[batches] |= blocks
-    return words
+    js, rows = stacked_args(js, np.zeros(len(js), dtype=np.int64) if rows is None else rows,
+                            nrows, params.n)
+    batches, words = column_words(params, js)
+    blocks = params.inner.blocks
+    out = np.zeros(nrows * params.B * blocks, dtype=np.uint64)
+    # word index of block b of batch s in copy row
+    at = (rows[:, None] * params.B + batches)[..., None] * blocks + np.arange(blocks)
+    np.bitwise_or.at(out, at.ravel(), words.ravel())
+    return out.reshape(-1, blocks)
+
+
+def blocks_to_bits(params: GachaParams, words: np.ndarray) -> np.ndarray:
+    """The uint8 test bits of an (nrows * B, blocks) uint64 array of block
+    words, nrows * m of them; the inverse of bits_to_blocks."""
+    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=params.inner.ell, bitorder="little").ravel()
 
 
 def bits_to_blocks(params: GachaParams, bits: np.ndarray) -> np.ndarray:
@@ -414,6 +428,8 @@ def gacha_scheme(params: GachaParams) -> SchemeHandle:
         k_design=params.k_cap,
         m=params.m,
         column=lambda j: build_column(params, j),
+        observe=lambda js, rows, nrows: blocks_to_bits(
+            params, observed_blocks(params, js, rows, nrows)),
         decode=decode,
         layers=("gacha",),
     )

@@ -12,6 +12,10 @@ Each gadget wraps any SchemeHandle and returns a bigger SchemeHandle:
 
 pyramid_build stacks expander layers, then an optional vote layer, then an
 optional parallel layer outermost.
+
+A gadget encodes through its inner handle's stacked observe: it maps each
+(person, copy) of a call to the inner persons and copies it stands for and
+makes one inner call, so a whole pyramid reaches the base in one call.
 """
 
 from __future__ import annotations
@@ -23,10 +27,10 @@ import numpy as np
 
 from .gf2e import field
 from .gacha_core import recover_from_groups
-from .scheme import SchemeHandle
+from .scheme import SchemeHandle, stacked_args
 
 # rng stream tags so each gadget derives an independent stream from its seed
-_PARALLEL_TAG, _SERIAL_TAG, _EXPANDER_TAG, _FAULTS_TAG = 11, 12, 13, 14
+_PARALLEL_TAG, _SERIAL_TAG, _EXPANDER_TAG = 11, 12, 13
 
 
 @dataclass(frozen=True)
@@ -71,12 +75,10 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
     inv = np.empty(n_out, dtype=np.int64)
     inv[perm] = np.arange(n_out)
 
-    def column(j):
-        if not 0 <= j < n_out:
-            raise ValueError(f"person index {j} out of range")
-        p = int(perm[j])
-        c, i = divmod(p, inner.n)
-        return np.asarray(inner.column(i), dtype=np.int64) + c * inner.m
+    def observe(js, rows, nrows):
+        js, rows = stacked_args(js, rows, nrows, n_out)
+        c, i = np.divmod(perm[js], inner.n)
+        return inner.observe(i, rows * pi + c, nrows * pi)
 
     def decode(bits):
         bits = np.asarray(bits, dtype=np.uint8)
@@ -91,7 +93,7 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         n=n_out,
         k_design=pi * inner.k_design // 2,
         m=pi * inner.m,
-        column=column,
+        observe=observe,
         decode=decode,
         layers=inner.layers + (f"parallel(pi={pi})",),
     )
@@ -103,7 +105,7 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
     if sigma < 1:
         raise ValueError(f"need sigma >= 1, got {sigma}")
     rng = np.random.default_rng((seed, _SERIAL_TAG))
-    perms = [rng.permutation(inner.n) for _ in range(sigma)]
+    perms = np.array([rng.permutation(inner.n) for _ in range(sigma)])
     invs = []
     for p in perms:
         inv = np.empty(inner.n, dtype=np.int64)
@@ -111,14 +113,12 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
         invs.append(inv)
     threshold = (sigma + 1) // 2
 
-    def column(j):
-        if not 0 <= j < inner.n:
-            raise ValueError(f"person index {j} out of range")
-        parts = [
-            np.asarray(inner.column(int(perms[c][j])), dtype=np.int64) + c * inner.m
-            for c in range(sigma)
-        ]
-        return np.concatenate(parts)
+    def observe(js, rows, nrows):
+        js, rows = stacked_args(js, rows, nrows, inner.n)
+        # copy c of person j is inner person perms[c][j] in inner row row * sigma + c
+        return inner.observe(perms[:, js].T.ravel(),
+                             (rows[:, None] * sigma + np.arange(sigma)).ravel(),
+                             nrows * sigma)
 
     def decode(bits):
         bits = np.asarray(bits, dtype=np.uint8)
@@ -132,7 +132,7 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
         n=inner.n,
         k_design=inner.k_design,
         m=sigma * inner.m,
-        column=column,
+        observe=observe,
         decode=decode,
         layers=inner.layers + (f"serial(sigma={sigma})",),
     )
@@ -162,19 +162,17 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
     k_out = max(1, R * inner.k_design // (2 * rho))
     mask = (1 << outer_w) - 1
 
-    def column(j):
-        if not 0 <= j < n_out:
-            raise ValueError(f"person index {j} out of range")
-        rng = np.random.default_rng((seed, _EXPANDER_TAG, j))
-        copies = np.sort(rng.choice(R, size=rho, replace=False))
-        g = fld.index_to_poly(j, d_out)
-        hi = fld.poly_eval(g, 0)
-        parts = []
-        for r in copies:
-            lo = fld.poly_eval(g, int(r) + 1)
-            v = (hi << outer_w) | lo
-            parts.append(np.asarray(inner.column(v), dtype=np.int64) + int(r) * inner.m)
-        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    def observe(js, rows, nrows):
+        js, rows = stacked_args(js, rows, nrows, n_out)
+        copies = np.empty((len(js), rho), dtype=np.int64)
+        for i, j in enumerate(js.tolist()):
+            rng = np.random.default_rng((seed, _EXPANDER_TAG, j))
+            copies[i] = rng.choice(R, size=rho, replace=False)
+        # (g(0), g(r + 1)) for every person j and copy r, in one evaluation
+        points = np.concatenate([np.zeros((len(js), 1), dtype=np.int64), copies + 1], axis=1)
+        evals = fld.poly_eval_many(fld.index_to_poly_many(js, d_out), points)
+        pairs = (evals[:, :1] << outer_w) | evals[:, 1:]
+        return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
     def decode(bits):
         bits = np.asarray(bits, dtype=np.uint8)
@@ -196,7 +194,7 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         n=n_out,
         k_design=k_out,
         m=R * inner.m,
-        column=column,
+        observe=observe,
         decode=decode,
         layers=inner.layers + (f"expander(rho={rho},R={R},w={outer_w})",),
     )
@@ -243,48 +241,3 @@ def pyramid_build(base: SchemeHandle, tau_depth: int, sigma: int = 1, pi: int = 
     if pi > 1:
         handle = parallel_build(handle, pi, seed=(seed * 1000003 + 98))
     return handle
-
-
-# ---------------------------------------------------------------------------
-# test scaffolding: a perfect one-test-per-person scheme and fault injection
-# ---------------------------------------------------------------------------
-
-def identity_scheme(n: int) -> SchemeHandle:
-    """m = n, person j joins exactly test j; decoding reads the bits off."""
-
-    def column(j):
-        if not 0 <= j < n:
-            raise ValueError(f"person index {j} out of range")
-        return np.array([j], dtype=np.int64)
-
-    def decode(bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        return {int(j) for j in np.flatnonzero(bits)}
-
-    return SchemeHandle(n=n, k_design=n, m=n, column=column, decode=decode,
-                        layers=("identity",))
-
-
-def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHandle:
-    """Wrap decode: drop each found index with probability eps and, with
-    probability eps, inject one uniformly random index.  The wrapper keeps its
-    own rng, so successive decodes draw a deterministic fault stream."""
-    rng = np.random.default_rng((seed, _FAULTS_TAG))
-
-    def decode(bits):
-        out = set()
-        for j in inner.decode(bits):
-            if rng.random() >= eps:
-                out.add(j)
-        if rng.random() < eps:
-            out.add(int(rng.integers(0, inner.n)))
-        return out
-
-    return SchemeHandle(
-        n=inner.n,
-        k_design=inner.k_design,
-        m=inner.m,
-        column=inner.column,
-        decode=decode,
-        layers=inner.layers + (f"faults(eps={eps})",),
-    )

@@ -228,21 +228,35 @@ class FieldSpec:
         return acc
 
     def poly_eval_many(self, coeffs, points) -> np.ndarray:
-        """poly_eval at every element of an integer array, as int64."""
+        """poly_eval at every element of an integer array, as int64.
+
+        coeffs is one polynomial, or a (K, d) array of K polynomials; then
+        points has K rows and row i is evaluated under polynomial i.
+        """
         points = np.asarray(points, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
+        if coeffs.ndim == 2 and points.shape[:1] != coeffs.shape[:1]:
+            raise ValueError(f"{len(coeffs)} polynomials for {len(points)} rows of points")
+        if coeffs.size and not (0 <= coeffs.min() and coeffs.max() < (1 << self.w)):
+            raise ValueError(f"coefficient outside GF(2^{self.w})")
         if self._exp is None:
-            return np.array([self.poly_eval(coeffs, p) for p in points.ravel().tolist()],
+            polys = coeffs.reshape(-1, coeffs.shape[-1]).tolist()
+            rows = points.reshape(len(polys), -1).tolist() if points.size else []
+            return np.array([[self.poly_eval(g, p) for p in row] for g, row in zip(polys, rows)],
                             dtype=np.int64).reshape(points.shape)
         if points.size and not (0 <= points.min() and points.max() < (1 << self.w)):
             raise ValueError(f"evaluation point outside GF(2^{self.w})")
         exp = np.frombuffer(self._exp, dtype=np.uint16)
         log = np.frombuffer(self._log, dtype=np.uint16)
         log_p, zero_p = log[points].astype(np.intp), points == 0
+        # coefficient i of every polynomial, shaped to broadcast over its row
+        terms = coeffs.T.reshape(coeffs.shape[-1:] + coeffs.shape[:-1]
+                                 + (1,) * (points.ndim - coeffs.ndim + 1))
         acc = np.zeros(points.shape, dtype=np.int64)
-        for c in reversed(coeffs):  # Horner, a product with a zero factor is 0
+        for c in terms[::-1]:  # Horner, a product with a zero factor is 0
             product = exp[log[acc] + log_p].astype(np.int64)
             product[zero_p | (acc == 0)] = 0
-            acc = product ^ self.check(c)
+            acc = product ^ c
         return acc
 
     def interpolate(self, points, d: int):
@@ -294,6 +308,12 @@ class FieldSpec:
             raise ValueError(f"index {j} out of range for w={self.w}, d={d}")
         mask = (1 << self.w) - 1
         return tuple((j >> (self.w * i)) & mask for i in range(d))
+
+    def index_to_poly_many(self, js, d: int) -> np.ndarray:
+        """index_to_poly on every index of an int64 array of indices in
+        [0, 2^(w*d)), as a (..., d) int64 array."""
+        shifts = self.w * np.arange(d, dtype=np.int64)
+        return (np.asarray(js, dtype=np.int64)[..., None] >> shifts) & ((1 << self.w) - 1)
 
     def poly_to_index(self, coeffs) -> int:
         j = 0

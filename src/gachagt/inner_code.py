@@ -88,6 +88,36 @@ def _binomials(ell: int, weight: int) -> np.ndarray:
     return table
 
 
+def _unrank_many(rank: np.ndarray, ell: int, weight: int) -> np.ndarray:
+    """combination_unrank on every rank of a uint64 array: one searchsorted
+    of the binomial table per set bit."""
+    table = _binomials(ell, weight)
+    out = np.zeros(rank.shape, dtype=np.uint64)
+    for i in range(weight, 0, -1):
+        # the largest c with C(c, i) <= rank is the count of c' in [1, ell]
+        # with C(c', i) <= rank, as C(0, i) = 0
+        row = table[i]
+        c = row[1:].searchsorted(rank, side="right")
+        rank = rank - row[c]
+        out |= np.uint64(1) << c.astype(np.uint64)
+    return out
+
+
+MAX_IMAGE_TABLE_BITS = 16  # payloads this wide encode through an image table
+
+
+@lru_cache(maxsize=None)
+def _images(ell: int, weight: int, payload_bits: int) -> np.ndarray:
+    """The image of every payload, built once per code shape; 32-bit words
+    when ell <= 32, so a 16-bit payload's table takes 256 KiB."""
+    table = np.empty(1 << payload_bits, dtype=np.uint32 if ell <= 32 else np.uint64)
+    for lo in range(0, len(table), 1 << 12):  # in slices, to keep the temporaries small
+        hi = min(lo + (1 << 12), len(table))
+        table[lo:hi] = _unrank_many(np.arange(lo, hi, dtype=np.uint64), ell, weight)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class ConstantWeightCode:
     """Payloads as the weight-`weight` subsets of [ell] in colex order.
@@ -95,6 +125,8 @@ class ConstantWeightCode:
     encode/classify_noiseless work on one int; encode_many/classify_many on
     uint64 arrays of any shape through a binomial table: unrank is one
     searchsorted per set bit, rank a table gather summed over the set bits.
+    Codes with at most 2^16 payloads unrank every payload once and then
+    encode by a gather from that image table.
     """
 
     ell: int
@@ -123,16 +155,9 @@ class ConstantWeightCode:
         if payloads.size and (payloads.min() < 0 or int(payloads.max()) >> self.payload_bits):
             raise ValueError("payload out of range")
         rank = payloads.astype(np.uint64)
-        table = _binomials(self.ell, self.weight)
-        top = np.empty((self.weight,) + rank.shape, dtype=np.uint64)
-        for i in range(self.weight, 0, -1):
-            # the largest c with C(c, i) <= rank is the count of c' in [1, ell]
-            # with C(c', i) <= rank, as C(0, i) = 0
-            row = table[i]
-            c = row[1:].searchsorted(rank, side="right")
-            rank -= row[c]
-            top[i - 1] = c
-        return np.bitwise_or.reduce(np.uint64(1) << top, axis=0)
+        if self.payload_bits <= MAX_IMAGE_TABLE_BITS:
+            return _images(self.ell, self.weight, self.payload_bits)[rank].astype(np.uint64)
+        return _unrank_many(rank, self.ell, self.weight)
 
     def classify_noiseless(self, observed: int):
         """(Occupancy, payload | None) from an exact observed string.

@@ -1,27 +1,78 @@
 """The common group-testing scheme interface the composition gadgets wrap.
 
-A scheme knows its population, design sick load, and test count, produces any
-person's sparse column on demand (columns are deterministic given the scheme's
-seeds), and decodes a full observed bit vector back to an index set.
+A scheme knows its population, design sick load, and test count, encodes any
+set of persons into test results (columns are deterministic given the
+scheme's seeds), and decodes a full observed bit vector back to an index set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core_model import ConfigMatrix
 
 
+def stacked_args(js, rows, nrows: int, n: int):
+    """The arguments of a stacked observe as int64 arrays, checked: one row
+    per person, 0 <= js < n and 0 <= rows < nrows.  js may be any iterable."""
+    js = np.asarray(js if isinstance(js, np.ndarray) else np.fromiter(js, dtype=np.int64),
+                    dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.shape != js.shape or js.ndim != 1:
+        raise ValueError(f"need one row per person, got {js.shape} and {rows.shape}")
+    if js.size and (js.min() < 0 or js.max() >= n):
+        raise ValueError(f"person index {js[(js < 0) | (js >= n)][0]} out of range")
+    if rows.size and (rows.min() < 0 or rows.max() >= nrows):
+        raise ValueError(f"row {rows[(rows < 0) | (rows >= nrows)][0]} outside {nrows} copies")
+    return js, rows
+
+
+def observe_columns(column, n: int, m: int, js, rows, nrows: int) -> np.ndarray:
+    """The stacked observe of a scheme given by its column: OR the columns
+    in one by one."""
+    js, rows = stacked_args(js, rows, nrows, n)
+    y = np.zeros(nrows * m, dtype=np.uint8)
+    for j, row in zip(js.tolist(), rows.tolist()):
+        y[np.asarray(column(j), dtype=np.int64) + row * m] = 1
+    return y
+
+
+def column_from_observe(observe, j: int) -> np.ndarray:
+    """The column of a scheme given by its stacked observe."""
+    return np.flatnonzero(observe([j], [0], 1))
+
+
 @dataclass
 class SchemeHandle:
+    """A scheme, given by its column, its stacked observe, or both.
+
+    observe(js, rows, nrows) is the stacked encoder: the OR of the columns of
+    persons js[i] as nrows * m uint8 bits, each placed in copy rows[i] (bits
+    rows[i] * m onwards); an index outside [0, n) raises ValueError.  Given
+    only a column, a handle ORs its columns one by one; given only an
+    observe, its column is flatnonzero(observe([j], [0], 1)).
+    """
+
     n: int
     k_design: int
     m: int
-    column: "callable"          # person index -> sorted np.ndarray of test indices
     decode: "callable"          # np.ndarray of observed bits (uint8) -> set of indices
+    column: "callable" = None   # person index -> sorted np.ndarray of test indices
+    observe: "callable" = None  # (js, rows, nrows) -> nrows * m observed bits
     layers: tuple = ()          # composition labels, outermost last
+
+    def __post_init__(self):
+        # partials rather than bound methods: a field holding a bound method
+        # would make a reference cycle and keep dead handles for the collector
+        if self.column is None and self.observe is None:
+            raise ValueError("a scheme needs a column or an observe")
+        if self.observe is None:
+            self.observe = partial(observe_columns, self.column, self.n, self.m)
+        if self.column is None:
+            self.column = partial(column_from_observe, self.observe)
 
     def build(self) -> ConfigMatrix:
         """Materialize every column (intended for small n: oracles, baselines)."""
@@ -29,8 +80,7 @@ class SchemeHandle:
         return ConfigMatrix(m=self.m, n=self.n, columns=cols)
 
     def observed_bits(self, sick_set) -> np.ndarray:
-        """Noiseless test results from the sick columns only (exact, lazy)."""
-        y = np.zeros(self.m, dtype=np.uint8)
-        for j in sick_set:
-            y[np.asarray(self.column(j), dtype=np.int64)] = 1
-        return y
+        """Noiseless test results from the sick columns only (exact, lazy):
+        the stacked observe of the sick set on one copy."""
+        js = np.fromiter(sick_set, dtype=np.int64)
+        return self.observe(js, np.zeros(len(js), dtype=np.int64), 1)

@@ -220,9 +220,14 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
         def decode(z):
             return set(brute_force_decode(matrix, z, config.k, config.noise.channel).best)
 
+    def column(j):
+        if not 0 <= j < matrix.n:
+            raise ValueError(f"person index {j} out of range")
+        return matrix.columns[j]
+
     return SchemeHandle(
         n=matrix.n, k_design=config.k, m=matrix.m,
-        column=lambda j: matrix.columns[j],
+        column=column,
         decode=decode,
         layers=(config.scheme,),
     )

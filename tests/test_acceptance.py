@@ -23,10 +23,11 @@ from gachagt.channels import (
 )
 from gachagt.core_model import sample_instance, score
 from gachagt.gacha_core import default_params, gacha_scheme
-from gachagt.gadgets import expander_build, fault_injected, identity_scheme, serial_build
+from gachagt.gadgets import expander_build, serial_build
 from gachagt.gf2e import field
 from gachagt.inner_code import linear_code
 from gachagt.sim_cli import oracle_check, parse_config, run, run_trial
+from scaffolding import fault_injected, identity_scheme
 
 AC1_CONFIG = """
 scheme=gacha

@@ -12,13 +12,12 @@ from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import (
     GadgetParams,
     expander_build,
-    fault_injected,
-    identity_scheme,
     majority_vote,
     parallel_build,
     pyramid_build,
     serial_build,
 )
+from scaffolding import fault_injected, identity_scheme
 
 
 def test_gadget_params_validation():

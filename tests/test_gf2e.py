@@ -290,6 +290,41 @@ def test_wide_fields_keep_shift_and_add(w):
     assert f.poly_eval_many(g, xs).tolist() == [oracle_eval(w, g, p) for p in xs]
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_poly_eval_many_per_row_matches_scalar(data):
+    # w > 16 takes the scalar fallback, w <= 16 the log tables
+    w = data.draw(st.integers(2, MAX_TABLE_WIDTH + 4))
+    f, elem = field(w), st.integers(0, (1 << w) - 1)
+    k, d, r = (data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4)),
+               data.draw(st.integers(0, 6)))
+    polys = [tuple(data.draw(st.lists(elem, min_size=d, max_size=d))) for _ in range(k)]
+    points = [data.draw(st.lists(elem, min_size=r, max_size=r)) for _ in range(k)]
+    got = f.poly_eval_many(np.array(polys, dtype=np.int64).reshape(k, d),
+                           np.array(points, dtype=np.int64).reshape(k, r))
+    assert got.shape == (k, r) and got.dtype == np.int64
+    assert got.tolist() == [[f.poly_eval(g, p) for p in row] for g, row in zip(polys, points)]
+
+
+def test_poly_eval_many_per_row_checks():
+    f = field(8)
+    with pytest.raises(ValueError, match="rows"):
+        f.poly_eval_many(np.ones((2, 2), dtype=np.int64), np.ones((3, 4), dtype=np.int64))
+    with pytest.raises(ValueError):
+        f.poly_eval_many(np.array([[1, 2], [3, 256]]), np.ones((2, 1), dtype=np.int64))
+    with pytest.raises(ValueError):
+        f.poly_eval_many(np.array([[1, 2]]), np.array([[3, 256]]))
+
+
+@pytest.mark.parametrize("w,d", [(4, 3), (16, 2), (17, 2), (32, 1)])
+def test_index_to_poly_many_matches_scalar(w, d):
+    f = field(w)
+    top = min(1 << (w * d), 1 << 63)
+    js = [0, 1, top - 1] + [int(v) for v in np.random.default_rng(w).integers(0, top, size=20)]
+    assert f.index_to_poly_many(np.array(js), d).tolist() == [list(f.index_to_poly(j, d))
+                                                              for j in js]
+
+
 def test_poly_eval_many_range_checks():
     f = field(8)
     with pytest.raises(ValueError):

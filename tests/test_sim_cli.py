@@ -10,6 +10,7 @@ from gachagt.sim_cli import (
     AGG_HEADER,
     TRIAL_HEADER,
     SimConfig,
+    build_scheme,
     derive_seed,
     main,
     oracle_check,
@@ -142,6 +143,24 @@ def test_comp_scheme_runs(tmp_path):
     report = run(cfg, out_dir=tmp_path)
     assert report.trials == 5
     assert report.mean_fn == 0.0  # COMP never misses a sick person
+
+
+@pytest.mark.parametrize("scheme,channel", [("comp", "none"), ("oracle", "bsc:0.1")])
+def test_bernoulli_column_rejects_out_of_range_index(scheme, channel):
+    # a list lookup would wrap -1 around to column n - 1
+    text = f"scheme={scheme}\nn=12\nk=2\nchannel={channel}\ntrials=1\nmaster_seed=3\nm=30\n"
+    h = build_scheme(parse_config(text), 1, 2)
+    for j in (-1, 12):
+        with pytest.raises(ValueError, match="out of range"):
+            h.column(j)
+        with pytest.raises(ValueError, match="out of range"):
+            h.observed_bits({j})
+    assert h.column(11).tolist() == h.build().columns[11].tolist()
+    y = np.zeros(h.m, dtype=np.uint8)
+    for j in (0, 11):
+        y[h.column(j)] = 1
+    assert np.array_equal(h.observed_bits({0, 11}), y)
+    assert np.array_equal(h.observed_bits(set()), np.zeros(h.m, dtype=np.uint8))
 
 
 def test_oracle_scheme_runs(tmp_path):
