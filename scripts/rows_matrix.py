@@ -24,6 +24,9 @@ SYMMETRIZE = ("auto", "on", "off")
 # sized tight enough that noise moves the fp/fn columns
 SCHEMES = {
     "gacha": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\n",
+    # shapes the closed-form first attempt does not cover (d = 3; w > 16)
+    "gacha-d3": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nd=3\n",
+    "gacha-w17": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\nw=17\n",
     "gacha+gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\n"
                       "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
     # two stacked expander layers, and a vote layer under a parallel one

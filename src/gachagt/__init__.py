@@ -36,7 +36,6 @@ from .gacha_core import (
     default_params,
     gacha_scheme,
     list_decode,
-    synthesize,
 )
 from .scheme import SchemeHandle
 from .gadgets import (

@@ -13,16 +13,26 @@ the pair back where exactly one person wrote, group pairs by birthday, and
 interpolate each group back to a polynomial.  Interpolated candidates are
 verified against the whole group before their index is emitted, so corrupted
 fragments degrade into misses rather than fabricated indices.
+
+decode_rows does this for a stack of copies at once, in arrays: one
+bits_to_blocks and one classify_blocks over every copy's batches, then
+recover_rows, where an argsort on (copy, birthday) forms the groups.  For
+d <= 2 over a field with log tables, the first interpolation attempt of
+every group is a closed form, verified against all the group's points in
+arrays.  A group that fails it, and every group of other shapes, goes to the
+scalar recover_from_groups, whose retry rule then applies exactly.  The
+list form (synthesize_blocks, list_decode) stays as the scalar reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .gf2e import FieldSpec, InsufficientEvaluations, field
+from .gf2e import MAX_TABLE_WIDTH, FieldSpec, InsufficientEvaluations, field
 from .inner_code import (
     BinaryLinearCode,
     ConstantWeightCode,
@@ -30,7 +40,7 @@ from .inner_code import (
     WeightClassifier,
     min_even_block_length,
 )
-from .scheme import SchemeHandle, stacked_args
+from .scheme import SchemeHandle, checked_bits, stacked_args
 
 
 class _Collision:
@@ -52,7 +62,8 @@ class PairInner:
     A pair fills one block's payload when the payload holds 2w bits, else it
     takes two blocks, hi in the first.  Subclasses encode a batch's payloads
     (encode_blocks) and classify whole observations (classify_blocks), both
-    on (batches, blocks) uint64 arrays of block words.
+    on (batches, blocks) uint64 arrays of block words; classify_blocks takes
+    stacked copies of B batches, row i holding batch i % B.
     """
 
     def __init__(self, payload_bits: int, w: int, ell: int, what: str):
@@ -95,7 +106,7 @@ class NoiselessInner(PairInner):
         three broadcast to one shape."""
         return self.code.encode_many(self.pack(hi, lo))
 
-    def classify_blocks(self, words: np.ndarray):
+    def classify_blocks(self, words: np.ndarray, B: int):
         """(kinds, hi, lo) per batch: EMPTY when every block is empty, ONE when
         every block reads one image, MANY otherwise; hi/lo hold where ONE."""
         kinds, payloads = self.code.classify_many(words)
@@ -139,15 +150,15 @@ class NoisyInner(PairInner):
         keys = whiten_keys(batches, self.blocks, self.code.dim)
         return self.code.codebook[self.pack(hi, lo) ^ keys]
 
-    def classify_blocks(self, words: np.ndarray):
+    def classify_blocks(self, words: np.ndarray, B: int):
         """(kinds, hi, lo) per batch: the symbol's weight picks the kind, and
-        batches read as ONE decode to the nearest codewords; hi/lo hold
-        where ONE."""
+        batches read as ONE decode to the nearest codewords, unwhitened by
+        their batch within the copy; hi/lo hold where ONE."""
         kind = self.classifier.classify_weights(np.bitwise_count(words).sum(axis=1))
         single = np.flatnonzero(kind == _ONE)
         payloads = np.zeros(words.shape, dtype=np.int64)
         decoded = self.code.decode_many(words[single].ravel()).reshape(-1, self.blocks)
-        payloads[single] = decoded ^ whiten_keys(single, self.blocks, self.code.dim)
+        payloads[single] = decoded ^ whiten_keys(single % B, self.blocks, self.code.dim)
         return (kind, *self.unpack(payloads))
 
 
@@ -324,17 +335,16 @@ def blocks_to_bits(params: GachaParams, words: np.ndarray) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=params.inner.ell, bitorder="little").ravel()
 
 
-def bits_to_blocks(params: GachaParams, bits: np.ndarray) -> np.ndarray:
-    """Pack the observed bit vector into a (B, blocks) uint64 array; bit c of
-    a block word is test c of that block."""
-    if len(bits) != params.m:
-        raise ValueError(f"observed length {len(bits)} != m = {params.m}")
+def bits_to_blocks(params: GachaParams, bits: np.ndarray, nrows: int = 1) -> np.ndarray:
+    """Pack nrows copies' observed bit vectors, nrows * m bits, into an
+    (nrows * B, blocks) uint64 array; bit c of a block word is test c of
+    that block."""
     ell = params.inner.ell
-    packed = np.packbits(np.asarray(bits, dtype=bool).reshape(-1, ell), axis=1,
+    packed = np.packbits(checked_bits(bits, params.m, nrows).reshape(-1, ell), axis=1,
                          bitorder="little")
     words = np.zeros((len(packed), 8), dtype=np.uint8)
     words[:, :packed.shape[1]] = packed
-    return words.view("<u8").reshape(params.B, params.inner.blocks)
+    return words.view("<u8").reshape(nrows * params.B, params.inner.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +358,13 @@ class SynthWord:
     symbols: list
 
 
-def synthesize(params: GachaParams, observed_bits) -> SynthWord:
-    """Classify every batch of the length-m observed bit vector."""
-    return synthesize_blocks(params, bits_to_blocks(params, np.asarray(observed_bits)))
-
-
 def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
-    """Same as synthesize, on a (B, blocks) uint64 array of block words."""
+    """Classify every batch of a (B, blocks) uint64 array of block words."""
     observed = np.asarray(observed, dtype=np.uint64)
     shape = (params.B, params.inner.blocks)
     if observed.shape != shape:
         raise ValueError(f"expected {shape} blocks, got {observed.shape}")
-    kinds, hi, lo = params.inner.classify_blocks(observed)
+    kinds, hi, lo = params.inner.classify_blocks(observed, params.B)
     symbols = [None] * params.B
     for s in np.flatnonzero(kinds == _MANY).tolist():
         symbols[s] = COLLISION
@@ -419,10 +424,78 @@ def list_decode(params: GachaParams, word: SynthWord):
                                params.point, params.n)
 
 
-def gacha_scheme(params: GachaParams) -> SchemeHandle:
-    def decode(bits):
-        return list_decode(params, synthesize(params, np.asarray(bits, dtype=np.uint8)))
+def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int,
+                 nrows: int) -> list:
+    """recover_from_groups over the fragments of nrows rows at once: one set
+    of indices per row.
 
+    fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
+    fragment (slot, lo) with birthday hi in row `row`.  Slots are distinct
+    within a (row, birthday) group and arrive in ascending order, and
+    point_of_slot must map arrays too.  A stable argsort on (row, birthday)
+    forms the groups.  For d <= 2 over a field with log tables, each group's
+    first attempt, its d smallest slots, is interpolated in closed form and
+    checked in arrays by recover_from_groups' rules: the birthday at b0, the
+    index below n and the max(d, size // 2 + 1) majority.  A group that fails
+    it, and every group otherwise, goes whole to recover_from_groups.  Each
+    row's set gets its indices in the arrival order of their groups' first
+    fragments, the order recover_from_groups meets them in a dict filled in
+    arrival order, so the sets iterate alike too.
+    """
+    row, slot, hi, lo = fragments
+    out = [set() for _ in range(nrows)]
+    order = np.lexsort((hi, row))
+    row, slot, hi, lo = row[order], slot[order], hi[order], lo[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (row[1:] != row[:-1]) | (hi[1:] != hi[:-1])
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, len(order)))
+    ready = sizes >= d
+    starts, sizes = starts[ready], sizes[ready]
+    accepted = np.full(len(starts), -1, dtype=np.int64)
+    # an inner payload wider than the pair needs can read values outside the
+    # field; then recover_from_groups decides (and raises) as it always has
+    q = 1 << fld.w
+    if d <= 2 and fld.w <= MAX_TABLE_WIDTH and len(starts) and hi.max() < q and lo.max() < q:
+        x, y = point_of_slot(slot), lo
+        g1 = np.zeros(len(starts), dtype=np.int64)
+        if d == 2:  # the line through the first two points
+            g1 = fld.div_many(y[starts] ^ y[starts + 1], x[starts] ^ x[starts + 1])
+        g0 = y[starts] ^ fld.mul_many(g1, x[starts])
+        group = np.repeat(np.arange(len(starts)), sizes)
+        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(len(group))
+        hits = (g0[group] ^ fld.mul_many(g1[group], x[at])) == y[at]
+        matches = np.bincount(group[hits], minlength=len(starts))
+        j = g0 | (g1 << fld.w)
+        ok = (((g0 ^ fld.mul_many(g1, b0)) == hi[starts]) & (j < n)
+              & (matches >= np.maximum(d, sizes // 2 + 1)))
+        accepted[ok] = j[ok]
+        scalar = np.flatnonzero(~ok)
+    else:
+        scalar = np.arange(len(starts))
+    found = [(a, r, j) for a, r, j in zip(order[starts].tolist(), row[starts].tolist(),
+                                          accepted.tolist()) if j >= 0]
+    for g in scalar.tolist():
+        a, b = starts[g], starts[g] + sizes[g]
+        pts = {int(hi[a]): list(zip(slot[a:b].tolist(), lo[a:b].tolist()))}
+        for j in recover_from_groups(fld, d, b0, pts, point_of_slot, n):
+            found.append((int(order[a]), int(row[a]), j))
+    for _, r, j in sorted(found):
+        out[r].add(j)
+    return out
+
+
+def decode_rows(params: GachaParams, bits, nrows: int) -> list:
+    """The decoded set of each of nrows copies of the observed bits, stacked
+    nrows * m of them; see recover_rows."""
+    kinds, hi, lo = params.inner.classify_blocks(bits_to_blocks(params, bits, nrows), params.B)
+    one = np.flatnonzero(kinds == _ONE)  # ascending: by copy, then by batch
+    row, slot = np.divmod(one, params.B)
+    return recover_rows(params.field, params.d, params.b0, (row, slot, hi[one], lo[one]),
+                        params.point, params.n, nrows)
+
+
+def gacha_scheme(params: GachaParams) -> SchemeHandle:
     return SchemeHandle(
         n=params.n,
         k_design=params.k_cap,
@@ -430,7 +503,8 @@ def gacha_scheme(params: GachaParams) -> SchemeHandle:
         column=lambda j: build_column(params, j),
         observe=lambda js, rows, nrows: blocks_to_bits(
             params, observed_blocks(params, js, rows, nrows)),
-        decode=decode,
+        decode=lambda bits: decode_rows(params, bits, 1)[0],
+        decode_rows=partial(decode_rows, params),
         layers=("gacha",),
     )
 

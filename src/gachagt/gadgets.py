@@ -15,7 +15,9 @@ optional parallel layer outermost.
 
 A gadget encodes through its inner handle's stacked observe: it maps each
 (person, copy) of a call to the inner persons and copies it stands for and
-makes one inner call, so a whole pyramid reaches the base in one call.
+makes one inner call, so a whole pyramid reaches the base in one call.  It
+decodes through one call of its inner handle's stacked decode, decode_rows,
+over all its copies.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2e import field
-from .gacha_core import recover_from_groups
-from .scheme import SchemeHandle, stacked_args
+from .gacha_core import recover_rows
+from .scheme import SchemeHandle, checked_bits, stacked_args
 
 # rng stream tags so each gadget derives an independent stream from its seed
 _PARALLEL_TAG, _SERIAL_TAG, _EXPANDER_TAG = 11, 12, 13
@@ -81,11 +83,9 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         return inner.observe(i, rows * pi + c, nrows * pi)
 
     def decode(bits):
-        bits = np.asarray(bits, dtype=np.uint8)
         out = set()
-        for c in range(pi):
-            sub = bits[c * inner.m:(c + 1) * inner.m]
-            for i in inner.decode(sub):
+        for c, found in enumerate(inner.decode_rows(checked_bits(bits, pi * inner.m), pi)):
+            for i in found:
                 out.add(int(inv[c * inner.n + i]))
         return out
 
@@ -121,12 +121,9 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
                              nrows * sigma)
 
     def decode(bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        per_copy = []
-        for c in range(sigma):
-            sub = bits[c * inner.m:(c + 1) * inner.m]
-            per_copy.append({int(invs[c][i]) for i in inner.decode(sub)})
-        return majority_vote(per_copy, threshold)
+        found = inner.decode_rows(checked_bits(bits, sigma * inner.m), sigma)
+        return majority_vote([{int(inv[i]) for i in s} for inv, s in zip(invs, found)],
+                             threshold)
 
     return SchemeHandle(
         n=inner.n,
@@ -145,8 +142,8 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
     Person j of the new population becomes a polynomial of dimension
     ceil(rho/2) over GF(2^outer_w); in copy r she impersonates the inner index
     pairing (g(0), g(r+1)).  Decoding maps per-copy indices back to pairs,
-    groups by birthday, and interpolates, with the same verification policy as
-    the core decoder.
+    keeps the first pair per (birthday, copy), and regroups them through the
+    core decoder's recover_rows, with copy r as slot r.
     """
     if not 1 < rho < R:
         raise ValueError(f"need 1 < rho < R, got rho={rho}, R={R}")
@@ -175,20 +172,20 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
     def decode(bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        groups = {}
+        fragments = []  # (copy, birthday, fragment) in arrival order
         seen = set()
-        for r in range(R):
-            sub = bits[r * inner.m:(r + 1) * inner.m]
-            for v in inner.decode(sub):
+        for r, found in enumerate(inner.decode_rows(checked_bits(bits, R * inner.m), R)):
+            for v in found:
                 if v >= (1 << (2 * outer_w)):
                     continue  # inner false positive outside the pair range
                 hi, lo = v >> outer_w, v & mask
                 if (hi, r) in seen:
                     continue  # conflicting duplicate for the same copy
                 seen.add((hi, r))
-                groups.setdefault(hi, []).append((r, lo))
-        return recover_from_groups(fld, d_out, 0, groups, lambda r: r + 1, n_out)
+                fragments.append((r, hi, lo))
+        copy, hi, lo = np.array(fragments, dtype=np.int64).reshape(-1, 3).T
+        return recover_rows(fld, d_out, 0, (np.zeros_like(copy), copy, hi, lo),
+                            lambda r: r + 1, n_out, 1)[0]
 
     return SchemeHandle(
         n=n_out,

@@ -217,6 +217,28 @@ class FieldSpec:
             return self.pow(a, (1 << self.w) - 2)
         return self._exp[(1 << self.w) - 1 - self._log[a]]
 
+    def mul_many(self, a, b) -> np.ndarray:
+        """Elementwise a * b over int64 arrays of elements (w <= 16)."""
+        exp, log = self._tables()
+        a, b = np.asarray(a), np.asarray(b)
+        product = exp[log[a].astype(np.intp) + log[b]].astype(np.int64)
+        return np.where((a == 0) | (b == 0), 0, product)
+
+    def div_many(self, a, b) -> np.ndarray:
+        """Elementwise a / b over int64 arrays of elements, b nonzero (w <= 16)."""
+        exp, log = self._tables()
+        a, b = np.asarray(a), np.asarray(b)
+        if (b == 0).any():
+            raise ZeroDivisionError("0 has no inverse")
+        quotient = exp[log[a].astype(np.intp) + ((1 << self.w) - 1) - log[b]].astype(np.int64)
+        return np.where(a == 0, 0, quotient)
+
+    def _tables(self):
+        """(exp, log) as uint16 arrays over the tables, without a copy."""
+        if self._exp is None:
+            raise ValueError(f"GF(2^{self.w}) has no log tables (w > {MAX_TABLE_WIDTH})")
+        return np.frombuffer(self._exp, dtype=np.uint16), np.frombuffer(self._log, dtype=np.uint16)
+
     # ----- polynomials (tuples of coefficients, low degree first) -----
 
     def poly_eval(self, coeffs, p: int) -> int:
@@ -246,8 +268,7 @@ class FieldSpec:
                             dtype=np.int64).reshape(points.shape)
         if points.size and not (0 <= points.min() and points.max() < (1 << self.w)):
             raise ValueError(f"evaluation point outside GF(2^{self.w})")
-        exp = np.frombuffer(self._exp, dtype=np.uint16)
-        log = np.frombuffer(self._log, dtype=np.uint16)
+        exp, log = self._tables()
         log_p, zero_p = log[points].astype(np.intp), points == 0
         # coefficient i of every polynomial, shaped to broadcast over its row
         terms = coeffs.T.reshape(coeffs.shape[-1:] + coeffs.shape[:-1]

@@ -103,6 +103,19 @@ def _unrank_many(rank: np.ndarray, ell: int, weight: int) -> np.ndarray:
     return out
 
 
+def _rank_many(strings: np.ndarray, ell: int, weight: int) -> np.ndarray:
+    """combination_rank on every string of a uint64 array of weight-`weight`
+    strings: a binomial table gather summed over the set bits."""
+    # bits[c, t]: bit c of string t
+    bytes_ = strings.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(bytes_, axis=1, count=ell, bitorder="little").T
+    # the i-th lowest set bit, at position c, adds C(c, i)
+    ith = np.cumsum(bits, axis=0, dtype=np.uint8)
+    terms = _binomials(ell, weight)[ith, np.arange(ell)[:, None]]
+    terms *= bits
+    return terms.sum(axis=0, dtype=np.uint64)
+
+
 MAX_IMAGE_TABLE_BITS = 16  # payloads this wide encode through an image table
 
 
@@ -191,13 +204,10 @@ class ConstantWeightCode:
         kinds = np.where(weights == 0, Occupancy.EMPTY.value, Occupancy.MANY.value).astype(np.uint8)
         payloads = np.zeros(observed.shape, dtype=np.int64)
         at = np.flatnonzero(weights == self.weight)
-        # bits[c, t]: bit c of the t-th string of the right weight
-        bytes_ = observed.ravel()[at].astype("<u8").view(np.uint8).reshape(-1, 8)
-        bits = np.unpackbits(bytes_, axis=1, count=self.ell, bitorder="little").T
-        # the i-th lowest set bit, at position c, adds C(c, i)
-        ith = np.cumsum(bits, axis=0, dtype=np.uint8)
-        terms = _binomials(self.ell, self.weight)[ith, np.arange(self.ell)[:, None]]
-        rank = (terms * bits).sum(axis=0, dtype=np.uint64)
+        strings = observed.ravel()[at]
+        rank = np.empty(len(at), dtype=np.uint64)
+        for lo in range(0, len(at), 1 << 10):  # in slices, to keep the temporaries small
+            rank[lo:lo + (1 << 10)] = _rank_many(strings[lo:lo + (1 << 10)], self.ell, self.weight)
         image = rank < np.uint64(1 << self.payload_bits)
         kinds.ravel()[at[image]] = Occupancy.ONE.value
         payloads.ravel()[at[image]] = rank[image]

@@ -2,7 +2,8 @@
 
 A scheme knows its population, design sick load, and test count, encodes any
 set of persons into test results (columns are deterministic given the
-scheme's seeds), and decodes a full observed bit vector back to an index set.
+scheme's seeds), and decodes a full observed bit vector back to an index set,
+or a stack of copies' vectors back to one set per copy.
 """
 
 from __future__ import annotations
@@ -45,6 +46,21 @@ def column_from_observe(observe, j: int) -> np.ndarray:
     return np.flatnonzero(observe([j], [0], 1))
 
 
+def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
+    """bits as a uint8 array, checked to hold nrows copies of m tests."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if len(bits) != nrows * m:
+        copies = "" if nrows == 1 else f"{nrows} copies of "
+        raise ValueError(f"observed length {len(bits)} != {copies}m = {m}")
+    return bits
+
+
+def decode_copies(decode, m: int, bits, nrows: int) -> list:
+    """The stacked decode of a scheme given by its decode: one copy at a time."""
+    bits = checked_bits(bits, m, nrows)
+    return [decode(bits[r * m:(r + 1) * m]) for r in range(nrows)]
+
+
 @dataclass
 class SchemeHandle:
     """A scheme, given by its column, its stacked observe, or both.
@@ -54,6 +70,10 @@ class SchemeHandle:
     rows[i] * m onwards); an index outside [0, n) raises ValueError.  Given
     only a column, a handle ORs its columns one by one; given only an
     observe, its column is flatnonzero(observe([j], [0], 1)).
+
+    decode_rows(bits, nrows) is the stacked decoder: nrows * m bits in, the
+    decoded set of each copy out; by default it decodes copy by copy.  A
+    wrong length raises ValueError.
     """
 
     n: int
@@ -62,6 +82,7 @@ class SchemeHandle:
     decode: "callable"          # np.ndarray of observed bits (uint8) -> set of indices
     column: "callable" = None   # person index -> sorted np.ndarray of test indices
     observe: "callable" = None  # (js, rows, nrows) -> nrows * m observed bits
+    decode_rows: "callable" = None  # (bits, nrows) -> [set of indices] per copy
     layers: tuple = ()          # composition labels, outermost last
 
     def __post_init__(self):
@@ -73,6 +94,8 @@ class SchemeHandle:
             self.observe = partial(observe_columns, self.column, self.n, self.m)
         if self.column is None:
             self.column = partial(column_from_observe, self.observe)
+        if self.decode_rows is None:
+            self.decode_rows = partial(decode_copies, self.decode, self.m)
 
     def build(self) -> ConfigMatrix:
         """Materialize every column (intended for small n: oracles, baselines)."""

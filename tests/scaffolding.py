@@ -1,8 +1,11 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
-decoder fault injector, for exercising the composition gadgets."""
+decoder fault injector, for exercising the composition gadgets; and the
+scalar decoders the stacked array decode is checked against."""
 
 import numpy as np
 
+from gachagt.gacha_core import bits_to_blocks, list_decode, recover_from_groups, synthesize_blocks
+from gachagt.gf2e import field
 from gachagt.scheme import SchemeHandle
 
 _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
@@ -48,3 +51,33 @@ def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHand
         decode=decode,
         layers=inner.layers + (f"faults(eps={eps})",),
     )
+
+
+def scalar_gacha_decode(params):
+    """The single-layer decode one batch list at a time: synthesize_blocks,
+    then list_decode's dict grouping and recover_from_groups."""
+
+    def decode(bits):
+        return list_decode(params, synthesize_blocks(params, bits_to_blocks(params, bits)))
+
+    return decode
+
+
+def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, rho: int, bits):
+    """An expander handle's decode as a loop over its R copies: each copy's
+    inner_m bits through inner_decode, the first pair per (birthday, copy)
+    kept, one dict group per birthday in arrival order, recover_from_groups."""
+    fld = field(outer_w)
+    d_out = (rho + 1) // 2
+    mask = (1 << outer_w) - 1
+    groups, seen = {}, set()
+    for r in range(R):
+        for v in inner_decode(bits[r * inner_m:(r + 1) * inner_m]):
+            if v >= (1 << (2 * outer_w)):
+                continue
+            hi, lo = v >> outer_w, v & mask
+            if (hi, r) in seen:
+                continue
+            seen.add((hi, r))
+            groups.setdefault(hi, []).append((r, lo))
+    return recover_from_groups(fld, d_out, 0, groups, lambda r: r + 1, 1 << (outer_w * d_out))

@@ -1,5 +1,7 @@
 """Single-layer scheme: encoding layout, synthesis, list decoding, budgets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import run_tests, sample_instance, score
+from gachagt.gf2e import field
 from gachagt.inner_code import Occupancy, combination_unrank
 from gachagt.gacha_core import (
     COLLISION,
@@ -14,15 +17,18 @@ from gachagt.gacha_core import (
     NoiselessInner,
     analytic_budget,
     bits_to_blocks,
+    blocks_to_bits,
     build_column,
     column_symbols,
+    decode_rows,
     default_params,
     gacha_scheme,
     list_decode,
+    recover_from_groups,
+    recover_rows,
     whiten_keys,
     observed_blocks,
     person_rng,
-    synthesize,
     synthesize_blocks,
 )
 
@@ -139,7 +145,7 @@ def test_lazy_observed_equals_run_tests():
 
 def test_synthesize_all_zero():
     p = small_params()
-    word = synthesize(p, np.zeros(p.m, dtype=np.uint8))
+    word = synthesize_blocks(p, bits_to_blocks(p, np.zeros(p.m, dtype=np.uint8)))
     assert len(word.symbols) == p.B
     assert all(sym is None for sym in word.symbols)
 
@@ -148,7 +154,7 @@ def test_synthesize_single_person():
     p = ac1_params(seed=2)
     j = 31337
     h = gacha_scheme(p)
-    word = synthesize(p, h.observed_bits({j}))
+    word = synthesize_blocks(p, bits_to_blocks(p, h.observed_bits({j})))
     g = p.field.index_to_poly(j, p.d)
     hi = p.field.poly_eval(g, p.b0)
     chosen = {s for s, _ in column_symbols(p, j)}
@@ -169,7 +175,7 @@ def test_synthesize_shared_batch_collision():
     )
     shared = {s for s, _ in column_symbols(p, j2)} & batches1
     h = gacha_scheme(p)
-    word = synthesize(p, h.observed_bits({j1, j2}))
+    word = synthesize_blocks(p, bits_to_blocks(p, h.observed_bits({j1, j2})))
     for s in shared:
         assert word.symbols[s] is COLLISION
     only1 = batches1 - shared
@@ -191,7 +197,7 @@ def test_list_decode_single_person_exact():
     p = ac1_params(seed=6)
     h = gacha_scheme(p)
     for j in (0, 5, 99, 65535):
-        word = synthesize(p, h.observed_bits({j}))
+        word = synthesize_blocks(p, bits_to_blocks(p, h.observed_bits({j})))
         assert list_decode(p, word) == {j}
 
 
@@ -477,3 +483,149 @@ def test_synthesize_blocks_shape_checked():
     p = ac1_params()
     with pytest.raises(ValueError):
         synthesize_blocks(p, np.zeros(p.B * p.inner.blocks, dtype=np.uint64))
+
+
+# ---------------------------------------------------------------------------
+# stacked array decode against the scalar list decode
+# ---------------------------------------------------------------------------
+
+# d = 3 and w = 17 take no closed form: every group goes to recover_from_groups
+DECODE_SHAPES = {
+    **INNER_SHAPES,
+    "cw-d3": lambda: default_params(4096, 4, matrix_seed=3, d=3),
+    "cw-w17": lambda: default_params(4096, 4, matrix_seed=3, B=40, w=17),
+}
+
+
+def bsc_blocks(p, rng):
+    """The OR of a random sick set through BSC(0.05), for either inner code."""
+    sick = set(int(v) for v in rng.choice(p.n, size=min(p.k_cap, p.n), replace=False))
+    y = gacha_scheme(p).observed_bits(sick)
+    return bits_to_blocks(p, bsc(0.05).transmit_many(y, rng).astype(np.uint8))
+
+
+def crafted_blocks(p, rng):
+    """Fragments written straight into batches, group by group: some under
+    their polynomial's own birthday, some under a birthday from a small
+    shared pool (wrong, and merging groups), indices inside and outside
+    [0, n), and a quarter of the fragments garbage.  So the birthday check,
+    the index bound, the majority rule and the retry all decide groups."""
+    fld, q = p.field, 1 << p.w
+    pool = rng.integers(0, q, size=3).tolist()
+    batches, his, los = [], [], []
+    free = rng.permutation(p.B).tolist()
+    while len(free) > 2 * p.d + 2:
+        j = int(rng.integers(0, p.n)) if rng.random() < 0.6 else int(
+            rng.integers(0, 1 << min(p.w * p.d, 62)))
+        g = fld.index_to_poly(j, p.d)
+        hi = fld.poly_eval(g, p.b0) if rng.random() < 0.7 else int(rng.choice(pool))
+        for _ in range(int(rng.integers(1, 2 * p.d + 3))):
+            s = free.pop()
+            lo = fld.poly_eval(g, p.point(s)) if rng.random() < 0.75 else int(rng.integers(0, q))
+            batches.append(s)
+            his.append(hi)
+            los.append(lo)
+    words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
+    words[batches] = p.inner.encode_blocks(np.array(his), np.array(los), np.array(batches))
+    return words
+
+
+def scalar_decode_rows(p, copies):
+    """The per-copy scalar decode of (B, blocks) block words, as lists in
+    their sets' iteration order."""
+    return [list(list_decode(p, synthesize_blocks(p, words))) for words in copies]
+
+
+@pytest.mark.parametrize("source", [or_of_sick_blocks, bsc_blocks, garbage_blocks, crafted_blocks])
+@pytest.mark.parametrize("shape", DECODE_SHAPES)
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nrows=st.sampled_from([1, 3]))
+def test_decode_rows_matches_scalar_decode(shape, source, seed, nrows):
+    p = DECODE_SHAPES[shape]()
+    rng = np.random.default_rng(seed)
+    copies = [source(p, rng) for _ in range(nrows)]
+    got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), nrows)
+    assert [list(s) for s in got] == scalar_decode_rows(p, copies)
+
+
+def test_decode_rows_shared_birthdays():
+    # d = 3 over w = 11 and n = 4096: persons j and j + 2048 share a birthday
+    p = DECODE_SHAPES["cw-d3"]()
+    h = gacha_scheme(p)
+    for sick in ({5, 5 + 2048}, {7, 7 + 2048, 9, 9 + 2048}, {100, 2148, 300}):
+        words = bits_to_blocks(p, h.observed_bits(sick))
+        assert [list(decode_rows(p, blocks_to_bits(p, words), 1)[0])] == \
+            scalar_decode_rows(p, [words])
+
+
+def test_decode_rows_keeps_arrival_order():
+    # indices equal modulo 64 share a set slot, so a set's iteration order is
+    # its insertion order: the groups' first batches, not birthdays or indices
+    p = ac1_params(seed=6)
+    h = gacha_scheme(p)
+    sick = [64 * v + 3 for v in (900, 17, 450, 3, 777, 120)]
+    words = bits_to_blocks(p, h.observed_bits(set(sick)))
+    want = scalar_decode_rows(p, [words])[0]
+    assert sorted(want) == sorted(sick) and want != sorted(sick)
+    assert list(h.decode(h.observed_bits(set(sick)))) == want
+
+
+def test_decode_rows_retries_through_scalar_path():
+    # the first attempt (two smallest batches) holds a garbage fragment, the
+    # retry on the next two batches recovers the person
+    p = ac1_params(seed=6)
+    fld, j = p.field, (12345 << 16) | 777
+    g = fld.index_to_poly(j, p.d)
+    batches = np.array([3, 10, 20, 30, 40])
+    los = [fld.poly_eval(g, p.point(int(s))) for s in batches]
+    los[0] ^= 1
+    words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
+    words[batches] = p.inner.encode_blocks(np.full(5, fld.poly_eval(g, p.b0)), np.array(los),
+                                           batches)
+    assert decode_rows(replace(p, n=1 << 32), blocks_to_bits(p, words), 1) == [{j}]
+    assert decode_rows(p, blocks_to_bits(p, words), 1) == [set()]  # j >= n
+
+
+@st.composite
+def fragment_rows(draw):
+    """(d, nrows, fragments) for recover_rows over GF(2^8): per row, slots in
+    ascending order, each holding fragments of distinct birthdays in any
+    order; fragments from a few polynomials, some under wrong birthdays,
+    some garbage."""
+    d = draw(st.sampled_from([1, 2, 3]))
+    nrows = draw(st.integers(1, 3))
+    fld = field(8)
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    frags = []
+    for row in range(nrows):
+        polys = [tuple(rng.integers(0, 256, size=d).tolist()) for _ in range(int(rng.integers(1, 6)))]
+        births = [fld.poly_eval(g, 0) if rng.random() < 0.7 else int(rng.integers(0, 4))
+                  for g in polys]
+        for slot in range(int(rng.integers(1, 40))):
+            seen = set()
+            for i in rng.permutation(len(polys)).tolist():
+                if rng.random() < 0.5 or births[i] in seen:
+                    continue
+                seen.add(births[i])
+                lo = fld.poly_eval(polys[i], slot + 1)
+                frags.append((row, slot, births[i], lo if rng.random() < 0.8 else
+                              int(rng.integers(0, 256))))
+    return d, nrows, frags
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=fragment_rows(), n=st.sampled_from([1 << 8, 1 << 12, 1 << 24]))
+def test_recover_rows_matches_recover_from_groups(case, n):
+    d, nrows, frags = case
+    fld = field(8)
+    arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
+    got = recover_rows(fld, d, 0, arrays, lambda s: s + 1, n, nrows)
+    want = []
+    for row in range(nrows):
+        groups = {}
+        for r, slot, hi, lo in frags:
+            if r == row:
+                groups.setdefault(hi, []).append((slot, lo))
+        want.append(list(recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n)))
+    assert [list(s) for s in got] == want
