@@ -36,6 +36,10 @@ SCHEMES = {
                            "rho=4\nR=8\nsigma=3\npi=2\nouter_w=8\nB=24\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
+    # the bench's comp shape, m from its default
+    "comp-bench": "scheme=comp\nn=4096\nk=8\ntrials=4\nmaster_seed=5\n",
+    # a linear inner payload wider than the (birthday, fragment) pair
+    "gacha-wide": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=12\nlin_dim=14\n",
 }
 CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
 

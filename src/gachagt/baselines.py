@@ -28,15 +28,16 @@ class OracleResult:
 
 def comp_decode(matrix: ConfigMatrix, y) -> set:
     """Everyone whose tests are all positive (vacuously true for no tests)."""
+    return comp_decode_design(matrix.dense(), y)
+
+
+def comp_decode_design(design: np.ndarray, y) -> set:
+    """COMP on an (n, m) bool design: everyone in no negative test, in one
+    reduction over the negative tests' columns."""
     y = np.asarray(y, dtype=np.uint8)
-    if len(y) != matrix.m:
-        raise ValueError(f"result length {len(y)} != m = {matrix.m}")
-    out = set()
-    for j in range(matrix.n):
-        col = np.asarray(matrix.columns[j], dtype=np.int64)
-        if col.size == 0 or bool(y[col].all()):
-            out.add(j)
-    return out
+    if len(y) != design.shape[1]:
+        raise ValueError(f"result length {len(y)} != m = {design.shape[1]}")
+    return set(np.flatnonzero(~design[:, y == 0].any(axis=1)).tolist())
 
 
 def _column_masks(matrix: ConfigMatrix):

@@ -430,7 +430,8 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     of indices per row.
 
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
-    fragment (slot, lo) with birthday hi in row `row`.  Slots are distinct
+    fragment (slot, lo) with birthday hi in row `row`, both field elements
+    (decode_rows drops the rest).  Slots are distinct
     within a (row, birthday) group and arrive in ascending order, and
     point_of_slot must map arrays too.  A stable argsort on (row, birthday)
     forms the groups.  For d <= 2 over a field with log tables, each group's
@@ -453,10 +454,7 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     ready = sizes >= d
     starts, sizes = starts[ready], sizes[ready]
     accepted = np.full(len(starts), -1, dtype=np.int64)
-    # an inner payload wider than the pair needs can read values outside the
-    # field; then recover_from_groups decides (and raises) as it always has
-    q = 1 << fld.w
-    if d <= 2 and fld.w <= MAX_TABLE_WIDTH and len(starts) and hi.max() < q and lo.max() < q:
+    if d <= 2 and fld.w <= MAX_TABLE_WIDTH and len(starts):
         x, y = point_of_slot(slot), lo
         g1 = np.zeros(len(starts), dtype=np.int64)
         if d == 2:  # the line through the first two points
@@ -489,7 +487,10 @@ def decode_rows(params: GachaParams, bits, nrows: int) -> list:
     """The decoded set of each of nrows copies of the observed bits, stacked
     nrows * m of them; see recover_rows."""
     kinds, hi, lo = params.inner.classify_blocks(bits_to_blocks(params, bits, nrows), params.B)
-    one = np.flatnonzero(kinds == _ONE)  # ascending: by copy, then by batch
+    # ONE fragments only; a payload wider than the pair can read a birthday
+    # or fragment outside GF(2^w), which no person writes
+    q = 1 << params.w
+    one = np.flatnonzero((kinds == _ONE) & (hi < q) & (lo < q))  # by copy, then batch
     row, slot = np.divmod(one, params.B)
     return recover_rows(params.field, params.d, params.b0, (row, slot, hi[one], lo[one]),
                         params.point, params.n, nrows)

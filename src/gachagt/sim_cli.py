@@ -23,12 +23,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import brute_force_decode, comp_decode
+from .baselines import brute_force_decode, comp_decode, comp_decode_design
 from .channels import NoiseModel
-from .core_model import sample_instance, score
+from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
 from .gadgets import GadgetParams, pyramid_build
-from .scheme import SchemeHandle
+from .scheme import SchemeHandle, design_column, observe_design
 
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
@@ -198,36 +198,43 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
     raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
-def _bernoulli_matrix(config: SimConfig, matrix_seed: int):
-    from .core_model import ConfigMatrix
+DESIGN_CHUNK = 256  # design rows drawn between two comparisons against p
 
+
+def _bernoulli_design(config: SimConfig, matrix_seed: int) -> np.ndarray:
+    """The (n, m) bool Bernoulli(p) design: row j is
+    default_rng((matrix_seed, j)).random(m) < p, drawn through one reused
+    generator (person_streams) into a reused (DESIGN_CHUNK, m) buffer."""
     m = config.m or math.ceil(math.e * config.k * math.log(config.n))
     p = 1 - 2 ** (-1.0 / config.k)
-    cols = []
-    for j in range(config.n):
-        rng = np.random.default_rng((matrix_seed, j))
-        cols.append(np.flatnonzero(rng.random(m) < p).astype(np.int64))
-    return ConfigMatrix(m=m, n=config.n, columns=cols)
+    design = np.empty((config.n, m), dtype=bool)
+    draws = np.empty((min(DESIGN_CHUNK, config.n), m))
+    streams = person_streams(matrix_seed, range(config.n))
+    for start in range(0, config.n, len(draws)):
+        rows = design[start:start + len(draws)]
+        for buf, gen in zip(draws[:len(rows)], streams):
+            gen.random(out=buf)
+        np.less(draws[:len(rows)], p, out=rows)
+    return design
 
 
 def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
     """A Bernoulli design decoded by COMP, or by the exhaustive oracle on the
     channel's raw symbols."""
-    matrix = _bernoulli_matrix(config, matrix_seed)
+    design = _bernoulli_design(config, matrix_seed)
     if config.scheme == "comp":
-        decode = partial(comp_decode, matrix)
+        decode = partial(comp_decode_design, design)
     else:
+        matrix = ConfigMatrix(m=design.shape[1], n=config.n,
+                              columns=[np.flatnonzero(row) for row in design])
+
         def decode(z):
             return set(brute_force_decode(matrix, z, config.k, config.noise.channel).best)
 
-    def column(j):
-        if not 0 <= j < matrix.n:
-            raise ValueError(f"person index {j} out of range")
-        return matrix.columns[j]
-
     return SchemeHandle(
-        n=matrix.n, k_design=config.k, m=matrix.m,
-        column=column,
+        n=config.n, k_design=config.k, m=design.shape[1],
+        column=partial(design_column, design),
+        observe=partial(observe_design, design),
         decode=decode,
         layers=(config.scheme,),
     )

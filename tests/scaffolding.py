@@ -1,6 +1,7 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
-decoder fault injector, for exercising the composition gadgets; and the
-scalar decoders the stacked array decode is checked against."""
+decoder fault injector, for exercising the composition gadgets; the scalar
+decoders the stacked array decode is checked against; and the per-column
+Bernoulli design, COMP and ConfigMatrix check the dense ones replace."""
 
 import numpy as np
 
@@ -81,3 +82,34 @@ def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, 
             seen.add((hi, r))
             groups.setdefault(hi, []).append((r, lo))
     return recover_from_groups(fld, d_out, 0, groups, lambda r: r + 1, 1 << (outer_w * d_out))
+
+
+def bernoulli_columns_reference(n: int, k: int, m: int, matrix_seed: int) -> list:
+    """The COMP/oracle Bernoulli design one column at a time: a fresh
+    default_rng((matrix_seed, j)) per person, its m draws below p."""
+    p = 1 - 2 ** (-1.0 / k)
+    return [np.flatnonzero(np.random.default_rng((matrix_seed, j)).random(m) < p)
+            for j in range(n)]
+
+
+def comp_decode_reference(matrix, y) -> set:
+    """COMP one column at a time: everyone whose tests are all positive."""
+    y = np.asarray(y, dtype=np.uint8)
+    if len(y) != matrix.m:
+        raise ValueError(f"result length {len(y)} != m = {matrix.m}")
+    out = set()
+    for j in range(matrix.n):
+        col = np.asarray(matrix.columns[j], dtype=np.int64)
+        if col.size == 0 or bool(y[col].all()):
+            out.add(j)
+    return out
+
+
+def config_matrix_valid_reference(m: int, columns) -> bool:
+    """ConfigMatrix's column check one column at a time."""
+    for col in columns:
+        arr = np.asarray(col)
+        if arr.size and (arr[0] < 0 or arr[-1] >= m or np.any(np.diff(arr) <= 0)):
+            return False
+    return True
+

@@ -1,0 +1,127 @@
+"""The dense Bernoulli design behind COMP and the oracle: the one-pass
+seeding against numpy's own SeedSequence and default_rng, the design against
+the per-column build it replaces, COMP as one reduction against the column
+loop, and the handle's observe against run_tests."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gachagt.baselines import comp_decode, comp_decode_design
+from gachagt.core_model import ProblemInstance, person_streams, run_tests, seed_states
+from gachagt.sim_cli import build_scheme, parse_config
+from scaffolding import bernoulli_columns_reference, comp_decode_reference
+
+# (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
+# sides of 2^32 (one and two entropy words), n on both sides of a design chunk
+SHAPES = [
+    (50, 40, 2, 0),
+    (50, 40, 2, (1 << 32) - 1),
+    (300, 0, 3, 1 << 32),
+    (513, 25, 1, 7),
+    (1000, 0, 8, (1 << 62) + 12345),
+    (4096, 0, 8, (1 << 63) - 1),
+]
+
+
+def bernoulli_handle(scheme, n, m, k, matrix_seed):
+    text = f"scheme={scheme}\nn={n}\nk={k}\ntrials=1\nmaster_seed=1\n" + (f"m={m}\n" if m else "")
+    return build_scheme(parse_config(text), matrix_seed, 0)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_design_equals_per_column_build(shape):
+    n, m, k, matrix_seed = shape
+    h = bernoulli_handle("comp", *shape)
+    assert h.m == (m or int(np.ceil(np.e * k * np.log(n))))
+    ref = bernoulli_columns_reference(n, k, h.m, matrix_seed)
+    for j in range(n):
+        assert np.array_equal(h.column(j), ref[j])
+    assert all(np.array_equal(a, b) for a, b in zip(h.build().columns, ref))
+
+
+@pytest.mark.parametrize("shape", [s for s in SHAPES if s[0] <= 50])
+def test_oracle_design_equals_per_column_build(shape):
+    n, m, k, matrix_seed = shape
+    h = bernoulli_handle("oracle", *shape)
+    ref = bernoulli_columns_reference(n, k, h.m, matrix_seed)
+    assert all(np.array_equal(h.column(j), ref[j]) for j in range(n))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_comp_decode_matches_column_loop(shape):
+    n, _, k, matrix_seed = shape
+    h = bernoulli_handle("comp", *shape)
+    matrix = h.build()
+    rng = np.random.default_rng(matrix_seed % 1000)
+    ys = [np.zeros(h.m, dtype=np.uint8), np.ones(h.m, dtype=np.uint8)]
+    ys += [(rng.random(h.m) < density).astype(np.uint8) for density in (0.3, 0.7, 0.95)]
+    ys += [h.observed_bits(set(rng.choice(n, size=k, replace=False).tolist())) for _ in range(4)]
+    for y in ys:
+        want = comp_decode_reference(matrix, y)
+        assert h.decode(y) == want
+        assert comp_decode(matrix, y) == want
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_observe_equals_run_tests(shape):
+    n, _, k, matrix_seed = shape
+    h = bernoulli_handle("comp", *shape)
+    matrix = h.build()
+    rng = np.random.default_rng(matrix_seed % 997)
+    sick_sets = [set(rng.choice(n, size=k, replace=False).tolist()) for _ in range(5)]
+    for sick in sick_sets:
+        inst = ProblemInstance(n=n, k=k, sick_set=frozenset(sick))
+        assert np.array_equal(h.observed_bits(sick), run_tests(matrix, inst))
+    # stacked: copy r holds the OR of the persons placed in it, duplicates too
+    js = np.concatenate([sorted(s) for s in sick_sets] + [[0, 0]])
+    rows = np.concatenate([np.full(k, r) for r in range(5)] + [[5, 5]])
+    stacked = h.observe(js, rows, 7)
+    assert stacked.dtype == np.uint8 and stacked.shape == (7 * h.m,)
+    for r, sick in enumerate(sick_sets):
+        assert np.array_equal(stacked[r * h.m:(r + 1) * h.m], h.observed_bits(sick))
+    assert np.array_equal(stacked[5 * h.m:6 * h.m], h.observed_bits({0}))
+    assert not stacked[6 * h.m:].any()
+
+
+def test_comp_decode_checks_length():
+    design = np.zeros((3, 4), dtype=bool)
+    with pytest.raises(ValueError, match="result length 5 != m = 4"):
+        comp_decode_design(design, np.zeros(5, dtype=np.uint8))
+    assert comp_decode_design(design, np.zeros(4, dtype=np.uint8)) == {0, 1, 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, (1 << 63) - 1),
+       j=st.sampled_from([0, (1 << 32) - 1, 1 << 32, 1 << 40]))
+def test_person_streams_match_default_rng(seed, j):
+    gen = next(person_streams(seed, [j]))
+    ref = np.random.default_rng((seed, j))
+    assert np.array_equal(gen.random(7), ref.random(7))
+    assert np.array_equal(gen.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
+    assert np.array_equal(gen.choice(1000, size=6, replace=False),
+                          ref.choice(1000, size=6, replace=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, (1 << 64) - 1),
+       js=st.lists(st.integers(0, (1 << 64) - 1), max_size=6))
+def test_seed_states_match_seed_sequence(seed, js):
+    states = seed_states(seed, np.array(js, dtype=np.uint64))
+    assert states.shape == (len(js), 4) and states.dtype == np.uint64
+    for j, state in zip(js, states):
+        assert np.array_equal(state, np.random.SeedSequence((seed, j)).generate_state(4, np.uint64))
+
+
+def test_person_streams_run_in_order():
+    js = [5, 0, 4095, 5]
+    for j, gen in zip(js, person_streams(99, js)):
+        assert gen.bit_generator.state == np.random.default_rng((99, j)).bit_generator.state
+    assert list(person_streams(99, [])) == []
+
+
+@pytest.mark.parametrize("seed,js", [(-1, [0]), (1 << 64, [0]), (3, [-1]), (3, [0.5])])
+def test_person_streams_reject_bad_seeds_at_the_call(seed, js):
+    with pytest.raises(ValueError):
+        person_streams(seed, js)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gachagt.core_model import (
     ConfigMatrix,
@@ -11,6 +13,7 @@ from gachagt.core_model import (
     sample_instance,
     score,
 )
+from scaffolding import config_matrix_valid_reference
 
 
 def test_sample_size_and_range():
@@ -65,6 +68,41 @@ def test_matrix_invariants():
         ConfigMatrix(m=3, n=1, columns=[np.array([0, 0])])  # not strictly increasing
     with pytest.raises(ValueError):
         ConfigMatrix(m=3, n=1, columns=[np.array([3])])  # out of range
+
+
+# columns as the builders make them (sorted, distinct) or anything at all,
+# as int64 arrays or lists; indices straddle both ends of [0, m)
+_INDEX = st.integers(-3, 12)
+_COLUMN = st.one_of(
+    st.lists(_INDEX, max_size=6),
+    st.lists(_INDEX, max_size=6, unique=True).map(sorted),
+).flatmap(lambda col: st.sampled_from([col, np.array(col, dtype=np.int64)]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(0, 10), columns=st.lists(_COLUMN, max_size=6))
+def test_matrix_check_matches_column_loop(m, columns):
+    if config_matrix_valid_reference(m, columns):
+        ConfigMatrix(m=m, n=len(columns), columns=columns)
+    else:
+        with pytest.raises(ValueError, match="strictly increasing indices in"):
+            ConfigMatrix(m=m, n=len(columns), columns=columns)
+
+
+def test_matrix_check_skips_column_boundaries():
+    # a step down between two columns is not a step inside one
+    ConfigMatrix(m=5, n=3, columns=[[3, 4], [], [0, 1]])
+    with pytest.raises(ValueError):
+        ConfigMatrix(m=5, n=3, columns=[[3, 4], [], [1, 1]])
+    with pytest.raises(ValueError, match="column count"):
+        ConfigMatrix(m=5, n=2, columns=[[0]])
+
+
+@pytest.mark.parametrize("columns", [[[0, 2], []], [[], [1]], [[], []]])
+def test_matrix_dense(columns):
+    dense = ConfigMatrix(m=3, n=2, columns=columns).dense()
+    assert dense.dtype == bool and dense.shape == (2, 3)
+    assert [np.flatnonzero(row).tolist() for row in dense] == columns
 
 
 def test_run_tests_single_entry():

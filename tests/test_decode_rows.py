@@ -166,3 +166,18 @@ def test_decoder_is_total_on_bench_configs(workloads, name):
                  np.ones(h.m, dtype=np.uint8), np.zeros(h.m, dtype=np.uint8)):
         found = h.decode(bits)
         assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
+
+
+def test_decoder_is_total_on_wide_inner_payloads():
+    # two blocks of 14 payload bits read birthdays and fragments up to 2^14,
+    # outside GF(2^12); such ONE fragments are dropped before grouping
+    p = default_params(4096, 4, channel_crossover=0.05, matrix_seed=3, w=12, lin_dim=14)
+    assert p.inner.code.dim * p.inner.blocks > 2 * p.w
+    h = gacha_scheme(p)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        found = h.decode(rng.integers(0, 2, size=h.m, dtype=np.uint8))
+        assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
+    assert h.decode_rows(rng.integers(0, 2, size=4 * h.m, dtype=np.uint8), 4) is not None
+    sick = {1, 77, 900, 4000}
+    assert h.decode(h.observed_bits(sick)) == sick
