@@ -40,6 +40,10 @@ SCHEMES = {
     "comp-bench": "scheme=comp\nn=4096\nk=8\ntrials=4\nmaster_seed=5\n",
     # a linear inner payload wider than the (birthday, fragment) pair
     "gacha-wide": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=12\nlin_dim=14\n",
+    # batch draws numpy makes by shuffling a tail (B > 10000, r > B // 50)
+    # rather than by Floyd's rule, and a person in every batch (r = B)
+    "gacha-tail": "scheme=gacha\nn=4096\nk=4\ntrials=4\nmaster_seed=5\nB=10240\nr=205\n",
+    "gacha-allbatches": "scheme=gacha\nn=4096\nk=1\ntrials=8\nmaster_seed=5\nB=24\nr=24\n",
 }
 CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
 

@@ -8,6 +8,7 @@ per-trial error counts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +82,49 @@ def sample_instance(n: int, k: int, seed) -> ProblemInstance:
 # 128-bit LCG multiplier (pcg64.h)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hash_consts(const: int, mult: int, count: int) -> list:
+    """The (xor, multiply) constant pairs of count successive hashmix calls."""
+    pairs = []
+    for _ in range(count):
+        nxt = (const * mult) & _MASK32
+        pairs.append((const, nxt))
+        const = nxt
+    return pairs
+
+
+def _u32(values) -> np.ndarray:
+    return np.array(values, dtype=np.uint32)
+
+
+def _hashmix(value, consts):
+    value = (value ^ consts[0]) * consts[1]
+    return value ^ (value >> _U32_16)
+
+
+def _mix(x, y):
+    value = _MIX_L * x - _MIX_R * y
+    return value ^ (value >> _U32_16)
+
+
+_U32_16, _MIX_L, _MIX_R = _u32(16), _u32(0xCA01F9DD), _u32(0x4973F715)
+_U64_32, _U64_58, _U64_63, _U64_64 = (np.array(v, dtype=np.uint64) for v in (32, 58, 63, 64))
+_LOW32 = np.array(_MASK32, dtype=np.uint64)
+# hashmix calls 0-3 hash the entropy words into the pool and calls 4-15 mix
+# it: source word src into the others in ascending order.  seed_states keeps
+# the pool rotated so that the source is row 0 and row 1 + i is word
+# (src + 1 + i) % 4, so _ROUND_CONSTS[src] is (2, 3, 1) in that row order.
+_POOL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 16)
+_ENTROPY_CONSTS = _u32(_POOL_CONSTS[:4]).T[..., None]
+_ROUND_CONSTS = [
+    _u32([[[_POOL_CONSTS[4 + 3 * src + dst - (dst > src)][half]]
+           for dst in ((src + 1 + i) % 4 for i in range(3))] for half in range(2)])
+    for src in range(4)]
+# generate_state's 8 output words, word 4 a + b drawn from pool word b
+_OUT_CONSTS = _u32(_hash_consts(_INIT_B, _MULT_B, 8)).T.reshape(2, 2, 4, 1)
 
 
 def seed_states(seed: int, js) -> np.ndarray:
@@ -94,7 +135,9 @@ def seed_states(seed: int, js) -> np.ndarray:
     seed then j (little-endian 32-bit words, no high zero words, 0 as one
     word) padded with zeros to the pool of 4, hashed into the pool, mixed,
     and drawn out as 8 words.  j's high word sits in the padding whenever it
-    is zero, so one layout serves every j below 2^64.
+    is zero, so one layout serves every j below 2^64.  The seed and padding
+    words are hashed once, not per j, and each mixing round hashes one pool
+    word into the other 3 as one (3, len(js)) block.
     """
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"seed {seed} outside [0, 2^64)")
@@ -103,38 +146,144 @@ def seed_states(seed: int, js) -> np.ndarray:
         raise ValueError("person indices must be integers below 2^64")
     if js.size and js.min() < 0:
         raise ValueError(f"person index {js.min()} is negative")
-    js = js.astype(np.uint64).reshape(-1)
+    j_words = js.astype("<u8").reshape(-1).view("<u4").reshape(-1, 2).T
     words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    entropy = np.zeros((4, js.size), dtype=np.uint32)
-    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[len(words)] = js & np.uint64(_MASK32)
-    entropy[len(words) + 1] = js >> np.uint64(32)
-    const = _INIT_A
+    at = len(words)  # j's two words follow the seed's; zeros pad the pool of 4
+    pool = np.empty((4, j_words.shape[1]), dtype=np.uint32)
+    pool[:] = _hashmix(_u32(words + [0] * (4 - at)), _ENTROPY_CONSTS[..., 0])[:, None]
+    pool[at:at + 2] = _hashmix(j_words, _ENTROPY_CONSTS[:, at:at + 2])
+    for consts in _ROUND_CONSTS:
+        rotated = np.empty_like(pool)
+        rotated[:3] = _mix(pool[1:], _hashmix(pool[0], consts))
+        rotated[3] = pool[0]
+        pool = rotated
+    state = _hashmix(pool, _OUT_CONSTS).reshape(8, -1)
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * _MULT_A) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
 
-    def mix(x, y):
-        value = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return value ^ (value >> np.uint32(16))
+@functools.lru_cache(maxsize=16)
+def _pcg_jump(steps: tuple) -> tuple:
+    """Constants that jump a freshly seeded PCG64 ahead: after t steps the
+    state is a_t * initstate + b_t * initseq + c_t (mod 2^128).
 
-    pool = [hashmix(word) for word in entropy]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    state = np.empty((js.size, 8), dtype=np.uint32)
-    const = _INIT_B
-    for i in range(8):
-        value = pool[i % 4] ^ np.uint32(const)
-        const = (const * _MULT_B) & _MASK32
-        value = value * np.uint32(const)
-        state[:, i] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    Seeding sets inc = 2 * initseq + 1 and state = (inc + initstate) * mult
+    + inc, that is (a, b, c) = (mult, 2 mult + 2, mult + 1); a step is
+    state * mult + inc.  Returns, for the t in steps, the 64-bit limbs of
+    (a, b) as (2, 1, T) arrays (high, low, and the low limb's two 32-bit
+    halves) and of c as (1, T) arrays.
+    """
+    a, b, c = _PCG_MULT, 2 * _PCG_MULT + 2, _PCG_MULT + 1
+    ks, cs = [], []
+    for t in range(max(steps, default=0) + 1):
+        ks.append((a, b))
+        cs.append(c)
+        a, b, c = (a * _PCG_MULT & _MASK128, (b * _PCG_MULT + 2) & _MASK128,
+                   (c * _PCG_MULT + 1) & _MASK128)
+    k = np.array([[ks[t][i] for t in steps] for i in range(2)], dtype=object)[:, None]
+    c = np.array([cs[t] for t in steps], dtype=object)[None]
+
+    def limb(v, shift, mask):
+        return ((v >> shift) & mask).astype(np.uint64)
+
+    return (limb(k, 64, _MASK64), limb(k, 0, _MASK64), limb(k, 0, _MASK32),
+            limb(k, 32, _MASK32), limb(c, 64, _MASK64), limb(c, 0, _MASK64))
+
+
+def pcg_states(words: np.ndarray, steps) -> tuple:
+    """The 128-bit states of the PCG64 generators seeded from the rows of
+    words (seed_states output) after each step count in steps, as (high,
+    low) uint64 arrays of shape (len(words), len(steps)).
+
+    Two 128-bit products in 64-bit limbs against the cached _pcg_jump
+    constants; only the high half of the low-limb product needs 32-bit
+    halves.
+    """
+    k_hi, k_lo, k_lo0, k_lo1, c_hi, c_lo = _pcg_jump(tuple(steps))
+    x = np.ascontiguousarray(words.T).reshape(2, 2, -1, 1)  # (initstate, initseq) x (hi, lo)
+    x_hi, x_lo = x[:, 0], x[:, 1]
+    x_lo0, x_lo1 = x_lo & _LOW32, x_lo >> _U64_32
+    p10 = x_lo1 * k_lo0
+    cross = ((x_lo0 * k_lo0) >> _U64_32) + (p10 & _LOW32) + x_lo0 * k_lo1
+    hi = x_lo1 * k_lo1 + (p10 >> _U64_32) + (cross >> _U64_32) + x_lo * k_hi + x_hi * k_lo
+    lo = x_lo * k_lo
+    both = lo[0] + lo[1]
+    lo_sum = both + c_lo
+    return hi[0] + hi[1] + c_hi + (both < lo[0]) + (lo_sum < both), lo_sum
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's 64-bit output of a state: high ^ low, rotated right by the top 6 bits."""
+    value = hi ^ lo
+    rot = hi >> _U64_58
+    return (value >> rot) | (value << ((_U64_64 - rot) & _U64_63))
+
+
+def person_rng(seed: int, j: int) -> np.random.Generator:
+    """Person j's own stream, np.random.default_rng((seed, j))."""
+    return np.random.default_rng((seed, j))
+
+
+@functools.lru_cache(maxsize=16)
+def _floyd_plan(B: int, r: int) -> tuple:
+    """numpy's Floyd draw of r of B as constants: the steps j = B - r ...
+    B - 1, the uint32 draw each step reads, each step's Lemire bound j + 1
+    and rejection threshold 2^32 mod (j + 1), and the PCG64 output counts
+    the draws come from.  A j = 0 step draws nothing; it reads draw 0
+    with bound 1, which maps any draw to 0 and never rejects."""
+    steps = np.arange(B - r, B)
+    bound = steps.astype(np.uint64) + np.uint64(1)
+    draw = np.maximum(np.arange(r) - (B == r), 0)
+    outputs = range(1, max(1, (r - (B == r) + 1) // 2) + 1)
+    return steps, draw, bound, np.uint64(1 << 32) % bound, outputs
+
+
+def choice_sets(seed: int, js, B: int, r: int) -> np.ndarray:
+    """np.sort(person_rng(seed, j).choice(B, size=r, replace=False)) for
+    every j in js, as a (len(js), r) int64 array, in one array pass.
+
+    numpy draws r of B by Floyd's rule: for steps j = B - r ... B - 1 it
+    draws val in [0, j] (none when j = 0) and takes val unless an earlier
+    step took it, else j.  Here every person's generator is jumped to the
+    outputs the draws need (pcg_states), each output gives two uint32 (low
+    half first), and Lemire's rule maps each to [0, j].  A step repeats
+    when its val occurs at an earlier step, or when val is an earlier
+    step's j and that step repeated; the chain resolves to a fixpoint.
+    The rows come out sorted, so numpy's final shuffle does not matter.
+
+    A person whose draws hit a Lemire rejection takes its batches from the
+    scalar stream, and so does everyone when numpy would not run Floyd's
+    rule (B > 10000 and r > B // 50) or B exceeds 2^32.
+    """
+    js = np.asarray(js).reshape(-1)
+    words = seed_states(seed, js)
+    out = np.empty((len(words), r), dtype=np.int64)
+    fallback = range(len(words))
+    if not (B > 10000 and r > B // 50 or B > 1 << 32) and len(words):
+        steps, draw, bound, threshold, outputs = _floyd_plan(B, r)
+        outs = np.ascontiguousarray(_xsl_rr(*pcg_states(words, outputs)), dtype="<u8")
+        scaled = outs.view("<u4")[:, draw] * bound
+        vals = (scaled >> _U64_32).view(np.int64)
+        rejected = (scaled & _LOW32) < threshold
+        # a val occurs earlier when it sorts right after an equal val (the
+        # key orders equal vals by step)
+        row_at = np.arange(0, vals.size, r)[:, None]
+        val_order, step_order = np.divmod(np.sort(vals * r + np.arange(r), axis=1), r)
+        repeat = np.zeros(vals.size, dtype=bool)
+        repeat[step_order[:, 1:] + row_at] = val_order[:, 1:] == val_order[:, :-1]
+        # val is the j of earlier step val - (B - r), which wrote its j if it repeated
+        chained = np.flatnonzero((vals >= B - r) & (vals != steps))
+        source = vals.ravel()[chained] - (B - r) + chained // r * r
+        while True:
+            grown = repeat[source] & ~repeat[chained]
+            if not grown.any():
+                break
+            repeat[chained[grown]] = True
+        np.copyto(out, np.where(repeat.reshape(vals.shape), steps, vals))
+        out.sort(axis=1)
+        fallback = np.flatnonzero(rejected.any(axis=1)) if rejected.any() else ()
+    for i in fallback:
+        out[i] = np.sort(person_rng(seed, int(js[i])).choice(B, size=r, replace=False))
+    return out
 
 
 def person_streams(seed: int, js):
@@ -142,23 +291,26 @@ def person_streams(seed: int, js):
     the state of np.random.default_rng((seed, j)).
 
     Draw from each before taking the next: the next j resets the state.
-    Seeding is seed_states plus PCG64's two seeding steps (inc = 2 * initseq
-    + 1; state = (inc + initstate) * mult + inc), so the draws match
-    default_rng bit for bit without a SeedSequence per person.  A bad seed
-    or index raises at the call, before anything is yielded.
+    The states are seed_states and pcg_states' seeding step, with inc = 2 *
+    initseq + 1, so the draws match default_rng bit for bit without a
+    SeedSequence per person.  A bad seed or index raises at the call,
+    before anything is yielded.
     """
-    return _set_streams(seed_states(seed, js).tolist())
+    words = seed_states(seed, js)
+    hi, lo = pcg_states(words, (0,))
+    inc_hi = (words[:, 2] << np.uint64(1)) | (words[:, 3] >> np.uint64(63))
+    inc_lo = (words[:, 3] << np.uint64(1)) | np.uint64(1)
+    return _set_streams(hi[:, 0].tolist(), lo[:, 0].tolist(), inc_hi.tolist(), inc_lo.tolist())
 
 
-def _set_streams(states):
+def _set_streams(*limbs):
     bitgen = np.random.PCG64()
     gen = np.random.Generator(bitgen)
     pcg = {"state": 0, "inc": 0}
     full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in states:
-        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
-        pcg["state"] = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
-        pcg["inc"] = inc
+    for s_hi, s_lo, i_hi, i_lo in zip(*limbs):
+        pcg["state"] = (s_hi << 64) | s_lo
+        pcg["inc"] = (i_hi << 64) | i_lo
         bitgen.state = full
         yield gen
 

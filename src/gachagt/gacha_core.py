@@ -32,6 +32,7 @@ from functools import partial
 
 import numpy as np
 
+from .core_model import choice_sets
 from .gf2e import MAX_TABLE_WIDTH, FieldSpec, InsufficientEvaluations, field
 from .inner_code import (
     BinaryLinearCode,
@@ -273,24 +274,19 @@ def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
 # encoding
 # ---------------------------------------------------------------------------
 
-def person_rng(params: GachaParams, j: int) -> np.random.Generator:
-    return np.random.default_rng((params.matrix_seed, j))
-
-
 def column_words(params: GachaParams, js: np.ndarray):
     """(batches, words) for an int64 array js of persons in [0, n): the
     (len(js), r) sorted batches each person joins and the (len(js), r,
     blocks) uint64 block words written there.
 
-    Person j's batches come from its own person_rng stream, so each row is
-    deterministic in (matrix_seed, j) whatever else js holds.  One
-    poly_eval_many call evaluates every person's polynomial at b0 and at
-    its batches' points, and one encode_blocks call encodes every pair.
+    Person j's batches are the sorted choice of its own stream,
+    default_rng((matrix_seed, j)).choice(B, r, replace=False), so each row
+    is deterministic in (matrix_seed, j) whatever else js holds; one
+    choice_sets call draws them for every person.  One poly_eval_many call
+    evaluates every person's polynomial at b0 and at its batches' points,
+    and one encode_blocks call encodes every pair.
     """
-    batches = np.empty((len(js), params.r), dtype=np.int64)
-    for i, j in enumerate(js.tolist()):
-        batches[i] = person_rng(params, j).choice(params.B, size=params.r, replace=False)
-    batches.sort(axis=1)
+    batches = choice_sets(params.matrix_seed, js, params.B, params.r)
     points = np.concatenate([np.full((len(js), 1), params.b0), params.point(batches)], axis=1)
     fld = params.field
     evals = fld.poly_eval_many(fld.index_to_poly_many(js, params.d), points)
@@ -338,13 +334,29 @@ def blocks_to_bits(params: GachaParams, words: np.ndarray) -> np.ndarray:
 def bits_to_blocks(params: GachaParams, bits: np.ndarray, nrows: int = 1) -> np.ndarray:
     """Pack nrows copies' observed bit vectors, nrows * m bits, into an
     (nrows * B, blocks) uint64 array; bit c of a block word is test c of
-    that block."""
+    that block.
+
+    One flat packbits; then block i is an unaligned little-endian 8-byte
+    read at byte (ell * i) >> 3, shifted down by (ell * i) & 7 and ORed with
+    the next 8 bytes for the bits that spill past the first read, so one
+    path serves every ell <= 64.  Eight blocks span exactly ell bytes, so
+    block 8 g + k is read through a view with stride ell for each k.
+    """
     ell = params.inner.ell
-    packed = np.packbits(checked_bits(bits, params.m, nrows).reshape(-1, ell), axis=1,
-                         bitorder="little")
-    words = np.zeros((len(packed), 8), dtype=np.uint8)
-    words[:, :packed.shape[1]] = packed
-    return words.view("<u8").reshape(nrows * params.B, params.inner.blocks)
+    bits = checked_bits(bits, params.m, nrows)
+    count = bits.size // ell
+    groups = -(-count // 8)
+    packed = np.zeros(groups * ell + 16, dtype=np.uint8)
+    packed[:(bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
+    words = np.empty((groups, 8), dtype=np.uint64)
+    for k in range(8):
+        at, shift = divmod(ell * k, 8)
+        first, spill = (np.ndarray(groups, "<u8", packed, at + ahead, (ell,)) for ahead in (0, 8))
+        np.right_shift(first, shift, out=words[:, k])
+        if shift:
+            words[:, k] |= spill << (64 - shift)
+    words &= np.uint64((1 << ell) - 1)
+    return words.ravel()[:count].reshape(nrows * params.B, params.inner.blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
 decoder fault injector, for exercising the composition gadgets; the scalar
-decoders the stacked array decode is checked against; and the per-column
-Bernoulli design, COMP and ConfigMatrix check the dense ones replace."""
+decoders the stacked array decode is checked against; the row-wise
+bits_to_blocks; and the per-column Bernoulli design, COMP and ConfigMatrix
+check the dense ones replace."""
 
 import numpy as np
 
 from gachagt.gacha_core import bits_to_blocks, list_decode, recover_from_groups, synthesize_blocks
 from gachagt.gf2e import field
-from gachagt.scheme import SchemeHandle
+from gachagt.scheme import SchemeHandle, checked_bits
 
 _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
 
@@ -52,6 +53,17 @@ def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHand
         decode=decode,
         layers=inner.layers + (f"faults(eps={eps})",),
     )
+
+
+def bits_to_blocks_reference(params, bits, nrows: int = 1) -> np.ndarray:
+    """bits_to_blocks one ell-bit row at a time: packbits along rows, each
+    row's bytes zero-padded to 8 and read as one little-endian word."""
+    ell = params.inner.ell
+    packed = np.packbits(checked_bits(bits, params.m, nrows).reshape(-1, ell), axis=1,
+                         bitorder="little")
+    words = np.zeros((len(packed), 8), dtype=np.uint8)
+    words[:, :packed.shape[1]] = packed
+    return words.view("<u8").reshape(nrows * params.B, params.inner.blocks)
 
 
 def scalar_gacha_decode(params):

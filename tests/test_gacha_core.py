@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
-from gachagt.core_model import run_tests, sample_instance, score
+from gachagt.core_model import person_rng, run_tests, sample_instance, score
 from gachagt.gf2e import field
 from gachagt.inner_code import Occupancy, combination_unrank
 from gachagt.gacha_core import (
@@ -28,7 +28,6 @@ from gachagt.gacha_core import (
     recover_rows,
     whiten_keys,
     observed_blocks,
-    person_rng,
     synthesize_blocks,
 )
 
@@ -392,7 +391,7 @@ def reference_symbols(p, words):
 def reference_words(p, j):
     """[(batch, block words)] of person j through the scalar encoders."""
     inner = p.inner
-    rng = person_rng(p, j)
+    rng = person_rng(p.matrix_seed, j)
     batches = np.sort(rng.choice(p.B, size=p.r, replace=False)).tolist()
     g = p.field.index_to_poly(j, p.d)
     hi = p.field.poly_eval(g, p.b0)
