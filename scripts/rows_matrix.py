@@ -34,6 +34,10 @@ SCHEMES = {
                      "rho=3\nR=8\ntau_depth=3\nouter_w=8\nB=24\n"),
     "gadgets-sigma3-pi2": ("scheme=gacha+gadgets\nn=100000\nk=8\ntrials=2\nmaster_seed=5\n"
                            "rho=4\nR=8\nsigma=3\npi=2\nouter_w=8\nB=24\n"),
+    # every gadget kind under another: expander over expander, vote over
+    # expander, parallel over vote
+    "gadgets-tau3-sigma3-pi2": ("scheme=gacha+gadgets\nn=100000\nk=4\ntrials=2\nmaster_seed=5\n"
+                                "rho=3\nR=8\ntau_depth=3\nsigma=3\npi=2\nouter_w=8\nB=24\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
     # the bench's comp shape, m from its default

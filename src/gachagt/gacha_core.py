@@ -513,10 +513,8 @@ def gacha_scheme(params: GachaParams) -> SchemeHandle:
         n=params.n,
         k_design=params.k_cap,
         m=params.m,
-        column=lambda j: build_column(params, j),
         observe=lambda js, rows, nrows: blocks_to_bits(
             params, observed_blocks(params, js, rows, nrows)),
-        decode=lambda bits: decode_rows(params, bits, 1)[0],
         decode_rows=partial(decode_rows, params),
         layers=("gacha",),
     )

@@ -16,13 +16,13 @@ optional parallel layer outermost.
 A gadget encodes through its inner handle's stacked observe: it maps each
 (person, copy) of a call to the inner persons and copies it stands for and
 makes one inner call, so a whole pyramid reaches the base in one call.  It
-decodes through one call of its inner handle's stacked decode, decode_rows,
-over all its copies.
+decodes a stack of copies the same way: its decode_rows makes one call of its
+inner handle's decode_rows over every inner copy they stand for, so a whole
+pyramid reaches the base in one decode call too.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,11 +82,12 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         c, i = np.divmod(perm[js], inner.n)
         return inner.observe(i, rows * pi + c, nrows * pi)
 
-    def decode(bits):
-        out = set()
-        for c, found in enumerate(inner.decode_rows(checked_bits(bits, pi * inner.m), pi)):
-            for i in found:
-                out.add(int(inv[c * inner.n + i]))
+    def decode_rows(bits, nrows):
+        out = [set() for _ in range(nrows)]
+        found = inner.decode_rows(checked_bits(bits, pi * inner.m, nrows), nrows * pi)
+        for g, s in enumerate(found):
+            row, c = divmod(g, pi)
+            out[row].update(int(inv[c * inner.n + i]) for i in s)
         return out
 
     return SchemeHandle(
@@ -94,7 +95,7 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         k_design=pi * inner.k_design // 2,
         m=pi * inner.m,
         observe=observe,
-        decode=decode,
+        decode_rows=decode_rows,
         layers=inner.layers + (f"parallel(pi={pi})",),
     )
 
@@ -120,17 +121,19 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
                              (rows[:, None] * sigma + np.arange(sigma)).ravel(),
                              nrows * sigma)
 
-    def decode(bits):
-        found = inner.decode_rows(checked_bits(bits, sigma * inner.m), sigma)
-        return majority_vote([{int(inv[i]) for i in s} for inv, s in zip(invs, found)],
-                             threshold)
+    def decode_rows(bits, nrows):
+        found = inner.decode_rows(checked_bits(bits, sigma * inner.m, nrows), nrows * sigma)
+        return [majority_vote([{int(inv[i]) for i in s}
+                               for inv, s in zip(invs, found[r * sigma:(r + 1) * sigma])],
+                              threshold)
+                for r in range(nrows)]
 
     return SchemeHandle(
         n=inner.n,
         k_design=inner.k_design,
         m=sigma * inner.m,
         observe=observe,
-        decode=decode,
+        decode_rows=decode_rows,
         layers=inner.layers + (f"serial(sigma={sigma})",),
     )
 
@@ -143,7 +146,7 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
     ceil(rho/2) over GF(2^outer_w); in copy r she impersonates the inner index
     pairing (g(0), g(r+1)).  Decoding maps per-copy indices back to pairs,
     keeps the first pair per (birthday, copy), and regroups them through the
-    core decoder's recover_rows, with copy r as slot r.
+    core decoder's recover_rows, with copy r of row t as slot r of row t.
     """
     if not 1 < rho < R:
         raise ValueError(f"need 1 < rho < R, got rho={rho}, R={R}")
@@ -171,63 +174,41 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         pairs = (evals[:, :1] << outer_w) | evals[:, 1:]
         return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
-    def decode(bits):
-        fragments = []  # (copy, birthday, fragment) in arrival order
+    def decode_rows(bits, nrows):
+        fragments = []  # (row, copy, birthday, fragment) in arrival order
         seen = set()
-        for r, found in enumerate(inner.decode_rows(checked_bits(bits, R * inner.m), R)):
-            for v in found:
+        found = inner.decode_rows(checked_bits(bits, R * inner.m, nrows), nrows * R)
+        for c, vs in enumerate(found):
+            for v in vs:
                 if v >= (1 << (2 * outer_w)):
                     continue  # inner false positive outside the pair range
                 hi, lo = v >> outer_w, v & mask
-                if (hi, r) in seen:
+                if (hi, c) in seen:
                     continue  # conflicting duplicate for the same copy
-                seen.add((hi, r))
-                fragments.append((r, hi, lo))
-        copy, hi, lo = np.array(fragments, dtype=np.int64).reshape(-1, 3).T
-        return recover_rows(fld, d_out, 0, (np.zeros_like(copy), copy, hi, lo),
-                            lambda r: r + 1, n_out, 1)[0]
+                seen.add((hi, c))
+                fragments.append((*divmod(c, R), hi, lo))
+        fragments = np.array(fragments, dtype=np.int64).reshape(-1, 4).T
+        return recover_rows(fld, d_out, 0, fragments, lambda r: r + 1, n_out, nrows)
 
     return SchemeHandle(
         n=n_out,
         k_design=k_out,
         m=R * inner.m,
         observe=observe,
-        decode=decode,
+        decode_rows=decode_rows,
         layers=inner.layers + (f"expander(rho={rho},R={R},w={outer_w})",),
     )
 
 
-def default_layer_rho(nu: float, layers_left: int) -> int:
-    """rho ~ nu^(1/layers_left), floored at 3."""
-    return max(3, round(nu ** (1.0 / layers_left)))
-
-
-def pyramid_build(base: SchemeHandle, tau_depth: int, sigma: int = 1, pi: int = 1,
-                  seed: int = 0, rho_schedule=None, R_schedule=None,
-                  outer_w_schedule=None) -> SchemeHandle:
-    """(tau_depth - 1) expander layers over the base, then a vote layer when
-    sigma > 1, then a parallel layer when pi > 1.
-
-    Schedules default per layer to rho = max(3, round(nu^(1/(tau-i)))) with nu
-    the current population's log2, R = 4 rho, and the widest outer field the
-    pair-injectivity precondition allows.
-    """
+def pyramid_build(base: SchemeHandle, tau_depth: int, rho: int, R: int, outer_w: int,
+                  sigma: int = 1, pi: int = 1, seed: int = 0) -> SchemeHandle:
+    """(tau_depth - 1) expander layers over the base, each with the same rho,
+    R and outer_w, then a vote layer when sigma > 1, then a parallel layer
+    when pi > 1."""
     if tau_depth < 2:
         raise ValueError(f"need tau_depth >= 2, got {tau_depth}")
     handle = base
-    n_layers = tau_depth - 1
-    for i in range(n_layers):
-        nu = math.log2(handle.n)
-        rho = rho_schedule[i] if rho_schedule else default_layer_rho(nu, n_layers - i)
-        R = R_schedule[i] if R_schedule else 4 * rho
-        if outer_w_schedule:
-            outer_w = outer_w_schedule[i]
-        else:
-            outer_w = int(nu // 2)
-            need = math.ceil(math.log2(R + 1))
-            outer_w = max(min(outer_w, 32), 2)
-            if outer_w < need:
-                outer_w = need
+    for i in range(tau_depth - 1):
         try:
             handle = expander_build(handle, rho=rho, R=R, outer_w=outer_w,
                                     seed=(seed * 1000003 + i))

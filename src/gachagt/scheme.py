@@ -31,16 +31,6 @@ def stacked_args(js, rows, nrows: int, n: int):
     return js, rows
 
 
-def observe_columns(column, n: int, m: int, js, rows, nrows: int) -> np.ndarray:
-    """The stacked observe of a scheme given by its column: OR the columns
-    in one by one."""
-    js, rows = stacked_args(js, rows, nrows, n)
-    y = np.zeros(nrows * m, dtype=np.uint8)
-    for j, row in zip(js.tolist(), rows.tolist()):
-        y[np.asarray(column(j), dtype=np.int64) + row * m] = 1
-    return y
-
-
 def column_from_observe(observe, j: int) -> np.ndarray:
     """The column of a scheme given by its stacked observe."""
     return np.flatnonzero(observe([j], [0], 1))
@@ -56,13 +46,6 @@ def observe_design(design: np.ndarray, js, rows, nrows: int) -> np.ndarray:
     return y.view(np.uint8).reshape(-1)
 
 
-def design_column(design: np.ndarray, j: int) -> np.ndarray:
-    """The column of a scheme given by its (n, m) bool design."""
-    if not 0 <= j < len(design):
-        raise ValueError(f"person index {j} out of range")
-    return np.flatnonzero(design[j])
-
-
 def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
     """bits as a uint8 array, checked to hold nrows copies of m tests."""
     bits = np.asarray(bits, dtype=np.uint8)
@@ -73,46 +56,47 @@ def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
 
 
 def decode_copies(decode, m: int, bits, nrows: int) -> list:
-    """The stacked decode of a scheme given by its decode: one copy at a time."""
+    """A stacked decode from a decode of one copy: one copy at a time."""
     bits = checked_bits(bits, m, nrows)
     return [decode(bits[r * m:(r + 1) * m]) for r in range(nrows)]
 
 
+def decode_from_rows(decode_rows, bits) -> set:
+    """The decode of one copy, through a scheme's stacked decode."""
+    return decode_rows(bits, 1)[0]
+
+
 @dataclass
 class SchemeHandle:
-    """A scheme, given by its column, its stacked observe, or both.
+    """A scheme, given by its stacked observe and its stacked decode.
 
     observe(js, rows, nrows) is the stacked encoder: the OR of the columns of
     persons js[i] as nrows * m uint8 bits, each placed in copy rows[i] (bits
-    rows[i] * m onwards); an index outside [0, n) raises ValueError.  Given
-    only a column, a handle ORs its columns one by one; given only an
-    observe, its column is flatnonzero(observe([j], [0], 1)).
+    rows[i] * m onwards); an index outside [0, n) raises ValueError.
 
     decode_rows(bits, nrows) is the stacked decoder: nrows * m bits in, the
-    decoded set of each copy out; by default it decodes copy by copy.  A
-    wrong length raises ValueError.
+    decoded set of each copy out; a wrong length raises ValueError.
+
+    column(j) = flatnonzero(observe([j], [0], 1)) and decode(bits) =
+    decode_rows(bits, 1)[0] are derived from them.
     """
 
     n: int
     k_design: int
     m: int
-    decode: "callable"          # np.ndarray of observed bits (uint8) -> set of indices
-    column: "callable" = None   # person index -> sorted np.ndarray of test indices
-    observe: "callable" = None  # (js, rows, nrows) -> nrows * m observed bits
-    decode_rows: "callable" = None  # (bits, nrows) -> [set of indices] per copy
+    observe: "callable"         # (js, rows, nrows) -> nrows * m observed bits
+    decode_rows: "callable"     # (bits, nrows) -> [set of indices] per copy
     layers: tuple = ()          # composition labels, outermost last
+    column: "callable" = None   # derived: person index -> sorted np.ndarray of test indices
+    decode: "callable" = None   # derived: observed bits of one copy -> set of indices
 
     def __post_init__(self):
         # partials rather than bound methods: a field holding a bound method
         # would make a reference cycle and keep dead handles for the collector
-        if self.column is None and self.observe is None:
-            raise ValueError("a scheme needs a column or an observe")
-        if self.observe is None:
-            self.observe = partial(observe_columns, self.column, self.n, self.m)
         if self.column is None:
             self.column = partial(column_from_observe, self.observe)
-        if self.decode_rows is None:
-            self.decode_rows = partial(decode_copies, self.decode, self.m)
+        if self.decode is None:
+            self.decode = partial(decode_from_rows, self.decode_rows)
 
     def build(self) -> ConfigMatrix:
         """Materialize every column (intended for small n: oracles, baselines)."""

@@ -28,7 +28,7 @@ from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
 from .gadgets import GadgetParams, pyramid_build
-from .scheme import SchemeHandle, design_column, observe_design
+from .scheme import SchemeHandle, decode_copies, observe_design
 
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
@@ -179,14 +179,10 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
         base = gacha_scheme(gacha_params_for(config, matrix_seed))
         if config.scheme == "gacha":
             return base
-        outer_w = base_gacha_config(config).outer_w
-        n_layers = config.tau_depth - 1
         handle = pyramid_build(
-            base, config.tau_depth, sigma=config.sigma, pi=config.pi,
-            seed=gadget_seed,
-            rho_schedule=[config.rho] * n_layers,
-            R_schedule=[config.R] * n_layers,
-            outer_w_schedule=[outer_w] * n_layers,
+            base, config.tau_depth, rho=config.rho, R=config.R,
+            outer_w=base_gacha_config(config).outer_w,
+            sigma=config.sigma, pi=config.pi, seed=gadget_seed,
         )
         if config.n > handle.n:
             raise ValueError(
@@ -233,9 +229,8 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
 
     return SchemeHandle(
         n=config.n, k_design=config.k, m=design.shape[1],
-        column=partial(design_column, design),
         observe=partial(observe_design, design),
-        decode=decode,
+        decode_rows=partial(decode_copies, decode, design.shape[1]),
         layers=(config.scheme,),
     )
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from gachagt.gacha_core import bits_to_blocks, list_decode, recover_from_groups, synthesize_blocks
 from gachagt.gf2e import field
-from gachagt.scheme import SchemeHandle, checked_bits
+from gachagt.scheme import SchemeHandle, checked_bits, stacked_args
 
 _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
 
@@ -16,41 +16,45 @@ _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
 def identity_scheme(n: int) -> SchemeHandle:
     """m = n, person j joins exactly test j; decoding reads the bits off."""
 
-    def column(j):
-        if not 0 <= j < n:
-            raise ValueError(f"person index {j} out of range")
-        return np.array([j], dtype=np.int64)
+    def observe(js, rows, nrows):
+        js, rows = stacked_args(js, rows, nrows, n)
+        y = np.zeros(nrows * n, dtype=np.uint8)
+        y[rows * n + js] = 1
+        return y
 
-    def decode(bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        return {int(j) for j in np.flatnonzero(bits)}
+    def decode_rows(bits, nrows):
+        bits = checked_bits(bits, n, nrows).reshape(nrows, n)
+        return [{int(j) for j in np.flatnonzero(row)} for row in bits]
 
-    return SchemeHandle(n=n, k_design=n, m=n, column=column, decode=decode,
+    return SchemeHandle(n=n, k_design=n, m=n, observe=observe, decode_rows=decode_rows,
                         layers=("identity",))
 
 
 def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHandle:
-    """Wrap decode: drop each found index with probability eps and, with
-    probability eps, inject one uniformly random index.  The wrapper keeps its
-    own rng, so successive decodes draw a deterministic fault stream."""
+    """Wrap the decode: in each copy, drop each found index with probability
+    eps and, with probability eps, inject one uniformly random index.  The
+    wrapper keeps its own rng, so successive decodes draw a deterministic
+    fault stream, copy by copy."""
     rng = np.random.default_rng((seed, _FAULTS_TAG))
 
-    def decode(bits):
+    def faulty(found):
         out = set()
-        for j in inner.decode(bits):
+        for j in found:
             if rng.random() >= eps:
                 out.add(j)
         if rng.random() < eps:
             out.add(int(rng.integers(0, inner.n)))
         return out
 
+    def decode_rows(bits, nrows):
+        return [faulty(found) for found in inner.decode_rows(bits, nrows)]
+
     return SchemeHandle(
         n=inner.n,
         k_design=inner.k_design,
         m=inner.m,
-        column=inner.column,
         observe=inner.observe,
-        decode=decode,
+        decode_rows=decode_rows,
         layers=inner.layers + (f"faults(eps={eps})",),
     )
 

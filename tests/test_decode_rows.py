@@ -1,6 +1,7 @@
 """The stacked decode through the gadgets: the expander's regroup against
-its per-copy loop, the one inner call a gadget decode makes, length checks
-that name each handle's own m, and a total decoder on the bench configs."""
+its per-copy loop, the one base call a gadget or a whole pyramid decode
+makes, length checks that name each handle's own m, and a total decoder on
+the bench configs."""
 
 import sys
 from dataclasses import replace
@@ -15,7 +16,7 @@ import gachagt.gacha_core as gacha_core
 from gachagt import sim_cli
 from gachagt.channels import bsc
 from gachagt.gacha_core import default_params, gacha_scheme
-from gachagt.gadgets import expander_build, parallel_build, serial_build
+from gachagt.gadgets import expander_build, parallel_build, pyramid_build, serial_build
 from scaffolding import expander_decode_reference, identity_scheme, scalar_gacha_decode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -107,16 +108,42 @@ def test_expander_decodes_all_copies_in_one_inner_call(monkeypatch):
     assert calls == {"decode_rows": 1, "bits_to_blocks": 1, "synthesize_blocks": 0}
 
 
+def test_pyramid_decodes_all_copies_in_one_base_call():
+    # tau_depth 3, sigma 3, pi 2: two expander layers, a vote layer and a
+    # parallel layer, 8 * 8 * 3 * 2 = 384 base copies in one decode
+    base = gacha_scheme(default_params(1 << 16, 4, matrix_seed=3, B=24))
+    calls = []
+
+    def counted(bits, nrows):
+        calls.append(nrows)
+        return base.decode_rows(bits, nrows)
+
+    h = pyramid_build(replace(base, decode_rows=counted), 3, rho=3, R=8, outer_w=8,
+                      sigma=3, pi=2, seed=5)
+    sick = {2, 40000, 70001, 131000}
+    assert h.decode(h.observed_bits(sick)) == sick
+    assert calls == [384]
+
+
 def gadget_handles():
     base = gacha_scheme(default_params(1 << 16, 4, matrix_seed=3, B=24))
     return {
         "expander": expander_build(base, rho=4, R=8, outer_w=8, seed=1),
         "serial": serial_build(base, 3, seed=1),
         "parallel": parallel_build(base, 2, seed=1),
+        "expander-expander": expander_build(expander_build(base, rho=4, R=8, outer_w=8, seed=1),
+                                            rho=4, R=8, outer_w=8, seed=2),
+        "serial-expander": serial_build(expander_build(base, rho=4, R=8, outer_w=8, seed=1),
+                                        3, seed=2),
+        "parallel-serial": parallel_build(serial_build(base, 3, seed=1), 2, seed=2),
     }
 
 
-@pytest.mark.parametrize("name", ["expander", "serial", "parallel"])
+GADGETS = ["expander", "serial", "parallel", "expander-expander", "serial-expander",
+           "parallel-serial"]
+
+
+@pytest.mark.parametrize("name", GADGETS)
 def test_gadget_decode_checks_its_own_length(name):
     h = gadget_handles()[name]
     for length in (h.m + 7, h.m - 3, 0):
@@ -124,12 +151,13 @@ def test_gadget_decode_checks_its_own_length(name):
             h.decode(np.zeros(length, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("name", ["expander", "serial", "parallel"])
+@pytest.mark.parametrize("name", GADGETS)
 def test_gadget_decode_rows_is_decode_per_copy(name):
     h = gadget_handles()[name]
     rng = np.random.default_rng(7)
     ys = [h.observed_bits(set(rng.choice(h.n, size=3, replace=False).tolist())) for _ in range(2)]
-    assert h.decode_rows(np.concatenate(ys), 2) == [h.decode(y) for y in ys]
+    ys.append(ys[0])  # the same birthdays in two copies
+    assert h.decode_rows(np.concatenate(ys), 3) == [h.decode(y) for y in ys]
     with pytest.raises(ValueError, match=rf"!= 2 copies of m = {h.m}$"):
         h.decode_rows(np.zeros(2 * h.m + 1, dtype=np.uint8), 2)
 

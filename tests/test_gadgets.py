@@ -220,13 +220,10 @@ def test_expander_matches_oracle_on_tiny_composite():
 
 def test_pyramid_structure_and_layer_count():
     base = identity_scheme(1 << 16)
-    h = pyramid_build(base, tau_depth=3, sigma=3, pi=2, seed=1,
-                      rho_schedule=[3, 3], R_schedule=[8, 8],
-                      outer_w_schedule=[8, 8])
+    h = pyramid_build(base, tau_depth=3, rho=3, R=8, outer_w=8, sigma=3, pi=2, seed=1)
     kinds = [name.split("(")[0] for name in h.layers]
     assert kinds == ["identity", "expander", "expander", "serial", "parallel"]
-    h2 = pyramid_build(base, tau_depth=2, sigma=1, pi=1, seed=1,
-                       rho_schedule=[3], R_schedule=[8], outer_w_schedule=[8])
+    h2 = pyramid_build(base, tau_depth=2, rho=3, R=8, outer_w=8, sigma=1, pi=1, seed=1)
     kinds2 = [name.split("(")[0] for name in h2.layers]
     assert kinds2 == ["identity", "expander"]
 
@@ -234,13 +231,13 @@ def test_pyramid_structure_and_layer_count():
 def test_pyramid_reports_failing_layer():
     base = identity_scheme(256)
     with pytest.raises(ValueError, match="expander layer 0"):
-        pyramid_build(base, tau_depth=2, seed=0,
-                      rho_schedule=[5], R_schedule=[4], outer_w_schedule=[4])
+        pyramid_build(base, tau_depth=2, rho=5, R=4, outer_w=4, seed=0)
 
 
 def test_pyramid_default_schedule_runs():
     base = identity_scheme(1 << 16)
-    h = pyramid_build(base, tau_depth=2, seed=2)
+    # rho = log2 n, R = 4 rho and outer_w = (log2 n) / 2 over 2^16 persons
+    h = pyramid_build(base, tau_depth=2, rho=16, R=64, outer_w=8, seed=2)
     assert h.n >= 1 << 16
     j = 12345
     assert h.decode(h.observed_bits({j})) == {j}

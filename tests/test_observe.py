@@ -172,8 +172,7 @@ def test_observe_edge_cases(name):
 def test_pyramid_build_stacks_through_observe():
     # the pyramid's own seeding, checked against its materialized matrix
     base = identity_scheme(256)
-    handle = pyramid_build(base, 3, sigma=3, pi=2, seed=4, rho_schedule=[3, 3],
-                           R_schedule=[4, 4], outer_w_schedule=[4, 4])
+    handle = pyramid_build(base, 3, rho=3, R=4, outer_w=4, sigma=3, pi=2, seed=4)
     matrix = handle.build()
     sick = frozenset({0, 7, 300, 511})
     inst = ProblemInstance(n=handle.n, k=4, sick_set=sick)
@@ -182,15 +181,16 @@ def test_pyramid_build_stacks_through_observe():
 
 
 def test_handles_are_freed_without_the_cycle_collector():
-    # a default observe or column that held its own handle would make a
-    # reference cycle, and every trial's handle (a whole COMP design) would
-    # wait for the collector
+    # column and decode are derived from observe and decode_rows; a derived
+    # one that held its own handle would make a reference cycle, and every
+    # trial's handle (a whole COMP design) would wait for the collector
     gc.disable()
     try:
-        for build in (lambda: identity_scheme(8),  # a column: the default observe
-                      lambda: serial_build(identity_scheme(8), 3)):  # an observe: the default column
+        for build in (lambda: identity_scheme(8),
+                      lambda: serial_build(identity_scheme(8), 3)):
             handle = build()
-            handle.observed_bits({0}), handle.column(1)
+            assert handle.decode(handle.observed_bits({0})) == {0}
+            handle.column(1)
             alive = weakref.ref(handle)
             del handle
             assert alive() is None
