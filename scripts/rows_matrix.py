@@ -48,6 +48,11 @@ SCHEMES = {
     # rather than by Floyd's rule, and a person in every batch (r = B)
     "gacha-tail": "scheme=gacha\nn=4096\nk=4\ntrials=4\nmaster_seed=5\nB=10240\nr=205\n",
     "gacha-allbatches": "scheme=gacha\nn=4096\nk=1\ntrials=8\nmaster_seed=5\nB=24\nr=24\n",
+    # the bench's noisy shape, whose linear inner code is (32, 16)
+    "gacha-noisy-bench": ("scheme=gacha\nn=65536\nk=8\ntrials=2\nmaster_seed=5\n"
+                          "w=16\nd=2\nr=18\nB=384\ncode_seed=7\n"),
+    # w = 10 by default, so the linear inner code is (40, 20): a dim-20 table
+    "gacha-n600": "scheme=gacha\nn=600\nk=2\ntrials=8\nmaster_seed=5\n",
 }
 CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
 

@@ -59,15 +59,23 @@ class DiscreteChannel:
         return len(mu) - 1
 
     def transmit_many(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        bits = np.asarray(bits, dtype=np.uint8)
+        """transmit on every bit of a 0/1 array, from one rng.random draw.
+
+        A symbol is the count of the first q - 1 entries of its bit's cdf at
+        or below the uniform draw u.  The cdf is monotone, so the count is
+        searchsorted(cdf, u, side="right") clipped to q - 1: even when the
+        float sum ends below 1.0, every draw maps to a symbol.  Raises
+        ValueError on a bit outside {0, 1}, as transmit does.
+        """
+        bits = np.asarray(bits)
+        if ((bits != 0) & (bits != 1)).any():
+            raise ValueError("input bits must be 0 or 1")
         u = rng.random(bits.shape[0])
-        out = np.empty(bits.shape[0], dtype=np.int64)
-        cdf0 = np.cumsum(self.mu0)
-        cdf1 = np.cumsum(self.mu1)
-        ones = bits.astype(bool)
-        out[~ones] = np.searchsorted(cdf0, u[~ones], side="right")
-        out[ones] = np.searchsorted(cdf1, u[ones], side="right")
-        np.clip(out, 0, self.q - 1, out=out)
+        cdf = np.cumsum((self.mu0, self.mu1), axis=1)
+        bits = bits.astype(np.uint8)
+        out = np.zeros(bits.shape[0], dtype=np.int64)
+        for i in range(self.q - 1):
+            out += cdf[:, i].take(bits) <= u
         return out
 
 

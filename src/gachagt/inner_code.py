@@ -8,11 +8,13 @@ Two interchangeable inner layers:
   weights separate empty / one writer / several writers.
 
 * BinaryLinearCode: a seeded random systematic linear code with
-  nearest-codeword decoding by a coset-leader (syndrome) table, falling back
-  to an exhaustive codebook search for cosets whose minimum-weight leader is
-  not unique; paired with a WeightClassifier whose thresholds separate the
-  empty string, one codeword, and the OR of two codewords by observed weight
-  under a known BSC crossover.
+  nearest-codeword decoding by a coset-leader (syndrome) table that holds
+  every minimum-weight leader of every coset, so a tie resolves to the
+  smallest payload without a search; codes with more syndromes than
+  codewords (ell > 2 dim) search the codebook exhaustively instead.  Paired
+  with a WeightClassifier whose thresholds separate the empty string, one
+  codeword, and the OR of two codewords by observed weight under a known
+  BSC crossover.
 
 Bit strings are plain ints (bit i = position i) for the scalar methods,
 which stay as the reference; the bulk methods (encode_many, classify_many,
@@ -219,10 +221,11 @@ class ConstantWeightCode:
 # ---------------------------------------------------------------------------
 
 MAX_ENUMERABLE_DIM = 20
+TIE_CHUNK = 1 << 16  # error patterns the tie enumeration weighs at once
 
 
 def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
-    """(tied, leader_lo) over the 2^(ell - dim) syndromes of a systematic code.
+    """(tied, start, leaders) over the 2^(ell - dim) syndromes of a systematic code.
 
     An error pattern e = e_lo | e_hi << dim has syndrome e_hi ^ P(e_lo), where
     P(x) = codebook[x] >> dim is the parity of payload x.  The table is a
@@ -237,6 +240,11 @@ def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
     Each entry packs f << (dim + 1) | tied << dim | leader_lo into a uint32
     (dim <= 20 and f <= ell + 2 <= 66), so one np.minimum takes the lighter
     side of a pair together with its flag and leader.
+
+    leaders[start[s]:start[s + 1]] are the low (payload) parts of all of
+    coset s's minimum-weight leaders, ascending: an untied coset's one comes
+    from the transform, a tied coset's from _tied_leaders.  Distinct patterns
+    of one coset have distinct low parts, so the low parts name the leaders.
     """
     r = ell - dim
     tie, one = np.uint32(1 << dim), np.uint32(2 << dim)
@@ -257,10 +265,48 @@ def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
         new1 |= ((k1 ^ via1) < one) * tie
         k0[...], k1[...] = new0, new1
     tied = (table & tie) != 0
-    leader_lo = table & np.uint32((1 << dim) - 1)
-    tied.setflags(write=False)
-    leader_lo.setflags(write=False)
-    return tied, leader_lo
+    untied = np.flatnonzero(~tied)
+    keys = untied << dim | table[untied] & ((1 << dim) - 1)  # s << dim | leader_lo
+    if tied.any():
+        keys = np.concatenate((keys, _tied_leaders(parity, table >> np.uint32(dim + 1), tied, dim)))
+    keys.sort()  # by syndrome, then low part
+    leaders = keys.astype(np.uint16 if dim <= 16 else np.uint32)
+    leaders &= (1 << dim) - 1
+    keys >>= dim
+    start = np.zeros((1 << r) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=1 << r), out=start[1:])
+    for a in (tied, start, leaders):
+        a.setflags(write=False)
+    return tied, start, leaders
+
+
+def _tied_leaders(parity: np.ndarray, f: np.ndarray, tied: np.ndarray, dim: int) -> np.ndarray:
+    """s << dim | x for every minimum-weight leader x | h << dim of every tied
+    coset s, unordered.
+
+    Enumerates the patterns with wt(x) = a and wt(h) = b block by block, for
+    every a + b that some tied coset weighs, in chunks of about TIE_CHUNK
+    patterns, and keeps those whose syndrome s = P(x) ^ h is tied with
+    f[s] = a + b.
+    """
+    r = len(f).bit_length() - 1
+    goals = {int(t): tied & (f == t) for t in np.flatnonzero(np.bincount(f[tied]))}
+    heaviest = max(goals)
+    low_weight = np.bitwise_count(np.arange(1 << dim, dtype=np.uint32))
+    high_weight = np.bitwise_count(np.arange(1 << r, dtype=np.uint32))
+    found = []
+    for a in range(min(dim, heaviest) + 1):
+        xs = np.flatnonzero(low_weight == a)
+        for b in range(min(r, heaviest - a) + 1):
+            if a + b not in goals:
+                continue
+            hs = np.flatnonzero(high_weight == b)
+            rows = max(1, TIE_CHUNK // len(hs))
+            for i in range(0, len(xs), rows):
+                s = parity[xs[i:i + rows], None] ^ hs
+                at = np.flatnonzero(goals[a + b][s])
+                found.append(s.ravel()[at] << dim | xs[i + at // len(hs)])
+    return np.concatenate(found)
 
 
 @dataclass(frozen=True)
@@ -273,10 +319,12 @@ class BinaryLinearCode:
     When the 2^(ell - dim) syndromes are no more than the 2^dim codewords
     (ell <= 2 dim), construction also builds the standard array's coset-leader
     table (MacWilliams & Sloane, ch. 1): for every syndrome, whether its
-    minimum-weight error pattern is unique and, if so, that pattern's payload
-    part.  decode_many then reads a received word's payload off the table and
-    runs the exhaustive search only on words whose coset has tied leaders,
-    which keeps the smallest-payload tie rule exact.
+    minimum-weight error pattern is unique, and the payload parts of all of
+    its minimum-weight patterns.  decode_many then decodes a
+    received word to the smallest lo(y) ^ lo(e) over its coset's leaders e,
+    which is the nearest codeword with the smallest payload, exactly as the
+    exhaustive search picks it.  Only codes without a table (ell > 2 dim)
+    run that search.
     """
 
     ell: int
@@ -320,7 +368,7 @@ class BinaryLinearCode:
         return int(np.argmin(d))
 
     def decode_many(self, observed: np.ndarray) -> np.ndarray:
-        """Vectorized decode of a uint64 array of observed strings.
+        """Vectorized decode of a 1-D uint64 array of observed strings.
 
         Equal to decode on every string, and like it raises ValueError on a
         string with a bit at or above ell.
@@ -330,14 +378,16 @@ class BinaryLinearCode:
             raise ValueError("observed string longer than ell")
         if self.coset_table is None:
             return self._nearest(observed)
-        tie_table, leader_lo = self.coset_table
+        _, start, leaders = self.coset_table
         lo = observed & np.uint64((1 << self.dim) - 1)
         syndrome = (observed ^ self.codebook[lo]) >> np.uint64(self.dim)
-        out = (lo ^ leader_lo[syndrome]).astype(np.int64)
-        tied = tie_table[syndrome]
-        if tied.any():
-            out[tied] = self._nearest(observed[tied])
-        return out
+        first = start[syndrome]
+        counts = start[syndrome + np.uint64(1)] - first
+        # the nearest codewords are y ^ e over the coset's leaders e; a tie
+        # goes to the smallest payload, lo(y) ^ lo(e), like decode's
+        offsets = np.cumsum(counts) - counts
+        at = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+        return np.minimum.reduceat(np.repeat(lo, counts) ^ leaders[at], offsets).astype(np.int64)
 
     def _nearest(self, observed: np.ndarray) -> np.ndarray:
         """Exhaustive nearest-codeword search, ties to the smallest payload."""

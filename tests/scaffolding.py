@@ -1,8 +1,8 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
 decoder fault injector, for exercising the composition gadgets; the scalar
 decoders the stacked array decode is checked against; the row-wise
-bits_to_blocks; and the per-column Bernoulli design, COMP and ConfigMatrix
-check the dense ones replace."""
+bits_to_blocks; the per-column Bernoulli design, COMP and ConfigMatrix
+check the dense ones replace; and the masked-searchsorted channel draw."""
 
 import numpy as np
 
@@ -129,3 +129,18 @@ def config_matrix_valid_reference(m: int, columns) -> bool:
             return False
     return True
 
+
+def transmit_many_reference(channel, bits, rng) -> np.ndarray:
+    """DiscreteChannel.transmit_many by two masked searchsorted calls: one
+    rng.random draw, each bit's symbols searched in its own cdf, clipped to
+    q - 1 for a draw at or past a cdf whose float sum ends below 1.0."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    u = rng.random(bits.shape[0])
+    out = np.empty(bits.shape[0], dtype=np.int64)
+    cdf0 = np.cumsum(channel.mu0)
+    cdf1 = np.cumsum(channel.mu1)
+    ones = bits.astype(bool)
+    out[~ones] = np.searchsorted(cdf0, u[~ones], side="right")
+    out[ones] = np.searchsorted(cdf1, u[ones], side="right")
+    np.clip(out, 0, channel.q - 1, out=out)
+    return out

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gachagt.channels import (
     DiscreteChannel,
@@ -19,6 +21,7 @@ from gachagt.channels import (
     split_channel_spec,
     _error_rates,
 )
+from scaffolding import transmit_many_reference
 
 
 def test_bsc_zero_is_identity():
@@ -82,6 +85,82 @@ def test_transmit_many_matches_scalar_distribution():
     assert abs(counts[1] - 0.4) < 0.01
     assert abs(counts[2] - 0.6) < 0.01
     assert counts[0] == 0
+
+
+@st.composite
+def channels(draw):
+    """A q-ary channel, 2 <= q <= 6, with zero-mass symbols allowed; each
+    distribution is normalised and may be scaled down by up to 5e-13, so its
+    float sum can end below 1.0."""
+    q = draw(st.integers(2, 6))
+
+    def mu():
+        weights = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q)
+                       .filter(lambda w: sum(w) > 0))
+        scale = 1 - draw(st.sampled_from([0.0, 1e-16, 2e-13, 5e-13]))
+        return tuple(w / sum(weights) * scale for w in weights)
+
+    mu0, mu1 = mu(), mu()
+    assume(any(abs(a - b) > 1e-9 for a, b in zip(mu0, mu1)))  # positive capacity
+    return DiscreteChannel(mu0, mu1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ch=channels(), bits=st.lists(st.integers(0, 1), max_size=300),
+       seed=st.integers(0, 2 ** 32))
+def test_transmit_many_matches_masked_searchsorted(ch, bits, seed):
+    bits = np.array(bits, dtype=np.uint8)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = ch.transmit_many(bits, rng)
+    want = transmit_many_reference(ch, bits, ref_rng)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class FixedDraws:
+    """A stand-in generator whose random(n) returns the next n given draws."""
+
+    def __init__(self, u):
+        self.u = list(u)
+
+    def random(self, n):
+        out, self.u = np.array(self.u[:n], dtype=np.float64), self.u[n:]
+        return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(ch=channels(), data=st.data())
+def test_transmit_many_matches_masked_searchsorted_at_cdf_edges(ch, data):
+    # draws exactly at a cdf entry, one ulp either side, and past a cdf that
+    # ends below 1.0: the edges the count and the clip must agree on
+    edges = [float(c) for c in np.cumsum((ch.mu0, ch.mu1), axis=1).ravel() if c < 1.0]
+    edges += [np.nextafter(c, 0.0) for c in edges] + [np.nextafter(c, 1.0) for c in edges]
+    edges += [0.0, np.nextafter(1.0, 0.0)]
+    u = data.draw(st.lists(st.sampled_from([e for e in edges if 0.0 <= e < 1.0]),
+                           min_size=1, max_size=40))
+    bits = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(u), max_size=len(u))),
+                    dtype=np.uint8)
+    got = ch.transmit_many(bits, FixedDraws(u))
+    assert np.array_equal(got, transmit_many_reference(ch, bits, FixedDraws(u)))
+
+
+@pytest.mark.parametrize("bits", [[0, 1, 2], [1, -1], [255], [0, 0.5], [True, 3]])
+def test_transmit_many_rejects_bits_outside_0_1(bits):
+    ch = bec(0.2)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="0 or 1"):
+        ch.transmit_many(np.array(bits), rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
+    with pytest.raises(ValueError, match="0 or 1"):
+        ch.transmit(2, rng)
+
+
+def test_transmit_many_accepts_any_0_1_dtype():
+    ch = bec(0.2)
+    want = ch.transmit_many(np.array([0, 1, 1, 0], dtype=np.uint8), np.random.default_rng(4))
+    for bits in ([0, 1, 1, 0], [False, True, True, False], [0.0, 1.0, 1.0, 0.0]):
+        assert np.array_equal(ch.transmit_many(np.array(bits), np.random.default_rng(4)), want)
 
 
 def test_symmetrize_fp_exact_crossover():

@@ -1,7 +1,7 @@
 """The stacked decode through the gadgets: the expander's regroup against
 its per-copy loop, the one base call a gadget or a whole pyramid decode
 makes, length checks that name each handle's own m, and a total decoder on
-the bench configs."""
+the bench configs that never falls back to an exhaustive codebook search."""
 
 import sys
 from dataclasses import replace
@@ -17,6 +17,7 @@ from gachagt import sim_cli
 from gachagt.channels import bsc
 from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import expander_build, parallel_build, pyramid_build, serial_build
+from gachagt.inner_code import BinaryLinearCode
 from scaffolding import expander_decode_reference, identity_scheme, scalar_gacha_decode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -193,6 +194,22 @@ def test_decoder_is_total_on_bench_configs(workloads, name):
     for bits in (rng.integers(0, 2, size=h.m, dtype=np.uint8),
                  np.ones(h.m, dtype=np.uint8), np.zeros(h.m, dtype=np.uint8)):
         found = h.decode(bits)
+        assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
+
+
+def test_garbage_decode_on_noisy_bench_never_searches_the_codebook(workloads, monkeypatch):
+    # the bench's noisy code (32, 16) has a coset table, so even a word in a
+    # tied coset decodes by table: a half-density vector, about half of whose
+    # inner words land in tied cosets, never reaches the exhaustive search
+    def fail(self, observed):
+        raise AssertionError("exhaustive search on a code with a coset table")
+
+    config = sim_cli.parse_config(workloads["noisy"].config + "trials=1\nmaster_seed=1\n")
+    h = sim_cli.build_scheme(config, 3, 4)
+    monkeypatch.setattr(BinaryLinearCode, "_nearest", fail)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        found = h.decode(rng.integers(0, 2, size=h.m, dtype=np.uint8))
         assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
 
 

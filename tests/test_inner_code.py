@@ -232,8 +232,8 @@ def test_lin_decode_many_matches_scalar():
 
 
 # codes small enough to get a coset-leader table (ell <= 2 dim); (32, 16, 7)
-# is the code of the noisy AC-6 shape
-TABLE_CODES = [(32, 16, 7), (24, 12, 7), (20, 16, 3)] + [(12, 6, s) for s in range(4)]
+# is the code of the noisy AC-6 shape, (34, 17, 7) the default at n = 2^32
+TABLE_CODES = [(32, 16, 7), (34, 17, 7), (24, 12, 7), (20, 16, 3)] + [(12, 6, s) for s in range(4)]
 
 
 def syndrome_of(code, word):
@@ -287,9 +287,10 @@ def test_lin_tie_words_land_in_tied_cosets(ell, dim, seed):
                          + [(20, 10, 0), (20, 16, 3), (17, 16, 1), (16, 16, 0)])
 def test_lin_coset_table_matches_brute_force(ell, dim, seed):
     # coset s holds the error patterns x | (s ^ P(x)) << dim, one per payload x;
-    # weigh all of them and compare the table's tie flag and unique leader
+    # weigh all of them and compare the table's tie flag and, for every coset,
+    # tied or not, its full ascending set of minimum-weight leader low parts
     code = BinaryLinearCode(ell, dim, seed)
-    tie_table, leader_lo = code.coset_table
+    tie_table, start, leaders = code.coset_table
     payloads = np.arange(1 << dim, dtype=np.uint64)
     syndromes = np.arange(1 << (ell - dim), dtype=np.uint64)
     parity = code.codebook >> np.uint64(dim)
@@ -298,7 +299,21 @@ def test_lin_coset_table_matches_brute_force(ell, dim, seed):
     lightest = weights == weights.min(axis=1, keepdims=True)
     tied = lightest.sum(axis=1) > 1
     assert np.array_equal(tie_table, tied)
-    assert np.array_equal(leader_lo[~tied], weights.argmin(axis=1)[~tied])
+    assert np.array_equal(np.diff(start), lightest.sum(axis=1))
+    _, lows = np.nonzero(lightest)  # row-major: by syndrome, then low part
+    assert np.array_equal(leaders, lows)
+
+
+def test_lin_decode_many_matches_nearest_on_the_widest_table_code():
+    # (40, 20, 7) is the default code for noisy n <= 1024 (w = 10); about
+    # 55% of uniform words land in a tied coset
+    code = linear_code(40, 20, 7)
+    words = np.random.default_rng(10).integers(0, 1 << 40, size=300, dtype=np.uint64)
+    lo = words & np.uint64((1 << 20) - 1)
+    syndrome = (words ^ code.codebook[lo]) >> np.uint64(20)
+    assert code.coset_table[0][syndrome].mean() > 0.4
+    assert np.array_equal(code.decode_many(words), code._nearest(words))
+    assert code.decode_many(words[:0]).shape == (0,)
 
 
 def test_lin_coset_table_only_when_no_larger_than_codebook():
