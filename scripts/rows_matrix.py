@@ -38,6 +38,13 @@ SCHEMES = {
     # expander, parallel over vote
     "gadgets-tau3-sigma3-pi2": ("scheme=gacha+gadgets\nn=100000\nk=4\ntrials=2\nmaster_seed=5\n"
                                 "rho=3\nR=8\ntau_depth=3\nsigma=3\npi=2\nouter_w=8\nB=24\n"),
+    # the bench's expander shape: 32 persons draw 4 of 32 copies each
+    "gadgets-bench": ("scheme=gacha+gadgets\nn=4294967296\nk=32\ntrials=2\nmaster_seed=5\n"
+                      "w=16\nd=2\nr=18\nB=384\nell=28\nweight=14\n"
+                      "rho=4\nR=32\ntau_depth=2\nouter_w=16\n"),
+    # persons past 2^32, whose copy draws hash a second word of j
+    "gadgets-rho5-w16": ("scheme=gacha+gadgets\nn=1099511627776\nk=4\ntrials=2\nmaster_seed=5\n"
+                         "rho=5\nR=16\ntau_depth=2\nouter_w=16\nB=24\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
     # the bench's comp shape, m from its default

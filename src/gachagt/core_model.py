@@ -114,7 +114,8 @@ _U32_16, _MIX_L, _MIX_R = _u32(16), _u32(0xCA01F9DD), _u32(0x4973F715)
 _U64_32, _U64_58, _U64_63, _U64_64 = (np.array(v, dtype=np.uint64) for v in (32, 58, 63, 64))
 _LOW32 = np.array(_MASK32, dtype=np.uint64)
 # hashmix calls 0-3 hash the entropy words into the pool and calls 4-15 mix
-# it: source word src into the others in ascending order.  seed_states keeps
+# it: source word src into the others in ascending order (calls from 16 on
+# hash the words past the pool, _overflow_consts).  seed_states keeps
 # the pool rotated so that the source is row 0 and row 1 + i is word
 # (src + 1 + i) % 4, so _ROUND_CONSTS[src] is (2, 3, 1) in that row order.
 _POOL_CONSTS = _hash_consts(_INIT_A, _MULT_A, 16)
@@ -127,36 +128,66 @@ _ROUND_CONSTS = [
 _OUT_CONSTS = _u32(_hash_consts(_INIT_B, _MULT_B, 8)).T.reshape(2, 2, 4, 1)
 
 
-def seed_states(seed: int, js) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _overflow_consts(i: int) -> np.ndarray:
+    """The hash constants of entropy word 4 + i, past the pool: hashmix
+    calls 16 + 4 i ... 19 + 4 i hash it into pool words 0-3, as (2, 4, 1)."""
+    return _u32(_hash_consts(_INIT_A, _MULT_A, 20 + 4 * i)[16 + 4 * i:]).T[..., None]
+
+
+def _entropy_words(seed) -> list:
+    """numpy's uint32 entropy words of a seed prefix: each int's little-endian
+    32-bit words, without high zero words, 0 as one word."""
+    if not isinstance(seed, tuple):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed {seed} outside [0, 2^64)")
+        seed = (seed,)
+    if not all(isinstance(part, (int, np.integer)) and part >= 0 for part in seed):
+        raise ValueError(f"seed prefix {seed} holds a negative or non-integer word")
+    return [int(part) >> at & _MASK32 for part in seed
+            for at in range(0, max(32, int(part).bit_length()), 32)]
+
+
+def seed_states(seed, js) -> np.ndarray:
     """SeedSequence((seed, j)).generate_state(4, np.uint64) for every j in
     js, as a (len(js), 4) uint64 array.
 
-    The same uint32 hash numpy runs, on all js at once: the entropy words of
-    seed then j (little-endian 32-bit words, no high zero words, 0 as one
-    word) padded with zeros to the pool of 4, hashed into the pool, mixed,
-    and drawn out as 8 words.  j's high word sits in the padding whenever it
-    is zero, so one layout serves every j below 2^64.  The seed and padding
-    words are hashed once, not per j, and each mixing round hashes one pool
-    word into the other 3 as one (3, len(js)) block.
+    seed is an int below 2^64 or a tuple of non-negative ints, the entropy
+    before j (numpy flattens nested tuples, so (seed, j) with seed = (s, t)
+    is the entropy (s, t, j)).  The same uint32 hash numpy runs, on all js
+    at once: the entropy words (little-endian 32-bit words of each int, no
+    high zero words, 0 as one word) are hashed into the pool of 4, padded
+    with zeros, the pool is mixed, every word past the pool is hashed into
+    each pool word, and 8 words are drawn out.  The prefix words are hashed
+    once, not per j; when they fill the pool, so is the mixing.  A j word
+    inside the pool sits in the padding when it is zero, so one layout
+    serves every j below 2^64; past the pool, the rows whose j has no high
+    word skip its round.  Each mixing round hashes one pool word into the
+    other 3 as one (3, len(js)) block.
     """
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"seed {seed} outside [0, 2^64)")
+    words = _entropy_words(seed)
     js = np.asarray(js)
     if js.dtype.kind not in "iu" and js.size:
         raise ValueError("person indices must be integers below 2^64")
     if js.size and js.min() < 0:
         raise ValueError(f"person index {js.min()} is negative")
     j_words = js.astype("<u8").reshape(-1).view("<u4").reshape(-1, 2).T
-    words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
-    at = len(words)  # j's two words follow the seed's; zeros pad the pool of 4
-    pool = np.empty((4, j_words.shape[1]), dtype=np.uint32)
-    pool[:] = _hashmix(_u32(words + [0] * (4 - at)), _ENTROPY_CONSTS[..., 0])[:, None]
-    pool[at:at + 2] = _hashmix(j_words, _ENTROPY_CONSTS[:, at:at + 2])
+    at = min(len(words), 4)  # j's words follow the prefix's; zeros pad the pool of 4
+    inside = j_words[:4 - at]
+    pool = np.empty((4, j_words.shape[1] if len(inside) else 1), dtype=np.uint32)
+    pool[:] = _hashmix(_u32(words[:at] + [0] * (4 - at)), _ENTROPY_CONSTS[..., 0])[:, None]
+    if len(inside):
+        pool[at:at + len(inside)] = _hashmix(inside, _ENTROPY_CONSTS[:, at:at + len(inside)])
     for consts in _ROUND_CONSTS:
         rotated = np.empty_like(pool)
         rotated[:3] = _mix(pool[1:], _hashmix(pool[0], consts))
         rotated[3] = pool[0]
         pool = rotated
+    past = [_u32(w) for w in words[at:]] + list(j_words[len(inside):])
+    for i, word in enumerate(past):
+        mixed = _mix(pool, _hashmix(word, _overflow_consts(i)))
+        j_high = i == len(past) - 1 and len(inside) < 2  # numpy drops it when zero
+        pool = np.where(word != 0, mixed, pool) if j_high else mixed
     state = _hashmix(pool, _OUT_CONSTS).reshape(8, -1)
     return np.ascontiguousarray(state.T, dtype="<u4").view("<u8")
 
@@ -218,8 +249,9 @@ def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return (value >> rot) | (value << ((_U64_64 - rot) & _U64_63))
 
 
-def person_rng(seed: int, j: int) -> np.random.Generator:
-    """Person j's own stream, np.random.default_rng((seed, j))."""
+def person_rng(seed, j: int) -> np.random.Generator:
+    """Person j's own stream, np.random.default_rng((seed, j)); seed is an
+    int or a tuple seed prefix, as in seed_states."""
     return np.random.default_rng((seed, j))
 
 
@@ -237,7 +269,7 @@ def _floyd_plan(B: int, r: int) -> tuple:
     return steps, draw, bound, np.uint64(1 << 32) % bound, outputs
 
 
-def choice_sets(seed: int, js, B: int, r: int) -> np.ndarray:
+def choice_sets(seed, js, B: int, r: int) -> np.ndarray:
     """np.sort(person_rng(seed, j).choice(B, size=r, replace=False)) for
     every j in js, as a (len(js), r) int64 array, in one array pass.
 
@@ -286,7 +318,7 @@ def choice_sets(seed: int, js, B: int, r: int) -> np.ndarray:
     return out
 
 
-def person_streams(seed: int, js):
+def person_streams(seed, js):
     """Yield, for each j in js in order, one reused Generator(PCG64) set to
     the state of np.random.default_rng((seed, j)).
 

@@ -111,8 +111,9 @@ class NoiselessInner(PairInner):
         """(kinds, hi, lo) per batch: EMPTY when every block is empty, ONE when
         every block reads one image, MANY otherwise; hi/lo hold where ONE."""
         kinds, payloads = self.code.classify_many(words)
-        kind = np.where((kinds == _ONE).all(axis=1), _ONE, _MANY)
-        kind[(kinds == _EMPTY).all(axis=1)] = _EMPTY
+        kind = kinds[:, 0].copy()
+        for col in kinds.T[1:]:  # column by column: a batch keeps a kind all its blocks share
+            kind[col != kind] = _MANY
         return (kind, *self.unpack(payloads))
 
 

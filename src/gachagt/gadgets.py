@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core_model import choice_sets
 from .gf2e import field
 from .gacha_core import recover_rows
 from .scheme import SchemeHandle, checked_bits, stacked_args
@@ -164,10 +165,9 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
 
     def observe(js, rows, nrows):
         js, rows = stacked_args(js, rows, nrows, n_out)
-        copies = np.empty((len(js), rho), dtype=np.int64)
-        for i, j in enumerate(js.tolist()):
-            rng = np.random.default_rng((seed, _EXPANDER_TAG, j))
-            copies[i] = rng.choice(R, size=rho, replace=False)
+        # default_rng((seed, tag, j)).choice(R, rho) for every person, sorted:
+        # the copies are ORed, so their order does not matter
+        copies = choice_sets((seed, _EXPANDER_TAG), js, R, rho)
         # (g(0), g(r + 1)) for every person j and copy r, in one evaluation
         points = np.concatenate([np.zeros((len(js), 1), dtype=np.int64), copies + 1], axis=1)
         evals = fld.poly_eval_many(fld.index_to_poly_many(js, d_out), points)

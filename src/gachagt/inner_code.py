@@ -105,17 +105,41 @@ def _unrank_many(rank: np.ndarray, ell: int, weight: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _rank_bytes(ell: int, weight: int) -> np.ndarray:
+    """table[k, s, v]: what byte k of a string adds to its colex rank when
+    the byte holds v and s bits are set below it, as uint64 of shape
+    (ceil(ell / 8), weight + 1, 256).
+
+    The t-th set bit of v, at position b, is the (s + t)-th of the string
+    and adds C(8 k + b, s + t); a set bit past the weight-th adds 0, as no
+    weight-`weight` string has one.
+    """
+    nbytes = -(-ell // 8)
+    # binomials of every position a byte covers, zero past row `weight`
+    binomials = np.zeros((weight + 9, 8 * nbytes), dtype=np.uint64)
+    binomials[:weight + 1] = _binomials(8 * nbytes, weight)[:, :-1]
+    bits = (np.arange(256)[:, None] >> np.arange(8)) & 1  # (v, b)
+    ith = np.arange(weight + 1)[:, None, None] + np.cumsum(bits, axis=1)  # (s, v, b)
+    at = 8 * np.arange(nbytes)[:, None, None, None] + np.arange(8)  # (k, 1, 1, b)
+    table = (binomials[ith, at] * bits.astype(np.uint64)).sum(axis=-1, dtype=np.uint64)
+    table.setflags(write=False)
+    return table
+
+
 def _rank_many(strings: np.ndarray, ell: int, weight: int) -> np.ndarray:
     """combination_rank on every string of a uint64 array of weight-`weight`
-    strings: a binomial table gather summed over the set bits."""
-    # bits[c, t]: bit c of string t
-    bytes_ = strings.astype("<u8").view(np.uint8).reshape(-1, 8)
-    bits = np.unpackbits(bytes_, axis=1, count=ell, bitorder="little").T
-    # the i-th lowest set bit, at position c, adds C(c, i)
-    ith = np.cumsum(bits, axis=0, dtype=np.uint8)
-    terms = _binomials(ell, weight)[ith, np.arange(ell)[:, None]]
-    terms *= bits
-    return terms.sum(axis=0, dtype=np.uint64)
+    strings: one _rank_bytes gather per byte, after the bits set below it."""
+    table = _rank_bytes(ell, weight)
+    bytes_ = np.ascontiguousarray(
+        strings.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :len(table)].T)
+    counts = np.bitwise_count(bytes_)
+    rank = table[0].reshape(-1)[bytes_[0]]
+    below = counts[0].astype(np.intp)
+    for k in range(1, len(table)):
+        rank += table[k].reshape(-1)[below * 256 + bytes_[k]]
+        below += counts[k]
+    return rank
 
 
 MAX_IMAGE_TABLE_BITS = 16  # payloads this wide encode through an image table
@@ -138,8 +162,8 @@ class ConstantWeightCode:
     """Payloads as the weight-`weight` subsets of [ell] in colex order.
 
     encode/classify_noiseless work on one int; encode_many/classify_many on
-    uint64 arrays of any shape through a binomial table: unrank is one
-    searchsorted per set bit, rank a table gather summed over the set bits.
+    uint64 arrays of any shape through binomial tables: unrank is one
+    searchsorted per set bit, rank one byte-table gather per byte.
     Codes with at most 2^16 payloads unrank every payload once and then
     encode by a gather from that image table.
     """
@@ -207,9 +231,7 @@ class ConstantWeightCode:
         payloads = np.zeros(observed.shape, dtype=np.int64)
         at = np.flatnonzero(weights == self.weight)
         strings = observed.ravel()[at]
-        rank = np.empty(len(at), dtype=np.uint64)
-        for lo in range(0, len(at), 1 << 10):  # in slices, to keep the temporaries small
-            rank[lo:lo + (1 << 10)] = _rank_many(strings[lo:lo + (1 << 10)], self.ell, self.weight)
+        rank = _rank_many(strings, self.ell, self.weight)
         image = rank < np.uint64(1 << self.payload_bits)
         kinds.ravel()[at[image]] = Occupancy.ONE.value
         payloads.ravel()[at[image]] = rank[image]
@@ -247,9 +269,31 @@ def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
     of one coset have distinct low parts, so the low parts name the leaders.
     """
     r = ell - dim
+    parity = (codebook >> np.uint64(dim)).astype(np.intp)
+    table = _leader_transform(parity, ell, dim)  # its temporaries freed before the ties
+    tied = (table & np.uint32(1 << dim)) != 0
+    untied = np.flatnonzero(~tied)
+    keys = [untied << dim | table[untied] & ((1 << dim) - 1)]  # s << dim | leader_lo
+    if tied.any():
+        keys += _tied_leaders(parity, table >> np.uint32(dim + 1), tied, dim)
+    keys = np.concatenate(keys)  # the untied keys and the tie chunks, copied once
+    keys.sort()  # by syndrome, then low part
+    leaders = keys.astype(np.uint16 if dim <= 16 else np.uint32)
+    leaders &= (1 << dim) - 1
+    keys >>= dim
+    start = np.zeros((1 << r) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=1 << r), out=start[1:])
+    for a in (tied, start, leaders):
+        a.setflags(write=False)
+    return tied, start, leaders
+
+
+def _leader_transform(parity: np.ndarray, ell: int, dim: int) -> np.ndarray:
+    """_coset_leaders' min-plus transform over the payloads' parities: per
+    syndrome, the uint32 entry f << (dim + 1) | tied << dim | leader_lo."""
+    r = ell - dim
     tie, one = np.uint32(1 << dim), np.uint32(2 << dim)
     payloads = np.arange(1 << dim, dtype=np.uint32)
-    parity = (codebook >> np.uint64(dim)).astype(np.intp)
     key = np.bitwise_count(payloads) * one | payloads
     # ell + 1 is heavier than every real error pattern
     table = np.full(1 << r, (ell + 1) * one, dtype=np.uint32)
@@ -264,25 +308,12 @@ def _coset_leaders(codebook: np.ndarray, ell: int, dim: int):
         new0 |= ((k0 ^ via0) < one) * tie  # equal weights: a tie
         new1 |= ((k1 ^ via1) < one) * tie
         k0[...], k1[...] = new0, new1
-    tied = (table & tie) != 0
-    untied = np.flatnonzero(~tied)
-    keys = untied << dim | table[untied] & ((1 << dim) - 1)  # s << dim | leader_lo
-    if tied.any():
-        keys = np.concatenate((keys, _tied_leaders(parity, table >> np.uint32(dim + 1), tied, dim)))
-    keys.sort()  # by syndrome, then low part
-    leaders = keys.astype(np.uint16 if dim <= 16 else np.uint32)
-    leaders &= (1 << dim) - 1
-    keys >>= dim
-    start = np.zeros((1 << r) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=1 << r), out=start[1:])
-    for a in (tied, start, leaders):
-        a.setflags(write=False)
-    return tied, start, leaders
+    return table
 
 
-def _tied_leaders(parity: np.ndarray, f: np.ndarray, tied: np.ndarray, dim: int) -> np.ndarray:
+def _tied_leaders(parity: np.ndarray, f: np.ndarray, tied: np.ndarray, dim: int) -> list:
     """s << dim | x for every minimum-weight leader x | h << dim of every tied
-    coset s, unordered.
+    coset s, unordered, in chunks.
 
     Enumerates the patterns with wt(x) = a and wt(h) = b block by block, for
     every a + b that some tied coset weighs, in chunks of about TIE_CHUNK
@@ -306,7 +337,7 @@ def _tied_leaders(parity: np.ndarray, f: np.ndarray, tied: np.ndarray, dim: int)
                 s = parity[xs[i:i + rows], None] ^ hs
                 at = np.flatnonzero(goals[a + b][s])
                 found.append(s.ravel()[at] << dim | xs[i + at // len(hs)])
-    return np.concatenate(found)
+    return found
 
 
 @dataclass(frozen=True)

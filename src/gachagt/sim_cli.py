@@ -386,10 +386,17 @@ def oracle_check(config: SimConfig):
 # ---------------------------------------------------------------------------
 
 def _thread_count(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("GACHA_THREADS")
-    return max(1, int(env)) if env else 1
+    """--threads, else GACHA_THREADS, else 1; ValueError unless a positive integer."""
+    threads = args.threads
+    if threads is None:
+        env = os.environ.get("GACHA_THREADS") or "1"
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"GACHA_THREADS must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ValueError(f"need at least 1 worker process, got {threads}")
+    return threads
 
 
 def main(argv=None) -> int:
@@ -408,13 +415,14 @@ def main(argv=None) -> int:
 
     try:
         config = parse_config(Path(args.config).read_text())
+        threads = _thread_count(args) if args.command == "simulate" else 1
     except (OSError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 
     if args.command == "simulate":
         try:
-            report = run(config, out_dir=args.out, threads=_thread_count(args))
+            report = run(config, out_dir=args.out, threads=threads)
         except Exception as e:  # a failed trial aborts the whole run
             print(f"run aborted: {e}", file=sys.stderr)
             return 1

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt import core_model
-from gachagt.core_model import choice_sets
+from gachagt.core_model import choice_sets, seed_states
 from gachagt.gacha_core import bits_to_blocks, default_params
 from scaffolding import bits_to_blocks_reference
 
@@ -114,6 +114,43 @@ def test_no_persons():
 def test_choice_sets_reject_bad_seeds(seed, js):
     with pytest.raises(ValueError):
         choice_sets(seed, js, 384, 18)
+
+
+# seed words of 1, 2 and 3 uint32 words; j's words then land inside the
+# pool of 4, straddle its end, or fall past it, with a tag word one later
+PREFIX_WORDS = st.sampled_from([(0, 1 << 32), (1 << 32, 1 << 64), (1 << 64, 1 << 96)]).flatmap(
+    lambda span: st.integers(span[0], span[1] - 1))
+TAGS = st.one_of(st.just(()), st.tuples(st.one_of(st.just(13), st.integers(0, (1 << 32) - 1))))
+J_WORDS = st.one_of(st.sampled_from([0, (1 << 32) - 1, 1 << 32, (1 << 64) - 1]),
+                    st.integers(0, (1 << 64) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=PREFIX_WORDS, tag=TAGS, js=st.lists(J_WORDS, max_size=6))
+def test_seed_states_with_a_prefix_match_seed_sequence(seed, tag, js):
+    prefix = (seed, *tag)
+    states = seed_states(prefix, np.array(js, dtype=np.uint64))
+    assert states.shape == (len(js), 4) and states.dtype == np.uint64
+    for j, state in zip(js, states):
+        want = np.random.SeedSequence((*prefix, j)).generate_state(4, np.uint64)
+        assert np.array_equal(state, want)
+
+
+@pytest.mark.parametrize("R,rho", [(32, 4), (8, 3), (16, 5)])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 1 << 96), js=st.lists(J_WORDS, max_size=6))
+def test_choice_sets_with_a_tagged_seed_match_default_rng(R, rho, seed, js):
+    got = choice_sets((seed, 13), np.array(js, dtype=np.uint64), R, rho)
+    want = [np.sort(np.random.default_rng((seed, 13, j)).choice(R, size=rho, replace=False))
+            for j in js]
+    assert np.array_equal(got, np.array(want, dtype=np.int64).reshape(-1, rho))
+
+
+@pytest.mark.parametrize("seed,js", [((-1, 13), [0]), ((3, 0.5), [0]), ((3, 13), [-1]),
+                                     ((3, 13), [0.5]), (((3, 13), 1), [0])])
+def test_seed_prefixes_reject_bad_words(seed, js):
+    with pytest.raises(ValueError):
+        choice_sets(seed, js, 32, 4)
 
 
 def block_params(ell, blocks, B):

@@ -182,6 +182,31 @@ def test_expander_person_joins_rho_copies_and_load():
     assert abs(mean_load - expect) / expect < 0.05
 
 
+def test_expander_observe_draws_copies_without_per_person_generators(monkeypatch):
+    # 32 persons' copies come from one array draw, equal to each person's
+    # own default_rng((seed, 13, j)).choice(R, rho) at seeds of 1-3 words
+    inner = identity_scheme(1 << 16)
+    R, rho = 32, 4
+    js = np.random.default_rng(8).choice(1 << 16, size=32, replace=False)
+    for seed in (5, (1 << 40) + 3, (1 << 82) + 11):
+        h = expander_build(inner, rho=rho, R=R, outer_w=8, seed=seed)
+        want = [set(np.random.default_rng((seed, 13, int(j))).choice(R, size=rho, replace=False))
+                for j in js]
+        calls = []
+        real = np.random.default_rng
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        bits = h.observe(js, np.arange(32), 32).reshape(32, R, inner.m)
+        monkeypatch.undo()
+        assert calls == []
+        for row, copies in zip(bits, want):
+            assert set(np.flatnonzero(row.any(axis=1))) == copies
+
+
 def test_expander_single_sick_exact():
     inner = replace(identity_scheme(1 << 16), k_design=4)
     h = expander_build(inner, rho=3, R=12, outer_w=8, seed=4)

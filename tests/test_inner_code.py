@@ -15,6 +15,7 @@ from gachagt.inner_code import (
     UnsupportedCodeSize,
     WeightClassifier,
     _binomials,
+    _rank_many,
     combination_rank,
     combination_unrank,
     linear_code,
@@ -142,6 +143,29 @@ def test_cw_classify_many_matches_scalar(ell, weight, payload_bits, data):
     for w, (kind, payload) in zip(words, got):
         if kind is Occupancy.ONE:
             assert combination_rank(w) == payload
+
+
+@pytest.mark.parametrize("ell,weight,payload_bits", CW_CODES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_many_matches_combination_rank(ell, weight, payload_bits, data):
+    # every weight-`weight` string, past the payload range too
+    ranks = data.draw(st.lists(st.integers(0, comb(ell, weight) - 1), max_size=24))
+    strings = np.array([combination_unrank(v, ell, weight) for v in ranks], dtype=np.uint64)
+    got = _rank_many(strings, ell, weight)
+    assert got.dtype == np.uint64 and got.tolist() == ranks
+
+
+@pytest.mark.parametrize("ell,weight,payload_bits", CW_CODES)
+def test_rank_many_on_strings_in_one_byte_and_at_the_ends(ell, weight, payload_bits):
+    # every string whose bits all sit in one byte (weight <= 8), plus the
+    # lowest and the highest string of the code
+    strings = [sum(1 << b for b in bits) for k in range(0, ell, 8)
+               for bits in combinations(range(k, min(k + 8, ell)), weight)]
+    strings += [(1 << weight) - 1, ((1 << weight) - 1) << (ell - weight)]
+    got = _rank_many(np.array(strings, dtype=np.uint64), ell, weight)
+    assert got.tolist() == [combination_rank(v) for v in strings]
+    assert got[-1] == comb(ell, weight) - 1
 
 
 def test_cw_non_image_words_exist_for_every_code():

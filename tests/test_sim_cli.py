@@ -213,6 +213,21 @@ def test_env_thread_fallback(tmp_path, monkeypatch):
     assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "o")]) == 0
 
 
+@pytest.mark.parametrize("argv,env", [([], "abc"), (["--threads", "-3"], None),
+                                      (["--threads", "0"], "2"), ([], "0")])
+def test_cli_bad_thread_counts_are_config_errors(tmp_path, monkeypatch, capsys, argv, env):
+    if env is None:
+        monkeypatch.delenv("GACHA_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GACHA_THREADS", env)
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(MINIMAL)
+    out = tmp_path / "o"
+    assert main(["simulate", str(cfg_path), "--out", str(out), *argv]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()  # no trial ran
+
+
 def test_validate_inapplicable_keys():
     with pytest.raises(ValueError, match="only apply"):
         parse_config("scheme=comp\nn=50\nk=2\nchannel=none\ntrials=1\nmaster_seed=1\nrho=3\n")
