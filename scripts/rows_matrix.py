@@ -49,6 +49,9 @@ SCHEMES = {
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
     # the bench's comp shape, m from its default
     "comp-bench": "scheme=comp\nn=4096\nk=8\ntrials=4\nmaster_seed=5\n",
+    # a design exactly one 64-bit word wide, and one with a single bit in a second word
+    "comp-m64": "scheme=comp\nn=200\nk=3\ntrials=4\nmaster_seed=5\nm=64\n",
+    "comp-m65": "scheme=comp\nn=200\nk=3\ntrials=4\nmaster_seed=5\nm=65\n",
     # a linear inner payload wider than the (birthday, fragment) pair
     "gacha-wide": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=12\nlin_dim=14\n",
     # batch draws numpy makes by shuffling a tail (B > 10000, r > B // 50)

@@ -1,8 +1,9 @@
 """Reference decoders for oracle-equivalence testing.
 
-COMP keeps everyone who never appears in a negative test.  The brute-force
-decoder enumerates all k-subsets: with noiseless results it lists every
-support that explains the observations exactly; with a channel it ranks
+COMP keeps everyone who never appears in a negative test, reading the
+Bernoulli design as packed 64-bit words; this module owns that format.  The
+brute-force decoder enumerates all k-subsets: with noiseless results it lists
+every support that explains the observations exactly; with a channel it ranks
 supports by exact log-likelihood.
 """
 
@@ -16,6 +17,7 @@ import numpy as np
 
 from .channels import DiscreteChannel
 from .core_model import ConfigMatrix
+from .scheme import stacked_args
 
 MAX_ENUMERATION = 10 ** 6
 
@@ -26,18 +28,57 @@ class OracleResult:
     best: tuple
 
 
+# A packed design is an (n, ceil(m / 64)) array of little-endian uint64
+# words: bit t of row j is test t, and the pad bits past test m - 1 are zero.
+WORD = np.dtype("<u8")
+
+
+def zero_words(rows: int, m: int) -> np.ndarray:
+    """The packed words of an all-zero (rows, m) design."""
+    return np.zeros((rows, -(-m // 64)), dtype=WORD)
+
+
+def pack_rows(bits, out=None) -> np.ndarray:
+    """The packed words of an (rows, m) 0/1 array, written into out (from
+    zero_words) when given."""
+    bits = np.asarray(bits)
+    rows, m = bits.shape
+    if out is None:
+        out = zero_words(rows, m)
+    out.view(np.uint8)[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return out
+
+
+def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
+    """The (rows, m) uint8 bits of packed words."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little")
+
+
+def observe_words(words: np.ndarray, m: int, js, rows, nrows: int) -> np.ndarray:
+    """The stacked observe of a scheme given by its packed design: OR whole
+    packed rows into their copies, then unpack the nrows * m bits."""
+    js, rows = stacked_args(js, rows, nrows, len(words))
+    y = zero_words(nrows, m)
+    np.bitwise_or.at(y, rows, words[js])
+    return unpack_rows(y, m).reshape(-1)
+
+
 def comp_decode(matrix: ConfigMatrix, y) -> set:
     """Everyone whose tests are all positive (vacuously true for no tests)."""
-    return comp_decode_design(matrix.dense(), y)
+    return comp_decode_words(pack_rows(matrix.dense()), matrix.m, y)
 
 
-def comp_decode_design(design: np.ndarray, y) -> set:
-    """COMP on an (n, m) bool design: everyone in no negative test, in one
-    reduction over the negative tests' columns."""
+def comp_decode_words(words: np.ndarray, m: int, y) -> set:
+    """COMP on a packed design: everyone in no negative test, by ANDing each
+    word column with the packed negative tests."""
     y = np.asarray(y, dtype=np.uint8)
-    if len(y) != design.shape[1]:
-        raise ValueError(f"result length {len(y)} != m = {design.shape[1]}")
-    return set(np.flatnonzero(~design[:, y == 0].any(axis=1)).tolist())
+    if len(y) != m:
+        raise ValueError(f"result length {len(y)} != m = {m}")
+    negative = pack_rows((y == 0)[None])[0]
+    hit = np.zeros(len(words), dtype=WORD)
+    for i in np.flatnonzero(negative):
+        hit |= words[:, i] & negative[i]
+    return set(np.flatnonzero(hit == 0).tolist())
 
 
 def _column_masks(matrix: ConfigMatrix):

@@ -36,16 +36,6 @@ def column_from_observe(observe, j: int) -> np.ndarray:
     return np.flatnonzero(observe([j], [0], 1))
 
 
-def observe_design(design: np.ndarray, js, rows, nrows: int) -> np.ndarray:
-    """The stacked observe of a scheme given by its (n, m) bool design: OR
-    whole rows of the design into their copies."""
-    n, m = design.shape
-    js, rows = stacked_args(js, rows, nrows, n)
-    y = np.zeros((nrows, m), dtype=bool)
-    np.logical_or.at(y, rows, design[js])
-    return y.view(np.uint8).reshape(-1)
-
-
 def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
     """bits as a uint8 array, checked to hold nrows copies of m tests."""
     bits = np.asarray(bits, dtype=np.uint8)

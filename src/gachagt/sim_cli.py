@@ -9,13 +9,11 @@ family and numpy version are recorded in the aggregate file header.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -23,12 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import brute_force_decode, comp_decode, comp_decode_design
+from .baselines import (brute_force_decode, comp_decode, comp_decode_words, observe_words,
+                        pack_rows, unpack_rows, zero_words)
 from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
 from .gadgets import GadgetParams, pyramid_build
-from .scheme import SchemeHandle, decode_copies, observe_design
+from .scheme import SchemeHandle, decode_copies
 
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
@@ -197,40 +196,43 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
 DESIGN_CHUNK = 256  # design rows drawn between two comparisons against p
 
 
-def _bernoulli_design(config: SimConfig, matrix_seed: int) -> np.ndarray:
-    """The (n, m) bool Bernoulli(p) design: row j is
+def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
+    """The packed Bernoulli(p) design and its m: row j is
     default_rng((matrix_seed, j)).random(m) < p, drawn through one reused
-    generator (person_streams) into a reused (DESIGN_CHUNK, m) buffer."""
+    generator (person_streams) into a reused (DESIGN_CHUNK, m) buffer and
+    packed a chunk at a time."""
     m = config.m or math.ceil(math.e * config.k * math.log(config.n))
     p = 1 - 2 ** (-1.0 / config.k)
-    design = np.empty((config.n, m), dtype=bool)
+    words = zero_words(config.n, m)
     draws = np.empty((min(DESIGN_CHUNK, config.n), m))
+    below = np.empty(draws.shape, dtype=bool)
     streams = person_streams(matrix_seed, range(config.n))
     for start in range(0, config.n, len(draws)):
-        rows = design[start:start + len(draws)]
-        for buf, gen in zip(draws[:len(rows)], streams):
+        rows = min(len(draws), config.n - start)
+        for buf, gen in zip(draws[:rows], streams):
             gen.random(out=buf)
-        np.less(draws[:len(rows)], p, out=rows)
-    return design
+        np.less(draws[:rows], p, out=below[:rows])
+        pack_rows(below[:rows], out=words[start:start + rows])
+    return words, m
 
 
 def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
     """A Bernoulli design decoded by COMP, or by the exhaustive oracle on the
     channel's raw symbols."""
-    design = _bernoulli_design(config, matrix_seed)
+    words, m = _bernoulli_design(config, matrix_seed)
     if config.scheme == "comp":
-        decode = partial(comp_decode_design, design)
+        decode = partial(comp_decode_words, words, m)
     else:
-        matrix = ConfigMatrix(m=design.shape[1], n=config.n,
-                              columns=[np.flatnonzero(row) for row in design])
+        matrix = ConfigMatrix(m=m, n=config.n,
+                              columns=[np.flatnonzero(row) for row in unpack_rows(words, m)])
 
         def decode(z):
             return set(brute_force_decode(matrix, z, config.k, config.noise.channel).best)
 
     return SchemeHandle(
-        n=config.n, k_design=config.k, m=design.shape[1],
-        observe=partial(observe_design, design),
-        decode_rows=partial(decode_copies, decode, design.shape[1]),
+        n=config.n, k_design=config.k, m=m,
+        observe=partial(observe_words, words, m),
+        decode_rows=partial(decode_copies, decode, m),
         layers=(config.scheme,),
     )
 
@@ -306,6 +308,8 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
     tasks = [(config, t) for t in range(config.trials)]
     rows = []
     if threads > 1 and config.trials > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for row in pool.map(_trial_star, tasks, chunksize=8):
                 rows.append(row)
@@ -400,6 +404,8 @@ def _thread_count(args) -> int:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(prog="gacha-sim",
                                      description="group-testing Monte-Carlo driver")
     sub = parser.add_subparsers(dest="command", required=True)

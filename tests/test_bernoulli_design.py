@@ -1,20 +1,22 @@
-"""The dense Bernoulli design behind COMP and the oracle: the one-pass
+"""The packed Bernoulli design behind COMP and the oracle: the one-pass
 seeding against numpy's own SeedSequence and default_rng, the design against
-the per-column build it replaces, COMP as one reduction against the column
-loop, and the handle's observe against run_tests."""
+the per-column build it replaces, the word layout bit by bit, COMP's
+word ANDs against the column loop, and the handle's observe against
+run_tests."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gachagt.baselines import comp_decode, comp_decode_design
-from gachagt.core_model import ProblemInstance, person_streams, run_tests, seed_states
+from gachagt.baselines import WORD, comp_decode, comp_decode_words, pack_rows, unpack_rows
+from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
 from gachagt.sim_cli import build_scheme, parse_config
 from scaffolding import bernoulli_columns_reference, comp_decode_reference
 
 # (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
-# sides of 2^32 (one and two entropy words), n on both sides of a design chunk
+# sides of 2^32 (one and two entropy words), n on both sides of a design chunk,
+# and m of one word, a full word, and a partial last word
 SHAPES = [
     (50, 40, 2, 0),
     (50, 40, 2, (1 << 32) - 1),
@@ -22,6 +24,11 @@ SHAPES = [
     (513, 25, 1, 7),
     (1000, 0, 8, (1 << 62) + 12345),
     (4096, 0, 8, (1 << 63) - 1),
+    (50, 1, 2, 3),
+    (50, 63, 2, 1 << 33),
+    (50, 64, 2, 9),
+    (50, 65, 2, (1 << 32) + 5),
+    (300, 65, 3, 11),
 ]
 
 
@@ -86,10 +93,36 @@ def test_observe_equals_run_tests(shape):
 
 
 def test_comp_decode_checks_length():
-    design = np.zeros((3, 4), dtype=bool)
+    words = np.zeros((3, 1), dtype=WORD)
     with pytest.raises(ValueError, match="result length 5 != m = 4"):
-        comp_decode_design(design, np.zeros(5, dtype=np.uint8))
-    assert comp_decode_design(design, np.zeros(4, dtype=np.uint8)) == {0, 1, 2}
+        comp_decode_words(words, 4, np.zeros(5, dtype=np.uint8))
+    assert comp_decode_words(words, 4, np.zeros(4, dtype=np.uint8)) == {0, 1, 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(0, 9), m=st.sampled_from([1, 7, 8, 63, 64, 65, 128, 181]),
+       seed=st.integers(0, 1 << 32))
+def test_packed_words_layout(rows, m, seed):
+    bits = np.random.default_rng(seed).random((rows, m)) < 0.4
+    words = pack_rows(bits)
+    assert words.dtype == WORD and words.shape == (rows, -(-m // 64))
+    for j in range(rows):
+        for t in range(words.shape[1] * 64):  # bit t of row j is test t; pad bits are 0
+            assert (int(words[j, t // 64]) >> (t % 64)) & 1 == (t < m and bits[j, t])
+    assert np.array_equal(unpack_rows(words, m), bits)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), m=st.sampled_from([1, 63, 64, 65, 130]),
+       seed=st.integers(0, 1 << 32))
+def test_comp_decode_words_matches_column_loop(n, m, seed):
+    rng = np.random.default_rng(seed)
+    design = rng.random((n, m)) < rng.random()
+    matrix = ConfigMatrix(m=m, n=n, columns=[np.flatnonzero(row) for row in design])
+    for y in (np.zeros(m, np.uint8), np.ones(m, np.uint8), (rng.random(m) < 0.8).astype(np.uint8)):
+        want = comp_decode_reference(matrix, y)
+        assert comp_decode_words(pack_rows(design), m, y) == want
+        assert comp_decode(matrix, y) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,6 +1,9 @@
 """Config parsing, CSV emission, determinism, CLI entry points."""
 
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -288,3 +291,13 @@ def test_cli_oracle_check_rejects_unsupported_scheme(tmp_path, capsys):
                         "master_seed=2\nrho=4\nR=16\n")
     assert main(["oracle-check", str(cfg_path)]) == 2
     assert "gacha+gadgets" in capsys.readouterr().err
+
+
+def test_import_leaves_process_pool_and_argparse_unloaded():
+    # both load only where used: the pool for threads > 1, argparse in main
+    code = ("import sys, gachagt.sim_cli; "
+            "print(sorted({'concurrent.futures.process', 'argparse'} & sys.modules.keys()))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
