@@ -24,9 +24,12 @@ SYMMETRIZE = ("auto", "on", "off")
 # sized tight enough that noise moves the fp/fn columns
 SCHEMES = {
     "gacha": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\n",
-    # shapes the closed-form first attempt does not cover (d = 3; w > 16)
+    # a larger d, and a field above the log tables' 16 bits
     "gacha-d3": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nd=3\n",
     "gacha-w17": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\nw=17\n",
+    # the default sizing at n = 2^32 (w = 17, d = 2), and w * d = 68 > 63
+    "gacha-n2^32": "scheme=gacha\nn=4294967296\nk=4\ntrials=4\nmaster_seed=5\n",
+    "gacha-d4-w17": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nd=4\nw=17\nB=40\n",
     "gacha+gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\n"
                       "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
     # two stacked expander layers, and a vote layer under a parallel one
@@ -45,6 +48,9 @@ SCHEMES = {
     # persons past 2^32, whose copy draws hash a second word of j
     "gadgets-rho5-w16": ("scheme=gacha+gadgets\nn=1099511627776\nk=4\ntrials=2\nmaster_seed=5\n"
                          "rho=5\nR=16\ntau_depth=2\nouter_w=16\nB=24\n"),
+    # an outer dimension of 3 (rho = 6) over a w = 17 base
+    "gadgets-rho6-w16": ("scheme=gacha+gadgets\nn=1099511627776\nk=4\ntrials=2\nmaster_seed=5\n"
+                         "rho=6\nR=16\ntau_depth=2\nouter_w=16\nB=48\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
     # the bench's comp shape, m from its default

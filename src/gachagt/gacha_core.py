@@ -16,12 +16,10 @@ fragments degrade into misses rather than fabricated indices.
 
 decode_rows does this for a stack of copies at once, in arrays: one
 bits_to_blocks and one classify_blocks over every copy's batches, then
-recover_rows, where an argsort on (copy, birthday) forms the groups.  For
-d <= 2 over a field with log tables, the first interpolation attempt of
-every group is a closed form, verified against all the group's points in
-arrays.  A group that fails it, and every group of other shapes, goes to the
-scalar recover_from_groups, whose retry rule then applies exactly.  The
-list form (synthesize_blocks, list_decode) stays as the scalar reference.
+recover_rows, where an argsort on (copy, birthday) forms the groups and the
+field's array interpolation and Horner settle every group, retry included,
+for any d and w.  The list form (synthesize_blocks, list_decode,
+recover_from_groups) stays as the scalar reference.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from functools import partial
 import numpy as np
 
 from .core_model import choice_sets
-from .gf2e import MAX_TABLE_WIDTH, FieldSpec, InsufficientEvaluations, field
+from .gf2e import FieldSpec, InsufficientEvaluations, field
 from .inner_code import (
     BinaryLinearCode,
     ConstantWeightCode,
@@ -439,59 +437,51 @@ def list_decode(params: GachaParams, word: SynthWord):
 
 def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int,
                  nrows: int) -> list:
-    """recover_from_groups over the fragments of nrows rows at once: one set
-    of indices per row.
+    """recover_from_groups over the fragments of nrows rows at once, in
+    arrays: one set of indices per row.
 
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
-    fragment (slot, lo) with birthday hi in row `row`, both field elements
-    (decode_rows drops the rest).  Slots are distinct
-    within a (row, birthday) group and arrive in ascending order, and
-    point_of_slot must map arrays too.  A stable argsort on (row, birthday)
-    forms the groups.  For d <= 2 over a field with log tables, each group's
-    first attempt, its d smallest slots, is interpolated in closed form and
-    checked in arrays by recover_from_groups' rules: the birthday at b0, the
-    index below n and the max(d, size // 2 + 1) majority.  A group that fails
-    it, and every group otherwise, goes whole to recover_from_groups.  Each
-    row's set gets its indices in the arrival order of their groups' first
-    fragments, the order recover_from_groups meets them in a dict filled in
-    arrival order, so the sets iterate alike too.
+    fragment (slot, lo) with birthday hi in row `row`, both field elements.
+    Slots are distinct within a (row, birthday) group and arrive in ascending
+    order, and point_of_slot must map arrays too.  A stable argsort on (row,
+    birthday) forms the groups; both of recover_from_groups' attempts and its
+    rules apply to all groups at once, and an index of 2^63 or more is also
+    rejected.  Each row's set gets its indices in the arrival order of their
+    groups' first fragments, as recover_from_groups' dict meets them, so the
+    sets iterate alike too.
     """
     row, slot, hi, lo = fragments
-    out = [set() for _ in range(nrows)]
     order = np.lexsort((hi, row))
-    row, slot, hi, lo = row[order], slot[order], hi[order], lo[order]
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = (row[1:] != row[:-1]) | (hi[1:] != hi[:-1])
-    starts = np.flatnonzero(new)
-    sizes = np.diff(np.append(starts, len(order)))
+    row, x, hi, lo = row[order], point_of_slot(slot[order]), hi[order], lo[order]
+    bounds = np.ones(len(order) + 1, dtype=bool)  # where each group starts, and the end
+    bounds[1:-1] = (row[1:] != row[:-1]) | (hi[1:] != hi[:-1])
+    bounds = np.flatnonzero(bounds)
+    sizes = bounds[1:] - bounds[:-1]
     ready = sizes >= d
-    starts, sizes = starts[ready], sizes[ready]
+    starts, sizes = bounds[:-1][ready], sizes[ready]
     accepted = np.full(len(starts), -1, dtype=np.int64)
-    if d <= 2 and fld.w <= MAX_TABLE_WIDTH and len(starts):
-        x, y = point_of_slot(slot), lo
-        g1 = np.zeros(len(starts), dtype=np.int64)
-        if d == 2:  # the line through the first two points
-            g1 = fld.div_many(y[starts] ^ y[starts + 1], x[starts] ^ x[starts + 1])
-        g0 = y[starts] ^ fld.mul_many(g1, x[starts])
-        group = np.repeat(np.arange(len(starts)), sizes)
-        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(len(group))
-        hits = (g0[group] ^ fld.mul_many(g1[group], x[at])) == y[at]
-        matches = np.bincount(group[hits], minlength=len(starts))
-        j = g0 | (g1 << fld.w)
-        ok = (((g0 ^ fld.mul_many(g1, b0)) == hi[starts]) & (j < n)
-              & (matches >= np.maximum(d, sizes // 2 + 1)))
-        accepted[ok] = j[ok]
-        scalar = np.flatnonzero(~ok)
-    else:
-        scalar = np.arange(len(starts))
-    found = [(a, r, j) for a, r, j in zip(order[starts].tolist(), row[starts].tolist(),
-                                          accepted.tolist()) if j >= 0]
-    for g in scalar.tolist():
-        a, b = starts[g], starts[g] + sizes[g]
-        pts = {int(hi[a]): list(zip(slot[a:b].tolist(), lo[a:b].tolist()))}
-        for j in recover_from_groups(fld, d, b0, pts, point_of_slot, n):
-            found.append((int(order[a]), int(row[a]), j))
-    for _, r, j in sorted(found):
+    todo, first, size, skip = np.arange(len(starts)), starts, sizes, 0
+    for retry in (False, True):  # the d smallest slots; then the next d, or slots 1..d
+        pick = (first + skip)[:, None] + np.arange(d)
+        g = fld.interpolate_many(x[pick], lo[pick])
+        group = np.repeat(np.arange(len(todo)), size)
+        at = np.repeat(first - np.cumsum(size) + size, size) + np.arange(len(group))
+        # one Horner for g at every fragment's point and at b0, the birthday's
+        points = np.concatenate([x[at], np.full(len(todo), b0)])
+        hits = fld.poly_eval_many(g.take(np.concatenate([group, np.arange(len(todo))]), axis=0),
+                                  points) == np.concatenate([lo[at], hi[first]])
+        j = fld.poly_to_index_many(g)
+        matches = np.bincount(group[hits[:len(at)]], minlength=len(todo))
+        ok = hits[len(at):] & (0 <= j) & (j < n) & (matches >= np.maximum(d, size // 2 + 1))
+        accepted[todo[ok]] = j[ok]
+        if retry or ok.all():
+            break
+        again = np.flatnonzero(~ok & (size > d))
+        todo, first, size = todo[again], first[again], size[again]
+        skip = np.where(size >= 2 * d, d, 1)
+    out = [set() for _ in range(nrows)]
+    for _, r, j in sorted((a, r, j) for a, r, j in zip(
+            order[starts].tolist(), row[starts].tolist(), accepted.tolist()) if j >= 0):
         out[r].add(j)
     return out
 

@@ -9,8 +9,8 @@ they evaluate identically.
 For w <= 16 a FieldSpec builds log/antilog tables over the smallest primitive
 element at construction, so a product is two log lookups and one antilog
 lookup, for scalars and numpy arrays alike.  Wider fields multiply by shift
-and add (_mulmod_poly), which stays the reference the tables are tested
-against.
+and add, scalars by _mulmod_poly (the tables' reference) and arrays along an
+extra axis of w bits; the *_many array methods hide which one runs.
 """
 
 from __future__ import annotations
@@ -122,21 +122,22 @@ def primitive_element(w: int, f: int) -> int:
 
 
 def _log_tables(w: int, f: int):
-    """(exp, log) uint16 tables over the smallest primitive element g.
+    """(exp, log) uint16 and int64 tables over the smallest primitive element g.
 
     exp[i] = g^i for 0 <= i < 2(q - 1), q = 2^w, so exp[log a + log b] = a b
-    for nonzero a, b without a reduction mod q - 1; log[0] is unused.  The
-    powers are built by doubling: the next block of powers is the block so
-    far times g^size, which is GF(2)-linear and so an XOR of per-bit
-    multiples of the constant.  Each table is an array.array, for fast scalar
-    lookups; numpy reads them through np.frombuffer without a copy.
+    without a reduction mod q - 1; log[0] = 2(q - 1) and exp is 0 from there
+    up to 4(q - 1), so a zero factor or dividend needs no test.  The powers
+    are built by doubling: the next block of powers is the block so far times
+    g^size, which is GF(2)-linear and so an XOR of per-bit multiples of the
+    constant.  Each table is an array.array, for fast scalar lookups; numpy
+    reads them through np.frombuffer without a copy.
     """
     n = (1 << w) - 1
     g = primitive_element(w, f)
-    exp = array("H", [0]) * (2 * n)
-    log = array("H", [0]) * (n + 1)
+    exp = array("H", [0]) * (4 * n + 1)
+    log = array("q", [2 * n]) * (n + 1)
     exp_np = np.frombuffer(exp, dtype=np.uint16)
-    log_np = np.frombuffer(log, dtype=np.uint16)
+    log_np = np.frombuffer(log, dtype=np.int64)
     exp_np[0] = 1
     size, c = 1, g
     while size < n:
@@ -149,10 +150,10 @@ def _log_tables(w: int, f: int):
             cb = _mulmod_poly(cb, 2, f)
         c = _mulmod_poly(c, c, f)
         size += step
-    exp_np[n:] = exp_np[:n]
+    exp_np[n:2 * n] = exp_np[:n]
     for lo in range(0, n, 1 << 12):  # in slices, to keep the index temporaries small
         hi = min(lo + (1 << 12), n)
-        log_np[exp_np[lo:hi]] = np.arange(lo, hi, dtype=np.uint16)
+        log_np[exp_np[lo:hi]] = np.arange(lo, hi)
     return exp, log
 
 
@@ -172,11 +173,15 @@ class FieldSpec:
             raise ValueError("reduction polynomial degree does not match width")
         if not is_irreducible(self.reduction_poly):
             raise ValueError(f"reduction polynomial {self.reduction_poly:#x} is reducible")
-        exp = log = None
+        exp = log = tables = None
         if self.w <= MAX_TABLE_WIDTH:
             exp, log = _log_tables(self.w, self.reduction_poly)
+            tables = np.frombuffer(exp, dtype=np.uint16), np.frombuffer(log, dtype=np.int64)
         object.__setattr__(self, "_exp", exp)
         object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_tables", tables)  # (exp, log) as numpy views, no copy
+        object.__setattr__(self, "_fold", np.array(  # x^(w + t) mod f, t < w - 1
+            [_powmod_poly(2, self.w + t, self.reduction_poly) for t in range(self.w - 1)]))
 
     @property
     def order(self) -> int:
@@ -189,8 +194,6 @@ class FieldSpec:
 
     def _mul(self, a: int, b: int) -> int:
         """Product of two elements, unchecked."""
-        if not (a and b):
-            return 0
         exp, log = self._exp, self._log
         if exp is None:
             return _mulmod_poly(a, b, self.reduction_poly)
@@ -218,26 +221,34 @@ class FieldSpec:
         return self._exp[(1 << self.w) - 1 - self._log[a]]
 
     def mul_many(self, a, b) -> np.ndarray:
-        """Elementwise a * b over int64 arrays of elements (w <= 16)."""
-        exp, log = self._tables()
-        a, b = np.asarray(a), np.asarray(b)
-        product = exp[log[a].astype(np.intp) + log[b]].astype(np.int64)
-        return np.where((a == 0) | (b == 0), 0, product)
+        """Elementwise a * b over int64 arrays of elements, broadcast together."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        if self._tables is None:
+            return self._mul_wide(a, b)
+        exp, log = self._tables
+        return exp[log[a] + log[b]].astype(np.int64)
 
     def div_many(self, a, b) -> np.ndarray:
-        """Elementwise a / b over int64 arrays of elements, b nonzero (w <= 16)."""
-        exp, log = self._tables()
-        a, b = np.asarray(a), np.asarray(b)
+        """Elementwise a / b over int64 arrays of elements, b nonzero."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if (b == 0).any():
             raise ZeroDivisionError("0 has no inverse")
-        quotient = exp[log[a].astype(np.intp) + ((1 << self.w) - 1) - log[b]].astype(np.int64)
-        return np.where(a == 0, 0, quotient)
+        if self._tables is None:  # 1 / b = b^(2^w - 2) = b^2 b^4 ... b^(2^(w-1))
+            square = inverse = self._mul_wide(b, b)
+            for _ in range(self.w - 2):
+                square = self._mul_wide(square, square)
+                inverse = self._mul_wide(inverse, square)
+            return self._mul_wide(a, inverse)
+        exp, log = self._tables
+        return exp[log[a] + (((1 << self.w) - 1) - log[b])].astype(np.int64)
 
-    def _tables(self):
-        """(exp, log) as uint16 arrays over the tables, without a copy."""
-        if self._exp is None:
-            raise ValueError(f"GF(2^{self.w}) has no log tables (w > {MAX_TABLE_WIDTH})")
-        return np.frombuffer(self._exp, dtype=np.uint16), np.frombuffer(self._log, dtype=np.uint16)
+    def _mul_wide(self, a, b) -> np.ndarray:
+        """mul_many by shift and add along a last axis of w bits; bit w + t folds to _fold[t]."""
+        w, bits = self.w, np.arange(self.w)
+        a, b = a[..., None], b[..., None]
+        acc = np.bitwise_xor.reduce((a << bits) & -((b >> bits) & 1), axis=-1)
+        high = -((acc[..., None] >> (w + bits[:-1])) & 1)
+        return (acc & ((1 << w) - 1)) ^ np.bitwise_xor.reduce(high & self._fold, axis=-1)
 
     # ----- polynomials (tuples of coefficients, low degree first) -----
 
@@ -259,25 +270,16 @@ class FieldSpec:
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.ndim == 2 and points.shape[:1] != coeffs.shape[:1]:
             raise ValueError(f"{len(coeffs)} polynomials for {len(points)} rows of points")
-        if coeffs.size and not (0 <= coeffs.min() and coeffs.max() < (1 << self.w)):
-            raise ValueError(f"coefficient outside GF(2^{self.w})")
-        if self._exp is None:
-            polys = coeffs.reshape(-1, coeffs.shape[-1]).tolist()
-            rows = points.reshape(len(polys), -1).tolist() if points.size else []
-            return np.array([[self.poly_eval(g, p) for p in row] for g, row in zip(polys, rows)],
-                            dtype=np.int64).reshape(points.shape)
-        if points.size and not (0 <= points.min() and points.max() < (1 << self.w)):
-            raise ValueError(f"evaluation point outside GF(2^{self.w})")
-        exp, log = self._tables()
-        log_p, zero_p = log[points].astype(np.intp), points == 0
+        for what, v in (("coefficient", coeffs), ("evaluation point", points)):
+            # a negative value or one of 2^w or more sets a bit at w or above
+            if v.size and np.bitwise_or.reduce(v, axis=None) >> self.w:
+                raise ValueError(f"{what} outside GF(2^{self.w})")
         # coefficient i of every polynomial, shaped to broadcast over its row
         terms = coeffs.T.reshape(coeffs.shape[-1:] + coeffs.shape[:-1]
                                  + (1,) * (points.ndim - coeffs.ndim + 1))
-        acc = np.zeros(points.shape, dtype=np.int64)
-        for c in terms[::-1]:  # Horner, a product with a zero factor is 0
-            product = exp[log[acc] + log_p].astype(np.int64)
-            product[zero_p | (acc == 0)] = 0
-            acc = product ^ c
+        acc = np.zeros(points.shape, dtype=np.int64) ^ terms[-1]
+        for c in terms[-2::-1]:  # Horner
+            acc = self.mul_many(acc, points) ^ c
         return acc
 
     def interpolate(self, points, d: int):
@@ -321,6 +323,18 @@ class FieldSpec:
                     rows[i] = [vi ^ mul(f, vc) for vi, vc in zip(rows[i], rows[col])]
         return tuple(rows[i][d] for i in range(d))
 
+    def interpolate_many(self, xs, ys) -> np.ndarray:
+        """interpolate on every row of two (..., d) arrays of points (xs, ys)
+        with pairwise-distinct xs: Newton's divided differences, one division
+        per order over all rows, then the Newton form expanded in place."""
+        xs, c = np.asarray(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+        d = xs.shape[-1]
+        for j in range(1, d):  # c[i] = f[x_(i-j), ..., x_i], from order j - 1
+            c[..., j:] = self.div_many(c[..., j:] ^ c[..., j - 1:-1], xs[..., j:] ^ xs[..., :-j])
+        for i in range(d - 2, -1, -1):  # c[i:] <- c_i + (x - x_i) * (c[i + 1:] as a polynomial)
+            c[..., i:-1] ^= self.mul_many(c[..., i + 1:], xs[..., i:i + 1])
+        return c
+
     # ----- the index <-> polynomial bijection -----
 
     def index_to_poly(self, j: int, d: int):
@@ -341,6 +355,15 @@ class FieldSpec:
         for i, c in enumerate(coeffs):
             j |= self.check(c) << (self.w * i)
         return j
+
+    def poly_to_index_many(self, coeffs) -> np.ndarray:
+        """poly_to_index on every row of a (..., d) int64 array of
+        coefficients; a row whose index is 2^63 or more reads -1."""
+        shifts = np.arange(0, self.w * coeffs.shape[-1], self.w)
+        j = np.bitwise_or.reduce(coeffs << shifts, axis=-1)
+        if self.w * coeffs.shape[-1] <= 63:
+            return j
+        return np.where((coeffs >> np.maximum(63 - shifts, 0)).any(axis=-1), -1, j)
 
 
 @lru_cache(maxsize=None)

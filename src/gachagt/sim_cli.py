@@ -124,8 +124,10 @@ def validate_config(config: SimConfig) -> None:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
     if not 0 < config.k < config.n:
         raise ValueError(f"need 0 < k < n, got k={config.k}, n={config.n}")
-    if config.trials < 0:
-        raise ValueError("trials must be >= 0")
+    for key in ("trials", "w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed",
+                "outer_w", "m"):
+        if getattr(config, key) < 0:
+            raise ValueError(f"{key} must be >= 0, got {getattr(config, key)}")
     noisy = config.noise.channel is not None
     if config.inner not in ("auto", "cw", "linear"):
         raise ValueError("inner must be auto, cw, or linear")

@@ -17,6 +17,7 @@ from gachagt import sim_cli
 from gachagt.channels import bsc
 from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import expander_build, parallel_build, pyramid_build, serial_build
+from gachagt.gf2e import FieldSpec
 from gachagt.inner_code import BinaryLinearCode
 from scaffolding import expander_decode_reference, identity_scheme, scalar_gacha_decode
 
@@ -87,6 +88,22 @@ def test_expander_decode_matches_copy_loop(shape, kind, seed):
     h, reference = SHAPES[shape]()
     bits = expander_input(h, np.random.default_rng(seed), kind)
     assert list(h.decode(bits)) == list(reference(bits))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_expander_decode_never_reaches_the_scalar_path(shape, monkeypatch):
+    h, reference = SHAPES[shape]()
+    rng = np.random.default_rng(13)
+    inputs = [expander_input(h, rng, kind) for kind in ("sick", "bsc", "garbage")]
+    want = [list(reference(bits)) for bits in inputs]
+
+    def scalar(*args):
+        raise AssertionError("the stacked decode reached a scalar oracle")
+
+    monkeypatch.setattr(gacha_core, "recover_from_groups", scalar)
+    monkeypatch.setattr(FieldSpec, "interpolate", scalar)
+    monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
+    assert [list(h.decode(bits)) for bits in inputs] == want
 
 
 def test_expander_decodes_all_copies_in_one_inner_call(monkeypatch):

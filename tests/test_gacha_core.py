@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gachagt.gacha_core as gacha_core
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import person_rng, run_tests, sample_instance, score
-from gachagt.gf2e import field
+from gachagt.gf2e import FieldSpec, field
 from gachagt.inner_code import Occupancy, combination_unrank
 from gachagt.gacha_core import (
     COLLISION,
@@ -488,11 +489,13 @@ def test_synthesize_blocks_shape_checked():
 # stacked array decode against the scalar list decode
 # ---------------------------------------------------------------------------
 
-# d = 3 and w = 17 take no closed form: every group goes to recover_from_groups
+# d = 3; w = 17, which multiplies by shift and add; and w * d = 68 > 63,
+# whose indices can overflow int64
 DECODE_SHAPES = {
     **INNER_SHAPES,
     "cw-d3": lambda: default_params(4096, 4, matrix_seed=3, d=3),
     "cw-w17": lambda: default_params(4096, 4, matrix_seed=3, B=40, w=17),
+    "cw-d4-w17": lambda: default_params(4096, 4, matrix_seed=3, d=4, w=17, B=40),
 }
 
 
@@ -569,7 +572,7 @@ def test_decode_rows_keeps_arrival_order():
     assert list(h.decode(h.observed_bits(set(sick)))) == want
 
 
-def test_decode_rows_retries_through_scalar_path():
+def test_decode_rows_retries_on_the_next_slots():
     # the first attempt (two smallest batches) holds a garbage fragment, the
     # retry on the next two batches recovers the person
     p = ac1_params(seed=6)
@@ -585,20 +588,59 @@ def test_decode_rows_retries_through_scalar_path():
     assert decode_rows(p, blocks_to_bits(p, words), 1) == [set()]  # j >= n
 
 
+def test_decode_rows_rejects_indices_past_int64():
+    # w * d = 68: a top coefficient of 2^13 puts the index at 2^64 + 5, which
+    # wraps to 5 in int64, and one of 2^12 at 2^63 + 5, which wraps negative;
+    # both lie outside [0, n), as recover_from_groups finds, and are rejected
+    p = DECODE_SHAPES["cw-d4-w17"]()
+    fld, batches = p.field, np.arange(0, 40, 5)
+    for g, want in (((5, 0, 0, 1 << 13), set()), ((5, 0, 0, 1 << 12), set()),
+                    ((5, 0, 0, 0), {5})):
+        assert (fld.poly_to_index(g) + (1 << 63)) % (1 << 64) - (1 << 63) < p.n  # as int64
+        los = np.array([fld.poly_eval(g, p.point(int(s))) for s in batches])
+        words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
+        words[batches] = p.inner.encode_blocks(np.full(len(batches), fld.poly_eval(g, p.b0)),
+                                               los, batches)
+        assert decode_rows(p, blocks_to_bits(p, words), 1) == [want]
+        assert scalar_decode_rows(p, [words]) == [list(want)]
+
+
+@pytest.mark.parametrize("shape", DECODE_SHAPES)
+def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
+    p = DECODE_SHAPES[shape]()
+    rng = np.random.default_rng(11)
+    copies = [source(p, rng) for source in (or_of_sick_blocks, bsc_blocks, garbage_blocks,
+                                            crafted_blocks) for _ in range(2)]
+    want = scalar_decode_rows(p, copies)
+
+    def scalar(*args):
+        raise AssertionError("the stacked decode reached a scalar oracle")
+
+    monkeypatch.setattr(gacha_core, "recover_from_groups", scalar)
+    monkeypatch.setattr(FieldSpec, "interpolate", scalar)
+    monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
+    got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), len(copies))
+    assert [list(s) for s in got] == want
+
+
 @st.composite
 def fragment_rows(draw):
-    """(d, nrows, fragments) for recover_rows over GF(2^8): per row, slots in
-    ascending order, each holding fragments of distinct birthdays in any
-    order; fragments from a few polynomials, some under wrong birthdays,
-    some garbage."""
-    d = draw(st.sampled_from([1, 2, 3]))
+    """(w, d, nrows, fragments) for recover_rows over GF(2^8), GF(2^17) or
+    GF(2^32): per row, slots in ascending order, each holding fragments of
+    distinct birthdays in any order; fragments from a few polynomials, half
+    of them with an index below 2^24, some under wrong birthdays, some
+    garbage."""
+    w = draw(st.sampled_from([8, 17, 32]))
+    d = draw(st.sampled_from([1, 2, 3, 4]))
     nrows = draw(st.integers(1, 3))
-    fld = field(8)
+    fld, q = field(w), 1 << w
     seed = draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     frags = []
     for row in range(nrows):
-        polys = [tuple(rng.integers(0, 256, size=d).tolist()) for _ in range(int(rng.integers(1, 6)))]
+        polys = [fld.index_to_poly(int(rng.integers(0, 1 << min(24, w * d))), d)
+                 if rng.random() < 0.5 else tuple(rng.integers(0, q, size=d).tolist())
+                 for _ in range(int(rng.integers(1, 6)))]
         births = [fld.poly_eval(g, 0) if rng.random() < 0.7 else int(rng.integers(0, 4))
                   for g in polys]
         for slot in range(int(rng.integers(1, 40))):
@@ -609,15 +651,15 @@ def fragment_rows(draw):
                 seen.add(births[i])
                 lo = fld.poly_eval(polys[i], slot + 1)
                 frags.append((row, slot, births[i], lo if rng.random() < 0.8 else
-                              int(rng.integers(0, 256))))
-    return d, nrows, frags
+                              int(rng.integers(0, q))))
+    return w, d, nrows, frags
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(case=fragment_rows(), n=st.sampled_from([1 << 8, 1 << 12, 1 << 24]))
 def test_recover_rows_matches_recover_from_groups(case, n):
-    d, nrows, frags = case
-    fld = field(8)
+    w, d, nrows, frags = case
+    fld = field(w)
     arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
     got = recover_rows(fld, d, 0, arrays, lambda s: s + 1, n, nrows)
     want = []
@@ -628,3 +670,20 @@ def test_recover_rows_matches_recover_from_groups(case, n):
                 groups.setdefault(hi, []).append((slot, lo))
         want.append(list(recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n)))
     assert [list(s) for s in got] == want
+
+
+def test_recover_rows_retries_after_an_index_past_int64():
+    # d = 3 over GF(2^32): P = Q + x (x + 7) shares the birthday P(0) = Q(0)
+    # and the point x = 7 with Q, and its index passes 2^64.  Slots 0..2 lie
+    # on P, slots 3..5 on Q, slot 6 on both: the first attempt finds P, whose
+    # index no person has, so the retry on slots 3..5 must find Q, which
+    # matches 4 of the 7 points
+    fld, d, n = field(32), 3, 1 << 24
+    q = fld.index_to_poly(12345, d)
+    p = (q[0], q[1] ^ 7, q[2] ^ 1)  # x (x + 7) = x^2 + 7 x
+    assert fld.poly_eval(p, 7) == fld.poly_eval(q, 7) and fld.poly_to_index(p) >= 1 << 64
+    frags = [(0, s, q[0], fld.poly_eval(p if s < 3 else q, s + 1)) for s in range(7)]
+    arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*frags))
+    groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
+    assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
+    assert recover_rows(fld, d, 0, arrays, lambda s: s + 1, n, 1) == [{12345}]

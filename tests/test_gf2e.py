@@ -293,7 +293,7 @@ def test_wide_fields_keep_shift_and_add(w):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_poly_eval_many_per_row_matches_scalar(data):
-    # w > 16 takes the scalar fallback, w <= 16 the log tables
+    # w <= 16 multiplies by the log tables, w > 16 by array shift and add
     w = data.draw(st.integers(2, MAX_TABLE_WIDTH + 4))
     f, elem = field(w), st.integers(0, (1 << w) - 1)
     k, d, r = (data.draw(st.integers(0, 5)), data.draw(st.integers(1, 4)),
@@ -332,3 +332,58 @@ def test_poly_eval_many_range_checks():
     with pytest.raises(ValueError):
         f.poly_eval_many((1, 256), [3])
     assert f.poly_eval_many((1, 2), []).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# array field ops at every width against the scalar oracles
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_mul_many_and_div_many_match_scalar_oracles(data):
+    # log tables up to w = 16, shift and add with a Fermat inverse above
+    w = data.draw(st.integers(2, 32))
+    f, poly, q = field(w), IRREDUCIBLE_POLY[w], 1 << w
+    elem = st.integers(0, q - 1)
+    a = data.draw(st.lists(elem, min_size=1, max_size=10)) + [0, 0, q - 1]
+    b = data.draw(st.lists(elem, min_size=len(a) - 3, max_size=len(a) - 3)) + [0, q - 1, 0]
+    product = f.mul_many(np.array(a), np.array(b))
+    assert product.dtype == np.int64
+    assert product.tolist() == [_mulmod_poly(x, y, poly) for x, y in zip(a, b)]
+    assert f.mul_many(a[0], np.array(b)).tolist() == [_mulmod_poly(a[0], y, poly) for y in b]
+    nonzero = [y or 1 for y in b]
+    quotient = f.div_many(np.array(a), np.array(nonzero))
+    assert quotient.dtype == np.int64
+    assert quotient.tolist() == [_mulmod_poly(x, f.inv(y), poly) for x, y in zip(a, nonzero)]
+    with pytest.raises(ZeroDivisionError):
+        f.div_many(np.array(a), np.array(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_interpolate_many_matches_scalar_interpolate(data):
+    w = data.draw(st.integers(2, 32))
+    f, q = field(w), 1 << w
+    d = data.draw(st.integers(1, min(4, q)))
+    rows = data.draw(st.lists(st.tuples(
+        st.lists(st.integers(0, q - 1), min_size=d, max_size=d, unique=True),
+        st.lists(st.integers(0, q - 1), min_size=d, max_size=d)), min_size=0, max_size=5))
+    xs = np.array([x for x, _ in rows], dtype=np.int64).reshape(-1, d)
+    ys = np.array([y for _, y in rows], dtype=np.int64).reshape(-1, d)
+    got = f.interpolate_many(xs, ys)
+    assert got.shape == (len(rows), d)
+    assert [tuple(g) for g in got.tolist()] == [f.interpolate(list(zip(x, y)), d) for x, y in rows]
+    with pytest.raises(ZeroDivisionError):  # a repeated x-coordinate
+        f.interpolate_many(np.zeros((1, 2), dtype=np.int64), np.array([[1, 2]]))
+
+
+@pytest.mark.parametrize("w,d", [(8, 3), (16, 2), (17, 3), (17, 4), (32, 2), (32, 3)])
+def test_poly_to_index_many_matches_scalar_or_reads_wrap(w, d):
+    # an index of 2^63 or more has no int64 form: it reads -1, never a wrapped value
+    f, rng = field(w), np.random.default_rng(w * d)
+    coeffs = rng.integers(0, 1 << w, size=(60, d))
+    coeffs[:3] = [[0] * d, [(1 << w) - 1] * d, [1] + [0] * (d - 1)]
+    want = [f.poly_to_index(tuple(c)) for c in coeffs.tolist()]
+    assert f.poly_to_index_many(coeffs).tolist() == [j if j < 1 << 63 else -1 for j in want]
+    if w * d > 63:
+        assert -1 in f.poly_to_index_many(coeffs).tolist()

@@ -58,6 +58,18 @@ def test_parse_rejects_bad_expander():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("key", ["w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed",
+                                 "outer_w", "m"])
+def test_parse_rejects_negative_sizing_keys(key):
+    # caught at parse time, not at the first trial deep in a build; 0 fills
+    # the key from the defaults
+    scheme = {"outer_w": "gacha+gadgets", "m": "comp"}.get(key, "gacha")
+    text = f"scheme={scheme}\nn=4096\nk=2\ntrials=1\nmaster_seed=1\n{key}=-3\n"
+    with pytest.raises(ValueError, match=rf"^{key} must be >= 0, got -3$"):
+        parse_config(text)
+    assert getattr(parse_config(text.replace("=-3", "=0")), key) == 0
+
+
 def test_parse_rejects_duplicate_and_malformed():
     with pytest.raises(ValueError, match="duplicate"):
         parse_config(MINIMAL + "n=2\n")
