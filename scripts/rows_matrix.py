@@ -58,6 +58,8 @@ SCHEMES = {
     # a design exactly one 64-bit word wide, and one with a single bit in a second word
     "comp-m64": "scheme=comp\nn=200\nk=3\ntrials=4\nmaster_seed=5\nm=64\n",
     "comp-m65": "scheme=comp\nn=200\nk=3\ntrials=4\nmaster_seed=5\nm=65\n",
+    # a last design chunk of a single row
+    "comp-n4097": "scheme=comp\nn=4097\nk=8\ntrials=4\nmaster_seed=5\n",
     # a linear inner payload wider than the (birthday, fragment) pair
     "gacha-wide": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=12\nlin_dim=14\n",
     # batch draws numpy makes by shuffling a tail (B > 10000, r > B // 50)

@@ -34,8 +34,8 @@ class DiscreteChannel:
         if len(self.mu0) != len(self.mu1) or len(self.mu0) < 2:
             raise ValueError("mu0 and mu1 must have equal length >= 2")
         for mu in (self.mu0, self.mu1):
-            if any(p < 0 for p in mu):
-                raise ValueError("negative probability")
+            if not all(0.0 <= p <= 1.0 for p in mu):  # NaN fails both comparisons
+                raise ValueError(f"probability outside [0, 1] in {mu}")
             if abs(sum(mu) - 1.0) > PROB_TOL:
                 raise ValueError(f"distribution sums to {sum(mu)}, not 1")
         if all(abs(a - b) <= CAPACITY_TOL for a, b in zip(self.mu0, self.mu1)):

@@ -8,6 +8,7 @@ per-trial error counts.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 from dataclasses import dataclass
 
@@ -320,31 +321,70 @@ def choice_sets(seed, js, B: int, r: int) -> np.ndarray:
 
 def person_streams(seed, js):
     """Yield, for each j in js in order, one reused Generator(PCG64) set to
-    the state of np.random.default_rng((seed, j)).
-
-    Draw from each before taking the next: the next j resets the state.
-    The states are seed_states and pcg_states' seeding step, with inc = 2 *
-    initseq + 1, so the draws match default_rng bit for bit without a
-    SeedSequence per person.  A bad seed or index raises at the call,
-    before anything is yielded.
-    """
+    np.random.default_rng((seed, j))'s state; draw from each before the
+    next.  The states (seed_states, pcg_states' seeding step, inc = 2 *
+    initseq + 1) are copied into the bit generator's memory, or set through
+    its setter when _pcg_layout fails.  A bad seed or index raises at the
+    call, before anything is yielded."""
     words = seed_states(seed, js)
     hi, lo = pcg_states(words, (0,))
     inc_hi = (words[:, 2] << np.uint64(1)) | (words[:, 3] >> np.uint64(63))
     inc_lo = (words[:, 3] << np.uint64(1)) | np.uint64(1)
-    return _set_streams(hi[:, 0].tolist(), lo[:, 0].tolist(), inc_hi.tolist(), inc_lo.tolist())
+    limbs = np.stack([hi[:, 0], lo[:, 0], inc_hi, inc_lo], axis=1)
+    return _streams(np.random.Generator(np.random.PCG64()), limbs, _pcg_layout())
 
 
-def _set_streams(*limbs):
-    bitgen = np.random.PCG64()
-    gen = np.random.Generator(bitgen)
-    pcg = {"state": 0, "inc": 0}
-    full = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, i_hi, i_lo in zip(*limbs):
-        pcg["state"] = (s_hi << 64) | s_lo
-        pcg["inc"] = (i_hi << 64) | i_lo
-        bitgen.state = full
+def _pcg_dict(s_hi: int, s_lo: int, i_hi: int, i_lo: int, has_uint32=0, uinteger=0) -> dict:
+    return {"bit_generator": "PCG64", "has_uint32": has_uint32, "uinteger": uinteger,
+            "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo}}
+
+
+def _streams(gen, limbs, layout):
+    """Yield gen set to each row of limbs: by the setter when layout is None,
+    else by copying in the state's bytes (words placed, flags zeroed as the
+    setter does, the rest kept); gen, not the ctypes view, keeps them alive."""
+    if layout is None:
+        for row in limbs.tolist():
+            gen.bit_generator.state = _pcg_dict(*row)
+            yield gen
+        return
+    size, word_at, flag_at = layout
+    memory = memoryview((ctypes.c_char * size).from_address(
+        gen.bit_generator.ctypes.state_address)).cast("B")
+    image = np.repeat(np.frombuffer(memory, dtype=np.uint64)[None], len(limbs), axis=0)
+    image[:, word_at] = limbs
+    image.view(np.uint32)[:, flag_at] = 0
+    rows = memoryview(image.view(np.uint8).reshape(-1))
+    for at in range(0, rows.nbytes, size):
+        memory[:] = rows[at:at + size]
         yield gen
+
+
+@functools.lru_cache(maxsize=None)
+def _pcg_layout():
+    """(size, word_at, flag_at): the bytes from a PCG64's state address (a
+    pointer to its {state, inc} pair, then has_uint32 and uinteger) to the
+    pair's end, the uint64 index of state hi, state lo, inc hi and inc lo (a
+    128-bit int or a {high, low} struct) and the uint32 index of the flags,
+    found from distinct values set through the setter; None unless a state
+    copied in reads back from .state."""
+    gen = np.random.Generator(np.random.PCG64())
+    probe = [0x0102030405060708 * i for i in range(1, 5)]
+    gen.bit_generator.state = _pcg_dict(*probe, 1, 0x5A5A5A5A)
+    base = gen.bit_generator.ctypes.state_address
+    pair = ctypes.c_void_p.from_address(base).value - base
+    flags = ctypes.sizeof(ctypes.c_void_p) // 4  # the uint32 index after the pointer
+    if pair not in range(4 * flags + 8, 65, 8):
+        return None
+    memory = (ctypes.c_char * (pair + 32)).from_address(base)
+    words, halves = (np.frombuffer(memory, dtype=t) for t in (np.uint64, np.uint32))
+    word_at = [pair // 8 + np.flatnonzero(words[pair // 8:] == w) for w in probe]
+    flag_at = [flags + np.flatnonzero(halves[flags:pair // 4] == f) for f in (1, 0x5A5A5A5A)]
+    if any(len(at) != 1 for at in word_at + flag_at):
+        return None
+    layout = pair + 32, np.concatenate(word_at), np.concatenate(flag_at)
+    next(_streams(gen, np.array([probe[::-1]], dtype=np.uint64), layout))
+    return layout if gen.bit_generator.state == _pcg_dict(*probe[::-1]) else None
 
 
 def run_tests(matrix: ConfigMatrix, inst: ProblemInstance) -> np.ndarray:

@@ -207,14 +207,12 @@ def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
     p = 1 - 2 ** (-1.0 / config.k)
     words = zero_words(config.n, m)
     draws = np.empty((min(DESIGN_CHUNK, config.n), m))
-    below = np.empty(draws.shape, dtype=bool)
     streams = person_streams(matrix_seed, range(config.n))
     for start in range(0, config.n, len(draws)):
         rows = min(len(draws), config.n - start)
         for buf, gen in zip(draws[:rows], streams):
             gen.random(out=buf)
-        np.less(draws[:rows], p, out=below[:rows])
-        pack_rows(below[:rows], out=words[start:start + rows])
+        pack_rows(draws[:rows] < p, out=words[start:start + rows])
     return words, m
 
 

@@ -1,5 +1,6 @@
 """The packed Bernoulli design behind COMP and the oracle: the one-pass
-seeding against numpy's own SeedSequence and default_rng, the design against
+seeding against numpy's own SeedSequence and default_rng (on the state
+copy and on the setter it falls back to), the design against
 the per-column build it replaces, the word layout bit by bit, COMP's
 word ANDs against the column loop, and the handle's observe against
 run_tests."""
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gachagt import core_model
 from gachagt.baselines import WORD, comp_decode, comp_decode_words, pack_rows, unpack_rows
 from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
-from gachagt.sim_cli import build_scheme, parse_config
+from gachagt.sim_cli import _bernoulli_design, build_scheme, parse_config
 from scaffolding import bernoulli_columns_reference, comp_decode_reference
 
 # (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
@@ -152,6 +154,40 @@ def test_person_streams_run_in_order():
     for j, gen in zip(js, person_streams(99, js)):
         assert gen.bit_generator.state == np.random.default_rng((99, j)).bit_generator.state
     assert list(person_streams(99, [])) == []
+
+
+@pytest.fixture(params=["copy", "setter"])
+def writer(request, monkeypatch):
+    """person_streams on the memory copy, or with the probe made to fail."""
+    if request.param == "setter":
+        monkeypatch.setattr(core_model, "_pcg_layout", lambda: None)
+    return request.param
+
+
+def test_state_probe_finds_the_layout():
+    assert core_model._pcg_layout() is not None  # so the copy path is what runs here
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 32) + 5, (1 << 64) - 1, (7, 13)])
+def test_person_streams_state_exact_after_a_buffered_uint32(writer, seed):
+    # a uint32 draw leaves half an output buffered (has_uint32 = 1); the next
+    # person's state must clear it, as the setter does
+    js = [3, 0, 1 << 33, 3, 4095]
+    for j, gen in zip(js, person_streams(seed, js)):
+        assert gen.bit_generator.state == np.random.default_rng((seed, j)).bit_generator.state
+        gen.integers(0, 2**32, dtype=np.uint32)
+        assert gen.bit_generator.state["has_uint32"] == 1
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_setter_path_design_equals_copy_path(shape, monkeypatch):
+    n, m, k, matrix_seed = shape
+    text = f"scheme=comp\nn={n}\nk={k}\ntrials=1\nmaster_seed=1\n" + (f"m={m}\n" if m else "")
+    config = parse_config(text)
+    copied, m_copy = _bernoulli_design(config, matrix_seed)
+    monkeypatch.setattr(core_model, "_pcg_layout", lambda: None)
+    set_words, m_set = _bernoulli_design(config, matrix_seed)
+    assert m_copy == m_set and np.array_equal(copied, set_words)
 
 
 @pytest.mark.parametrize("seed,js", [(-1, [0]), (1 << 64, [0]), (3, [-1]), (3, [0.5])])

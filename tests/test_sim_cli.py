@@ -285,6 +285,22 @@ def test_custom_channel_is_read_once(tmp_path):
         assert got[:ts] == row[:ts]
 
 
+@pytest.mark.parametrize("scheme", ["scheme=gacha\nn=4096\nk=2\n", "scheme=oracle\nn=12\nk=2\n"])
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf", "1.5"])
+def test_custom_channel_rejects_bad_probabilities_at_parse(tmp_path, capsys, scheme, entry):
+    csv_path = tmp_path / "channel.csv"
+    csv_path.write_text(f"symbol,mu0,mu1\n0,0.9,0.05\n1,{entry},0.15\n2,0.03,0.8\n")
+    text = scheme + f"channel=custom:{csv_path}\nsymmetrize=auto\ntrials=3\nmaster_seed=1\n"
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        parse_config(text)
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()  # no trial ran
+
+
 def test_run_parallel_workers_match_serial_noisy(tmp_path):
     text = MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
     cfg = parse_config(text.replace("channel=none", "channel=fp:0.05"))
