@@ -33,6 +33,10 @@ SCHEMES = {
     "gacha+gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\n"
                       "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
     # two stacked expander layers, and a vote layer under a parallel one
+    # k = 16 over 2^8 outer birthdays: a copy often decodes two pairs under
+    # one birthday, and the expander keeps the one its inner decode lists first
+    "gadgets-ties": ("scheme=gacha+gadgets\nn=65536\nk=16\ntrials=40\nmaster_seed=5\n"
+                     "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
     "gadgets-tau3": ("scheme=gacha+gadgets\nn=65536\nk=4\ntrials=2\nmaster_seed=5\n"
                      "rho=3\nR=8\ntau_depth=3\nouter_w=8\nB=24\n"),
     "gadgets-sigma3-pi2": ("scheme=gacha+gadgets\nn=100000\nk=8\ntrials=2\nmaster_seed=5\n"

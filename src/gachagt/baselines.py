@@ -17,7 +17,7 @@ import numpy as np
 
 from .channels import DiscreteChannel
 from .core_model import ConfigMatrix
-from .scheme import stacked_args
+from .scheme import checked_bits, stacked_args
 
 MAX_ENUMERATION = 10 ** 6
 
@@ -65,20 +65,18 @@ def observe_words(words: np.ndarray, m: int, js, rows, nrows: int) -> np.ndarray
 
 def comp_decode(matrix: ConfigMatrix, y) -> set:
     """Everyone whose tests are all positive (vacuously true for no tests)."""
-    return comp_decode_words(pack_rows(matrix.dense()), matrix.m, y)
+    return set(comp_decode_words(pack_rows(matrix.dense()), matrix.m, y)[1].tolist())
 
 
-def comp_decode_words(words: np.ndarray, m: int, y) -> set:
-    """COMP on a packed design: everyone in no negative test, by ANDing each
-    word column with the packed negative tests."""
-    y = np.asarray(y, dtype=np.uint8)
-    if len(y) != m:
-        raise ValueError(f"result length {len(y)} != m = {m}")
-    negative = pack_rows((y == 0)[None])[0]
-    hit = np.zeros(len(words), dtype=WORD)
-    for i in np.flatnonzero(negative):
-        hit |= words[:, i] & negative[i]
-    return set(np.flatnonzero(hit == 0).tolist())
+def comp_decode_words(words: np.ndarray, m: int, y, nrows: int = 1):
+    """COMP on a packed design over nrows stacked copies of the m results:
+    (row, index) int64 arrays of everyone in no negative test of copy row,
+    by ANDing each word column with the copy's packed negative tests."""
+    negative = pack_rows(checked_bits(y, m, nrows).reshape(nrows, m) == 0)
+    hit = np.zeros((nrows, len(words)), dtype=WORD)
+    for r, i in zip(*np.nonzero(negative)):
+        hit[r] |= words[:, i] & negative[r, i]
+    return np.nonzero(hit == 0)
 
 
 def _column_masks(matrix: ConfigMatrix):

@@ -131,8 +131,9 @@ def parse_channel_spec(spec: str):
     """Parse 'bsc:0.1', 'bec:0.2', 'fp:0.2', 'fn:0.3', 'custom:<csv path>' or 'none'.
 
     The kind is case-insensitive; a custom CSV path is used as given.  The CSV
-    has a header row symbol,mu0,mu1 and one row per output symbol.  Returns
-    None for 'none'.
+    has a header row symbol,mu0,mu1 (spaces around a name are ignored) and
+    one row per output symbol, the symbols 0, 1, ... in order.  Returns None
+    for 'none'.
     """
     spec = spec.strip()
     if spec == "none":
@@ -141,15 +142,18 @@ def parse_channel_spec(spec: str):
     if kind in ("bsc", "bec", "fp", "fn"):
         return make_channel(kind, float(arg))
     if kind == "custom":
-        with open(arg, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != ["symbol", "mu0", "mu1"]:
-                raise ValueError("custom channel CSV must have header symbol,mu0,mu1")
-            mu0, mu1 = [], []
-            for row in reader:
-                mu0.append(float(row["mu0"]))
-                mu1.append(float(row["mu1"]))
-        return DiscreteChannel(tuple(mu0), tuple(mu1))
+        try:
+            with open(arg, newline="") as fh:
+                header, *rows = [row for row in csv.reader(fh) if row] or [[]]
+        except csv.Error as e:  # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"custom channel CSV: {e}") from e
+        if [c.strip() for c in header] != ["symbol", "mu0", "mu1"]:
+            raise ValueError("custom channel CSV must have header symbol,mu0,mu1")
+        for i, row in enumerate(rows):
+            if len(row) != 3 or row[0].strip() != str(i):
+                raise ValueError(f"custom channel CSV row {i + 2} must be {i},mu0,mu1, got {row}")
+        return DiscreteChannel(tuple(float(row[1]) for row in rows),
+                               tuple(float(row[2]) for row in rows))
     raise ValueError(f"unknown channel spec {spec!r}")
 
 

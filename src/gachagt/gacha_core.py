@@ -18,8 +18,10 @@ decode_rows does this for a stack of copies at once, in arrays: one
 bits_to_blocks and one classify_blocks over every copy's batches, then
 recover_rows, where an argsort on (copy, birthday) forms the groups and the
 field's array interpolation and Horner settle every group, retry included,
-for any d and w.  The list form (synthesize_blocks, list_decode,
-recover_from_groups) stays as the scalar reference.
+for any d and w.  It returns (row, index) int64 arrays in arrival order: a
+copy's indices in the order of their groups' first fragments.  The list form
+(synthesize_blocks, list_decode, recover_from_groups) stays as the scalar
+reference.
 """
 
 from __future__ import annotations
@@ -435,10 +437,9 @@ def list_decode(params: GachaParams, word: SynthWord):
                                params.point, params.n)
 
 
-def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int,
-                 nrows: int) -> list:
-    """recover_from_groups over the fragments of nrows rows at once, in
-    arrays: one set of indices per row.
+def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int):
+    """recover_from_groups over the fragments of many rows at once, in
+    arrays: the accepted indices as (row, index) int64 arrays.
 
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
     fragment (slot, lo) with birthday hi in row `row`, both field elements.
@@ -446,9 +447,9 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     order, and point_of_slot must map arrays too.  A stable argsort on (row,
     birthday) forms the groups; both of recover_from_groups' attempts and its
     rules apply to all groups at once, and an index of 2^63 or more is also
-    rejected.  Each row's set gets its indices in the arrival order of their
-    groups' first fragments, as recover_from_groups' dict meets them, so the
-    sets iterate alike too.
+    rejected.  The indices come in the arrival order of their groups' first
+    fragments, as recover_from_groups' dict meets them, so rows ascend when
+    the fragments' rows do.
     """
     row, slot, hi, lo = fragments
     order = np.lexsort((hi, row))
@@ -479,16 +480,14 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
         again = np.flatnonzero(~ok & (size > d))
         todo, first, size = todo[again], first[again], size[again]
         skip = np.where(size >= 2 * d, d, 1)
-    out = [set() for _ in range(nrows)]
-    for _, r, j in sorted((a, r, j) for a, r, j in zip(
-            order[starts].tolist(), row[starts].tolist(), accepted.tolist()) if j >= 0):
-        out[r].add(j)
-    return out
+    keep = np.flatnonzero(accepted >= 0)
+    keep = keep[np.argsort(order[starts[keep]])]
+    return row[starts[keep]], accepted[keep]
 
 
-def decode_rows(params: GachaParams, bits, nrows: int) -> list:
-    """The decoded set of each of nrows copies of the observed bits, stacked
-    nrows * m of them; see recover_rows."""
+def decode_rows(params: GachaParams, bits, nrows: int):
+    """(row, index) int64 arrays of what nrows copies of the observed bits,
+    stacked nrows * m of them, decode to; see recover_rows."""
     kinds, hi, lo = params.inner.classify_blocks(bits_to_blocks(params, bits, nrows), params.B)
     # ONE fragments only; a payload wider than the pair can read a birthday
     # or fragment outside GF(2^w), which no person writes
@@ -496,7 +495,7 @@ def decode_rows(params: GachaParams, bits, nrows: int) -> list:
     one = np.flatnonzero((kinds == _ONE) & (hi < q) & (lo < q))  # by copy, then batch
     row, slot = np.divmod(one, params.B)
     return recover_rows(params.field, params.d, params.b0, (row, slot, hi[one], lo[one]),
-                        params.point, params.n, nrows)
+                        params.point, params.n)
 
 
 def gacha_scheme(params: GachaParams) -> SchemeHandle:

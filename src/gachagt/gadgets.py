@@ -8,7 +8,8 @@ Each gadget wraps any SchemeHandle and returns a bigger SchemeHandle:
   keeps indices reported by at least half of them.
 * expander_build lets every person join rho of R copies under a fresh
   birthday/fragment code, so per-copy results can be re-assembled by the same
-  group-and-interpolate decoder the core scheme uses.
+  group-and-interpolate decoder the core scheme uses.  When one copy reports
+  two pairs under one birthday, the one that arrived first is kept.
 
 pyramid_build stacks expander layers, then an optional vote layer, then an
 optional parallel layer outermost.
@@ -18,7 +19,9 @@ A gadget encodes through its inner handle's stacked observe: it maps each
 makes one inner call, so a whole pyramid reaches the base in one call.  It
 decodes a stack of copies the same way: its decode_rows makes one call of its
 inner handle's decode_rows over every inner copy they stand for, so a whole
-pyramid reaches the base in one decode call too.
+pyramid reaches the base in one decode call too.  Decode results stay
+(row, index) int64 arrays through every layer, and each gadget maps them back
+in array operations.
 """
 
 from __future__ import annotations
@@ -58,15 +61,6 @@ class GadgetParams:
             raise ValueError(f"need tau_depth >= 2, got {self.tau_depth}")
 
 
-def majority_vote(decoded_sets, threshold: int):
-    """Indices appearing in at least `threshold` of the per-copy sets."""
-    counts = {}
-    for s in decoded_sets:
-        for j in s:
-            counts[j] = counts.get(j, 0) + 1
-    return {j for j, c in counts.items() if c >= threshold}
-
-
 def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
     """pi disjoint copies; a seeded permutation of [pi * n] assigns every
     person one copy and one distinct slot inside it."""
@@ -84,12 +78,9 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         return inner.observe(i, rows * pi + c, nrows * pi)
 
     def decode_rows(bits, nrows):
-        out = [set() for _ in range(nrows)]
-        found = inner.decode_rows(checked_bits(bits, pi * inner.m, nrows), nrows * pi)
-        for g, s in enumerate(found):
-            row, c = divmod(g, pi)
-            out[row].update(int(inv[c * inner.n + i]) for i in s)
-        return out
+        row, i = inner.decode_rows(checked_bits(bits, pi * inner.m, nrows), nrows * pi)
+        row, c = np.divmod(row, pi)
+        return row, inv[c * inner.n + i]
 
     return SchemeHandle(
         n=n_out,
@@ -108,11 +99,7 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
         raise ValueError(f"need sigma >= 1, got {sigma}")
     rng = np.random.default_rng((seed, _SERIAL_TAG))
     perms = np.array([rng.permutation(inner.n) for _ in range(sigma)])
-    invs = []
-    for p in perms:
-        inv = np.empty(inner.n, dtype=np.int64)
-        inv[p] = np.arange(inner.n)
-        invs.append(inv)
+    invs = np.argsort(perms, axis=1)
     threshold = (sigma + 1) // 2
 
     def observe(js, rows, nrows):
@@ -123,11 +110,11 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
                              nrows * sigma)
 
     def decode_rows(bits, nrows):
-        found = inner.decode_rows(checked_bits(bits, sigma * inner.m, nrows), nrows * sigma)
-        return [majority_vote([{int(inv[i]) for i in s}
-                               for inv, s in zip(invs, found[r * sigma:(r + 1) * sigma])],
-                              threshold)
-                for r in range(nrows)]
+        row, i = inner.decode_rows(checked_bits(bits, sigma * inner.m, nrows), nrows * sigma)
+        row, c = np.divmod(row, sigma)
+        # a copy lists an index at most once, so a pair's count is its votes
+        votes, counts = np.unique(np.stack([row, invs[c, i]]), axis=1, return_counts=True)
+        return tuple(votes[:, counts >= threshold])
 
     return SchemeHandle(
         n=inner.n,
@@ -146,8 +133,9 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
     Person j of the new population becomes a polynomial of dimension
     ceil(rho/2) over GF(2^outer_w); in copy r she impersonates the inner index
     pairing (g(0), g(r+1)).  Decoding maps per-copy indices back to pairs,
-    keeps the first pair per (birthday, copy), and regroups them through the
-    core decoder's recover_rows, with copy r of row t as slot r of row t.
+    keeps the first pair per (copy, birthday) in the inner decode's arrival
+    order, and regroups them through the core decoder's recover_rows, with
+    copy r of row t as slot r of row t.
     """
     if not 1 < rho < R:
         raise ValueError(f"need 1 < rho < R, got rho={rho}, R={R}")
@@ -175,20 +163,14 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
     def decode_rows(bits, nrows):
-        fragments = []  # (row, copy, birthday, fragment) in arrival order
-        seen = set()
-        found = inner.decode_rows(checked_bits(bits, R * inner.m, nrows), nrows * R)
-        for c, vs in enumerate(found):
-            for v in vs:
-                if v >= (1 << (2 * outer_w)):
-                    continue  # inner false positive outside the pair range
-                hi, lo = v >> outer_w, v & mask
-                if (hi, c) in seen:
-                    continue  # conflicting duplicate for the same copy
-                seen.add((hi, c))
-                fragments.append((*divmod(c, R), hi, lo))
-        fragments = np.array(fragments, dtype=np.int64).reshape(-1, 4).T
-        return recover_rows(fld, d_out, 0, fragments, lambda r: r + 1, n_out, nrows)
+        c, v = inner.decode_rows(checked_bits(bits, R * inner.m, nrows), nrows * R)
+        pair = v < (1 << (2 * outer_w))  # an inner false positive can lie outside the range
+        c, hi, lo = c[pair], v[pair] >> outer_w, v[pair] & mask
+        # the first pair per (copy, birthday) in arrival order; later ones conflict
+        first = np.sort(np.unique(c << outer_w | hi, return_index=True)[1])
+        row, slot = np.divmod(c[first], R)
+        return recover_rows(fld, d_out, 0, (row, slot, hi[first], lo[first]),
+                            lambda r: r + 1, n_out)
 
     return SchemeHandle(
         n=n_out,

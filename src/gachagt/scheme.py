@@ -2,14 +2,15 @@
 
 A scheme knows its population, design sick load, and test count, encodes any
 set of persons into test results (columns are deterministic given the
-scheme's seeds), and decodes a full observed bit vector back to an index set,
-or a stack of copies' vectors back to one set per copy.
+scheme's seeds), and decodes a stack of copies' observed bit vectors back to
+(row, index) arrays: the indices each copy holds, tagged with the copy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -45,15 +46,18 @@ def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
     return bits
 
 
-def decode_copies(decode, m: int, bits, nrows: int) -> list:
-    """A stacked decode from a decode of one copy: one copy at a time."""
+def decode_copies(decode, m: int, bits, nrows: int):
+    """A stacked decode from a decode of one copy into distinct indices, run
+    one copy at a time: each copy's indices as (row, index) arrays."""
     bits = checked_bits(bits, m, nrows)
-    return [decode(bits[r * m:(r + 1) * m]) for r in range(nrows)]
+    found = [decode(bits[r * m:(r + 1) * m]) for r in range(nrows)]
+    row = np.repeat(np.arange(nrows), [len(s) for s in found])
+    return row, np.fromiter(chain.from_iterable(found), dtype=np.int64, count=len(row))
 
 
 def decode_from_rows(decode_rows, bits) -> set:
-    """The decode of one copy, through a scheme's stacked decode."""
-    return decode_rows(bits, 1)[0]
+    """The decoded set of one copy, through a scheme's stacked decode."""
+    return set(decode_rows(bits, 1)[1].tolist())
 
 
 @dataclass
@@ -64,18 +68,22 @@ class SchemeHandle:
     persons js[i] as nrows * m uint8 bits, each placed in copy rows[i] (bits
     rows[i] * m onwards); an index outside [0, n) raises ValueError.
 
-    decode_rows(bits, nrows) is the stacked decoder: nrows * m bits in, the
-    decoded set of each copy out; a wrong length raises ValueError.
+    decode_rows(bits, nrows) is the stacked decoder: nrows * m bits in,
+    (row, index) int64 arrays out, index[i] decoded in copy row[i].  Rows
+    ascend, an index appears at most once per row, and within a row the
+    indices come in arrival order: the order in which the decoder settled
+    them, which a gadget above reads as "first" when two of them conflict.
+    A wrong length raises ValueError.
 
     column(j) = flatnonzero(observe([j], [0], 1)) and decode(bits) =
-    decode_rows(bits, 1)[0] are derived from them.
+    set(decode_rows(bits, 1)[1]) are derived from them.
     """
 
     n: int
     k_design: int
     m: int
     observe: "callable"         # (js, rows, nrows) -> nrows * m observed bits
-    decode_rows: "callable"     # (bits, nrows) -> [set of indices] per copy
+    decode_rows: "callable"     # (bits, nrows) -> (row, index) int64 arrays
     layers: tuple = ()          # composition labels, outermost last
     column: "callable" = None   # derived: person index -> sorted np.ndarray of test indices
     decode: "callable" = None   # derived: observed bits of one copy -> set of indices

@@ -138,7 +138,9 @@ def validate_config(config: SimConfig) -> None:
     if config.scheme == "gacha+gadgets":
         GadgetParams(pi=config.pi, sigma=config.sigma, rho=config.rho, R=config.R,
                      tau_depth=config.tau_depth)
-    if config.scheme == "oracle" and math.comb(config.n, config.k) > 10 ** 6:
+    # C(n, k) > 10^6 once min(k, n - k) > 20, where comb itself grows slow
+    if config.scheme == "oracle" and (min(config.k, config.n - config.k) > 20
+                                      or math.comb(config.n, config.k) > 10 ** 6):
         raise ValueError("oracle scheme needs C(n, k) <= 10^6")
 
 
@@ -221,18 +223,19 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
     channel's raw symbols."""
     words, m = _bernoulli_design(config, matrix_seed)
     if config.scheme == "comp":
-        decode = partial(comp_decode_words, words, m)
+        decode_rows = partial(comp_decode_words, words, m)
     else:
         matrix = ConfigMatrix(m=m, n=config.n,
                               columns=[np.flatnonzero(row) for row in unpack_rows(words, m)])
 
         def decode(z):
-            return set(brute_force_decode(matrix, z, config.k, config.noise.channel).best)
+            return brute_force_decode(matrix, z, config.k, config.noise.channel).best
 
+        decode_rows = partial(decode_copies, decode, m)
     return SchemeHandle(
         n=config.n, k_design=config.k, m=m,
         observe=partial(observe_words, words, m),
-        decode_rows=partial(decode_copies, decode, m),
+        decode_rows=decode_rows,
         layers=(config.scheme,),
     )
 

@@ -1,12 +1,13 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
-decoder fault injector, for exercising the composition gadgets; the scalar
-decoders the stacked array decode is checked against; the row-wise
+decoder fault injector, for exercising the composition gadgets; the sets a
+stacked decode's (row, index) arrays stand for; the scalar decoders and the
+dict vote the stacked array decode is checked against; the row-wise
 bits_to_blocks; the per-column Bernoulli design, COMP and ConfigMatrix
 check the dense ones replace; and the masked-searchsorted channel draw."""
 
 import numpy as np
 
-from gachagt.gacha_core import bits_to_blocks, list_decode, recover_from_groups, synthesize_blocks
+from gachagt.gacha_core import bits_to_blocks, recover_from_groups, synthesize_blocks
 from gachagt.gf2e import field
 from gachagt.scheme import SchemeHandle, checked_bits, stacked_args
 
@@ -23,8 +24,7 @@ def identity_scheme(n: int) -> SchemeHandle:
         return y
 
     def decode_rows(bits, nrows):
-        bits = checked_bits(bits, n, nrows).reshape(nrows, n)
-        return [{int(j) for j in np.flatnonzero(row)} for row in bits]
+        return np.nonzero(checked_bits(bits, n, nrows).reshape(nrows, n))
 
     return SchemeHandle(n=n, k_design=n, m=n, observe=observe, decode_rows=decode_rows,
                         layers=("identity",))
@@ -32,22 +32,21 @@ def identity_scheme(n: int) -> SchemeHandle:
 
 def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHandle:
     """Wrap the decode: in each copy, drop each found index with probability
-    eps and, with probability eps, inject one uniformly random index.  The
-    wrapper keeps its own rng, so successive decodes draw a deterministic
-    fault stream, copy by copy."""
+    eps and, with probability eps, inject one uniformly random index after
+    the kept ones (nothing, when the copy already holds it).  The wrapper
+    keeps its own rng, so successive decodes draw a deterministic fault
+    stream."""
     rng = np.random.default_rng((seed, _FAULTS_TAG))
 
-    def faulty(found):
-        out = set()
-        for j in found:
-            if rng.random() >= eps:
-                out.add(j)
-        if rng.random() < eps:
-            out.add(int(rng.integers(0, inner.n)))
-        return out
-
     def decode_rows(bits, nrows):
-        return [faulty(found) for found in inner.decode_rows(bits, nrows)]
+        row, index = inner.decode_rows(bits, nrows)
+        keep = rng.random(len(index)) >= eps
+        hit = np.flatnonzero(rng.random(nrows) < eps)
+        row = np.concatenate([row[keep], hit])
+        index = np.concatenate([index[keep], rng.integers(0, inner.n, size=len(hit))])
+        first = np.sort(np.unique(np.stack([row, index]), axis=1, return_index=True)[1])
+        first = first[np.argsort(row[first], kind="stable")]
+        return row[first], index[first]
 
     return SchemeHandle(
         n=inner.n,
@@ -70,20 +69,54 @@ def bits_to_blocks_reference(params, bits, nrows: int = 1) -> np.ndarray:
     return words.view("<u8").reshape(nrows * params.B, params.inner.blocks)
 
 
+def row_sets(found, nrows: int) -> list:
+    """A stacked decode's (row, index) arrays as one set per copy, each filled
+    in arrival order, so it iterates as a set built in that order does."""
+    out = [set() for _ in range(nrows)]
+    for r, j in zip(*(a.tolist() for a in found)):
+        out[r].add(j)
+    return out
+
+
+def majority_vote_reference(decoded_sets, threshold: int) -> set:
+    """Indices appearing in at least `threshold` of the per-copy sets, counted
+    in a dict: the vote layer's decode one copy at a time."""
+    counts = {}
+    for found in decoded_sets:
+        for j in found:
+            counts[j] = counts.get(j, 0) + 1
+    return {j for j, c in counts.items() if c >= threshold}
+
+
+def recover_in_order(fld, d: int, b0: int, groups, point_of_slot, n: int) -> list:
+    """recover_from_groups one group at a time: its indices as a list in the
+    dict order of their groups, the arrival order of their first fragments."""
+    return [j for hi, pts in groups.items()
+            for j in recover_from_groups(fld, d, b0, {hi: pts}, point_of_slot, n)]
+
+
 def scalar_gacha_decode(params):
     """The single-layer decode one batch list at a time: synthesize_blocks,
-    then list_decode's dict grouping and recover_from_groups."""
+    list_decode's dict grouping, then recover_in_order, so the indices come
+    in arrival order."""
 
     def decode(bits):
-        return list_decode(params, synthesize_blocks(params, bits_to_blocks(params, bits)))
+        word = synthesize_blocks(params, bits_to_blocks(params, bits))
+        groups = {}
+        for s, sym in enumerate(word.symbols):
+            if type(sym) is tuple:
+                groups.setdefault(sym[0], []).append((s, sym[1]))
+        return recover_in_order(params.field, params.d, params.b0, groups, params.point,
+                                params.n)
 
     return decode
 
 
 def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, rho: int, bits):
     """An expander handle's decode as a loop over its R copies: each copy's
-    inner_m bits through inner_decode, the first pair per (birthday, copy)
-    kept, one dict group per birthday in arrival order, recover_from_groups."""
+    inner_m bits through inner_decode, which lists its indices in arrival
+    order; the first pair per (birthday, copy) in that order kept, one dict
+    group per birthday, and recover_in_order: the indices in arrival order."""
     fld = field(outer_w)
     d_out = (rho + 1) // 2
     mask = (1 << outer_w) - 1
@@ -97,7 +130,7 @@ def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, 
                 continue
             seen.add((hi, r))
             groups.setdefault(hi, []).append((r, lo))
-    return recover_from_groups(fld, d_out, 0, groups, lambda r: r + 1, 1 << (outer_w * d_out))
+    return recover_in_order(fld, d_out, 0, groups, lambda r: r + 1, 1 << (outer_w * d_out))
 
 
 def bernoulli_columns_reference(n: int, k: int, m: int, matrix_seed: int) -> list:

@@ -14,7 +14,7 @@ from gachagt import core_model
 from gachagt.baselines import WORD, comp_decode, comp_decode_words, pack_rows, unpack_rows
 from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
 from gachagt.sim_cli import _bernoulli_design, build_scheme, parse_config
-from scaffolding import bernoulli_columns_reference, comp_decode_reference
+from scaffolding import bernoulli_columns_reference, comp_decode_reference, row_sets
 
 # (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
 # sides of 2^32 (one and two entropy words), n on both sides of a design chunk,
@@ -96,9 +96,12 @@ def test_observe_equals_run_tests(shape):
 
 def test_comp_decode_checks_length():
     words = np.zeros((3, 1), dtype=WORD)
-    with pytest.raises(ValueError, match="result length 5 != m = 4"):
+    with pytest.raises(ValueError, match="observed length 5 != m = 4$"):
         comp_decode_words(words, 4, np.zeros(5, dtype=np.uint8))
-    assert comp_decode_words(words, 4, np.zeros(4, dtype=np.uint8)) == {0, 1, 2}
+    with pytest.raises(ValueError, match="observed length 9 != 2 copies of m = 4$"):
+        comp_decode_words(words, 4, np.zeros(9, dtype=np.uint8), 2)
+    row, index = comp_decode_words(words, 4, np.zeros(4, dtype=np.uint8))
+    assert row.tolist() == [0, 0, 0] and index.tolist() == [0, 1, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,10 +124,12 @@ def test_comp_decode_words_matches_column_loop(n, m, seed):
     rng = np.random.default_rng(seed)
     design = rng.random((n, m)) < rng.random()
     matrix = ConfigMatrix(m=m, n=n, columns=[np.flatnonzero(row) for row in design])
-    for y in (np.zeros(m, np.uint8), np.ones(m, np.uint8), (rng.random(m) < 0.8).astype(np.uint8)):
-        want = comp_decode_reference(matrix, y)
-        assert comp_decode_words(pack_rows(design), m, y) == want
-        assert comp_decode(matrix, y) == want
+    ys = [np.zeros(m, np.uint8), np.ones(m, np.uint8), (rng.random(m) < 0.8).astype(np.uint8)]
+    want = [comp_decode_reference(matrix, y) for y in ys]
+    for y, found in zip(ys, want):
+        assert comp_decode_words(pack_rows(design), m, y)[1].tolist() == sorted(found)
+        assert comp_decode(matrix, y) == found
+    assert row_sets(comp_decode_words(pack_rows(design), m, np.concatenate(ys), 3), 3) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,8 @@
 """The stacked decode through the gadgets: the expander's regroup against
-its per-copy loop, the one base call a gadget or a whole pyramid decode
-makes, length checks that name each handle's own m, and a total decoder on
-the bench configs that never falls back to an exhaustive codebook search."""
+its per-copy loop, index for index in arrival order, and its tie rule; the
+one base call a gadget or a whole pyramid decode makes, length checks that
+name each handle's own m, and a total decoder on the bench configs that
+never falls back to an exhaustive codebook search."""
 
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import expander_build, parallel_build, pyramid_build, serial_build
 from gachagt.gf2e import FieldSpec
 from gachagt.inner_code import BinaryLinearCode
-from scaffolding import expander_decode_reference, identity_scheme, scalar_gacha_decode
+from scaffolding import expander_decode_reference, identity_scheme, row_sets, scalar_gacha_decode
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -55,13 +56,15 @@ def two_layer_pyramid():
 
 def over_identity():
     """An expander (rho 4, R 8, outer w 4) over the 256-person identity
-    scheme, whose per-copy sets are any set bits: so one copy often holds
-    several pairs under one birthday, and the first one wins."""
+    scheme, whose per-copy results are any set bits, in ascending order: so
+    one copy often holds several pairs under one birthday, and the first one
+    to arrive wins."""
     inner = identity_scheme(256)
     h = expander_build(inner, rho=4, R=8, outer_w=4, seed=3)
 
     def reference(bits):
-        return expander_decode_reference(inner.decode, inner.m, 8, 4, 4, bits)
+        return expander_decode_reference(lambda b: inner.decode_rows(b, 1)[1].tolist(),
+                                         inner.m, 8, 4, 4, bits)
 
     return h, reference
 
@@ -87,7 +90,7 @@ def expander_input(h, rng, kind):
 def test_expander_decode_matches_copy_loop(shape, kind, seed):
     h, reference = SHAPES[shape]()
     bits = expander_input(h, np.random.default_rng(seed), kind)
-    assert list(h.decode(bits)) == list(reference(bits))
+    assert h.decode_rows(bits, 1)[1].tolist() == reference(bits)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -95,7 +98,7 @@ def test_expander_decode_never_reaches_the_scalar_path(shape, monkeypatch):
     h, reference = SHAPES[shape]()
     rng = np.random.default_rng(13)
     inputs = [expander_input(h, rng, kind) for kind in ("sick", "bsc", "garbage")]
-    want = [list(reference(bits)) for bits in inputs]
+    want = [reference(bits) for bits in inputs]
 
     def scalar(*args):
         raise AssertionError("the stacked decode reached a scalar oracle")
@@ -103,7 +106,7 @@ def test_expander_decode_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(gacha_core, "recover_from_groups", scalar)
     monkeypatch.setattr(FieldSpec, "interpolate", scalar)
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
-    assert [list(h.decode(bits)) for bits in inputs] == want
+    assert [h.decode_rows(bits, 1)[1].tolist() for bits in inputs] == want
 
 
 def test_expander_decodes_all_copies_in_one_inner_call(monkeypatch):
@@ -175,7 +178,7 @@ def test_gadget_decode_rows_is_decode_per_copy(name):
     rng = np.random.default_rng(7)
     ys = [h.observed_bits(set(rng.choice(h.n, size=3, replace=False).tolist())) for _ in range(2)]
     ys.append(ys[0])  # the same birthdays in two copies
-    assert h.decode_rows(np.concatenate(ys), 3) == [h.decode(y) for y in ys]
+    assert row_sets(h.decode_rows(np.concatenate(ys), 3), 3) == [h.decode(y) for y in ys]
     with pytest.raises(ValueError, match=rf"!= 2 copies of m = {h.m}$"):
         h.decode_rows(np.zeros(2 * h.m + 1, dtype=np.uint8), 2)
 

@@ -31,6 +31,7 @@ from gachagt.gacha_core import (
     observed_blocks,
     synthesize_blocks,
 )
+from scaffolding import row_sets
 
 
 def small_params(seed=1, n=1 << 12, k=2):
@@ -547,7 +548,7 @@ def test_decode_rows_matches_scalar_decode(shape, source, seed, nrows):
     rng = np.random.default_rng(seed)
     copies = [source(p, rng) for _ in range(nrows)]
     got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), nrows)
-    assert [list(s) for s in got] == scalar_decode_rows(p, copies)
+    assert [list(s) for s in row_sets(got, nrows)] == scalar_decode_rows(p, copies)
 
 
 def test_decode_rows_shared_birthdays():
@@ -556,8 +557,8 @@ def test_decode_rows_shared_birthdays():
     h = gacha_scheme(p)
     for sick in ({5, 5 + 2048}, {7, 7 + 2048, 9, 9 + 2048}, {100, 2148, 300}):
         words = bits_to_blocks(p, h.observed_bits(sick))
-        assert [list(decode_rows(p, blocks_to_bits(p, words), 1)[0])] == \
-            scalar_decode_rows(p, [words])
+        got = decode_rows(p, blocks_to_bits(p, words), 1)
+        assert [list(s) for s in row_sets(got, 1)] == scalar_decode_rows(p, [words])
 
 
 def test_decode_rows_keeps_arrival_order():
@@ -584,8 +585,8 @@ def test_decode_rows_retries_on_the_next_slots():
     words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
     words[batches] = p.inner.encode_blocks(np.full(5, fld.poly_eval(g, p.b0)), np.array(los),
                                            batches)
-    assert decode_rows(replace(p, n=1 << 32), blocks_to_bits(p, words), 1) == [{j}]
-    assert decode_rows(p, blocks_to_bits(p, words), 1) == [set()]  # j >= n
+    assert row_sets(decode_rows(replace(p, n=1 << 32), blocks_to_bits(p, words), 1), 1) == [{j}]
+    assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [set()]  # j >= n
 
 
 def test_decode_rows_rejects_indices_past_int64():
@@ -601,7 +602,7 @@ def test_decode_rows_rejects_indices_past_int64():
         words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
         words[batches] = p.inner.encode_blocks(np.full(len(batches), fld.poly_eval(g, p.b0)),
                                                los, batches)
-        assert decode_rows(p, blocks_to_bits(p, words), 1) == [want]
+        assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [want]
         assert scalar_decode_rows(p, [words]) == [list(want)]
 
 
@@ -620,7 +621,7 @@ def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(FieldSpec, "interpolate", scalar)
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
     got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), len(copies))
-    assert [list(s) for s in got] == want
+    assert [list(s) for s in row_sets(got, len(copies))] == want
 
 
 @st.composite
@@ -661,7 +662,7 @@ def test_recover_rows_matches_recover_from_groups(case, n):
     w, d, nrows, frags = case
     fld = field(w)
     arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
-    got = recover_rows(fld, d, 0, arrays, lambda s: s + 1, n, nrows)
+    got = row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), nrows)
     want = []
     for row in range(nrows):
         groups = {}
@@ -686,4 +687,4 @@ def test_recover_rows_retries_after_an_index_past_int64():
     arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*frags))
     groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
     assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
-    assert recover_rows(fld, d, 0, arrays, lambda s: s + 1, n, 1) == [{12345}]
+    assert row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), 1) == [{12345}]

@@ -1,4 +1,5 @@
-"""Composition gadgets: vote logic, partitioning, expander reassembly, pyramid."""
+"""Composition gadgets: vote logic, partitioning, expander reassembly and its
+tie rule, pyramid."""
 
 from dataclasses import replace
 from math import comb
@@ -6,18 +7,18 @@ from math import comb
 import numpy as np
 import pytest
 
+import gachagt.gadgets as gadgets
 from gachagt.channels import bsc
 from gachagt.core_model import sample_instance, score
 from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import (
     GadgetParams,
     expander_build,
-    majority_vote,
     parallel_build,
     pyramid_build,
     serial_build,
 )
-from scaffolding import fault_injected, identity_scheme
+from scaffolding import fault_injected, identity_scheme, majority_vote_reference, row_sets
 
 
 def test_gadget_params_validation():
@@ -32,12 +33,32 @@ def test_gadget_params_validation():
         GadgetParams(sigma=0)
 
 
+def serial_vote(sigma: int, reports) -> list:
+    """The vote of serial_build over the 8-person identity scheme, where copy
+    c of row t reports the persons reports[t][c]: copy c of person j is the
+    one test of its column in copy c."""
+    h = serial_build(identity_scheme(8), sigma, seed=3)
+    bits = np.zeros(len(reports) * h.m, dtype=np.uint8)
+    for t, copies in enumerate(reports):
+        for c, found in enumerate(copies):
+            for j in found:
+                bits[t * h.m + h.column(j)[c]] = 1
+    return row_sets(h.decode_rows(bits, len(reports)), len(reports))
+
+
 def test_majority_vote_exact_multiplicity():
     sets = [{1, 2}, {2, 3}, {2, 4}, {1, 2}]
-    assert majority_vote(sets, 2) == {1, 2}
-    assert majority_vote(sets, 1) == {1, 2, 3, 4}
-    assert majority_vote(sets, 4) == {2}
-    assert majority_vote([], 1) == set()
+    assert serial_vote(4, [sets]) == [{1, 2}]  # threshold 2
+    assert serial_vote(8, [sets + [set()] * 4]) == [{2}]  # threshold 4
+    assert serial_vote(1, [[s] for s in sets]) == sets  # threshold 1, four rows
+    assert serial_vote(2, [sets[:2], sets[2:]]) == [{1, 2, 3}, {1, 2, 4}]
+    assert serial_vote(3, [[set()] * 3]) == [set()]
+    rng = np.random.default_rng(9)
+    for sigma in (2, 3, 5, 6):
+        reports = [[set(np.flatnonzero(rng.random(8) < 0.4).tolist()) for _ in range(sigma)]
+                   for _ in range(3)]
+        assert serial_vote(sigma, reports) == [
+            majority_vote_reference(copies, (sigma + 1) // 2) for copies in reports]
 
 
 def test_identity_scheme_round_trip():
@@ -205,6 +226,45 @@ def test_expander_observe_draws_copies_without_per_person_generators(monkeypatch
         assert calls == []
         for row, copies in zip(bits, want):
             assert set(np.flatnonzero(row.any(axis=1))) == copies
+
+
+def reported_backwards(inner):
+    """inner with each copy's indices reported in reverse arrival order."""
+    def decode_rows(bits, nrows):
+        row, index = inner.decode_rows(bits, nrows)
+        order = np.lexsort((-np.arange(len(row)), row))
+        return row[order], index[order]
+
+    return replace(inner, decode_rows=decode_rows, decode=None)
+
+
+@pytest.mark.parametrize("backwards", [False, True])
+def test_expander_regroups_the_pair_that_arrives_first(backwards, monkeypatch):
+    # one copy reports two pairs under one birthday, the person's own and a
+    # decoy; the identity inner lists them by value, or the reverse, and the
+    # one it lists first is the fragment the expander regroups
+    inner = identity_scheme(256)
+    h = expander_build(reported_backwards(inner) if backwards else inner,
+                       rho=3, R=12, outer_w=4, seed=4)
+    calls = []
+    real = gadgets.recover_rows
+
+    def recorded(fld, d, b0, fragments, *rest):
+        calls.append(fragments)
+        return real(fld, d, b0, fragments, *rest)
+
+    monkeypatch.setattr(gadgets, "recover_rows", recorded)
+    for j in (0, 77, 200):
+        copy, v = divmod(int(h.column(j)[0]), inner.m)
+        hi, lo = v >> 4, v & 15
+        for decoy in (lo ^ 1, lo ^ 8):
+            bits = h.observed_bits({j})
+            bits[copy * inner.m + (hi << 4 | decoy)] = 1
+            h.decode_rows(bits, 1)
+            row, slot, his, los = calls[-1]
+            first = max(lo, decoy) if backwards else min(lo, decoy)
+            assert los[(slot == copy) & (his == hi)].tolist() == [first]
+            assert len(slot) == 3  # one fragment per copy the person joins
 
 
 def test_expander_single_sick_exact():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gachagt.sim_cli import (
     AGG_HEADER,
@@ -119,14 +121,27 @@ def test_run_deterministic_apart_from_timing(tmp_path):
     assert stripped_a == stripped_b  # wall time is the only varying column
 
 
-def test_run_parallel_workers_match_serial(tmp_path):
-    cfg = parse_config(MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2"))
+def assert_threads_agree(cfg, tmp_path):
+    """Rows apart from decode_ns are identical for --threads 1 and 2."""
     run(cfg, out_dir=tmp_path / "serial", threads=1)
     run(cfg, out_dir=tmp_path / "pool", threads=2)
     ts = TRIAL_HEADER.index("decode_ns")
     a = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "serial" / "trials.csv")]
     b = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "pool" / "trials.csv")]
-    assert a == b
+    assert len(a) == 1 + cfg.trials and a == b
+
+
+def test_run_parallel_workers_match_serial(tmp_path):
+    assert_threads_agree(
+        parse_config(MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")), tmp_path)
+
+
+def test_run_parallel_workers_match_serial_gadgets(tmp_path):
+    # a vote layer under a parallel layer: the gadget seeds and permutations
+    # are drawn per trial, in whichever worker runs it
+    cfg = parse_config("scheme=gacha+gadgets\nn=100000\nk=8\nchannel=bsc:0.01\ntrials=4\n"
+                       "master_seed=5\nrho=4\nR=8\nsigma=3\npi=2\nouter_w=8\nB=24\n")
+    assert_threads_agree(cfg, tmp_path)
 
 
 @pytest.mark.parametrize("symmetrize", ["auto", "off"])
@@ -305,12 +320,7 @@ def test_run_parallel_workers_match_serial_noisy(tmp_path):
     text = MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
     cfg = parse_config(text.replace("channel=none", "channel=fp:0.05"))
     assert cfg.noise.plan is not None
-    run(cfg, out_dir=tmp_path / "serial", threads=1)
-    run(cfg, out_dir=tmp_path / "pool", threads=2)
-    ts = TRIAL_HEADER.index("decode_ns")
-    a = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "serial" / "trials.csv")]
-    b = [r[:ts] + r[ts + 1:] for r in read_rows(tmp_path / "pool" / "trials.csv")]
-    assert len(a) == 1 + cfg.trials and a == b
+    assert_threads_agree(cfg, tmp_path)
 
 
 def test_cli_oracle_check_rejects_unsupported_scheme(tmp_path, capsys):
@@ -329,3 +339,126 @@ def test_import_leaves_process_pool_and_argparse_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.strip() == "[]"
+
+
+def custom_channel_config(tmp_path, csv_text, trials=1):
+    """A config file for a small gacha run through a custom channel CSV."""
+    csv_path = tmp_path / "channel.csv"
+    csv_path.write_text(csv_text)
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(f"scheme=gacha\nn=4096\nk=2\nchannel=custom:{csv_path}\n"
+                        f"trials={trials}\nmaster_seed=1\n")
+    return cfg_path
+
+
+def test_custom_channel_header_names_may_carry_spaces(tmp_path):
+    spaced = parse_config(custom_channel_config(
+        tmp_path, "symbol, mu0 , mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n").read_text())
+    plain = parse_config(custom_channel_config(
+        tmp_path, "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n").read_text())
+    assert spaced.noise == plain.noise
+
+
+@pytest.mark.parametrize("rows", ["0,0.9,0.05\n1,0.07\n2,0.03,0.8\n",
+                                  "0,0.9,0.05\n1,0.07,0.15,0.1\n2,0.03,0.8\n"],
+                         ids=["short", "long"])
+def test_custom_channel_row_of_wrong_width_is_a_config_error(tmp_path, capsys, rows):
+    cfg_path = custom_channel_config(tmp_path, "symbol,mu0,mu1\n" + rows)
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: custom channel CSV row 3")
+
+
+@pytest.mark.parametrize("symbols", [(1, 0, 2), (0, 2, 1), (1, 2, 3), (0, 0, 1)])
+def test_custom_channel_symbols_out_of_order_are_a_config_error(tmp_path, capsys, symbols):
+    # the rows are read as symbols 0, 1, ... in order; a symbol column that
+    # says otherwise would swap two symbols' likelihoods unnoticed
+    mus = ("0.9,0.05", "0.07,0.15", "0.03,0.8")
+    rows = "".join(f"{s},{mu}\n" for s, mu in zip(symbols, mus))
+    cfg_path = custom_channel_config(tmp_path, "symbol,mu0,mu1\n" + rows)
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("config error: custom channel CSV row")
+    assert not (tmp_path / "o").exists()
+
+
+# custom channel CSVs a drawn config may name: one valid, the rest not
+CUSTOM_CSVS = {
+    "valid": "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n",
+    "empty": "",
+    "header-only": "symbol,mu0,mu1\n",
+    "no-header": "0,0.9,0.1\n1,0.1,0.9\n",
+    "short-row": "symbol,mu0,mu1\n0,0.9\n1,0.1,0.9\n",
+    "swapped": "symbol,mu0,mu1\n1,0.9,0.1\n0,0.1,0.9\n",
+    "nan": "symbol,mu0,mu1\n0,nan,0.1\n1,0.1,0.9\n",
+    "not-a-number": "symbol,mu0,mu1\n0,x,0.1\n1,0.1,0.9\n",
+    "sums-wrong": "symbol,mu0,mu1\n0,0.5,0.1\n1,0.1,0.9\n",
+    "zero-capacity": "symbol,mu0,mu1\n0,0.5,0.5\n1,0.5,0.5\n",
+    "one-symbol": "symbol,mu0,mu1\n0,1,1\n",
+    "huge-field": "symbol,mu0,mu1\n0," + "1" * 200_000 + ",0.1\n",
+}
+INT_TEXT = st.one_of(
+    st.integers(-5, 70).map(str),
+    st.integers(-(10 ** 30), 10 ** 30).map(str),
+    st.sampled_from(["", "x", "1.5", "1e3", "0x10", " 7 ", "-0", "1_000", "9" * 5000]),
+)
+
+
+def mostly(good, bad):
+    """good nine draws in ten, else bad (not on a bound, which hypothesis
+    favours)."""
+    return st.integers(0, 9).flatmap(lambda i: bad if i == 5 else good)
+
+
+VALUES = {
+    "scheme": mostly(st.sampled_from(["gacha", "gacha+gadgets", "comp", "oracle"]),
+                     st.sampled_from(["GACHA", "", "x"])),
+    "n": mostly(st.integers(3, 5000).map(str), INT_TEXT),
+    "k": mostly(st.integers(1, 8).map(str), INT_TEXT),
+    "trials": mostly(st.integers(0, 3).map(str), INT_TEXT),
+    "master_seed": mostly(st.integers(0, 2 ** 64).map(str), INT_TEXT),
+    "channel": st.one_of(
+        st.sampled_from(["none", "bsc:0.05", "BSC:0.1", "bsc:0.5", "bsc:-1", "bsc:nan",
+                         "bsc:", "fp:0.2", "fn:1", "bec:0.1", "bec:2", "bogus", "custom:",
+                         "custom:/nonexistent/channel.csv", "custom:\0"]),
+        st.sampled_from(sorted(CUSTOM_CSVS)).map(lambda name: "custom:{%s}" % name)),
+    "symmetrize": st.sampled_from(["auto", "on", "off", "yes", ""]),
+    "inner": st.sampled_from(["auto", "cw", "linear", "none"]),
+    "out": st.sampled_from(["out", ""]),
+}
+KEYS = ["scheme", "n", "k", "trials", "master_seed", "channel", "symmetrize", "inner",
+        "out", "w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed", "m", "pi",
+        "sigma", "rho", "R", "tau_depth", "outer_w", "wat", ""]
+
+
+@st.composite
+def config_texts(draw):
+    """key=value text: the required keys and a channel, each missing one
+    draw in twenty, and up to three more keys of any kind, unknown and
+    repeated ones too, in any order; now and then a malformed line."""
+    keys = [key for key in KEYS[:6] if draw(st.integers(0, 19)) != 10]
+    keys += draw(st.lists(st.sampled_from(KEYS), max_size=3))
+    lines = [f"{key}={draw(VALUES.get(key, INT_TEXT))}" for key in keys]
+    lines += draw(mostly(st.just([]), st.lists(st.sampled_from(["just words", "=3", "# c"]),
+                                               min_size=1, max_size=2)))
+    return "\n".join(draw(st.permutations(lines)))
+
+
+@pytest.fixture(scope="module")
+def custom_csvs(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("channels")
+    for name, text in CUSTOM_CSVS.items():
+        (folder / f"{name}.csv").write_text(text)
+    return folder
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=config_texts())
+def test_parse_config_accepts_or_rejects_as_a_config_error(custom_csvs, text):
+    text = text.format(**{name: custom_csvs / f"{name}.csv" for name in CUSTOM_CSVS})
+    try:
+        parse_config(text)
+    except (OSError, ValueError):
+        cfg_path = custom_csvs / "sim.cfg"
+        cfg_path.write_text(text)
+        out = custom_csvs / "never"
+        assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+        assert not out.exists()
