@@ -14,7 +14,6 @@ from .channels import (
     NoiseModel,
     SymmetrizerPlan,
     ZeroCapacityError,
-    apply_symmetrized,
     make_channel,
     parse_channel_spec,
     plan_symmetrize,
@@ -25,7 +24,6 @@ from .inner_code import (
     Occupancy,
     UnsupportedCodeSize,
     WeightClassifier,
-    or_weight_identity_check,
 )
 from .gacha_core import (
     COLLISION,

@@ -45,27 +45,15 @@ class DiscreteChannel:
     def q(self) -> int:
         return len(self.mu0)
 
-    def transmit(self, bit: int, rng: np.random.Generator) -> int:
-        """One symbol drawn from mu_bit."""
-        if bit not in (0, 1):
-            raise ValueError("input bit must be 0 or 1")
-        mu = self.mu1 if bit else self.mu0
-        u = rng.random()
-        acc = 0.0
-        for i, p in enumerate(mu):
-            acc += p
-            if u < acc:
-                return i
-        return len(mu) - 1
-
     def transmit_many(self, bits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """transmit on every bit of a 0/1 array, from one rng.random draw.
+        """One output symbol per bit of a 0/1 array, drawn from mu_bit, from
+        one rng.random draw.
 
         A symbol is the count of the first q - 1 entries of its bit's cdf at
         or below the uniform draw u.  The cdf is monotone, so the count is
         searchsorted(cdf, u, side="right") clipped to q - 1: even when the
         float sum ends below 1.0, every draw maps to a symbol.  Raises
-        ValueError on a bit outside {0, 1}, as transmit does.
+        ValueError on a bit outside {0, 1}, before any draw.
         """
         bits = np.asarray(bits)
         if ((bits != 0) & (bits != 1)).any():
@@ -121,12 +109,6 @@ def make_channel(kind: str, param=None, mu0=None, mu1=None) -> DiscreteChannel:
     raise ValueError(f"unknown channel kind {kind!r}")
 
 
-def split_channel_spec(spec: str):
-    """(kind, argument) of a channel spec; only the kind is lower-cased."""
-    kind, _, arg = spec.strip().partition(":")
-    return kind.lower(), arg
-
-
 def parse_channel_spec(spec: str):
     """Parse 'bsc:0.1', 'bec:0.2', 'fp:0.2', 'fn:0.3', 'custom:<csv path>' or 'none'.
 
@@ -135,12 +117,18 @@ def parse_channel_spec(spec: str):
     one row per output symbol, the symbols 0, 1, ... in order.  Returns None
     for 'none'.
     """
+    return _parse_channel(spec)[1]
+
+
+def _parse_channel(spec: str):
+    """(kind, channel) of a channel spec, the kind lower-cased; see parse_channel_spec."""
     spec = spec.strip()
     if spec == "none":
-        return None
-    kind, arg = split_channel_spec(spec)
+        return "none", None
+    kind, _, arg = spec.partition(":")
+    kind = kind.lower()
     if kind in ("bsc", "bec", "fp", "fn"):
-        return make_channel(kind, float(arg))
+        return kind, make_channel(kind, float(arg))
     if kind == "custom":
         try:
             with open(arg, newline="") as fh:
@@ -152,8 +140,8 @@ def parse_channel_spec(spec: str):
         for i, row in enumerate(rows):
             if len(row) != 3 or row[0].strip() != str(i):
                 raise ValueError(f"custom channel CSV row {i + 2} must be {i},mu0,mu1, got {row}")
-        return DiscreteChannel(tuple(float(row[1]) for row in rows),
-                               tuple(float(row[2]) for row in rows))
+        return kind, DiscreteChannel(tuple(float(row[1]) for row in rows),
+                                     tuple(float(row[2]) for row in rows))
     raise ValueError(f"unknown channel spec {spec!r}")
 
 
@@ -169,10 +157,6 @@ class SymmetrizerPlan:
     order: tuple
     t: float
     crossover: float
-
-    def rank1(self, symbol: int) -> int:
-        """1-based position of the symbol in likelihood order."""
-        return self.order.index(symbol) + 1
 
 
 def _error_rates(ch: DiscreteChannel, order, t: float):
@@ -216,14 +200,6 @@ def plan_symmetrize(ch: DiscreteChannel, tol: float = 1e-9) -> SymmetrizerPlan:
     return SymmetrizerPlan(order=order, t=mid, crossover=crossover)
 
 
-def apply_symmetrized(plan: SymmetrizerPlan, ch: DiscreteChannel, bit: int,
-                      rng: np.random.Generator) -> int:
-    """Transmit through ch, then collapse the symbol to a bit with a fresh U."""
-    sym = ch.transmit(bit, rng)
-    u = rng.random()
-    return 1 if u <= plan.rank1(sym) - plan.t else 0
-
-
 def apply_plan_many(plan: SymmetrizerPlan, symbols: np.ndarray,
                     rng: np.random.Generator) -> np.ndarray:
     rank1 = np.empty(len(plan.order), dtype=np.float64)
@@ -254,10 +230,10 @@ class NoiseModel:
         never (only bsc may go without a plan); raw skips the plan."""
         if symmetrize not in ("auto", "on", "off"):
             raise ValueError("symmetrize must be auto, on, or off")
-        channel = parse_channel_spec(spec)
+        kind, channel = _parse_channel(spec)
         if channel is None or raw:
             return cls(channel, raw=raw)
-        is_bsc = split_channel_spec(spec)[0] == "bsc"
+        is_bsc = kind == "bsc"
         if symmetrize == "on" or (symmetrize == "auto" and not is_bsc):
             plan = plan_symmetrize(channel)
             return cls(channel, plan, plan.crossover)

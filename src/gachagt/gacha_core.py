@@ -19,9 +19,10 @@ bits_to_blocks and one classify_blocks over every copy's batches, then
 recover_rows, where an argsort on (copy, birthday) forms the groups and the
 field's array interpolation and Horner settle every group, retry included,
 for any d and w.  It returns (row, index) int64 arrays in arrival order: a
-copy's indices in the order of their groups' first fragments.  The list form
-(synthesize_blocks, list_decode, recover_from_groups) stays as the scalar
-reference.
+copy's indices in the order of their groups' first fragments.  Its scalar
+reference lives in tests/scaffolding.py; the list form (column_symbols,
+build_column, synthesize_blocks, list_decode, recover_from_groups) remains
+only as adapters over the array path that bench/tracer.py wraps by name.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .core_model import choice_sets
-from .gf2e import FieldSpec, InsufficientEvaluations, field
+from .gf2e import FieldSpec, field
 from .inner_code import (
     BinaryLinearCode,
     ConstantWeightCode,
@@ -225,10 +226,6 @@ class GachaParams:
             )
 
     @property
-    def nu(self) -> float:
-        return math.log2(self.n)
-
-    @property
     def bits_per_symbol(self) -> int:
         return self.inner.bits_per_symbol
 
@@ -295,13 +292,15 @@ def column_words(params: GachaParams, js: np.ndarray):
 
 
 def column_symbols(params: GachaParams, j: int):
-    """[(batch, block words)] for person j, as ints; see column_words."""
+    """column_words of person j as [(batch, block words)] of ints; an adapter
+    for bench/tracer.py, deleted by Benchmark v2 (ROADMAP.md)."""
     batches, words = column_words(params, stacked_args([j], [0], 1, params.n)[0])
     return [(s, tuple(row)) for s, row in zip(batches[0].tolist(), words[0].tolist())]
 
 
 def build_column(params: GachaParams, j: int) -> np.ndarray:
-    """Sparse column over m = B * bits_per_symbol tests."""
+    """Sparse column over m = B * bits_per_symbol tests; an adapter for
+    bench/tracer.py, deleted by Benchmark v2."""
     return np.flatnonzero(blocks_to_bits(params, observed_blocks(params, [j])))
 
 
@@ -372,7 +371,8 @@ class SynthWord:
 
 
 def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
-    """Classify every batch of a (B, blocks) uint64 array of block words."""
+    """classify_blocks of one (B, blocks) uint64 array of block words as a
+    SynthWord; an adapter for bench/tracer.py, deleted by Benchmark v2."""
     observed = np.asarray(observed, dtype=np.uint64)
     shape = (params.B, params.inner.blocks)
     if observed.shape != shape:
@@ -388,45 +388,17 @@ def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
 
 
 def recover_from_groups(fld: FieldSpec, d: int, b0: int, groups, point_of_slot, n: int):
-    """Shared candidate recovery: interpolate each birthday group and verify.
-
-    groups maps a birthday value to [(slot, fragment)] with pairwise-distinct
-    slots; point_of_slot maps a slot to its evaluation point.  A candidate is
-    accepted when it reproduces the birthday at b0, its index fits in [0, n),
-    and it matches a strict majority (and at least d) of the group's points.
-    Interpolation runs on the d smallest slots, with one retry on the next d
-    slots, then the group is abandoned.
-    """
-    found = set()
-    for birthday, pts in groups.items():
-        if len(pts) < d:
-            continue
-        pts = sorted(pts)
-        attempts = [pts[:d]]
-        if len(pts) >= 2 * d:
-            attempts.append(pts[d:2 * d])
-        elif len(pts) > d:
-            attempts.append(pts[1:d + 1])
-        need = max(d, len(pts) // 2 + 1)
-        for subset in attempts:
-            try:
-                g = fld.interpolate([(point_of_slot(s), y) for s, y in subset], d)
-            except InsufficientEvaluations:
-                break
-            if fld.poly_eval(g, b0) != birthday:
-                continue
-            j = fld.poly_to_index(g)
-            if j >= n:
-                continue
-            matches = sum(1 for s, y in pts if fld.poly_eval(g, point_of_slot(s)) == y)
-            if matches >= need:
-                found.add(j)
-                break
-    return found
+    """recover_rows of one row as a set, groups mapping a birthday to
+    [(slot, fragment)]; an adapter for bench/tracer.py, deleted by Benchmark v2."""
+    frags = [(s, hi, lo) for hi, pts in groups.items() for s, lo in sorted(pts)]
+    slot, hi, lo = np.array(frags, dtype=np.int64).reshape(-1, 3).T
+    _, index = recover_rows(fld, d, b0, (np.zeros_like(slot), slot, hi, lo), point_of_slot, n)
+    return set(index.tolist())
 
 
 def list_decode(params: GachaParams, word: SynthWord):
-    """Group per-batch pairs by birthday, interpolate, verify, emit indices."""
+    """recover_from_groups of a SynthWord's pairs grouped by birthday; an
+    adapter for bench/tracer.py, deleted by Benchmark v2."""
     groups = {}
     for s, sym in enumerate(word.symbols):
         if sym is None or sym is COLLISION:
@@ -438,18 +410,20 @@ def list_decode(params: GachaParams, word: SynthWord):
 
 
 def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int):
-    """recover_from_groups over the fragments of many rows at once, in
-    arrays: the accepted indices as (row, index) int64 arrays.
+    """Interpolate each birthday group of the fragments of many rows and
+    verify it, in arrays: the accepted indices as (row, index) int64 arrays.
 
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
     fragment (slot, lo) with birthday hi in row `row`, both field elements.
     Slots are distinct within a (row, birthday) group and arrive in ascending
-    order, and point_of_slot must map arrays too.  A stable argsort on (row,
-    birthday) forms the groups; both of recover_from_groups' attempts and its
-    rules apply to all groups at once, and an index of 2^63 or more is also
-    rejected.  The indices come in the arrival order of their groups' first
-    fragments, as recover_from_groups' dict meets them, so rows ascend when
-    the fragments' rows do.
+    order, and point_of_slot maps an array of slots to their points.  A
+    stable argsort on (row, birthday) forms the groups.  A group of d or more
+    is interpolated on its d smallest slots, retried once on the next d
+    (slots 1..d when it has fewer than 2d), then abandoned.  A candidate is
+    accepted when it reproduces the birthday at b0, its index lies in [0, n)
+    and below 2^63, and it matches a strict majority (and at least d) of the
+    group's points.  The indices come in the arrival order of their groups'
+    first fragments, so rows ascend when the fragments' rows do.
     """
     row, slot, hi, lo = fragments
     order = np.lexsort((hi, row))

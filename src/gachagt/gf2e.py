@@ -1,21 +1,22 @@
 """Arithmetic in GF(2^w) plus low-degree polynomial evaluation and interpolation.
 
-Field elements are plain ints in [0, 2^w); a FieldSpec carries the bit width
-and the reduction polynomial and does all arithmetic.  Polynomials are tuples
-of coefficient ints, lowest degree first, with a fixed length ("dimension"):
-trailing zeros are kept, so (3, 0) and (3,) are different objects even though
-they evaluate identically.
+Field elements are ints in [0, 2^w), held in int64 arrays; a FieldSpec
+carries the bit width and the reduction polynomial and does all arithmetic.
+A polynomial is its coefficients, lowest degree first, with a fixed length
+("dimension"): trailing zeros are kept, and its index is the number whose
+base-2^w digits they are.
 
 For w <= 16 a FieldSpec builds log/antilog tables over the smallest primitive
 element at construction, so a product is two log lookups and one antilog
-lookup, for scalars and numpy arrays alike.  Wider fields multiply by shift
-and add, scalars by _mulmod_poly (the tables' reference) and arrays along an
-extra axis of w bits; the *_many array methods hide which one runs.
+lookup; wider fields multiply by shift and add along an extra axis of w bits.
+Each operation has one implementation, over arrays (the *_many methods),
+which hides the product that runs.  Their scalar references live in
+tests/scaffolding.py, on _mulmod_poly; poly_eval and interpolate remain
+only as adapters for bench/tracer.py, which wraps them by name.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -129,31 +130,28 @@ def _log_tables(w: int, f: int):
     up to 4(q - 1), so a zero factor or dividend needs no test.  The powers
     are built by doubling: the next block of powers is the block so far times
     g^size, which is GF(2)-linear and so an XOR of per-bit multiples of the
-    constant.  Each table is an array.array, for fast scalar lookups; numpy
-    reads them through np.frombuffer without a copy.
+    constant.
     """
     n = (1 << w) - 1
     g = primitive_element(w, f)
-    exp = array("H", [0]) * (4 * n + 1)
-    log = array("q", [2 * n]) * (n + 1)
-    exp_np = np.frombuffer(exp, dtype=np.uint16)
-    log_np = np.frombuffer(log, dtype=np.int64)
-    exp_np[0] = 1
+    exp = np.zeros(4 * n + 1, dtype=np.uint16)
+    log = np.full(n + 1, 2 * n, dtype=np.int64)
+    exp[0] = 1
     size, c = 1, g
     while size < n:
         step = min(size, n - size)
-        block = exp_np[:step]
-        out = exp_np[size:size + step]
+        block = exp[:step]
+        out = exp[size:size + step]
         cb = c
         for b in range(w):  # out ^= bit b of block * (c x^b)
             out ^= ((block >> b) & 1) * np.uint16(cb)
             cb = _mulmod_poly(cb, 2, f)
         c = _mulmod_poly(c, c, f)
         size += step
-    exp_np[n:2 * n] = exp_np[:n]
+    exp[n:2 * n] = exp[:n]
     for lo in range(0, n, 1 << 12):  # in slices, to keep the index temporaries small
         hi = min(lo + (1 << 12), n)
-        log_np[exp_np[lo:hi]] = np.arange(lo, hi)
+        log[exp[lo:hi]] = np.arange(lo, hi)
     return exp, log
 
 
@@ -173,52 +171,12 @@ class FieldSpec:
             raise ValueError("reduction polynomial degree does not match width")
         if not is_irreducible(self.reduction_poly):
             raise ValueError(f"reduction polynomial {self.reduction_poly:#x} is reducible")
-        exp = log = tables = None
+        tables = None
         if self.w <= MAX_TABLE_WIDTH:
-            exp, log = _log_tables(self.w, self.reduction_poly)
-            tables = np.frombuffer(exp, dtype=np.uint16), np.frombuffer(log, dtype=np.int64)
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
-        object.__setattr__(self, "_tables", tables)  # (exp, log) as numpy views, no copy
+            tables = _log_tables(self.w, self.reduction_poly)
+        object.__setattr__(self, "_tables", tables)  # (exp, log), or None: shift and add
         object.__setattr__(self, "_fold", np.array(  # x^(w + t) mod f, t < w - 1
             [_powmod_poly(2, self.w + t, self.reduction_poly) for t in range(self.w - 1)]))
-
-    @property
-    def order(self) -> int:
-        return 1 << self.w
-
-    def check(self, a: int) -> int:
-        if not 0 <= a < (1 << self.w):
-            raise ValueError(f"{a} is not an element of GF(2^{self.w})")
-        return a
-
-    def _mul(self, a: int, b: int) -> int:
-        """Product of two elements, unchecked."""
-        exp, log = self._exp, self._log
-        if exp is None:
-            return _mulmod_poly(a, b, self.reduction_poly)
-        return exp[log[a] + log[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul(self.check(a), self.check(b))
-
-    def pow(self, a: int, e: int) -> int:
-        self.check(a)
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = self._mul(r, base)
-            base = self._mul(base, base)
-            e >>= 1
-        return r
-
-    def inv(self, a: int) -> int:
-        self.check(a)
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        if self._exp is None:
-            return self.pow(a, (1 << self.w) - 2)
-        return self._exp[(1 << self.w) - 1 - self._log[a]]
 
     def mul_many(self, a, b) -> np.ndarray:
         """Elementwise a * b over int64 arrays of elements, broadcast together."""
@@ -250,18 +208,15 @@ class FieldSpec:
         high = -((acc[..., None] >> (w + bits[:-1])) & 1)
         return (acc & ((1 << w) - 1)) ^ np.bitwise_xor.reduce(high & self._fold, axis=-1)
 
-    # ----- polynomials (tuples of coefficients, low degree first) -----
+    # ----- polynomials (coefficients low degree first) -----
 
     def poly_eval(self, coeffs, p: int) -> int:
-        """Horner evaluation of the polynomial at p."""
-        self.check(p)
-        acc = 0
-        for c in reversed(coeffs):
-            acc = self._mul(acc, p) ^ self.check(c)
-        return acc
+        """poly_eval_many at the one point p, as an int; an adapter for
+        bench/tracer.py, deleted by Benchmark v2 (ROADMAP.md)."""
+        return int(self.poly_eval_many(coeffs, [p])[0])
 
     def poly_eval_many(self, coeffs, points) -> np.ndarray:
-        """poly_eval at every element of an integer array, as int64.
+        """Horner evaluation at every element of an integer array, as int64.
 
         coeffs is one polynomial, or a (K, d) array of K polynomials; then
         points has K rows and row i is evaluated under polynomial i.
@@ -283,50 +238,27 @@ class FieldSpec:
         return acc
 
     def interpolate(self, points, d: int):
-        """Unique polynomial of dimension d through the first d points with
-        pairwise-distinct x-coordinates (duplicates after the first are dropped).
-
-        Solves the Vandermonde system by Gaussian elimination.
-        """
+        """interpolate_many on the first d points of distinct x (a repeated x
+        is dropped), as a tuple; an adapter for bench/tracer.py, deleted by
+        Benchmark v2."""
         if d < 1:
             raise ValueError("dimension must be positive")
-        seen, use = set(), []
+        first = {}
         for x, y in points:
-            if x in seen:
-                continue
-            seen.add(x)
-            use.append((self.check(x), self.check(y)))
-            if len(use) == d:
-                break
-        if len(use) < d:
-            raise InsufficientEvaluations(
-                f"need {d} points with distinct x-coordinates, got {len(use)}"
-            )
-        mul = self._mul
-        # augmented rows [x^0, ..., x^(d-1) | y]
-        rows = []
-        for x, y in use:
-            row, xp = [], 1
-            for _ in range(d):
-                row.append(xp)
-                xp = mul(xp, x)
-            row.append(y)
-            rows.append(row)
-        for col in range(d):
-            piv = next(i for i in range(col, d) if rows[i][col])
-            rows[col], rows[piv] = rows[piv], rows[col]
-            scale = self.inv(rows[col][col])
-            rows[col] = [mul(scale, v) for v in rows[col]]
-            for i in range(d):
-                if i != col and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [vi ^ mul(f, vc) for vi, vc in zip(rows[i], rows[col])]
-        return tuple(rows[i][d] for i in range(d))
+            first.setdefault(x, y)
+        if len(first) < d:
+            raise InsufficientEvaluations(f"need {d} points of distinct x, got {len(first)}")
+        xs, ys = np.array(list(first.items())[:d], dtype=np.int64).T
+        if np.bitwise_or.reduce(np.concatenate([xs, ys])) >> self.w:
+            raise ValueError(f"point outside GF(2^{self.w})")
+        return tuple(self.interpolate_many(xs, ys).tolist())
 
     def interpolate_many(self, xs, ys) -> np.ndarray:
-        """interpolate on every row of two (..., d) arrays of points (xs, ys)
-        with pairwise-distinct xs: Newton's divided differences, one division
-        per order over all rows, then the Newton form expanded in place."""
+        """The polynomial of dimension d through the points (xs, ys) of every
+        row of two (..., d) arrays, each row's xs pairwise distinct, as a
+        (..., d) array of coefficients: Newton's divided differences, one
+        division per order over all rows, then the Newton form expanded in
+        place."""
         xs, c = np.asarray(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
         d = xs.shape[-1]
         for j in range(1, d):  # c[i] = f[x_(i-j), ..., x_i], from order j - 1
@@ -337,28 +269,17 @@ class FieldSpec:
 
     # ----- the index <-> polynomial bijection -----
 
-    def index_to_poly(self, j: int, d: int):
-        """The d base-2^w digits of j, little-endian, as coefficients."""
-        if not 0 <= j < (1 << (self.w * d)):
-            raise ValueError(f"index {j} out of range for w={self.w}, d={d}")
-        mask = (1 << self.w) - 1
-        return tuple((j >> (self.w * i)) & mask for i in range(d))
-
     def index_to_poly_many(self, js, d: int) -> np.ndarray:
-        """index_to_poly on every index of an int64 array of indices in
-        [0, 2^(w*d)), as a (..., d) int64 array."""
+        """The d base-2^w digits, little-endian, of every index of an int64
+        array of indices in [0, 2^(w*d)), as a (..., d) int64 array of
+        coefficients."""
         shifts = self.w * np.arange(d, dtype=np.int64)
         return (np.asarray(js, dtype=np.int64)[..., None] >> shifts) & ((1 << self.w) - 1)
 
-    def poly_to_index(self, coeffs) -> int:
-        j = 0
-        for i, c in enumerate(coeffs):
-            j |= self.check(c) << (self.w * i)
-        return j
-
     def poly_to_index_many(self, coeffs) -> np.ndarray:
-        """poly_to_index on every row of a (..., d) int64 array of
-        coefficients; a row whose index is 2^63 or more reads -1."""
+        """The index whose base-2^w digits are the row, for every row of a
+        (..., d) int64 array of coefficients; a row whose index is 2^63 or
+        more reads -1."""
         shifts = np.arange(0, self.w * coeffs.shape[-1], self.w)
         j = np.bitwise_or.reduce(coeffs << shifts, axis=-1)
         if self.w * coeffs.shape[-1] <= 63:

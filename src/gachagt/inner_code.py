@@ -16,10 +16,11 @@ Two interchangeable inner layers:
   codeword, and the OR of two codewords by observed weight under a known
   BSC crossover.
 
-Bit strings are plain ints (bit i = position i) for the scalar methods,
-which stay as the reference; the bulk methods (encode_many, classify_many,
-decode_many, classify_weights) take and return numpy arrays, uint64 for
-bit strings.
+Each operation has one implementation, over numpy arrays (uint64 for bit
+strings, bit i = position i): encode_many, classify_many, decode_many and
+classify_weights.  The scalar combinadic rank and unrank the tests check
+them against live in tests/scaffolding.py; the int methods, both codes'
+encode and classify_noiseless, remain only as adapters for bench/tracer.py.
 """
 
 from __future__ import annotations
@@ -43,35 +44,6 @@ class UnsupportedCodeSize(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# combinadic (colexicographic) combination ranking
-# ---------------------------------------------------------------------------
-
-def combination_unrank(rank: int, ell: int, weight: int) -> int:
-    """The rank-th weight-`weight` subset of [ell] in colex order, as a bitmask."""
-    if not 0 <= rank < comb(ell, weight):
-        raise ValueError(f"rank {rank} out of range for C({ell},{weight})")
-    mask = 0
-    for i in range(weight, 0, -1):
-        c = i - 1
-        while comb(c + 1, i) <= rank:
-            c += 1
-        rank -= comb(c, i)
-        mask |= 1 << c
-    return mask
-
-
-def combination_rank(mask: int) -> int:
-    """Inverse of combination_unrank; colex rank of the set bits."""
-    rank, i = 0, 0
-    while mask:
-        c = (mask & -mask).bit_length() - 1
-        i += 1
-        rank += comb(c, i)
-        mask &= mask - 1
-    return rank
-
-
-# ---------------------------------------------------------------------------
 # constant-weight code
 # ---------------------------------------------------------------------------
 
@@ -91,8 +63,9 @@ def _binomials(ell: int, weight: int) -> np.ndarray:
 
 
 def _unrank_many(rank: np.ndarray, ell: int, weight: int) -> np.ndarray:
-    """combination_unrank on every rank of a uint64 array: one searchsorted
-    of the binomial table per set bit."""
+    """The rank-th weight-`weight` subset of [ell] in colex order, as a
+    bitmask, for every rank of a uint64 array: one searchsorted of the
+    binomial table per set bit."""
     table = _binomials(ell, weight)
     out = np.zeros(rank.shape, dtype=np.uint64)
     for i in range(weight, 0, -1):
@@ -128,8 +101,9 @@ def _rank_bytes(ell: int, weight: int) -> np.ndarray:
 
 
 def _rank_many(strings: np.ndarray, ell: int, weight: int) -> np.ndarray:
-    """combination_rank on every string of a uint64 array of weight-`weight`
-    strings: one _rank_bytes gather per byte, after the bits set below it."""
+    """The colex rank of every string of a uint64 array of weight-`weight`
+    strings (the inverse of _unrank_many): one _rank_bytes gather per byte,
+    after the bits set below it."""
     table = _rank_bytes(ell, weight)
     bytes_ = np.ascontiguousarray(
         strings.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :len(table)].T)
@@ -161,9 +135,9 @@ def _images(ell: int, weight: int, payload_bits: int) -> np.ndarray:
 class ConstantWeightCode:
     """Payloads as the weight-`weight` subsets of [ell] in colex order.
 
-    encode/classify_noiseless work on one int; encode_many/classify_many on
-    uint64 arrays of any shape through binomial tables: unrank is one
-    searchsorted per set bit, rank one byte-table gather per byte.
+    encode_many/classify_many work on uint64 arrays of any shape through
+    binomial tables: unrank is one searchsorted per set bit, rank one
+    byte-table gather per byte.
     Codes with at most 2^16 payloads unrank every payload once and then
     encode by a gather from that image table.
     """
@@ -183,13 +157,13 @@ class ConstantWeightCode:
             )
 
     def encode(self, payload) -> int:
-        """The payload-th constant-weight string."""
-        if not 0 <= payload < (1 << self.payload_bits):
-            raise ValueError(f"payload {payload} out of range")
-        return combination_unrank(payload, self.ell, self.weight)
+        """encode_many of one payload, as an int; an adapter for
+        bench/tracer.py, deleted by Benchmark v2 (ROADMAP.md)."""
+        return int(self.encode_many(np.array([payload]))[0])
 
     def encode_many(self, payloads) -> np.ndarray:
-        """encode on every payload of an integer array."""
+        """The payload-th constant-weight string, for every payload of an
+        integer array."""
         payloads = np.asarray(payloads)
         if payloads.size and (payloads.min() < 0 or int(payloads.max()) >> self.payload_bits):
             raise ValueError("payload out of range")
@@ -199,29 +173,21 @@ class ConstantWeightCode:
         return _unrank_many(rank, self.ell, self.weight)
 
     def classify_noiseless(self, observed: int):
-        """(Occupancy, payload | None) from an exact observed string.
+        """classify_many of one string, as (Occupancy, payload | None); an
+        adapter for bench/tracer.py, deleted by Benchmark v2."""
+        kinds, payloads = self.classify_many(np.array([observed], dtype=np.uint64))
+        kind = Occupancy(int(kinds[0]))
+        return kind, int(payloads[0]) if kind is Occupancy.ONE else None
+
+    def classify_many(self, observed):
+        """(Occupancy, payload) of every exact observed string of a uint64
+        array, as (kinds, payloads) of the same shape: kinds holds Occupancy
+        values as uint8, payloads the decoded payload where kinds is ONE and
+        0 elsewhere.
 
         Weight 0 is empty; weight == `weight` decodes when the string is a
         valid image, otherwise it is treated as a collision (several writers
         can in principle OR to the target weight without hitting an image).
-        """
-        if observed >> self.ell:
-            raise ValueError("observed string longer than ell")
-        w = observed.bit_count()
-        if w == 0:
-            return Occupancy.EMPTY, None
-        if w == self.weight:
-            payload = combination_rank(observed)
-            if payload < (1 << self.payload_bits):
-                return Occupancy.ONE, payload
-        return Occupancy.MANY, None
-
-    def classify_many(self, observed):
-        """classify_noiseless on every string of a uint64 array.
-
-        Returns (kinds, payloads) of the same shape: kinds holds Occupancy
-        values as uint8, payloads the decoded payload where kinds is ONE and
-        0 elsewhere.
         """
         observed = np.asarray(observed, dtype=np.uint64)
         if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
@@ -387,22 +353,16 @@ class BinaryLinearCode:
         object.__setattr__(self, "coset_table", table)
 
     def encode(self, payload: int) -> int:
+        """codebook[payload] as an int; an adapter for bench/tracer.py,
+        deleted by Benchmark v2 (ROADMAP.md)."""
         if not 0 <= payload < (1 << self.dim):
             raise ValueError(f"payload {payload} out of range")
         return int(self.codebook[payload])
 
-    def decode(self, observed: int) -> int:
-        """Payload of the codeword nearest to observed (ties: smallest payload)."""
-        if observed >> self.ell:
-            raise ValueError("observed string longer than ell")
-        d = np.bitwise_count(self.codebook ^ np.uint64(observed))
-        return int(np.argmin(d))
-
     def decode_many(self, observed: np.ndarray) -> np.ndarray:
-        """Vectorized decode of a 1-D uint64 array of observed strings.
-
-        Equal to decode on every string, and like it raises ValueError on a
-        string with a bit at or above ell.
+        """The payload of the codeword nearest to every string of a 1-D
+        uint64 array of observed strings (ties: smallest payload).  Raises
+        ValueError on a string with a bit at or above ell.
         """
         observed = np.asarray(observed, dtype=np.uint64)
         if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
@@ -415,7 +375,7 @@ class BinaryLinearCode:
         first = start[syndrome]
         counts = start[syndrome + np.uint64(1)] - first
         # the nearest codewords are y ^ e over the coset's leaders e; a tie
-        # goes to the smallest payload, lo(y) ^ lo(e), like decode's
+        # goes to the smallest payload, lo(y) ^ lo(e), like _nearest's
         offsets = np.cumsum(counts) - counts
         at = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
         return np.minimum.reduceat(np.repeat(lo, counts) ^ leaders[at], offsets).astype(np.int64)
@@ -429,20 +389,6 @@ class BinaryLinearCode:
             d = np.bitwise_count(block[:, None] ^ self.codebook[None, :])
             out[lo:lo + chunk] = np.argmin(d, axis=1)
         return out
-
-    def min_weight(self) -> int:
-        return int(np.bitwise_count(self.codebook[1:]).min())
-
-
-def or_weight_identity_check(code: BinaryLinearCode, u: int, v: int) -> bool:
-    """|w OR w'| == (|w| + |w'| + |w XOR w'|) / 2, exactly."""
-    w = code.encode(u)
-    wp = code.encode(v)
-    lhs = (w | wp).bit_count()
-    rhs2 = w.bit_count() + wp.bit_count() + (w ^ wp).bit_count()
-    if rhs2 % 2:
-        return False
-    return lhs == rhs2 // 2
 
 
 # ---------------------------------------------------------------------------
@@ -472,26 +418,15 @@ class WeightClassifier:
     def theta(self) -> float:
         return (0.5 + 0.75 - self.p / 2) / 2
 
-    def classify_weight(self, ones: int) -> Occupancy:
-        mean = ones / self.ell
-        if mean < self.tau:
-            return Occupancy.EMPTY
-        if mean < self.theta:
-            return Occupancy.ONE
-        return Occupancy.MANY
-
     def classify_weights(self, ones) -> np.ndarray:
-        """classify_weight on every count of an array, as uint8 Occupancy values."""
+        """The Occupancy of every count of ones of an array, as uint8 values:
+        EMPTY when the mean ones/ell is below tau, ONE when below theta,
+        MANY otherwise."""
         mean = np.asarray(ones) / self.ell
         kinds = np.full(mean.shape, Occupancy.MANY.value, dtype=np.uint8)
         kinds[mean < self.theta] = Occupancy.ONE.value
         kinds[mean < self.tau] = Occupancy.EMPTY.value
         return kinds
-
-    def classify(self, observed: int) -> Occupancy:
-        if observed >> self.ell:
-            raise ValueError("observed string longer than ell")
-        return self.classify_weight(observed.bit_count())
 
 
 # ---------------------------------------------------------------------------

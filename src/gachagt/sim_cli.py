@@ -138,6 +138,9 @@ def validate_config(config: SimConfig) -> None:
     if config.scheme == "gacha+gadgets":
         GadgetParams(pi=config.pi, sigma=config.sigma, rho=config.rho, R=config.R,
                      tau_depth=config.tau_depth)
+        _check_pyramid(config)
+    if config.scheme in ("gacha", "gacha+gadgets"):
+        gacha_params_for(config, 0)  # the base sizing every trial builds
     # C(n, k) > 10^6 once min(k, n - k) > 20, where comb itself grows slow
     if config.scheme == "oracle" and (min(config.k, config.n - config.k) > 20
                                       or math.comb(config.n, config.k) > 10 ** 6):
@@ -148,13 +151,35 @@ def derive_seed(master_seed: int, trial: int) -> int:
     return (master_seed ^ ((trial + 1) * SEED_FOLD)) & SEED_MASK
 
 
+def _pyramid_outer_w(config: SimConfig) -> int:  # outer_w, else the narrowest for R + 1 points
+    return config.outer_w or max(2, int(math.ceil(math.log2(config.R + 1))))
+
+
+def _check_pyramid(config: SimConfig) -> None:
+    """pyramid_build's checks of every expander layer, and the composed
+    capacity, by arithmetic: layer 0 pairs into the base's 2^(2 outer_w)
+    persons, each later one into the 2^(outer_w d_out) persons below it,
+    d_out = ceil(rho / 2), and the parallel layer multiplies by pi."""
+    outer_w, d_out = _pyramid_outer_w(config), (config.rho + 1) // 2
+    if not 2 <= outer_w <= 32 or config.R + 1 > 1 << outer_w:
+        raise ValueError(f"need 2 <= outer_w <= 32 and R + 1 <= 2^outer_w, got R={config.R}, "
+                         f"outer_w={outer_w}")
+    if config.tau_depth > 2 and d_out < 2:
+        raise ValueError(f"expander layer 1: pair map not injective: 2^(2*{outer_w}) > "
+                         f"inner population 2^{outer_w} (rho={config.rho})")
+    # n > pi 2^(outer_w d_out), without forming a power that can run to 2^(2^36)
+    if (-(-config.n // config.pi) - 1).bit_length() > outer_w * d_out:
+        raise ValueError(f"population {config.n} exceeds the composed capacity "
+                         f"{config.pi} * 2^{outer_w * d_out}")
+
+
 def base_gacha_config(config: SimConfig) -> SimConfig:
     """The core-scheme sizing a config implies (the pyramid's innermost layer)."""
     if config.scheme == "gacha":
         return config
     # one expander layer multiplies the sick load by R / (2 rho) and addresses
     # its inner scheme through the 2 * outer_w - bit pair space
-    outer_w = config.outer_w or max(2, int(math.ceil(math.log2(config.R + 1))))
+    outer_w = _pyramid_outer_w(config)
     return replace(config, scheme="gacha", n=1 << (2 * outer_w), outer_w=outer_w,
                    k=max(1, 2 * config.k * config.rho // config.R))
 
@@ -182,16 +207,11 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
         base = gacha_scheme(gacha_params_for(config, matrix_seed))
         if config.scheme == "gacha":
             return base
-        handle = pyramid_build(
+        return pyramid_build(
             base, config.tau_depth, rho=config.rho, R=config.R,
-            outer_w=base_gacha_config(config).outer_w,
+            outer_w=_pyramid_outer_w(config),
             sigma=config.sigma, pi=config.pi, seed=gadget_seed,
         )
-        if config.n > handle.n:
-            raise ValueError(
-                f"population {config.n} exceeds the composed capacity {handle.n}"
-            )
-        return handle
     if config.scheme in ("comp", "oracle"):
         return _bernoulli_scheme(config, matrix_seed)
     raise ValueError(f"unknown scheme {config.scheme!r}")

@@ -1,14 +1,20 @@
 """Test scaffolding schemes: a perfect one-test-per-person scheme and a
-decoder fault injector, for exercising the composition gadgets; the sets a
-stacked decode's (row, index) arrays stand for; the scalar decoders and the
-dict vote the stacked array decode is checked against; the row-wise
-bits_to_blocks; the per-column Bernoulli design, COMP and ConfigMatrix
-check the dense ones replace; and the masked-searchsorted channel draw."""
+decoder fault injector, for exercising the composition gadgets; the sets and
+lists a stacked decode's (row, index) arrays stand for; the scalar field,
+polynomial and combinadic references the array paths are checked against,
+built on shift-and-add products, not on the field's tables; the scalar
+decoders and the dict vote the stacked array decode is checked against; the
+row-wise bits_to_blocks; the per-column Bernoulli design, COMP and
+ConfigMatrix check the dense ones replace; and the masked-searchsorted
+channel draw."""
+
+from math import comb
 
 import numpy as np
 
-from gachagt.gacha_core import bits_to_blocks, recover_from_groups, synthesize_blocks
-from gachagt.gf2e import field
+from gachagt.gacha_core import bits_to_blocks
+from gachagt.gf2e import InsufficientEvaluations, _mulmod_poly, _powmod_poly, field
+from gachagt.inner_code import Occupancy
 from gachagt.scheme import SchemeHandle, checked_bits, stacked_args
 
 _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
@@ -78,6 +84,170 @@ def row_sets(found, nrows: int) -> list:
     return out
 
 
+def row_lists(found, nrows: int) -> list:
+    """A stacked decode's (row, index) arrays as one index list per copy, in
+    arrival order."""
+    row, index = found
+    return [index[row == r].tolist() for r in range(nrows)]
+
+
+# ---------------------------------------------------------------------------
+# scalar references: GF(2^w) by shift and add, combinadics by math.comb
+# ---------------------------------------------------------------------------
+
+def _element(fld, a: int) -> int:
+    if not 0 <= a < (1 << fld.w):
+        raise ValueError(f"{a} is not an element of GF(2^{fld.w})")
+    return a
+
+
+def index_to_poly(fld, j: int, d: int) -> tuple:
+    """The d base-2^w digits of j, little-endian, as coefficients."""
+    if not 0 <= j < (1 << (fld.w * d)):
+        raise ValueError(f"index {j} out of range for w={fld.w}, d={d}")
+    mask = (1 << fld.w) - 1
+    return tuple((j >> (fld.w * i)) & mask for i in range(d))
+
+
+def poly_to_index(fld, coeffs) -> int:
+    """The inverse of index_to_poly, for any number of coefficients."""
+    j = 0
+    for i, c in enumerate(coeffs):
+        j |= _element(fld, c) << (fld.w * i)
+    return j
+
+
+def poly_eval_reference(fld, coeffs, p: int) -> int:
+    """Horner evaluation at p with shift-and-add products."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = _mulmod_poly(acc, _element(fld, p), fld.reduction_poly) ^ _element(fld, c)
+    return acc
+
+
+def interpolate_reference(fld, points, d: int) -> tuple:
+    """The polynomial of dimension d through the first d points with
+    pairwise-distinct x-coordinates (duplicates after the first are
+    dropped): Gaussian elimination on the Vandermonde system, with
+    shift-and-add products and Fermat inverses."""
+    if d < 1:
+        raise ValueError("dimension must be positive")
+    seen, use = set(), []
+    for x, y in points:
+        if x in seen:
+            continue
+        seen.add(x)
+        use.append((_element(fld, x), _element(fld, y)))
+        if len(use) == d:
+            break
+    if len(use) < d:
+        raise InsufficientEvaluations(f"need {d} points of distinct x, got {len(use)}")
+    f = fld.reduction_poly
+
+    def mul(a, b):
+        return _mulmod_poly(a, b, f)
+
+    # augmented rows [x^0, ..., x^(d-1) | y]
+    rows = []
+    for x, y in use:
+        row, xp = [], 1
+        for _ in range(d):
+            row.append(xp)
+            xp = mul(xp, x)
+        rows.append(row + [y])
+    for col in range(d):
+        piv = next(i for i in range(col, d) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = _powmod_poly(rows[col][col], (1 << fld.w) - 2, f)
+        rows[col] = [mul(scale, v) for v in rows[col]]
+        for i in range(d):
+            if i != col and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [vi ^ mul(c, vc) for vi, vc in zip(rows[i], rows[col])]
+    return tuple(rows[i][d] for i in range(d))
+
+
+def recover_from_groups_reference(fld, d: int, b0: int, groups, point_of_slot, n: int) -> set:
+    """recover_rows on one row, one birthday group at a time in a dict.
+
+    groups maps a birthday value to [(slot, fragment)] with pairwise-distinct
+    slots; point_of_slot maps a slot to its evaluation point.  A candidate is
+    accepted when it reproduces the birthday at b0, its index fits in [0, n),
+    and it matches a strict majority (and at least d) of the group's points.
+    Interpolation runs on the d smallest slots, with one retry on the next d
+    slots (slots 1..d when there are fewer than 2d), then the group is
+    abandoned.
+    """
+    found = set()
+    for birthday, pts in groups.items():
+        if len(pts) < d:
+            continue
+        pts = sorted(pts)
+        attempts = [pts[:d]]
+        if len(pts) >= 2 * d:
+            attempts.append(pts[d:2 * d])
+        elif len(pts) > d:
+            attempts.append(pts[1:d + 1])
+        need = max(d, len(pts) // 2 + 1)
+        for subset in attempts:
+            try:
+                g = interpolate_reference(fld, [(point_of_slot(s), y) for s, y in subset], d)
+            except InsufficientEvaluations:
+                break
+            if poly_eval_reference(fld, g, b0) != birthday:
+                continue
+            j = poly_to_index(fld, g)
+            if j >= n:
+                continue
+            matches = sum(1 for s, y in pts if poly_eval_reference(fld, g, point_of_slot(s)) == y)
+            if matches >= need:
+                found.add(j)
+                break
+    return found
+
+
+def combination_unrank(rank: int, ell: int, weight: int) -> int:
+    """The rank-th weight-`weight` subset of [ell] in colex order, as a bitmask."""
+    if not 0 <= rank < comb(ell, weight):
+        raise ValueError(f"rank {rank} out of range for C({ell},{weight})")
+    mask = 0
+    for i in range(weight, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        rank -= comb(c, i)
+        mask |= 1 << c
+    return mask
+
+
+def combination_rank(mask: int) -> int:
+    """Inverse of combination_unrank; colex rank of the set bits."""
+    rank, i = 0, 0
+    while mask:
+        c = (mask & -mask).bit_length() - 1
+        i += 1
+        rank += comb(c, i)
+        mask &= mask - 1
+    return rank
+
+
+def classify_noiseless_reference(code, observed: int):
+    """(Occupancy, payload | None) of one exact observed string of a
+    constant-weight code: empty at weight 0, the colex rank at the code's
+    weight when it is a payload, a collision otherwise."""
+    if observed >> code.ell:
+        raise ValueError("observed string longer than ell")
+    w = observed.bit_count()
+    if w == 0:
+        return Occupancy.EMPTY, None
+    rank = combination_rank(observed) if w == code.weight else 1 << code.payload_bits
+    return (Occupancy.ONE, rank) if rank < (1 << code.payload_bits) else (Occupancy.MANY, None)
+
+
+# ---------------------------------------------------------------------------
+# scalar decoders
+# ---------------------------------------------------------------------------
+
 def majority_vote_reference(decoded_sets, threshold: int) -> set:
     """Indices appearing in at least `threshold` of the per-copy sets, counted
     in a dict: the vote layer's decode one copy at a time."""
@@ -89,23 +259,26 @@ def majority_vote_reference(decoded_sets, threshold: int) -> set:
 
 
 def recover_in_order(fld, d: int, b0: int, groups, point_of_slot, n: int) -> list:
-    """recover_from_groups one group at a time: its indices as a list in the
-    dict order of their groups, the arrival order of their first fragments."""
+    """recover_from_groups_reference one group at a time: its indices as a
+    list in the dict order of their groups, the arrival order of their first
+    fragments."""
     return [j for hi, pts in groups.items()
-            for j in recover_from_groups(fld, d, b0, {hi: pts}, point_of_slot, n)]
+            for j in recover_from_groups_reference(fld, d, b0, {hi: pts}, point_of_slot, n)]
 
 
 def scalar_gacha_decode(params):
-    """The single-layer decode one batch list at a time: synthesize_blocks,
-    list_decode's dict grouping, then recover_in_order, so the indices come
-    in arrival order."""
+    """The single-layer decode one batch list at a time: every batch
+    classified, the ONE batches whose pair lies in the field grouped by
+    birthday in a dict, then recover_in_order, so the indices come in
+    arrival order."""
+    q = 1 << params.w
 
     def decode(bits):
-        word = synthesize_blocks(params, bits_to_blocks(params, bits))
+        kinds, his, los = params.inner.classify_blocks(bits_to_blocks(params, bits), params.B)
         groups = {}
-        for s, sym in enumerate(word.symbols):
-            if type(sym) is tuple:
-                groups.setdefault(sym[0], []).append((s, sym[1]))
+        for s, (kind, hi, lo) in enumerate(zip(kinds.tolist(), his.tolist(), los.tolist())):
+            if kind == Occupancy.ONE.value and hi < q and lo < q:
+                groups.setdefault(hi, []).append((s, lo))
         return recover_in_order(params.field, params.d, params.b0, groups, params.point,
                                 params.n)
 

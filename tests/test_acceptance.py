@@ -27,7 +27,7 @@ from gachagt.gadgets import expander_build, serial_build
 from gachagt.gf2e import field
 from gachagt.inner_code import linear_code
 from gachagt.sim_cli import oracle_check, parse_config, run, run_trial
-from scaffolding import fault_injected, identity_scheme
+from scaffolding import fault_injected, identity_scheme, index_to_poly, poly_eval_reference
 
 AC1_CONFIG = """
 scheme=gacha
@@ -103,7 +103,7 @@ def test_ac2_birthday_collision_rate():
     for t in range(trials):
         rng = np.random.default_rng((2000, t))
         idx = rng.choice(1 << (8 * d), size=k, replace=False)
-        birthdays = [fld.poly_eval(fld.index_to_poly(int(j), d), 0) for j in idx]
+        birthdays = [poly_eval_reference(fld, index_to_poly(fld, int(j), d), 0) for j in idx]
         counts = np.bincount(birthdays, minlength=256)
         pairs += int((counts * (counts - 1) // 2).sum())
     mean = pairs / trials

@@ -10,7 +10,6 @@ from gachagt.channels import (
     NoiseModel,
     ZeroCapacityError,
     apply_plan_many,
-    apply_symmetrized,
     bec,
     bsc,
     fn_channel,
@@ -18,7 +17,6 @@ from gachagt.channels import (
     make_channel,
     parse_channel_spec,
     plan_symmetrize,
-    split_channel_spec,
     _error_rates,
 )
 from scaffolding import transmit_many_reference
@@ -64,10 +62,8 @@ def test_rows_are_probability_vectors():
 
 def test_transmit_deterministic_cases():
     rng = np.random.default_rng(0)
-    ch = bsc(0.0)
-    assert all(ch.transmit(1, rng) == 1 for _ in range(20))
-    fn = fn_channel(0.25)
-    assert all(fn.transmit(0, rng) == 0 for _ in range(20))
+    assert bsc(0.0).transmit_many(np.ones(20, dtype=np.uint8), rng).tolist() == [1] * 20
+    assert fn_channel(0.25).transmit_many(np.zeros(20, dtype=np.uint8), rng).tolist() == [0] * 20
 
 
 def test_transmit_frequency_bsc():
@@ -152,8 +148,6 @@ def test_transmit_many_rejects_bits_outside_0_1(bits):
     with pytest.raises(ValueError, match="0 or 1"):
         ch.transmit_many(np.array(bits), rng)
     assert rng.bit_generator.state == state  # rejected before any draw
-    with pytest.raises(ValueError, match="0 or 1"):
-        ch.transmit(2, rng)
 
 
 def test_transmit_many_accepts_any_0_1_dtype():
@@ -221,12 +215,21 @@ def test_apply_symmetrized_empirical_fp():
     assert abs((1 - b1.mean()) - 1 / 6) < 0.005    # P(0 | 1)
 
 
+def apply_plan_reference(plan, symbols, rng):
+    """apply_plan_many one symbol at a time: a symbol at 1-based position i
+    in likelihood order reads 1 when its uniform draw u has u <= i - t."""
+    u = rng.random(len(symbols))
+    return np.array([1 if x <= plan.order.index(s) + 1 - plan.t else 0
+                     for x, s in zip(u.tolist(), symbols.tolist())], dtype=np.uint8)
+
+
 def test_apply_symmetrized_scalar_agrees():
     ch = bec(0.4)
     plan = plan_symmetrize(ch)
-    rng = np.random.default_rng(13)
-    flips = sum(apply_symmetrized(plan, ch, 0, rng) for _ in range(20000))
-    assert abs(flips / 20000 - 0.2) < 0.02
+    z = transmit_many_reference(ch, np.zeros(20000, dtype=np.uint8), np.random.default_rng(13))
+    flips = apply_plan_many(plan, z, np.random.default_rng(14))
+    assert np.array_equal(flips, apply_plan_reference(plan, z, np.random.default_rng(14)))
+    assert abs(flips.mean() - 0.2) < 0.02
 
 
 def test_symmetrized_bsc_preserves_distribution():
@@ -254,8 +257,13 @@ def test_parse_kind_is_case_insensitive_but_path_is_not(tmp_path):
     path = tmp_path / "Mixed" / "Ch.CSV"
     path.parent.mkdir()
     path.write_text("symbol,mu0,mu1\n0,0.9,0.1\n1,0.1,0.9\n")
-    assert split_channel_spec(f" Custom:{path} ") == ("custom", str(path))
+    assert parse_channel_spec(f" Custom:{path} ").mu0 == (0.9, 0.1)
     assert parse_channel_spec(f"CUSTOM:{path}").mu0 == (0.9, 0.1)
+    lower = path.parent / "ch.csv"  # the path itself keeps its case
+    with pytest.raises(OSError):
+        parse_channel_spec(f"custom:{lower}")
+    assert NoiseModel.parse(f"Custom:{path}").plan == plan_symmetrize(parse_channel_spec(
+        f"custom:{path}"))
 
 
 def test_parse_custom_csv(tmp_path):

@@ -11,7 +11,7 @@ import gachagt.gacha_core as gacha_core
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import person_rng, run_tests, sample_instance, score
 from gachagt.gf2e import FieldSpec, field
-from gachagt.inner_code import Occupancy, combination_unrank
+from gachagt.inner_code import Occupancy
 from gachagt.gacha_core import (
     COLLISION,
     GachaParams,
@@ -31,7 +31,18 @@ from gachagt.gacha_core import (
     observed_blocks,
     synthesize_blocks,
 )
-from scaffolding import row_sets
+from scaffolding import (
+    classify_noiseless_reference,
+    combination_unrank,
+    index_to_poly,
+    poly_eval_reference,
+    poly_to_index,
+    recover_from_groups_reference,
+    recover_in_order,
+    row_lists,
+    row_sets,
+    scalar_gacha_decode,
+)
 
 
 def small_params(seed=1, n=1 << 12, k=2):
@@ -156,12 +167,12 @@ def test_synthesize_single_person():
     j = 31337
     h = gacha_scheme(p)
     word = synthesize_blocks(p, bits_to_blocks(p, h.observed_bits({j})))
-    g = p.field.index_to_poly(j, p.d)
-    hi = p.field.poly_eval(g, p.b0)
+    g = index_to_poly(p.field, j, p.d)
+    hi = poly_eval_reference(p.field, g, p.b0)
     chosen = {s for s, _ in column_symbols(p, j)}
     for s, sym in enumerate(word.symbols):
         if s in chosen:
-            assert sym == (hi, p.field.poly_eval(g, p.point(s)))
+            assert sym == (hi, poly_eval_reference(p.field, g, p.point(s)))
         else:
             assert sym is None
 
@@ -180,10 +191,10 @@ def test_synthesize_shared_batch_collision():
     for s in shared:
         assert word.symbols[s] is COLLISION
     only1 = batches1 - shared
-    g1 = p.field.index_to_poly(j1, p.d)
+    g1 = index_to_poly(p.field, j1, p.d)
     for s in only1:
         assert word.symbols[s] == (
-            p.field.poly_eval(g1, p.b0), p.field.poly_eval(g1, p.point(s))
+            poly_eval_reference(p.field, g1, p.b0), poly_eval_reference(p.field, g1, p.point(s))
         )
 
 
@@ -364,14 +375,22 @@ def scalar_pair(inner, payloads):
     return payloads[0], payloads[1]
 
 
+def classify_weight(clf, ones):
+    mean = ones / clf.ell
+    if mean < clf.tau:
+        return Occupancy.EMPTY
+    return Occupancy.ONE if mean < clf.theta else Occupancy.MANY
+
+
 def reference_symbols(p, words):
-    """One batch at a time, through the scalar inner-code methods."""
+    """One batch at a time, through scalar references: the colex rank, the
+    weight thresholds and the exhaustive nearest-codeword search."""
     inner, out = p.inner, []
     noiseless = isinstance(inner, NoiselessInner)
     for s in range(p.B):
         row = [int(x) for x in words[s]]
         if noiseless:
-            read = [inner.code.classify_noiseless(x) for x in row]
+            read = [classify_noiseless_reference(inner.code, x) for x in row]
             if all(k is Occupancy.EMPTY for k, _ in read):
                 out.append(None)
             elif all(k is Occupancy.ONE for k, _ in read):
@@ -379,31 +398,33 @@ def reference_symbols(p, words):
             else:
                 out.append(COLLISION)
             continue
-        kind = inner.classifier.classify_weight(sum(x.bit_count() for x in row))
+        kind = classify_weight(inner.classifier, sum(x.bit_count() for x in row))
         if kind is Occupancy.EMPTY:
             out.append(None)
         elif kind is Occupancy.MANY:
             out.append(COLLISION)
         else:
-            out.append(scalar_pair(inner, [inner.code.decode(x) ^ splitmix_key(s, b, inner.code.dim)
-                                           for b, x in enumerate(row)]))
+            nearest = inner.code._nearest(np.array(row, dtype=np.uint64)).tolist()
+            out.append(scalar_pair(inner, [v ^ splitmix_key(s, b, inner.code.dim)
+                                           for b, v in enumerate(nearest)]))
     return out
 
 
 def reference_words(p, j):
-    """[(batch, block words)] of person j through the scalar encoders."""
+    """[(batch, block words)] of person j through scalar references: the
+    colex unrank, or the codebook row."""
     inner = p.inner
     rng = person_rng(p.matrix_seed, j)
     batches = np.sort(rng.choice(p.B, size=p.r, replace=False)).tolist()
-    g = p.field.index_to_poly(j, p.d)
-    hi = p.field.poly_eval(g, p.b0)
+    g = index_to_poly(p.field, j, p.d)
+    hi = poly_eval_reference(p.field, g, p.b0)
     out = []
     for s in batches:
-        pay = scalar_payloads(inner, hi, p.field.poly_eval(g, p.point(s)))
+        pay = scalar_payloads(inner, hi, poly_eval_reference(p.field, g, p.point(s)))
         if isinstance(inner, NoiselessInner):
-            words = tuple(inner.code.encode(v) for v in pay)
+            words = tuple(combination_unrank(v, inner.code.ell, inner.code.weight) for v in pay)
         else:
-            words = tuple(inner.code.encode(v ^ splitmix_key(s, b, inner.code.dim))
+            words = tuple(int(inner.code.codebook[v ^ splitmix_key(s, b, inner.code.dim)])
                           for b, v in enumerate(pay))
         out.append((s, words))
     return out
@@ -520,11 +541,12 @@ def crafted_blocks(p, rng):
     while len(free) > 2 * p.d + 2:
         j = int(rng.integers(0, p.n)) if rng.random() < 0.6 else int(
             rng.integers(0, 1 << min(p.w * p.d, 62)))
-        g = fld.index_to_poly(j, p.d)
-        hi = fld.poly_eval(g, p.b0) if rng.random() < 0.7 else int(rng.choice(pool))
+        g = index_to_poly(fld, j, p.d)
+        hi = poly_eval_reference(fld, g, p.b0) if rng.random() < 0.7 else int(rng.choice(pool))
         for _ in range(int(rng.integers(1, 2 * p.d + 3))):
             s = free.pop()
-            lo = fld.poly_eval(g, p.point(s)) if rng.random() < 0.75 else int(rng.integers(0, q))
+            lo = (poly_eval_reference(fld, g, p.point(s)) if rng.random() < 0.75
+                  else int(rng.integers(0, q)))
             batches.append(s)
             his.append(hi)
             los.append(lo)
@@ -535,8 +557,9 @@ def crafted_blocks(p, rng):
 
 def scalar_decode_rows(p, copies):
     """The per-copy scalar decode of (B, blocks) block words, as lists in
-    their sets' iteration order."""
-    return [list(list_decode(p, synthesize_blocks(p, words))) for words in copies]
+    arrival order."""
+    decode = scalar_gacha_decode(p)
+    return [decode(blocks_to_bits(p, words)) for words in copies]
 
 
 @pytest.mark.parametrize("source", [or_of_sick_blocks, bsc_blocks, garbage_blocks, crafted_blocks])
@@ -548,7 +571,7 @@ def test_decode_rows_matches_scalar_decode(shape, source, seed, nrows):
     rng = np.random.default_rng(seed)
     copies = [source(p, rng) for _ in range(nrows)]
     got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), nrows)
-    assert [list(s) for s in row_sets(got, nrows)] == scalar_decode_rows(p, copies)
+    assert row_lists(got, nrows) == scalar_decode_rows(p, copies)
 
 
 def test_decode_rows_shared_birthdays():
@@ -558,19 +581,20 @@ def test_decode_rows_shared_birthdays():
     for sick in ({5, 5 + 2048}, {7, 7 + 2048, 9, 9 + 2048}, {100, 2148, 300}):
         words = bits_to_blocks(p, h.observed_bits(sick))
         got = decode_rows(p, blocks_to_bits(p, words), 1)
-        assert [list(s) for s in row_sets(got, 1)] == scalar_decode_rows(p, [words])
+        assert row_lists(got, 1) == scalar_decode_rows(p, [words])
 
 
 def test_decode_rows_keeps_arrival_order():
-    # indices equal modulo 64 share a set slot, so a set's iteration order is
-    # its insertion order: the groups' first batches, not birthdays or indices
+    # the indices come in the order of their groups' first batches, not of
+    # birthdays or indices
     p = ac1_params(seed=6)
     h = gacha_scheme(p)
     sick = [64 * v + 3 for v in (900, 17, 450, 3, 777, 120)]
     words = bits_to_blocks(p, h.observed_bits(set(sick)))
     want = scalar_decode_rows(p, [words])[0]
     assert sorted(want) == sorted(sick) and want != sorted(sick)
-    assert list(h.decode(h.observed_bits(set(sick)))) == want
+    assert row_lists(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [want]
+    assert h.decode(h.observed_bits(set(sick))) == set(want)
 
 
 def test_decode_rows_retries_on_the_next_slots():
@@ -578,12 +602,13 @@ def test_decode_rows_retries_on_the_next_slots():
     # retry on the next two batches recovers the person
     p = ac1_params(seed=6)
     fld, j = p.field, (12345 << 16) | 777
-    g = fld.index_to_poly(j, p.d)
+    g = index_to_poly(fld, j, p.d)
     batches = np.array([3, 10, 20, 30, 40])
-    los = [fld.poly_eval(g, p.point(int(s))) for s in batches]
+    los = [poly_eval_reference(fld, g, p.point(int(s))) for s in batches]
     los[0] ^= 1
     words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
-    words[batches] = p.inner.encode_blocks(np.full(5, fld.poly_eval(g, p.b0)), np.array(los),
+    words[batches] = p.inner.encode_blocks(np.full(5, poly_eval_reference(fld, g, p.b0)),
+                                           np.array(los),
                                            batches)
     assert row_sets(decode_rows(replace(p, n=1 << 32), blocks_to_bits(p, words), 1), 1) == [{j}]
     assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [set()]  # j >= n
@@ -592,16 +617,16 @@ def test_decode_rows_retries_on_the_next_slots():
 def test_decode_rows_rejects_indices_past_int64():
     # w * d = 68: a top coefficient of 2^13 puts the index at 2^64 + 5, which
     # wraps to 5 in int64, and one of 2^12 at 2^63 + 5, which wraps negative;
-    # both lie outside [0, n), as recover_from_groups finds, and are rejected
+    # both lie outside [0, n), as the scalar reference finds, and are rejected
     p = DECODE_SHAPES["cw-d4-w17"]()
     fld, batches = p.field, np.arange(0, 40, 5)
     for g, want in (((5, 0, 0, 1 << 13), set()), ((5, 0, 0, 1 << 12), set()),
                     ((5, 0, 0, 0), {5})):
-        assert (fld.poly_to_index(g) + (1 << 63)) % (1 << 64) - (1 << 63) < p.n  # as int64
-        los = np.array([fld.poly_eval(g, p.point(int(s))) for s in batches])
+        assert (poly_to_index(fld, g) + (1 << 63)) % (1 << 64) - (1 << 63) < p.n  # as int64
+        los = np.array([poly_eval_reference(fld, g, p.point(int(s))) for s in batches])
         words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
-        words[batches] = p.inner.encode_blocks(np.full(len(batches), fld.poly_eval(g, p.b0)),
-                                               los, batches)
+        words[batches] = p.inner.encode_blocks(
+            np.full(len(batches), poly_eval_reference(fld, g, p.b0)), los, batches)
         assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [want]
         assert scalar_decode_rows(p, [words]) == [list(want)]
 
@@ -621,7 +646,7 @@ def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(FieldSpec, "interpolate", scalar)
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
     got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), len(copies))
-    assert [list(s) for s in row_sets(got, len(copies))] == want
+    assert row_lists(got, len(copies)) == want
 
 
 @st.composite
@@ -639,18 +664,18 @@ def fragment_rows(draw):
     rng = np.random.default_rng(seed)
     frags = []
     for row in range(nrows):
-        polys = [fld.index_to_poly(int(rng.integers(0, 1 << min(24, w * d))), d)
+        polys = [index_to_poly(fld, int(rng.integers(0, 1 << min(24, w * d))), d)
                  if rng.random() < 0.5 else tuple(rng.integers(0, q, size=d).tolist())
                  for _ in range(int(rng.integers(1, 6)))]
-        births = [fld.poly_eval(g, 0) if rng.random() < 0.7 else int(rng.integers(0, 4))
-                  for g in polys]
+        births = [poly_eval_reference(fld, g, 0) if rng.random() < 0.7
+                  else int(rng.integers(0, 4)) for g in polys]
         for slot in range(int(rng.integers(1, 40))):
             seen = set()
             for i in rng.permutation(len(polys)).tolist():
                 if rng.random() < 0.5 or births[i] in seen:
                     continue
                 seen.add(births[i])
-                lo = fld.poly_eval(polys[i], slot + 1)
+                lo = poly_eval_reference(fld, polys[i], slot + 1)
                 frags.append((row, slot, births[i], lo if rng.random() < 0.8 else
                               int(rng.integers(0, q))))
     return w, d, nrows, frags
@@ -662,15 +687,17 @@ def test_recover_rows_matches_recover_from_groups(case, n):
     w, d, nrows, frags = case
     fld = field(w)
     arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
-    got = row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), nrows)
+    got = row_lists(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), nrows)
     want = []
     for row in range(nrows):
         groups = {}
         for r, slot, hi, lo in frags:
             if r == row:
                 groups.setdefault(hi, []).append((slot, lo))
-        want.append(list(recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n)))
-    assert [list(s) for s in got] == want
+        want.append(recover_in_order(fld, d, 0, groups, lambda s: s + 1, n))
+        # the adapter bench/tracer.py wraps, over the same groups
+        assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == set(want[-1])
+    assert got == want
 
 
 def test_recover_rows_retries_after_an_index_past_int64():
@@ -680,11 +707,12 @@ def test_recover_rows_retries_after_an_index_past_int64():
     # index no person has, so the retry on slots 3..5 must find Q, which
     # matches 4 of the 7 points
     fld, d, n = field(32), 3, 1 << 24
-    q = fld.index_to_poly(12345, d)
+    q = index_to_poly(fld, 12345, d)
     p = (q[0], q[1] ^ 7, q[2] ^ 1)  # x (x + 7) = x^2 + 7 x
-    assert fld.poly_eval(p, 7) == fld.poly_eval(q, 7) and fld.poly_to_index(p) >= 1 << 64
-    frags = [(0, s, q[0], fld.poly_eval(p if s < 3 else q, s + 1)) for s in range(7)]
+    assert poly_eval_reference(fld, p, 7) == poly_eval_reference(fld, q, 7)
+    assert poly_to_index(fld, p) >= 1 << 64
+    frags = [(0, s, q[0], poly_eval_reference(fld, p if s < 3 else q, s + 1)) for s in range(7)]
     arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*frags))
     groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
-    assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
+    assert recover_from_groups_reference(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
     assert row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), 1) == [{12345}]

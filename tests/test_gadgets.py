@@ -18,7 +18,14 @@ from gachagt.gadgets import (
     pyramid_build,
     serial_build,
 )
-from scaffolding import fault_injected, identity_scheme, majority_vote_reference, row_sets
+from scaffolding import (
+    fault_injected,
+    identity_scheme,
+    index_to_poly,
+    majority_vote_reference,
+    poly_eval_reference,
+    row_sets,
+)
 
 
 def test_gadget_params_validation():
@@ -289,7 +296,7 @@ def test_expander_matches_oracle_on_tiny_composite():
         inst = sample_instance(h.n, K, rng)
         got = h.decode(h.observed_bits(inst.sick_set))
         assert got <= inst.sick_set  # verification never emits an outsider here
-        birthdays = [fld.poly_eval(fld.index_to_poly(j, 2), 0) for j in inst.sick_set]
+        birthdays = [poly_eval_reference(fld, index_to_poly(fld, j, 2), 0) for j in inst.sick_set]
         if len(set(birthdays)) == K:
             assert got == inst.sick_set
             equal += 1

@@ -1,4 +1,5 @@
-"""Field arithmetic: table-driven oracles, axioms, interpolation round trips."""
+"""Field arithmetic: the array paths against shift-and-add oracles, axioms,
+interpolation round trips, and the scalar adapters bench/tracer.py wraps."""
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from gachagt.gf2e import (
     is_irreducible,
     primitive_element,
 )
+from scaffolding import index_to_poly, interpolate_reference, poly_to_index
 
 
 def shift_reduce_table(w, poly):
@@ -47,9 +49,9 @@ def test_reducible_poly_rejected():
 
 def test_mul_absorbing_and_identity():
     f = field(8)
-    for a in [0, 1, 7, 200, 255]:
-        assert f.mul(0, a) == 0
-        assert f.mul(1, a) == a
+    a = np.array([0, 1, 7, 200, 255])
+    assert f.mul_many(0, a).tolist() == [0] * 5
+    assert f.mul_many(1, a).tolist() == a.tolist()
 
 
 def test_mul_matches_full_table_gf8():
@@ -57,32 +59,34 @@ def test_mul_matches_full_table_gf8():
     f = FieldSpec(3, reduction_poly=0xB)
     table = shift_reduce_table(3, 0xB)
     assert table[0b010][0b100] == 0b011
-    for a in range(8):
-        for b in range(8):
-            assert f.mul(a, b) == table[a][b]
+    assert f.mul_many(np.arange(8)[:, None], np.arange(8)).tolist() == table
 
 
-def test_mul_range_check():
+def test_scalar_adapters_range_check():
+    # poly_eval and interpolate keep the scalar methods' ValueError on an
+    # element outside GF(2^w)
     f = field(4)
     with pytest.raises(ValueError):
-        f.mul(16, 1)
+        f.poly_eval((1,), 16)
+    with pytest.raises(ValueError):
+        f.poly_eval((16,), 1)
+    for pts in ([(16, 1)], [(1, 16)], [(-1, 1)]):
+        with pytest.raises(ValueError):
+            f.interpolate(pts, 1)
 
 
 def test_field_axioms_random_samples():
     for w in (5, 8, 16):
         f = field(w)
         rng = np.random.default_rng(w)
-        xs = [int(v) for v in rng.integers(0, 1 << w, size=12)]
-        for a in xs:
-            for b in xs[:6]:
-                assert f.mul(a, b) == f.mul(b, a)
-                for c in xs[:4]:
-                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-                    assert f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
-        for a in xs:
-            if a:
-                assert f.mul(a, f.pow(a, (1 << w) - 2)) == 1
-                assert f.mul(a, f.inv(a)) == 1
+        xs = rng.integers(0, 1 << w, size=12)
+        a, b, c = xs[:, None, None], xs[None, :6, None], xs[None, None, :4]
+        assert np.array_equal(f.mul_many(a, b), f.mul_many(b, a))
+        assert np.array_equal(f.mul_many(f.mul_many(a, b), c), f.mul_many(a, f.mul_many(b, c)))
+        assert np.array_equal(f.mul_many(a, b ^ c), f.mul_many(a, b) ^ f.mul_many(a, c))
+        nonzero = xs[xs != 0]
+        assert f.mul_many(nonzero, f.div_many(1, nonzero)).tolist() == [1] * len(nonzero)
+        assert f.div_many(f.mul_many(xs, nonzero[0]), nonzero[0]).tolist() == xs.tolist()
 
 
 def test_poly_eval_constant_and_identity():
@@ -92,22 +96,12 @@ def test_poly_eval_constant_and_identity():
         assert f.poly_eval((0, 1), p) == p
 
 
-def naive_eval(f, coeffs, p):
-    acc = 0
-    for i, c in enumerate(coeffs):
-        term = c
-        for _ in range(i):
-            term = f.mul(term, p)
-        acc ^= term
-    return acc
-
-
 def test_poly_eval_matches_power_sum_oracle():
     f = field(10)
     rng = np.random.default_rng(3)
     g = tuple(int(v) for v in rng.integers(0, 1 << 10, size=4))
     for p in rng.integers(0, 1 << 10, size=5):
-        assert f.poly_eval(g, int(p)) == naive_eval(f, g, int(p))
+        assert f.poly_eval(g, int(p)) == oracle_eval(10, g, int(p))
 
 
 def test_interpolate_dimension_one():
@@ -121,15 +115,16 @@ def test_interpolate_inverts_evaluation():
         rng = np.random.default_rng(w * d)
         g = tuple(int(v) for v in rng.integers(0, 1 << w, size=d))
         xs = rng.choice(1 << w, size=d, replace=False)
-        pts = [(int(x), f.poly_eval(g, int(x))) for x in xs]
+        pts = [(int(x), oracle_eval(w, g, int(x))) for x in xs]
         assert f.interpolate(pts, d) == g
 
 
 def test_interpolate_uses_first_d_after_dedup():
     f = field(8)
     g = (3, 7)
-    pts = [(1, f.poly_eval(g, 1)), (1, 99), (2, f.poly_eval(g, 2)), (5, 0)]
+    pts = [(1, oracle_eval(8, g, 1)), (1, 99), (2, oracle_eval(8, g, 2)), (5, 0)]
     assert f.interpolate(pts, 2) == g  # duplicate x=1 dropped, x=5 unused
+    assert interpolate_reference(f, pts, 2) == g
 
 
 def test_interpolate_insufficient_points():
@@ -142,22 +137,24 @@ def test_interpolate_insufficient_points():
 
 def test_index_to_poly_zero_and_digits():
     f = field(4)
-    assert f.index_to_poly(0, 3) == (0, 0, 0)
-    assert f.index_to_poly(0x5A, 2) == (0xA, 0x5)  # little-endian digits
+    assert f.index_to_poly_many(0, 3).tolist() == [0, 0, 0]
+    assert f.index_to_poly_many(0x5A, 2).tolist() == [0xA, 0x5]  # little-endian digits
+    assert index_to_poly(f, 0x5A, 2) == (0xA, 0x5)
 
 
 def test_index_poly_round_trip():
     f = field(8)
-    rng = np.random.default_rng(17)
-    for j in rng.integers(0, 1 << 24, size=1000):
-        j = int(j)
-        assert f.poly_to_index(f.index_to_poly(j, 3)) == j
+    js = np.random.default_rng(17).integers(0, 1 << 24, size=1000)
+    assert np.array_equal(f.poly_to_index_many(f.index_to_poly_many(js, 3)), js)
 
 
 def test_index_out_of_range():
+    # the scalar reference rejects an index past 2^(w d), and a digit past 2^w
     f = field(4)
     with pytest.raises(ValueError):
-        f.index_to_poly(1 << 8, 2)
+        index_to_poly(f, 1 << 8, 2)
+    with pytest.raises(ValueError):
+        poly_to_index(f, (16, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +166,11 @@ def oracle_pow(w, a, e):
     for _ in range(e):
         r = _mulmod_poly(r, a, f)
     return r
+
+
+def oracle_inv(w, a):
+    """a^(2^w - 2) by square and multiply, so it reaches w = 32."""
+    return _powmod(a, (1 << w) - 2, IRREDUCIBLE_POLY[w])
 
 
 def oracle_eval(w, coeffs, p):
@@ -205,7 +207,7 @@ def test_generator_has_full_order(w):
     assert all(any(_powmod(h, n // p, poly) == 1 for p in prime_factors(n))
                for h in range(2, g))
     # the antilog table walks every nonzero element once
-    exp = np.frombuffer(f._exp, dtype=np.uint16)
+    exp, _ = f._tables
     assert sorted(exp[:n].tolist()) == list(range(1, n + 1))
 
 
@@ -229,14 +231,14 @@ def test_x_is_not_a_generator_for_some_builtin_polys():
 def test_table_arithmetic_exhaustive_small_fields(w):
     f, q, poly = field(w), 1 << w, IRREDUCIBLE_POLY[w]
     want = [[_mulmod_poly(a, b, poly) for b in range(q)] for a in range(q)]
-    assert [[f.mul(a, b) for b in range(q)] for a in range(q)] == want
-    # the polynomial b x evaluated at every a: the array product path
+    assert f.mul_many(np.arange(q)[:, None], np.arange(q)).tolist() == want
+    # the polynomial b x evaluated at every a: the product under Horner
     grid = np.array([f.poly_eval_many((0, b), np.arange(q)) for b in range(q)])
     assert np.array_equal(grid.T, np.array(want))
-    for a in range(1, q):
-        assert f.inv(a) == oracle_pow(w, a, q - 2)
+    assert f.div_many(1, np.arange(1, q)).tolist() == [oracle_pow(w, a, q - 2)
+                                                       for a in range(1, q)]
     with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+        f.div_many(1, 0)
     rng = np.random.default_rng(w)
     for d in (1, 2, 3):
         g = tuple(int(v) for v in rng.integers(0, q, size=d))
@@ -253,11 +255,11 @@ def test_table_arithmetic_matches_oracle_large_fields(data):
     f = field(w)
     elem = st.integers(0, q - 1)
     a, b = data.draw(elem), data.draw(elem)
-    assert f.mul(a, b) == _mulmod_poly(a, b, poly)
+    assert f.mul_many(a, b) == _mulmod_poly(a, b, poly)
     xs = data.draw(st.lists(elem, min_size=1, max_size=8))
     assert f.poly_eval_many((0, b), xs).tolist() == [_mulmod_poly(x, b, poly) for x in xs]
     if a:
-        assert _mulmod_poly(a, f.inv(a), poly) == 1
+        assert _mulmod_poly(a, int(f.div_many(1, a)), poly) == 1
     g = tuple(data.draw(st.lists(elem, min_size=1, max_size=4)))
     assert f.poly_eval(g, a) == oracle_eval(w, g, a)
     assert f.poly_eval_many(g, xs).tolist() == [oracle_eval(w, g, x) for x in xs]
@@ -277,14 +279,14 @@ def test_interpolate_matches_oracle_evaluations(data):
 @pytest.mark.parametrize("w", [17, 20, 24, 32])
 def test_wide_fields_keep_shift_and_add(w):
     f, q, poly = field(w), 1 << w, IRREDUCIBLE_POLY[w]
-    assert f._exp is None and f._log is None
+    assert f._tables is None
     rng = np.random.default_rng(w)
     xs = [int(v) for v in rng.integers(0, q, size=40)] + [0, 1, q - 1]
     for a in xs[:10]:
-        assert [f.mul(a, b) for b in xs] == [_mulmod_poly(a, b, poly) for b in xs]
+        assert f.mul_many(a, xs).tolist() == [_mulmod_poly(a, b, poly) for b in xs]
         assert f.poly_eval_many((0, a), xs).tolist() == [_mulmod_poly(b, a, poly) for b in xs]
         if a:
-            assert _mulmod_poly(a, f.inv(a), poly) == 1
+            assert _mulmod_poly(a, int(f.div_many(1, a)), poly) == 1
     g = tuple(xs[:3])
     assert [f.poly_eval(g, p) for p in xs] == [oracle_eval(w, g, p) for p in xs]
     assert f.poly_eval_many(g, xs).tolist() == [oracle_eval(w, g, p) for p in xs]
@@ -303,7 +305,7 @@ def test_poly_eval_many_per_row_matches_scalar(data):
     got = f.poly_eval_many(np.array(polys, dtype=np.int64).reshape(k, d),
                            np.array(points, dtype=np.int64).reshape(k, r))
     assert got.shape == (k, r) and got.dtype == np.int64
-    assert got.tolist() == [[f.poly_eval(g, p) for p in row] for g, row in zip(polys, points)]
+    assert got.tolist() == [[oracle_eval(w, g, p) for p in row] for g, row in zip(polys, points)]
 
 
 def test_poly_eval_many_per_row_checks():
@@ -321,7 +323,7 @@ def test_index_to_poly_many_matches_scalar(w, d):
     f = field(w)
     top = min(1 << (w * d), 1 << 63)
     js = [0, 1, top - 1] + [int(v) for v in np.random.default_rng(w).integers(0, top, size=20)]
-    assert f.index_to_poly_many(np.array(js), d).tolist() == [list(f.index_to_poly(j, d))
+    assert f.index_to_poly_many(np.array(js), d).tolist() == [list(index_to_poly(f, j, d))
                                                               for j in js]
 
 
@@ -354,7 +356,9 @@ def test_mul_many_and_div_many_match_scalar_oracles(data):
     nonzero = [y or 1 for y in b]
     quotient = f.div_many(np.array(a), np.array(nonzero))
     assert quotient.dtype == np.int64
-    assert quotient.tolist() == [_mulmod_poly(x, f.inv(y), poly) for x, y in zip(a, nonzero)]
+    # x / y is the one element whose product with y is x
+    assert [_mulmod_poly(v, y, poly) for v, y in zip(quotient.tolist(), nonzero)] == a
+    assert f.div_many(1, np.array(nonzero)).tolist() == [oracle_inv(w, y) for y in nonzero]
     with pytest.raises(ZeroDivisionError):
         f.div_many(np.array(a), np.array(b))
 
@@ -372,7 +376,8 @@ def test_interpolate_many_matches_scalar_interpolate(data):
     ys = np.array([y for _, y in rows], dtype=np.int64).reshape(-1, d)
     got = f.interpolate_many(xs, ys)
     assert got.shape == (len(rows), d)
-    assert [tuple(g) for g in got.tolist()] == [f.interpolate(list(zip(x, y)), d) for x, y in rows]
+    assert [tuple(g) for g in got.tolist()] == [interpolate_reference(f, list(zip(x, y)), d)
+                                                for x, y in rows]
     with pytest.raises(ZeroDivisionError):  # a repeated x-coordinate
         f.interpolate_many(np.zeros((1, 2), dtype=np.int64), np.array([[1, 2]]))
 
@@ -383,7 +388,7 @@ def test_poly_to_index_many_matches_scalar_or_reads_wrap(w, d):
     f, rng = field(w), np.random.default_rng(w * d)
     coeffs = rng.integers(0, 1 << w, size=(60, d))
     coeffs[:3] = [[0] * d, [(1 << w) - 1] * d, [1] + [0] * (d - 1)]
-    want = [f.poly_to_index(tuple(c)) for c in coeffs.tolist()]
+    want = [poly_to_index(f, c) for c in coeffs.tolist()]
     assert f.poly_to_index_many(coeffs).tolist() == [j if j < 1 << 63 else -1 for j in want]
     if w * d > 63:
         assert -1 in f.poly_to_index_many(coeffs).tolist()

@@ -28,7 +28,7 @@ from gachagt.gadgets import (
     serial_build,
 )
 from gachagt.gf2e import field
-from scaffolding import identity_scheme
+from scaffolding import identity_scheme, index_to_poly, poly_eval_reference
 
 
 class Ref:
@@ -53,8 +53,9 @@ def expander_ref(inner, rho, R, outer_w, seed):
     def column(j):
         rng = np.random.default_rng((seed, _EXPANDER_TAG, j))
         copies = np.sort(rng.choice(R, size=rho, replace=False))
-        g = fld.index_to_poly(j, d_out)
-        pairs = [(fld.poly_eval(g, 0) << outer_w) | fld.poly_eval(g, int(c) + 1) for c in copies]
+        g = index_to_poly(fld, j, d_out)
+        birthday = poly_eval_reference(fld, g, 0)
+        pairs = [(birthday << outer_w) | poly_eval_reference(fld, g, int(c) + 1) for c in copies]
         return np.concatenate([ref.column(v) + int(c) * ref.m for c, v in zip(copies, pairs)])
 
     return (expander_build(handle, rho=rho, R=R, outer_w=outer_w, seed=seed),

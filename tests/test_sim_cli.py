@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, determinism, CLI entry points."""
 
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -64,9 +65,10 @@ def test_parse_rejects_bad_expander():
                                  "outer_w", "m"])
 def test_parse_rejects_negative_sizing_keys(key):
     # caught at parse time, not at the first trial deep in a build; 0 fills
-    # the key from the defaults
+    # the key from the defaults (n = 1000 fits the default gadget stack's
+    # composed capacity of 2^10)
     scheme = {"outer_w": "gacha+gadgets", "m": "comp"}.get(key, "gacha")
-    text = f"scheme={scheme}\nn=4096\nk=2\ntrials=1\nmaster_seed=1\n{key}=-3\n"
+    text = f"scheme={scheme}\nn=1000\nk=2\ntrials=1\nmaster_seed=1\n{key}=-3\n"
     with pytest.raises(ValueError, match=rf"^{key} must be >= 0, got -3$"):
         parse_config(text)
     assert getattr(parse_config(text.replace("=-3", "=0")), key) == 0
@@ -462,3 +464,79 @@ def test_parse_config_accepts_or_rejects_as_a_config_error(custom_csvs, text):
         out = custom_csvs / "never"
         assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
         assert not out.exists()
+
+
+# sizes no trial can build: each parsed, then failed its first trial with exit 1
+UNBUILDABLE = {
+    "field too wide": ("scheme=gacha\nn=1000000000000000000000000000000\nk=2\n",
+                       r"field width must be in \[2, 32\], got 34"),
+    "pair map": ("scheme=gacha+gadgets\nn=1000\nk=2\nrho=2\nR=16\ntau_depth=3\n",
+                 "expander layer 1: pair map not injective"),
+    "capacity": ("scheme=gacha+gadgets\nn=2000\nk=2\nR=16\n",  # outer_w 5, 2^(5 * 2) persons
+                 "population 2000 exceeds the composed capacity 1 \\* 2\\^10"),
+    "capacity at outer_w 8": ("scheme=gacha+gadgets\nn=70000\nk=2\nR=16\nouter_w=8\n",
+                         "exceeds the composed capacity 1 \\* 2\\^16"),
+    "R past outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\nR=16\nouter_w=3\n", "R \\+ 1 <= 2\\^outer_w"),
+    "outer_w too wide": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=33\n", "outer_w <= 32"),
+    "huge outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=" + "9" * 30 + "\n", "outer_w <= 32"),
+}
+
+
+@pytest.mark.parametrize("case", UNBUILDABLE)
+def test_sizing_no_trial_can_build_is_a_config_error(tmp_path, capsys, case):
+    text, message = UNBUILDABLE[case]
+    text += "trials=1\nmaster_seed=1\n"
+    with pytest.raises(ValueError, match=message):
+        parse_config(text)
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(text)
+    out = tmp_path / "o"
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_composed_capacity_counts_pi():
+    # pi = 2 parallel copies double the expander's 2^16 persons
+    text = "scheme=gacha+gadgets\nn=70000\nk=2\nR=16\nouter_w=8\npi=2\ntrials=1\nmaster_seed=1\n"
+    assert parse_config(text).pi == 2
+    assert build_scheme(parse_config(text), 1, 1).n == 2 << 16
+
+
+@st.composite
+def small_configs(draw):
+    """Config text of any scheme over a small population, with a few sizing
+    and gadget keys drawn from small ranges, buildable or not; a gadget
+    stack's composed population (pi 2^(outer_w ceil(rho / 2))) is at most
+    2^20, since serial and parallel layers permute all of it."""
+    scheme = draw(st.sampled_from(["gacha", "gacha+gadgets", "comp", "oracle"]))
+    n = draw(st.integers(3, {"oracle": 64, "gacha+gadgets": 512}.get(scheme, 4096)))
+    lines = [f"scheme={scheme}", f"n={n}", f"k={draw(st.integers(1, min(6, n - 1)))}",
+             "trials=1", f"master_seed={draw(st.integers(0, 2 ** 32))}",
+             "channel=" + draw(st.sampled_from(["none", "bsc:0.05", "fp:0.1", "bec:0.1"]))]
+    optional = {"comp": {"m": 200}, "oracle": {"m": 60}}.get(
+        scheme, {"w": 20, "d": 4, "r": 40, "B": 200, "ell": 40, "weight": 20, "lin_dim": 20})
+    for key, top in optional.items():
+        if draw(st.integers(0, 3)) == 0:
+            lines.append(f"{key}={draw(st.integers(0, top))}")
+    if scheme in ("gacha", "gacha+gadgets"):
+        lines.append("inner=" + draw(st.sampled_from(["auto", "cw", "linear"])))
+    if scheme == "gacha+gadgets":
+        R, outer_w, pi = (draw(st.integers(3, 40)), draw(st.sampled_from([0, 2, 4, 5, 6])),
+                          draw(st.integers(1, 2)))
+        width = outer_w or max(2, math.ceil(math.log2(R + 1)))
+        rho = draw(st.integers(2, max(2, 2 * ((20 - pi + 1) // width))))
+        lines += [f"R={R}", f"outer_w={outer_w}", f"pi={pi}", f"rho={rho}",
+                  f"sigma={draw(st.integers(1, 3))}", f"tau_depth={draw(st.integers(2, 3))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=small_configs())
+def test_small_config_that_parses_runs_a_trial(text):
+    try:
+        config = parse_config(text)
+    except ValueError:
+        return
+    row = run_trial(config, 0)
+    assert row[2:4] == (config.n, config.k)
