@@ -6,11 +6,17 @@ and run with `sim_cli.run`; each prints one line with the SHA-256 of its
 Run it against each tree and diff the outputs:
 
     PYTHONPATH=src python scripts/rows_matrix.py > rows_a.txt
+    PYTHONPATH=src python scripts/rows_matrix.py --against rows_a.txt
+
+With --against FILE it prints only the lines that differ from the saved
+output FILE, as a unified diff, and exits 1 on any difference.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
+import difflib
 import hashlib
 import itertools
 import sys
@@ -93,7 +99,8 @@ def digest(text: str, out: Path) -> str:
     return hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
 
 
-def main() -> int:
+def matrix_lines():
+    """One line per (scheme, channel, symmetrize) combination."""
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "channel.csv"
         custom.write_text(CUSTOM_CSV)
@@ -101,9 +108,26 @@ def main() -> int:
                 itertools.product(SCHEMES, CHANNELS, SYMMETRIZE)):
             spec = f"custom:{custom}" if channel == "custom" else channel
             text = SCHEMES[scheme] + f"channel={spec}\nsymmetrize={sym}\n"
-            print(f"{scheme} {channel} {sym}: {digest(text, Path(tmp) / str(i))}",
-                  flush=True)
-    return 0
+            yield f"{scheme} {channel} {sym}: {digest(text, Path(tmp) / str(i))}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="print the lines that differ from this saved output; "
+                             "exit 1 on any difference")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for line in matrix_lines():
+            print(line, flush=True)
+        return 0
+    saved = Path(args.against).read_text().splitlines()
+    diff = list(difflib.unified_diff(saved, list(matrix_lines()), args.against, "this tree",
+                                     n=0, lineterm=""))
+    for line in diff:
+        print(line)
+    print(f"rows_matrix: {'differs from' if diff else 'identical to'} {args.against}")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":

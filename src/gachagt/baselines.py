@@ -1,7 +1,10 @@
 """Reference decoders for oracle-equivalence testing.
 
 COMP keeps everyone who never appears in a negative test, reading the
-Bernoulli design as packed 64-bit words; this module owns that format.  The
+Bernoulli design as packed 64-bit words; this module owns that format, and
+COMP's observation of nrows copies is the same format, (nrows, ceil(m / 64))
+words (observe_words), read by comp_decode_words without unpacking.
+words_to_bits and bits_to_words are its to_bits / from_bits.  The
 brute-force decoder enumerates all k-subsets: with noiseless results it lists
 every support that explains the observations exactly; with a channel it ranks
 supports by exact log-likelihood.
@@ -17,7 +20,7 @@ import numpy as np
 
 from .channels import DiscreteChannel
 from .core_model import ConfigMatrix
-from .scheme import checked_bits, stacked_args
+from .scheme import checked_bits, checked_words, stacked_args
 
 MAX_ENUMERATION = 10 ** 6
 
@@ -54,25 +57,38 @@ def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
     return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little")
 
 
+def words_to_bits(m: int, words: np.ndarray) -> np.ndarray:
+    """The nrows * m uint8 test bits of (nrows, ceil(m / 64)) packed words."""
+    return unpack_rows(words, m).reshape(-1)
+
+
+def bits_to_words(m: int, bits, nrows: int = 1) -> np.ndarray:
+    """The (nrows, ceil(m / 64)) packed words of nrows * m test bits."""
+    return pack_rows(checked_bits(bits, m, nrows).reshape(nrows, m))
+
+
 def observe_words(words: np.ndarray, m: int, js, rows, nrows: int) -> np.ndarray:
     """The stacked observe of a scheme given by its packed design: OR whole
-    packed rows into their copies, then unpack the nrows * m bits."""
+    packed rows into their copies' (nrows, ceil(m / 64)) words."""
     js, rows = stacked_args(js, rows, nrows, len(words))
     y = zero_words(nrows, m)
     np.bitwise_or.at(y, rows, words[js])
-    return unpack_rows(y, m).reshape(-1)
+    return y
 
 
 def comp_decode(matrix: ConfigMatrix, y) -> set:
     """Everyone whose tests are all positive (vacuously true for no tests)."""
-    return set(comp_decode_words(pack_rows(matrix.dense()), matrix.m, y)[1].tolist())
+    return set(comp_decode_words(pack_rows(matrix.dense()), matrix.m,
+                                 bits_to_words(matrix.m, y))[1].tolist())
 
 
 def comp_decode_words(words: np.ndarray, m: int, y, nrows: int = 1):
-    """COMP on a packed design over nrows stacked copies of the m results:
-    (row, index) int64 arrays of everyone in no negative test of copy row,
-    by ANDing each word column with the copy's packed negative tests."""
-    negative = pack_rows(checked_bits(y, m, nrows).reshape(nrows, m) == 0)
+    """COMP on a packed design over nrows stacked copies of the m results,
+    y their (nrows, ceil(m / 64)) packed words: (row, index) int64 arrays of
+    everyone in no negative test of copy row, by ANDing each word column with
+    the copy's negative tests, ~y under the pad mask."""
+    negative = ~checked_words(y, (nrows, words.shape[1]), WORD)
+    negative[:, -1] &= np.uint64(((1 << 64) - 1) >> (-m % 64))  # tests m, m + 1, ... are pad
     hit = np.zeros((nrows, len(words)), dtype=WORD)
     for r, i in zip(*np.nonzero(negative)):
         hit[r] |= words[:, i] & negative[r, i]

@@ -4,6 +4,10 @@ A channel is a pair of output distributions, one per input bit.  Any
 positive-capacity channel can be post-processed by a randomized likelihood
 threshold so the end-to-end behavior is a binary symmetric channel; the
 threshold is found by bisection.
+
+The channel works on dense test bits.  NoiseModel.receive takes a scheme's
+observation in the scheme's own layout, and unpacks it into bits and packs
+the received bits back only when there is a channel.
 """
 
 from __future__ import annotations
@@ -241,13 +245,20 @@ class NoiseModel:
             raise ValueError("asymmetric channels need the symmetrizer; drop symmetrize=off")
         return cls(channel, crossover=channel.mu0[1])  # bsc(s) stores s exactly as P(1 | 0)
 
-    def receive(self, y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """What the decoder reads for the noiseless results y: the channel's
-        symbols, collapsed to uint8 bits by the plan when there is one; raw
-        symbols stay int64."""
+    def receive(self, words, layout, rng: np.random.Generator):
+        """What the decoder reads for the noiseless observation words, in
+        the layout of `layout` (a SchemeHandle's to_bits / from_bits and m).
+
+        Without a channel, the words themselves.  Otherwise the channel's
+        symbols for the layout's test bits, collapsed to uint8 bits by the
+        plan when there is one, or kept as int64 raw symbols, and put back
+        into the layout by from_bits.
+        """
         if self.channel is None:
-            return y
-        z = self.channel.transmit_many(y, rng)
+            return words
+        z = self.channel.transmit_many(layout.to_bits(words), rng)
         if self.plan is not None:
-            return apply_plan_many(self.plan, z, rng)
-        return z if self.raw else z.astype(np.uint8)
+            z = apply_plan_many(self.plan, z, rng)
+        elif not self.raw:
+            z = z.astype(np.uint8)
+        return layout.from_bits(z, len(z) // layout.m)

@@ -14,11 +14,16 @@ interpolate each group back to a polynomial.  Interpolated candidates are
 verified against the whole group before their index is emitted, so corrupted
 fragments degrade into misses rather than fabricated indices.
 
+The scheme's observation is its (nrows * B, blocks) uint64 block words:
+observe ORs the columns straight into them, and decode_rows reads them
+without ever forming the nrows * m bits.  blocks_to_bits and bits_to_blocks
+are the handle's to_bits / from_bits, for the channel and the tests.
+
 decode_rows does this for a stack of copies at once, in arrays: one
-bits_to_blocks and one classify_blocks over every copy's batches, then
-recover_rows, where an argsort on (copy, birthday) forms the groups and the
-field's array interpolation and Horner settle every group, retry included,
-for any d and w.  It returns (row, index) int64 arrays in arrival order: a
+classify_blocks over every copy's batches, then recover_rows, where an
+argsort on (copy, birthday) forms the groups and the field's array
+interpolation and Horner settle every group, retry included, for any d and
+w.  It returns (row, index) int64 arrays in arrival order: a
 copy's indices in the order of their groups' first fragments.  Its scalar
 reference lives in tests/scaffolding.py; the list form (column_symbols,
 build_column, synthesize_blocks, list_decode, recover_from_groups) remains
@@ -42,7 +47,7 @@ from .inner_code import (
     WeightClassifier,
     min_even_block_length,
 )
-from .scheme import SchemeHandle, checked_bits, stacked_args
+from .scheme import SchemeHandle, checked_bits, checked_words, stacked_args
 
 
 class _Collision:
@@ -459,10 +464,11 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     return row[starts[keep]], accepted[keep]
 
 
-def decode_rows(params: GachaParams, bits, nrows: int):
-    """(row, index) int64 arrays of what nrows copies of the observed bits,
-    stacked nrows * m of them, decode to; see recover_rows."""
-    kinds, hi, lo = params.inner.classify_blocks(bits_to_blocks(params, bits, nrows), params.B)
+def decode_rows(params: GachaParams, words, nrows: int):
+    """(row, index) int64 arrays of what nrows copies' observed block words,
+    an (nrows * B, blocks) uint64 array, decode to; see recover_rows."""
+    words = checked_words(words, (nrows * params.B, params.inner.blocks), np.uint64)
+    kinds, hi, lo = params.inner.classify_blocks(words, params.B)
     # ONE fragments only; a payload wider than the pair can read a birthday
     # or fragment outside GF(2^w), which no person writes
     q = 1 << params.w
@@ -477,9 +483,10 @@ def gacha_scheme(params: GachaParams) -> SchemeHandle:
         n=params.n,
         k_design=params.k_cap,
         m=params.m,
-        observe=lambda js, rows, nrows: blocks_to_bits(
-            params, observed_blocks(params, js, rows, nrows)),
+        observe=partial(observed_blocks, params),
         decode_rows=partial(decode_rows, params),
+        to_bits=partial(blocks_to_bits, params),
+        from_bits=partial(bits_to_blocks, params),
         layers=("gacha",),
     )
 

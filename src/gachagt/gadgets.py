@@ -22,6 +22,12 @@ inner handle's decode_rows over every inner copy they stand for, so a whole
 pyramid reaches the base in one decode call too.  Decode results stay
 (row, index) int64 arrays through every layer, and each gadget maps them back
 in array operations.
+
+A gadget's copy t is its inner handle's copies t * c ... t * c + c - 1 back
+to back (c = R, sigma or pi), so its observation is the inner observation of
+nrows * c copies, unchanged: a gadget forwards its inner layout
+(scheme.forwarded_layout) and never reads or converts the words, and the
+base checks their shape.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import numpy as np
 from .core_model import choice_sets
 from .gf2e import field
 from .gacha_core import recover_rows
-from .scheme import SchemeHandle, checked_bits, stacked_args
+from .scheme import SchemeHandle, forwarded_layout, stacked_args
 
 # rng stream tags so each gadget derives an independent stream from its seed
 _PARALLEL_TAG, _SERIAL_TAG, _EXPANDER_TAG = 11, 12, 13
@@ -77,8 +83,8 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         c, i = np.divmod(perm[js], inner.n)
         return inner.observe(i, rows * pi + c, nrows * pi)
 
-    def decode_rows(bits, nrows):
-        row, i = inner.decode_rows(checked_bits(bits, pi * inner.m, nrows), nrows * pi)
+    def decode_rows(words, nrows):
+        row, i = inner.decode_rows(words, nrows * pi)
         row, c = np.divmod(row, pi)
         return row, inv[c * inner.n + i]
 
@@ -88,6 +94,7 @@ def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
         m=pi * inner.m,
         observe=observe,
         decode_rows=decode_rows,
+        **forwarded_layout(inner, pi),
         layers=inner.layers + (f"parallel(pi={pi})",),
     )
 
@@ -109,8 +116,8 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
                              (rows[:, None] * sigma + np.arange(sigma)).ravel(),
                              nrows * sigma)
 
-    def decode_rows(bits, nrows):
-        row, i = inner.decode_rows(checked_bits(bits, sigma * inner.m, nrows), nrows * sigma)
+    def decode_rows(words, nrows):
+        row, i = inner.decode_rows(words, nrows * sigma)
         row, c = np.divmod(row, sigma)
         # a copy lists an index at most once, so a pair's count is its votes
         votes, counts = np.unique(np.stack([row, invs[c, i]]), axis=1, return_counts=True)
@@ -122,6 +129,7 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
         m=sigma * inner.m,
         observe=observe,
         decode_rows=decode_rows,
+        **forwarded_layout(inner, sigma),
         layers=inner.layers + (f"serial(sigma={sigma})",),
     )
 
@@ -162,8 +170,8 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         pairs = (evals[:, :1] << outer_w) | evals[:, 1:]
         return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
-    def decode_rows(bits, nrows):
-        c, v = inner.decode_rows(checked_bits(bits, R * inner.m, nrows), nrows * R)
+    def decode_rows(words, nrows):
+        c, v = inner.decode_rows(words, nrows * R)
         pair = v < (1 << (2 * outer_w))  # an inner false positive can lie outside the range
         c, hi, lo = c[pair], v[pair] >> outer_w, v[pair] & mask
         # the first pair per (copy, birthday) in arrival order; later ones conflict
@@ -178,6 +186,7 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         m=R * inner.m,
         observe=observe,
         decode_rows=decode_rows,
+        **forwarded_layout(inner, R),
         layers=inner.layers + (f"expander(rho={rho},R={R},w={outer_w})",),
     )
 

@@ -2,8 +2,14 @@
 
 A scheme knows its population, design sick load, and test count, encodes any
 set of persons into test results (columns are deterministic given the
-scheme's seeds), and decodes a stack of copies' observed bit vectors back to
+scheme's seeds), and decodes a stack of copies' observations back to
 (row, index) arrays: the indices each copy holds, tagged with the copy.
+
+Observations stay in the scheme's own layout from observe to decode: packed
+uint64 words for the Gacha base (gacha_core) and for COMP (baselines), plain
+bits for the oracle and the test schemes.  Only the module that owns a
+layout knows its format.  Everyone else goes through the handle's to_bits /
+from_bits pair, and only the channel and the tests need the dense bits.
 """
 
 from __future__ import annotations
@@ -32,18 +38,45 @@ def stacked_args(js, rows, nrows: int, n: int):
     return js, rows
 
 
-def column_from_observe(observe, j: int) -> np.ndarray:
-    """The column of a scheme given by its stacked observe."""
-    return np.flatnonzero(observe([j], [0], 1))
+def column_from_observe(observe, to_bits, j: int) -> np.ndarray:
+    """The column of a scheme given by its stacked observe and its layout."""
+    return np.flatnonzero(to_bits(observe([j], [0], 1)))
 
 
-def checked_bits(bits, m: int, nrows: int = 1) -> np.ndarray:
-    """bits as a uint8 array, checked to hold nrows copies of m tests."""
-    bits = np.asarray(bits, dtype=np.uint8)
+def checked_bits(bits, m: int, nrows: int = 1, dtype=np.uint8) -> np.ndarray:
+    """bits as an array of dtype (None: the dtype they have), checked to hold
+    nrows copies of m tests."""
+    bits = np.asarray(bits, dtype=dtype)
     if len(bits) != nrows * m:
         copies = "" if nrows == 1 else f"{nrows} copies of "
         raise ValueError(f"observed length {len(bits)} != {copies}m = {m}")
     return bits
+
+
+def bits_from_bits(m: int, bits, nrows: int) -> np.ndarray:
+    """from_bits of the plain-bit layout: the bits, or a channel's raw
+    symbols, themselves, checked."""
+    return checked_bits(bits, m, nrows, dtype=None)
+
+
+def checked_words(words, shape: tuple, dtype) -> np.ndarray:
+    """words, checked to be an array of the given shape and dtype; a packed
+    layout's decode checks this instead of reading every bit."""
+    if not (isinstance(words, np.ndarray) and words.shape == shape and words.dtype == dtype):
+        raise ValueError(f"observed words are not a {np.dtype(dtype)} array of shape {shape}")
+    return words
+
+
+def forwarded_layout(inner, copies: int) -> dict:
+    """The to_bits / from_bits of a gadget whose copy t is its inner handle's
+    copies t * copies ... t * copies + copies - 1 back to back: the inner
+    pair, with lengths checked against the gadget's own m."""
+    return dict(to_bits=inner.to_bits,
+                from_bits=partial(_forwarded_from_bits, inner.from_bits, copies * inner.m, copies))
+
+
+def _forwarded_from_bits(from_bits, m: int, copies: int, bits, nrows: int):
+    return from_bits(checked_bits(bits, m, nrows), nrows * copies)
 
 
 def decode_copies(decode, m: int, bits, nrows: int):
@@ -55,44 +88,57 @@ def decode_copies(decode, m: int, bits, nrows: int):
     return row, np.fromiter(chain.from_iterable(found), dtype=np.int64, count=len(row))
 
 
-def decode_from_rows(decode_rows, bits) -> set:
+def decode_from_rows(decode_rows, words) -> set:
     """The decoded set of one copy, through a scheme's stacked decode."""
-    return set(decode_rows(bits, 1)[1].tolist())
+    return set(decode_rows(words, 1)[1].tolist())
 
 
 @dataclass
 class SchemeHandle:
-    """A scheme, given by its stacked observe and its stacked decode.
+    """A scheme, given by its stacked observe and its stacked decode over
+    observations in its own layout, and by that layout's pair of converters.
 
     observe(js, rows, nrows) is the stacked encoder: the OR of the columns of
-    persons js[i] as nrows * m uint8 bits, each placed in copy rows[i] (bits
-    rows[i] * m onwards); an index outside [0, n) raises ValueError.
+    persons js[i], each placed in copy rows[i], as the observation of nrows
+    copies; an index outside [0, n) raises ValueError.  An observation of
+    nrows copies is the copies' observations concatenated along axis 0.
 
-    decode_rows(bits, nrows) is the stacked decoder: nrows * m bits in,
-    (row, index) int64 arrays out, index[i] decoded in copy row[i].  Rows
-    ascend, an index appears at most once per row, and within a row the
-    indices come in arrival order: the order in which the decoder settled
-    them, which a gadget above reads as "first" when two of them conflict.
-    A wrong length raises ValueError.
+    decode_rows(words, nrows) is the stacked decoder: an observation of
+    nrows copies in, (row, index) int64 arrays out, index[i] decoded in copy
+    row[i].  Rows ascend, an index appears at most once per row, and within
+    a row the indices come in arrival order: the order in which the decoder
+    settled them, which a gadget above reads as "first" when two of them
+    conflict.  An observation of the wrong shape or dtype raises ValueError.
 
-    column(j) = flatnonzero(observe([j], [0], 1)) and decode(bits) =
-    set(decode_rows(bits, 1)[1]) are derived from them.
+    to_bits(words) is the observation's nrows * m uint8 test bits, copy r
+    from bit r * m on; from_bits(bits, nrows) is its inverse, and raises
+    ValueError when len(bits) is not nrows * m.  Both default to the
+    plain-bit layout, whose pair is the identity.
+
+    column(j) = flatnonzero(to_bits(observe([j], [0], 1))) and decode(words)
+    = set(decode_rows(words, 1)[1]) are derived from them.
     """
 
     n: int
     k_design: int
     m: int
-    observe: "callable"         # (js, rows, nrows) -> nrows * m observed bits
-    decode_rows: "callable"     # (bits, nrows) -> (row, index) int64 arrays
+    observe: "callable"         # (js, rows, nrows) -> observation of nrows copies
+    decode_rows: "callable"     # (observation, nrows) -> (row, index) int64 arrays
+    to_bits: "callable" = None  # observation -> its nrows * m uint8 test bits
+    from_bits: "callable" = None  # (bits, nrows) -> observation
     layers: tuple = ()          # composition labels, outermost last
     column: "callable" = None   # derived: person index -> sorted np.ndarray of test indices
-    decode: "callable" = None   # derived: observed bits of one copy -> set of indices
+    decode: "callable" = None   # derived: observation of one copy -> set of indices
 
     def __post_init__(self):
         # partials rather than bound methods: a field holding a bound method
         # would make a reference cycle and keep dead handles for the collector
+        if self.to_bits is None:
+            self.to_bits = np.asarray
+        if self.from_bits is None:
+            self.from_bits = partial(bits_from_bits, self.m)
         if self.column is None:
-            self.column = partial(column_from_observe, self.observe)
+            self.column = partial(column_from_observe, self.observe, self.to_bits)
         if self.decode is None:
             self.decode = partial(decode_from_rows, self.decode_rows)
 
@@ -101,8 +147,12 @@ class SchemeHandle:
         cols = [np.asarray(self.column(j), dtype=np.int64) for j in range(self.n)]
         return ConfigMatrix(m=self.m, n=self.n, columns=cols)
 
-    def observed_bits(self, sick_set) -> np.ndarray:
-        """Noiseless test results from the sick columns only (exact, lazy):
-        the stacked observe of the sick set on one copy."""
+    def observed_words(self, sick_set):
+        """Noiseless results of the sick set (exact, lazy: the sick columns
+        only), as the stacked observe's observation of one copy."""
         js = np.fromiter(sick_set, dtype=np.int64)
         return self.observe(js, np.zeros(len(js), dtype=np.int64), 1)
+
+    def observed_bits(self, sick_set) -> np.ndarray:
+        """The m test bits of observed_words."""
+        return self.to_bits(self.observed_words(sick_set))

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (brute_force_decode, comp_decode, comp_decode_words, observe_words,
-                        pack_rows, unpack_rows, zero_words)
+from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_decode_words,
+                        observe_words, pack_rows, unpack_rows, words_to_bits, zero_words)
 from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, gacha_scheme
@@ -119,6 +119,19 @@ def parse_config(text: str) -> SimConfig:
     return config
 
 
+# Caps on the work one trial does, checked at parse time.  A trial under a
+# channel holds about 25 bytes a test at once (the bits, a float64 draw, an
+# int64 symbol and their temporaries), so m = 2^26 tests is about 1.7 GB; the
+# bench's expander shape has m = 688,128 (2^19.4), and a tau_depth 3 pyramid
+# of that shape 2^24.4.
+MAX_TESTS = 1 << 26
+# A vote layer draws sigma permutations of the population above it and a
+# parallel layer one of pi times that population, afresh every trial (they
+# depend on gadget_seed), each with its argsort inverse: 2^22 permuted
+# persons is 64 MB and about a second a trial.
+MAX_PERMUTED = 1 << 22
+
+
 def validate_config(config: SimConfig) -> None:
     if config.scheme not in SCHEMES:
         raise ValueError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
@@ -140,7 +153,17 @@ def validate_config(config: SimConfig) -> None:
                      tau_depth=config.tau_depth)
         _check_pyramid(config)
     if config.scheme in ("gacha", "gacha+gadgets"):
-        gacha_params_for(config, 0)  # the base sizing every trial builds
+        m = gacha_params_for(config, 0).m  # the base sizing every trial builds
+    else:
+        m = bernoulli_m(config)
+    if config.scheme == "gacha+gadgets":
+        # R >= 3, so each expander layer at least doubles m: past
+        # log2(MAX_TESTS) layers m is over the cap without forming R^layers
+        layers = config.tau_depth - 1
+        m = (MAX_TESTS + 1 if layers >= MAX_TESTS.bit_length()
+             else m * config.R ** layers * config.sigma * config.pi)
+    if m > MAX_TESTS:
+        raise ValueError(f"a trial would run more than 2^{MAX_TESTS.bit_length() - 1} tests")
     # C(n, k) > 10^6 once min(k, n - k) > 20, where comb itself grows slow
     if config.scheme == "oracle" and (min(config.k, config.n - config.k) > 20
                                       or math.comb(config.n, config.k) > 10 ** 6):
@@ -171,6 +194,13 @@ def _check_pyramid(config: SimConfig) -> None:
     if (-(-config.n // config.pi) - 1).bit_length() > outer_w * d_out:
         raise ValueError(f"population {config.n} exceeds the composed capacity "
                          f"{config.pi} * 2^{outer_w * d_out}")
+    # the vote and parallel layers permute (sigma + pi) 2^(outer_w d_out) persons
+    permuted = (config.sigma if config.sigma > 1 else 0) + (config.pi if config.pi > 1 else 0)
+    if permuted and (outer_w * d_out >= MAX_PERMUTED.bit_length()
+                     or permuted << outer_w * d_out > MAX_PERMUTED):
+        raise ValueError(f"the vote and parallel layers would permute {permuted} * "
+                         f"2^{outer_w * d_out} persons a trial, more than "
+                         f"2^{MAX_PERMUTED.bit_length() - 1}")
 
 
 def base_gacha_config(config: SimConfig) -> SimConfig:
@@ -220,12 +250,17 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
 DESIGN_CHUNK = 256  # design rows drawn between two comparisons against p
 
 
+def bernoulli_m(config: SimConfig) -> int:
+    """The Bernoulli design's test count: m, else e k ln n."""
+    return config.m or math.ceil(math.e * config.k * math.log(config.n))
+
+
 def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
     """The packed Bernoulli(p) design and its m: row j is
     default_rng((matrix_seed, j)).random(m) < p, drawn through one reused
     generator (person_streams) into a reused (DESIGN_CHUNK, m) buffer and
     packed a chunk at a time."""
-    m = config.m or math.ceil(math.e * config.k * math.log(config.n))
+    m = bernoulli_m(config)
     p = 1 - 2 ** (-1.0 / config.k)
     words = zero_words(config.n, m)
     draws = np.empty((min(DESIGN_CHUNK, config.n), m))
@@ -239,24 +274,32 @@ def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
 
 
 def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
-    """A Bernoulli design decoded by COMP, or by the exhaustive oracle on the
-    channel's raw symbols."""
+    """A Bernoulli design decoded by COMP on packed words, or by the
+    exhaustive oracle on bits or the channel's raw symbols."""
     words, m = _bernoulli_design(config, matrix_seed)
     if config.scheme == "comp":
-        decode_rows = partial(comp_decode_words, words, m)
-    else:
-        matrix = ConfigMatrix(m=m, n=config.n,
-                              columns=[np.flatnonzero(row) for row in unpack_rows(words, m)])
+        return SchemeHandle(
+            n=config.n, k_design=config.k, m=m,
+            observe=partial(observe_words, words, m),
+            decode_rows=partial(comp_decode_words, words, m),
+            to_bits=partial(words_to_bits, m),
+            from_bits=partial(bits_to_words, m),
+            layers=("comp",),
+        )
+    matrix = ConfigMatrix(m=m, n=config.n,
+                          columns=[np.flatnonzero(row) for row in unpack_rows(words, m)])
 
-        def decode(z):
-            return brute_force_decode(matrix, z, config.k, config.noise.channel).best
+    def observe(js, rows, nrows):
+        return words_to_bits(m, observe_words(words, m, js, rows, nrows))
 
-        decode_rows = partial(decode_copies, decode, m)
-    return SchemeHandle(
+    def decode(z):
+        return brute_force_decode(matrix, z, config.k, config.noise.channel).best
+
+    return SchemeHandle(  # the plain-bit layout
         n=config.n, k_design=config.k, m=m,
-        observe=partial(observe_words, words, m),
-        decode_rows=decode_rows,
-        layers=(config.scheme,),
+        observe=observe,
+        decode_rows=partial(decode_copies, decode, m),
+        layers=("oracle",),
     )
 
 
@@ -268,9 +311,9 @@ def run_trial(config: SimConfig, trial: int):
     gadget_seed = int(rng.integers(SEED_MASK))
     handle = build_scheme(config, matrix_seed, gadget_seed)
     inst = sample_instance(config.n, config.k, rng)
-    bits = config.noise.receive(handle.observed_bits(inst.sick_set), rng)
+    words = config.noise.receive(handle.observed_words(inst.sick_set), handle, rng)
     t0 = time.perf_counter_ns()
-    estimate = handle.decode(bits)
+    estimate = handle.decode(words)
     decode_ns = time.perf_counter_ns() - t0
     metrics = score(inst, estimate, m=handle.m, decode_nanos=decode_ns)
     return (trial, seed_t, config.n, config.k, handle.m,
@@ -324,6 +367,16 @@ AGG_HEADER = ["trials", "mean_fp", "std_fp", "ci95_fp", "mean_fn", "std_fn",
               "ci95_fn", "m", "mean_decode_ns", "analytic_budget"]
 
 
+def run_fingerprint(config: SimConfig) -> str:
+    """The `#` line before each aggregate.csv row: what reruns it.  The
+    config hash covers every resolved key but the output directory."""
+    import hashlib  # here, not at the top: it costs set-up time and only run needs it
+
+    digest = hashlib.sha256(repr(replace(config, out="")).encode()).hexdigest()[:16]
+    return (f"# run: gachagt={__version__} numpy={np.__version__} "
+            f"master_seed={config.master_seed} config_sha256={digest}")
+
+
 def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
     """Execute all trials, write trials.csv and aggregate.csv, return the report."""
     out = Path(out_dir or config.out)
@@ -357,6 +410,7 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
             fh.write(f"# seed_fold=seed_t=(master_seed^((t+1)*{SEED_FOLD:#x}))&(2^63-1)\n")
             fh.write(f"# master_seed={config.master_seed}\n")
             csv.writer(fh).writerow(AGG_HEADER)
+        fh.write(run_fingerprint(config) + "\n")
         csv.writer(fh).writerow([
             report.trials, report.mean_fp, report.std_fp, report.ci95_fp,
             report.mean_fn, report.std_fn, report.ci95_fn, report.m,
@@ -395,7 +449,7 @@ def oracle_check(config: SimConfig):
         matrix = handle.build()
         inst = sample_instance(config.n, config.k, rng)
         y = run_tests(matrix, inst)
-        estimate = handle.decode(y)
+        estimate = handle.decode(handle.from_bits(y, 1))
         oracle = brute_force_decode(matrix, y, config.k)
         if set(oracle.best) and len(oracle.consistent_supports) == 1:
             unique += 1

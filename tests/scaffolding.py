@@ -60,6 +60,8 @@ def fault_injected(inner: SchemeHandle, eps: float, seed: int = 0) -> SchemeHand
         m=inner.m,
         observe=inner.observe,
         decode_rows=decode_rows,
+        to_bits=inner.to_bits,
+        from_bits=inner.from_bits,
         layers=inner.layers + (f"faults(eps={eps})",),
     )
 

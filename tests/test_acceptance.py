@@ -247,7 +247,7 @@ def test_ac7_serial_vote_bound():
     for t in range(trials):
         rng = np.random.default_rng((7000, t))
         inst = sample_instance(32, k, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         s = score(inst, got)
         bad += s.false_positives + s.false_negatives
     rate = bad / (trials * k)
@@ -310,7 +310,7 @@ def test_ac10_expander_layer_trend(ac1_result):
                            seed=gseed)
         assert h.k_design == K
         inst = sample_instance(h.n, K, rng)
-        s = score(inst, h.decode(h.observed_bits(inst.sick_set)), m=h.m)
+        s = score(inst, h.decode(h.observed_words(inst.sick_set)), m=h.m)
         per_person.append((s.false_positives + s.false_negatives) / K)
     per_person = np.array(per_person)
     mean = float(per_person.mean())

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt import core_model
-from gachagt.baselines import WORD, comp_decode, comp_decode_words, pack_rows, unpack_rows
+from gachagt.baselines import (WORD, bits_to_words, comp_decode, comp_decode_words, pack_rows,
+                               unpack_rows, zero_words)
 from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
 from gachagt.sim_cli import _bernoulli_design, build_scheme, parse_config
 from scaffolding import bernoulli_columns_reference, comp_decode_reference, row_sets
@@ -69,7 +70,7 @@ def test_comp_decode_matches_column_loop(shape):
     ys += [h.observed_bits(set(rng.choice(n, size=k, replace=False).tolist())) for _ in range(4)]
     for y in ys:
         want = comp_decode_reference(matrix, y)
-        assert h.decode(y) == want
+        assert h.decode(h.from_bits(y, 1)) == want
         assert comp_decode(matrix, y) == want
 
 
@@ -86,7 +87,7 @@ def test_observe_equals_run_tests(shape):
     # stacked: copy r holds the OR of the persons placed in it, duplicates too
     js = np.concatenate([sorted(s) for s in sick_sets] + [[0, 0]])
     rows = np.concatenate([np.full(k, r) for r in range(5)] + [[5, 5]])
-    stacked = h.observe(js, rows, 7)
+    stacked = h.to_bits(h.observe(js, rows, 7))
     assert stacked.dtype == np.uint8 and stacked.shape == (7 * h.m,)
     for r, sick in enumerate(sick_sets):
         assert np.array_equal(stacked[r * h.m:(r + 1) * h.m], h.observed_bits(sick))
@@ -97,10 +98,14 @@ def test_observe_equals_run_tests(shape):
 def test_comp_decode_checks_length():
     words = np.zeros((3, 1), dtype=WORD)
     with pytest.raises(ValueError, match="observed length 5 != m = 4$"):
-        comp_decode_words(words, 4, np.zeros(5, dtype=np.uint8))
+        bits_to_words(4, np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError, match="observed length 9 != 2 copies of m = 4$"):
-        comp_decode_words(words, 4, np.zeros(9, dtype=np.uint8), 2)
-    row, index = comp_decode_words(words, 4, np.zeros(4, dtype=np.uint8))
+        bits_to_words(4, np.zeros(9, dtype=np.uint8), 2)
+    for y, nrows in ((zero_words(1, 65), 1), (zero_words(1, 4)[0], 1), (zero_words(1, 4), 2),
+                     (np.zeros((1, 1), dtype=np.int64), 1), ([[0]], 1)):
+        with pytest.raises(ValueError, match="observed words"):
+            comp_decode_words(words, 4, y, nrows)
+    row, index = comp_decode_words(words, 4, bits_to_words(4, np.zeros(4, dtype=np.uint8)))
     assert row.tolist() == [0, 0, 0] and index.tolist() == [0, 1, 2]
 
 
@@ -127,9 +132,10 @@ def test_comp_decode_words_matches_column_loop(n, m, seed):
     ys = [np.zeros(m, np.uint8), np.ones(m, np.uint8), (rng.random(m) < 0.8).astype(np.uint8)]
     want = [comp_decode_reference(matrix, y) for y in ys]
     for y, found in zip(ys, want):
-        assert comp_decode_words(pack_rows(design), m, y)[1].tolist() == sorted(found)
+        assert comp_decode_words(pack_rows(design), m, bits_to_words(m, y))[1].tolist() == sorted(found)
         assert comp_decode(matrix, y) == found
-    assert row_sets(comp_decode_words(pack_rows(design), m, np.concatenate(ys), 3), 3) == want
+    stacked = bits_to_words(m, np.concatenate(ys), 3)
+    assert row_sets(comp_decode_words(pack_rows(design), m, stacked, 3), 3) == want
 
 
 @settings(max_examples=60, deadline=None)

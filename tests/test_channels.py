@@ -19,6 +19,7 @@ from gachagt.channels import (
     plan_symmetrize,
     _error_rates,
 )
+from gachagt.scheme import SchemeHandle
 from scaffolding import transmit_many_reference
 
 
@@ -296,13 +297,15 @@ def test_noise_model_resolution():
 
 
 def test_noise_model_receive_dtypes():
+    # a scheme in the plain-bit layout, which keeps what the channel hands it
     y = np.array([0, 1] * 50, dtype=np.uint8)
-    assert NoiseModel().receive(y, np.random.default_rng(0)) is y
+    layout = SchemeHandle(n=len(y), k_design=1, m=len(y), observe=None, decode_rows=None)
+    assert NoiseModel().receive(y, layout, np.random.default_rng(0)) is y
     cases = [("bsc:0.1", "auto", False, np.uint8), ("bec:0.2", "auto", False, np.uint8),
              ("bec:0.2", "off", True, np.int64)]
     for spec, sym, raw, dtype in cases:
         model = NoiseModel.parse(spec, sym, raw=raw)
-        got = model.receive(y, np.random.default_rng(1))
+        got = model.receive(y, layout, np.random.default_rng(1))
         assert got.dtype == dtype and got.shape == y.shape
         # same draws as transmitting, then symmetrizing when there is a plan
         rng = np.random.default_rng(1)

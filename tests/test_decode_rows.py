@@ -90,7 +90,7 @@ def expander_input(h, rng, kind):
 def test_expander_decode_matches_copy_loop(shape, kind, seed):
     h, reference = SHAPES[shape]()
     bits = expander_input(h, np.random.default_rng(seed), kind)
-    assert h.decode_rows(bits, 1)[1].tolist() == reference(bits)
+    assert h.decode_rows(h.from_bits(bits, 1), 1)[1].tolist() == reference(bits)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -106,12 +106,12 @@ def test_expander_decode_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(gacha_core, "recover_from_groups", scalar)
     monkeypatch.setattr(FieldSpec, "interpolate", scalar)
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
-    assert [h.decode_rows(bits, 1)[1].tolist() for bits in inputs] == want
+    assert [h.decode_rows(h.from_bits(bits, 1), 1)[1].tolist() for bits in inputs] == want
 
 
 def test_expander_decodes_all_copies_in_one_inner_call(monkeypatch):
     p = default_params(1 << 16, 4, matrix_seed=3, w=8, d=2, B=48)
-    calls = {"decode_rows": 0, "bits_to_blocks": 0, "synthesize_blocks": 0}
+    calls = {"decode_rows": 0, "blocks_to_bits": 0, "bits_to_blocks": 0, "synthesize_blocks": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -119,14 +119,15 @@ def test_expander_decodes_all_copies_in_one_inner_call(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("bits_to_blocks", "synthesize_blocks"):
+    for name in ("blocks_to_bits", "bits_to_blocks", "synthesize_blocks"):
         monkeypatch.setattr(gacha_core, name, counted(name, getattr(gacha_core, name)))
     base = gacha_scheme(p)
     base = replace(base, decode_rows=counted("decode_rows", base.decode_rows))
     h = expander_build(base, rho=4, R=16, outer_w=8, seed=3)
     sick = {1, 500, 60000}
-    assert h.decode(h.observed_bits(sick)) == sick
-    assert calls == {"decode_rows": 1, "bits_to_blocks": 1, "synthesize_blocks": 0}
+    assert h.decode(h.observed_words(sick)) == sick
+    assert calls == {"decode_rows": 1, "blocks_to_bits": 0, "bits_to_blocks": 0,
+                     "synthesize_blocks": 0}
 
 
 def test_pyramid_decodes_all_copies_in_one_base_call():
@@ -135,14 +136,14 @@ def test_pyramid_decodes_all_copies_in_one_base_call():
     base = gacha_scheme(default_params(1 << 16, 4, matrix_seed=3, B=24))
     calls = []
 
-    def counted(bits, nrows):
+    def counted(words, nrows):
         calls.append(nrows)
-        return base.decode_rows(bits, nrows)
+        return base.decode_rows(words, nrows)
 
     h = pyramid_build(replace(base, decode_rows=counted), 3, rho=3, R=8, outer_w=8,
                       sigma=3, pi=2, seed=5)
     sick = {2, 40000, 70001, 131000}
-    assert h.decode(h.observed_bits(sick)) == sick
+    assert h.decode(h.observed_words(sick)) == sick
     assert calls == [384]
 
 
@@ -169,27 +170,36 @@ def test_gadget_decode_checks_its_own_length(name):
     h = gadget_handles()[name]
     for length in (h.m + 7, h.m - 3, 0):
         with pytest.raises(ValueError, match=rf"observed length {length} != m = {h.m}$"):
+            h.from_bits(np.zeros(length, dtype=np.uint8), 1)
+        with pytest.raises(ValueError, match="observed words"):
             h.decode(np.zeros(length, dtype=np.uint8))
+    with pytest.raises(ValueError, match="observed words"):
+        h.decode(h.from_bits(np.zeros(2 * h.m, dtype=np.uint8), 2))
 
 
 @pytest.mark.parametrize("name", GADGETS)
 def test_gadget_decode_rows_is_decode_per_copy(name):
     h = gadget_handles()[name]
     rng = np.random.default_rng(7)
-    ys = [h.observed_bits(set(rng.choice(h.n, size=3, replace=False).tolist())) for _ in range(2)]
+    ys = [h.observed_words(set(rng.choice(h.n, size=3, replace=False).tolist()))
+          for _ in range(2)]
     ys.append(ys[0])  # the same birthdays in two copies
     assert row_sets(h.decode_rows(np.concatenate(ys), 3), 3) == [h.decode(y) for y in ys]
     with pytest.raises(ValueError, match=rf"!= 2 copies of m = {h.m}$"):
-        h.decode_rows(np.zeros(2 * h.m + 1, dtype=np.uint8), 2)
+        h.from_bits(np.zeros(2 * h.m + 1, dtype=np.uint8), 2)
 
 
 def test_gacha_decode_rows_checks_length():
     p = default_params(1 << 12, 2, matrix_seed=3)
     h = gacha_scheme(p)
     with pytest.raises(ValueError, match=rf"observed length {p.m + 1} != m = {p.m}$"):
-        h.decode(np.zeros(p.m + 1, dtype=np.uint8))
+        h.from_bits(np.zeros(p.m + 1, dtype=np.uint8), 1)
     with pytest.raises(ValueError, match=rf"!= 3 copies of m = {p.m}$"):
-        h.decode_rows(np.zeros(3 * p.m - 1, dtype=np.uint8), 3)
+        h.from_bits(np.zeros(3 * p.m - 1, dtype=np.uint8), 3)
+    words = h.from_bits(np.zeros(3 * p.m, dtype=np.uint8), 3)
+    for bad in (words, words[:-1], words.astype(np.int64), words.tolist()):
+        with pytest.raises(ValueError, match="observed words"):
+            h.decode_rows(bad, 2 if bad is words else 3)
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +223,7 @@ def test_decoder_is_total_on_bench_configs(workloads, name):
     rng = np.random.default_rng(5)
     for bits in (rng.integers(0, 2, size=h.m, dtype=np.uint8),
                  np.ones(h.m, dtype=np.uint8), np.zeros(h.m, dtype=np.uint8)):
-        found = h.decode(bits)
+        found = h.decode(h.from_bits(bits, 1))
         assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
 
 
@@ -229,7 +239,7 @@ def test_garbage_decode_on_noisy_bench_never_searches_the_codebook(workloads, mo
     monkeypatch.setattr(BinaryLinearCode, "_nearest", fail)
     rng = np.random.default_rng(7)
     for _ in range(3):
-        found = h.decode(rng.integers(0, 2, size=h.m, dtype=np.uint8))
+        found = h.decode(h.from_bits(rng.integers(0, 2, size=h.m, dtype=np.uint8), 1))
         assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
 
 
@@ -241,8 +251,9 @@ def test_decoder_is_total_on_wide_inner_payloads():
     h = gacha_scheme(p)
     rng = np.random.default_rng(6)
     for _ in range(10):
-        found = h.decode(rng.integers(0, 2, size=h.m, dtype=np.uint8))
+        found = h.decode(h.from_bits(rng.integers(0, 2, size=h.m, dtype=np.uint8), 1))
         assert all(isinstance(j, int) and 0 <= j < h.n for j in found)
-    assert h.decode_rows(rng.integers(0, 2, size=4 * h.m, dtype=np.uint8), 4) is not None
+    assert h.decode_rows(h.from_bits(rng.integers(0, 2, size=4 * h.m, dtype=np.uint8), 4),
+                         4) is not None
     sick = {1, 77, 900, 4000}
-    assert h.decode(h.observed_bits(sick)) == sick
+    assert h.decode(h.observed_words(sick)) == sick

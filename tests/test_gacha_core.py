@@ -217,7 +217,7 @@ def test_decode_deterministic():
     p = ac1_params(seed=12)
     h = gacha_scheme(p)
     inst = sample_instance(p.n, 8, 3)
-    y = h.observed_bits(inst.sick_set)
+    y = h.observed_words(inst.sick_set)
     assert h.decode(y) == h.decode(y)
 
 
@@ -227,7 +227,7 @@ def test_decode_pipeline_k1_exact_all_seeds():
     for seed in range(40):
         rng = np.random.default_rng(seed)
         inst = sample_instance(p.n, 1, rng)
-        y = h.observed_bits(inst.sick_set)
+        y = h.observed_words(inst.sick_set)
         assert h.decode(y) == inst.sick_set
 
 
@@ -254,7 +254,7 @@ def test_mean_errors_within_budget_k4():
     for t in range(500):
         rng = np.random.default_rng((555, t))
         inst = sample_instance(p.n, 4, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         s = score(inst, got)
         total += s.false_positives + s.false_negatives
     budget = analytic_budget(4, p.w, p.d, p.r)
@@ -293,7 +293,7 @@ def test_noiseless_fp_rate_bounded_by_birthday_mass():
     for t in range(10 ** 4):
         rng = np.random.default_rng((1212, t))
         inst = sample_instance(p.n, k, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         fps.append(len(got - inst.sick_set))
     fps = np.array(fps, dtype=float)
     band = 3 * fps.std() / np.sqrt(len(fps))
@@ -315,7 +315,7 @@ def test_monotone_degradation_in_crossover():
             inst = sample_instance(params.n, 8, rng)
             y = h.observed_bits(inst.sick_set)
             z = ch.transmit_many(y, rng).astype(np.uint8) if ch else y
-            s = score(inst, h.decode(z))
+            s = score(inst, h.decode(h.from_bits(z, 1)))
             errs.append(s.false_positives + s.false_negatives)
         errs = np.array(errs, dtype=float)
         means.append(errs.mean())
@@ -337,7 +337,7 @@ def test_fp_channel_with_plan_decodes():
         inst = sample_instance(params.n, 4, rng)
         y = h.observed_bits(inst.sick_set)
         z = ch.transmit_many(y, rng)
-        got = h.decode(apply_plan_many(plan, z, rng))
+        got = h.decode(h.from_bits(apply_plan_many(plan, z, rng), 1))
         hits += len(got & inst.sick_set)
     assert hits >= 38  # crossover 1/21: nearly all persons recovered
 
@@ -570,7 +570,7 @@ def test_decode_rows_matches_scalar_decode(shape, source, seed, nrows):
     p = DECODE_SHAPES[shape]()
     rng = np.random.default_rng(seed)
     copies = [source(p, rng) for _ in range(nrows)]
-    got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), nrows)
+    got = decode_rows(p, np.concatenate(copies), nrows)
     assert row_lists(got, nrows) == scalar_decode_rows(p, copies)
 
 
@@ -580,7 +580,7 @@ def test_decode_rows_shared_birthdays():
     h = gacha_scheme(p)
     for sick in ({5, 5 + 2048}, {7, 7 + 2048, 9, 9 + 2048}, {100, 2148, 300}):
         words = bits_to_blocks(p, h.observed_bits(sick))
-        got = decode_rows(p, blocks_to_bits(p, words), 1)
+        got = decode_rows(p, words, 1)
         assert row_lists(got, 1) == scalar_decode_rows(p, [words])
 
 
@@ -593,8 +593,8 @@ def test_decode_rows_keeps_arrival_order():
     words = bits_to_blocks(p, h.observed_bits(set(sick)))
     want = scalar_decode_rows(p, [words])[0]
     assert sorted(want) == sorted(sick) and want != sorted(sick)
-    assert row_lists(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [want]
-    assert h.decode(h.observed_bits(set(sick))) == set(want)
+    assert row_lists(decode_rows(p, words, 1), 1) == [want]
+    assert h.decode(h.observed_words(set(sick))) == set(want)
 
 
 def test_decode_rows_retries_on_the_next_slots():
@@ -610,8 +610,8 @@ def test_decode_rows_retries_on_the_next_slots():
     words[batches] = p.inner.encode_blocks(np.full(5, poly_eval_reference(fld, g, p.b0)),
                                            np.array(los),
                                            batches)
-    assert row_sets(decode_rows(replace(p, n=1 << 32), blocks_to_bits(p, words), 1), 1) == [{j}]
-    assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [set()]  # j >= n
+    assert row_sets(decode_rows(replace(p, n=1 << 32), words, 1), 1) == [{j}]
+    assert row_sets(decode_rows(p, words, 1), 1) == [set()]  # j >= n
 
 
 def test_decode_rows_rejects_indices_past_int64():
@@ -627,7 +627,7 @@ def test_decode_rows_rejects_indices_past_int64():
         words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
         words[batches] = p.inner.encode_blocks(
             np.full(len(batches), poly_eval_reference(fld, g, p.b0)), los, batches)
-        assert row_sets(decode_rows(p, blocks_to_bits(p, words), 1), 1) == [want]
+        assert row_sets(decode_rows(p, words, 1), 1) == [want]
         assert scalar_decode_rows(p, [words]) == [list(want)]
 
 
@@ -645,7 +645,7 @@ def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(gacha_core, "recover_from_groups", scalar)
     monkeypatch.setattr(FieldSpec, "interpolate", scalar)
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
-    got = decode_rows(p, blocks_to_bits(p, np.concatenate(copies)), len(copies))
+    got = decode_rows(p, np.concatenate(copies), len(copies))
     assert row_lists(got, len(copies)) == want
 
 

@@ -71,7 +71,7 @@ def test_majority_vote_exact_multiplicity():
 def test_identity_scheme_round_trip():
     h = identity_scheme(16)
     inst = sample_instance(16, 3, 0)
-    assert h.decode(h.observed_bits(inst.sick_set)) == inst.sick_set
+    assert h.decode(h.observed_words(inst.sick_set)) == inst.sick_set
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def test_parallel_pi1_single_copy():
     assert (h.n, h.m) == (16, 16)
     assert h.k_design == inner.k_design // 2
     inst = sample_instance(16, 4, 1)
-    assert h.decode(h.observed_bits(inst.sick_set)) == inst.sick_set
+    assert h.decode(h.observed_words(inst.sick_set)) == inst.sick_set
 
 
 def test_parallel_assignment_deterministic():
@@ -137,7 +137,7 @@ def test_serial_sigma1_identity():
     inner = identity_scheme(16)
     h = serial_build(inner, 1, seed=2)
     inst = sample_instance(16, 3, 5)
-    assert h.decode(h.observed_bits(inst.sick_set)) == inst.sick_set
+    assert h.decode(h.observed_words(inst.sick_set)) == inst.sick_set
     assert h.m == inner.m
 
 
@@ -146,7 +146,7 @@ def test_serial_threshold_endpoints():
     h = serial_build(inner, 3, seed=2)
     inst = sample_instance(16, 4, 8)
     # all copies perfect: every sick index appears sigma times, kept
-    assert h.decode(h.observed_bits(inst.sick_set)) == inst.sick_set
+    assert h.decode(h.observed_words(inst.sick_set)) == inst.sick_set
     # nobody tested positive: absent everywhere
     assert h.decode(np.zeros(h.m, dtype=np.uint8)) == set()
 
@@ -161,7 +161,7 @@ def test_serial_vote_suppresses_faults():
     for t in range(trials):
         rng = np.random.default_rng((300, t))
         inst = sample_instance(32, k, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         s = score(inst, got)
         bad += s.false_positives + s.false_negatives
     rate = bad / (trials * k)
@@ -278,7 +278,7 @@ def test_expander_single_sick_exact():
     inner = replace(identity_scheme(1 << 16), k_design=4)
     h = expander_build(inner, rho=3, R=12, outer_w=8, seed=4)
     for j in (0, 17, 4095, h.n - 1):
-        assert h.decode(h.observed_bits({j})) == {j}
+        assert h.decode(h.observed_words({j})) == {j}
 
 
 def test_expander_matches_oracle_on_tiny_composite():
@@ -294,7 +294,7 @@ def test_expander_matches_oracle_on_tiny_composite():
     for t in range(200):
         rng = np.random.default_rng((505, t))
         inst = sample_instance(h.n, K, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         assert got <= inst.sick_set  # verification never emits an outsider here
         birthdays = [poly_eval_reference(fld, index_to_poly(fld, j, 2), 0) for j in inst.sick_set]
         if len(set(birthdays)) == K:
@@ -332,7 +332,7 @@ def test_pyramid_default_schedule_runs():
     h = pyramid_build(base, tau_depth=2, rho=16, R=64, outer_w=8, seed=2)
     assert h.n >= 1 << 16
     j = 12345
-    assert h.decode(h.observed_bits({j})) == {j}
+    assert h.decode(h.observed_words({j})) == {j}
 
 
 def test_pyramid_depth_trend_under_bsc():
@@ -363,7 +363,7 @@ def test_pyramid_depth_trend_under_bsc():
             inst = sample_instance(h.n, h.k_design, rng)
             y = h.observed_bits(inst.sick_set)
             z = ch.transmit_many(y, rng).astype(np.uint8)
-            s = score(inst, h.decode(z))
+            s = score(inst, h.decode(h.from_bits(z, 1)))
             errs.append(s.false_positives + s.false_negatives)
         errs = np.array(errs, dtype=float)
         means[depth] = errs.mean()
@@ -379,7 +379,7 @@ def test_fault_injection_wrapper_rates():
     for t in range(400):
         rng = np.random.default_rng((707, t))
         inst = sample_instance(64, 4, rng)
-        got = h.decode(h.observed_bits(inst.sick_set))
+        got = h.decode(h.observed_words(inst.sick_set))
         dropped += len(inst.sick_set - got)
         injected += len(got - inst.sick_set)
         total += 4

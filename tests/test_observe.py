@@ -1,7 +1,7 @@
 """The stacked observe against per-person reference columns.
 
-Every handle's observe(js, rows, nrows) must equal the OR of the persons'
-columns, each placed in its copy.  The references here build a gadget's
+Every handle's observe(js, rows, nrows), read as bits through its to_bits,
+must equal the OR of the persons' columns, each placed in its copy.  The references here build a gadget's
 column one person at a time from its definition (the seeded copy choice,
 shuffle or assignment, then the inner column), over a base whose columns are
 checked against scalar encoders elsewhere (test_gacha_core), so the stacked
@@ -139,9 +139,11 @@ def test_stacked_observe_matches_reference_columns(name, data):
     nrows = data.draw(st.integers(1, 3))
     js = data.draw(st.lists(person, max_size=6))
     rows = data.draw(st.lists(st.integers(0, nrows - 1), min_size=len(js), max_size=len(js)))
-    got = handle.observe(np.array(js, dtype=np.int64), np.array(rows, dtype=np.int64), nrows)
+    words = handle.observe(np.array(js, dtype=np.int64), np.array(rows, dtype=np.int64), nrows)
+    got = handle.to_bits(words)
     assert got.dtype == np.uint8
     assert np.array_equal(got, reference_observe(ref, js, rows, nrows))
+    assert np.array_equal(handle.from_bits(got, nrows), words)
 
 
 @pytest.mark.parametrize("name", ["cw-1-block", "lin-1-block", "expander-identity", "tau3"])
@@ -160,7 +162,8 @@ def test_observe_edge_cases(name):
     handle, _ = scheme(name)
     assert np.array_equal(handle.observed_bits(set()), np.zeros(handle.m, dtype=np.uint8))
     empty = np.zeros(0, dtype=np.int64)
-    assert np.array_equal(handle.observe(empty, empty, 3), np.zeros(3 * handle.m, dtype=np.uint8))
+    assert np.array_equal(handle.to_bits(handle.observe(empty, empty, 3)),
+                          np.zeros(3 * handle.m, dtype=np.uint8))
     for j in (-1, handle.n):
         with pytest.raises(ValueError, match="out of range"):
             handle.observed_bits({j})

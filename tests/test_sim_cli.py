@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gachagt
 from gachagt.sim_cli import (
     AGG_HEADER,
     TRIAL_HEADER,
@@ -22,6 +25,7 @@ from gachagt.sim_cli import (
     oracle_check,
     parse_config,
     run,
+    run_fingerprint,
     run_trial,
 )
 
@@ -480,6 +484,23 @@ UNBUILDABLE = {
     "outer_w too wide": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=33\n", "outer_w <= 32"),
     "huge outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=" + "9" * 30 + "\n", "outer_w <= 32"),
 }
+# sizes whose trials would do unbounded work: each parsed, then built m =
+# R^(tau_depth - 1) base tests, or permuted 2^32 persons, in its first trial
+OVERSIZED = {
+    "tau_depth 1500": ("scheme=gacha+gadgets\nn=64\nk=2\nrho=4\nR=16\ntau_depth=1500\n",
+                       "more than 2\\^26 tests"),
+    "tau_depth 10^9": ("scheme=gacha+gadgets\nn=64\nk=2\nrho=4\nR=16\ntau_depth=1000000000\n",
+                       "more than 2\\^26 tests"),
+    "tau_depth 6 at R 32": ("scheme=gacha+gadgets\nn=64\nk=2\nrho=4\nR=32\ntau_depth=6\n",
+                            "more than 2\\^26 tests"),
+    "B 2^31": ("scheme=gacha\nn=4096\nk=2\nB=2147483648\nw=32\n", "more than 2\\^26 tests"),
+    "comp m": ("scheme=comp\nn=100\nk=2\nm=67108865\n", "more than 2\\^26 tests"),
+    "sigma over 2^32 persons": ("scheme=gacha+gadgets\nn=1000\nk=2\nrho=4\nR=16\nsigma=2\n"
+                                "outer_w=16\n", "permute 2 \\* 2\\^32 persons"),
+    "pi over 2^22 persons": ("scheme=gacha+gadgets\nn=1000\nk=2\nrho=4\nR=16\npi=3\n"
+                             "outer_w=11\n", "permute 3 \\* 2\\^22 persons"),
+}
+UNBUILDABLE.update(OVERSIZED)
 
 
 @pytest.mark.parametrize("case", UNBUILDABLE)
@@ -494,6 +515,51 @@ def test_sizing_no_trial_can_build_is_a_config_error(tmp_path, capsys, case):
     assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", OVERSIZED)
+def test_oversized_trial_is_a_config_error_within_a_second(tmp_path, capsys, case):
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(OVERSIZED[case][0] + "trials=1\nmaster_seed=1\n")
+    start = time.perf_counter()
+    assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_sizes_under_the_caps_parse():
+    # a tau_depth 3 pyramid of the bench's expander shape: m = 32^2 * 21,504
+    # = 2^24.4 tests; and a vote layer over 2^16 persons at sigma 3, pi 2
+    text = ("scheme=gacha+gadgets\nn=4294967296\nk=32\nw=16\nd=2\nr=18\nB=384\nell=28\n"
+            "weight=14\nrho=4\nR=32\ntau_depth=3\nouter_w=16\ntrials=1\nmaster_seed=1\n")
+    assert parse_config(text).tau_depth == 3
+    text = ("scheme=gacha+gadgets\nn=100000\nk=8\nrho=4\nR=8\nsigma=3\npi=2\nouter_w=8\n"
+            "trials=1\nmaster_seed=1\n")
+    assert parse_config(text).sigma == 3
+
+
+def test_aggregate_records_every_run(tmp_path):
+    # a second run appended to aggregate.csv says what reran it
+    cfg = parse_config(MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2"))
+    other = parse_config(MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=3"))
+    for config in (cfg, cfg, other):
+        run(config, out_dir=tmp_path)
+    lines = (tmp_path / "aggregate.csv").read_text().splitlines()
+    runs = [i for i, line in enumerate(lines) if line.startswith("# run: ")]
+    assert len(runs) == 3 and lines[runs[0] - 1] == ",".join(AGG_HEADER)
+    for i in runs:
+        assert not lines[i + 1].startswith("#")
+    fingerprints = [dict(f.split("=", 1) for f in lines[i][len("# run: "):].split())
+                    for i in runs]
+    assert fingerprints[0] == fingerprints[1] == run_fingerprint_fields(cfg)
+    assert fingerprints[2]["config_sha256"] != fingerprints[0]["config_sha256"]
+    assert run_fingerprint(replace(cfg, out="elsewhere")) == run_fingerprint(cfg)
+
+
+def run_fingerprint_fields(config):
+    return {"gachagt": gachagt.__version__, "numpy": np.__version__,
+            "master_seed": str(config.master_seed),
+            "config_sha256": run_fingerprint(config).rsplit("=", 1)[1]}
 
 
 def test_composed_capacity_counts_pi():
