@@ -3,7 +3,9 @@
 Every combination of a channel, a symmetrize setting and a scheme is parsed
 and run with `sim_cli.run`; each prints one line with the SHA-256 of its
 `trials.csv` rows without the `decode_ns` column, or the error it raised.
-Run it against each tree and diff the outputs:
+The first line names the numpy version, since numpy keeps its Generator
+streams identical only within one version.  Run it against each tree and
+diff the outputs:
 
     PYTHONPATH=src python scripts/rows_matrix.py > rows_a.txt
     PYTHONPATH=src python scripts/rows_matrix.py --against rows_a.txt
@@ -22,6 +24,8 @@ import itertools
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from gachagt import sim_cli
 
@@ -100,7 +104,9 @@ def digest(text: str, out: Path) -> str:
 
 
 def matrix_lines():
-    """One line per (scheme, channel, symmetrize) combination."""
+    """The numpy version, then one line per (scheme, channel, symmetrize)
+    combination."""
+    yield f"# numpy={np.__version__}"
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "channel.csv"
         custom.write_text(CUSTOM_CSV)

@@ -8,11 +8,12 @@ point and the p_s are distinct per batch.  The first element tags every
 fragment she writes with the same "birthday", so the decoder can sort
 fragments by owner without knowing who wrote what.
 
-Decoding: classify each batch as empty / one writer / several writers, read
-the pair back where exactly one person wrote, group pairs by birthday, and
-interpolate each group back to a polynomial.  Interpolated candidates are
-verified against the whole group before their index is emitted, so corrupted
-fragments degrade into misses rather than fabricated indices.
+Decoding: find the batches exactly one person wrote, read the pair back
+from each, group pairs by birthday, and interpolate each group back to a
+polynomial; empty batches and collisions are never read.  Interpolated
+candidates are verified against the whole group before their index is
+emitted, so corrupted fragments degrade into misses rather than fabricated
+indices.
 
 The scheme's observation is its (nrows * B, blocks) uint64 block words:
 observe ORs the columns straight into them, and decode_rows reads them
@@ -20,10 +21,11 @@ without ever forming the nrows * m bits.  blocks_to_bits and bits_to_blocks
 are the handle's to_bits / from_bits, for the channel and the tests.
 
 decode_rows does this for a stack of copies at once, in arrays: one
-classify_blocks over every copy's batches, then recover_rows, where an
-argsort on (copy, birthday) forms the groups and the field's array
-interpolation and Horner settle every group, retry included, for any d and
-w.  It returns (row, index) int64 arrays in arrival order: a
+inner-layer one_writer call over every copy's batches returns only the
+one-writer batches and their pairs, then recover_rows, where one stable
+argsort of the key copy << w | birthday forms the groups and the field's
+array interpolation and Horner settle every group, retry included, for any
+d and w.  It returns (row, index) int64 arrays in arrival order: a
 copy's indices in the order of their groups' first fragments.  Its scalar
 reference lives in tests/scaffolding.py; the list form (column_symbols,
 build_column, synthesize_blocks, list_decode, recover_from_groups) remains
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -68,9 +70,12 @@ class PairInner:
 
     A pair fills one block's payload when the payload holds 2w bits, else it
     takes two blocks, hi in the first.  Subclasses encode a batch's payloads
-    (encode_blocks) and classify whole observations (classify_blocks), both
-    on (batches, blocks) uint64 arrays of block words; classify_blocks takes
-    stacked copies of B batches, row i holding batch i % B.
+    (encode_blocks) and read whole observations back (one_writer), both on
+    (batches, blocks) uint64 arrays of block words.  one_writer takes
+    stacked copies of B batches, row i holding batch i % B, and returns
+    (batch, hi, lo) int64 arrays for the one-writer (ONE) batches only, in
+    ascending batch order; a pair can lie outside GF(2^w) when the payload
+    is wider than it.  The decode reads nothing else of a batch.
     """
 
     def __init__(self, payload_bits: int, w: int, ell: int, what: str):
@@ -100,6 +105,25 @@ class PairInner:
             return v >> self.w, v & ((1 << self.w) - 1)
         return payloads[..., 0], payloads[..., 1]
 
+    def classify_blocks(self, words: np.ndarray, B: int):
+        """(kinds, hi, lo) per batch: ONE at the one_writer batches, EMPTY
+        where the layer's empty test holds, MANY otherwise; hi/lo hold where
+        ONE and 0 elsewhere.  A helper for the synthesize_blocks adapter."""
+        batch, one_hi, one_lo = self.one_writer(words, B)
+        kinds = np.where(self.empty(words), _EMPTY, _MANY).astype(np.uint8)
+        kinds[batch] = _ONE
+        hi, lo = np.zeros((2, len(words)), dtype=np.int64)
+        hi[batch], lo[batch] = one_hi, one_lo
+        return kinds, hi, lo
+
+
+def _every_block(mask: np.ndarray) -> np.ndarray:
+    """Per row of a (batches, blocks) bool array: every block is set."""
+    out = mask[:, 0]
+    for col in mask.T[1:]:  # column by column: faster than all(axis=1) on two columns
+        out = out & col
+    return out
+
 
 class NoiselessInner(PairInner):
     """Constant-weight image per block; exact weights classify each block."""
@@ -113,14 +137,22 @@ class NoiselessInner(PairInner):
         three broadcast to one shape."""
         return self.code.encode_many(self.pack(hi, lo))
 
-    def classify_blocks(self, words: np.ndarray, B: int):
-        """(kinds, hi, lo) per batch: EMPTY when every block is empty, ONE when
-        every block reads one image, MANY otherwise; hi/lo hold where ONE."""
-        kinds, payloads = self.code.classify_many(words)
-        kind = kinds[:, 0].copy()
-        for col in kinds.T[1:]:  # column by column: a batch keeps a kind all its blocks share
-            kind[col != kind] = _MANY
-        return (kind, *self.unpack(payloads))
+    def one_writer(self, words: np.ndarray, B: int):
+        """(batch, hi, lo) of the batches in which every block reads one
+        image: it has the code's weight and ranks below 2^payload_bits.
+        Only the batches whose blocks all have that weight are ranked.
+        Raises ValueError on a word with a bit at or above ell."""
+        code = self.code
+        if code.ell < 64 and words.size and words.max() >> np.uint64(code.ell):
+            raise ValueError("observed string longer than ell")
+        batch = np.flatnonzero(_every_block(np.bitwise_count(words) == code.weight))
+        rank = code.rank_many(words.take(batch, axis=0)).reshape(len(batch), self.blocks)
+        image = np.flatnonzero(_every_block(rank < np.uint64(1 << code.payload_bits)))
+        return (batch[image], *self.unpack(rank.take(image, axis=0).astype(np.int64)))
+
+    def empty(self, words: np.ndarray) -> np.ndarray:
+        """Per batch: every block is empty."""
+        return _every_block(words == 0)
 
 
 def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
@@ -140,6 +172,14 @@ def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
     return ((z ^ (z >> np.uint64(31))) & np.uint64((1 << dim) - 1)).astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _key_table(size: int, blocks: int, dim: int) -> np.ndarray:
+    """whiten_keys of batches 0 .. size - 1, read-only."""
+    table = whiten_keys(np.arange(size), blocks, dim)
+    table.setflags(write=False)
+    return table
+
+
 class NoisyInner(PairInner):
     """Linear-code image per block plus a weight test over the whole symbol."""
 
@@ -152,22 +192,38 @@ class NoisyInner(PairInner):
                 f"classifier covers {classifier.ell} bits but a symbol spans {self.bits_per_symbol}"
             )
 
+    def _keys(self, batches) -> np.ndarray:
+        """whiten_keys of an int64 array of batches, gathered from a cached
+        table of every batch below the next power of two past the largest."""
+        batches = np.asarray(batches)
+        size = 1 << int(batches.max(initial=0)).bit_length()
+        return _key_table(size, self.blocks, self.code.dim)[batches]
+
     def encode_blocks(self, hi, lo, batches) -> np.ndarray:
         """(..., blocks) codewords of the pairs (hi, lo) written in batches,
         all three broadcast to one shape."""
-        keys = whiten_keys(batches, self.blocks, self.code.dim)
-        return self.code.codebook[self.pack(hi, lo) ^ keys]
+        return self.code.codebook[self.pack(hi, lo) ^ self._keys(batches)]
 
-    def classify_blocks(self, words: np.ndarray, B: int):
-        """(kinds, hi, lo) per batch: the symbol's weight picks the kind, and
-        batches read as ONE decode to the nearest codewords, unwhitened by
-        their batch within the copy; hi/lo hold where ONE."""
-        kind = self.classifier.classify_weights(np.bitwise_count(words).sum(axis=1))
-        single = np.flatnonzero(kind == _ONE)
-        payloads = np.zeros(words.shape, dtype=np.int64)
-        decoded = self.code.decode_many(words[single].ravel()).reshape(-1, self.blocks)
-        payloads[single] = decoded ^ whiten_keys(single % B, self.blocks, self.code.dim)
-        return (kind, *self.unpack(payloads))
+    def one_writer(self, words: np.ndarray, B: int):
+        """(batch, hi, lo) of the batches whose symbol weight reads as one
+        writer, each block decoded to its nearest codeword and unwhitened by
+        its batch within the copy.  Raises ValueError when such a batch has
+        a bit at or above ell."""
+        batch = np.flatnonzero(self._kinds(words) == _ONE)
+        decoded = self.code.decode_many(words.take(batch, axis=0).ravel())
+        decoded = decoded.reshape(len(batch), self.blocks)
+        return (batch, *self.unpack(decoded ^ self._keys(batch % B)))
+
+    def empty(self, words: np.ndarray) -> np.ndarray:
+        """Per batch: the symbol's weight reads as empty."""
+        return self._kinds(words) == _EMPTY
+
+    def _kinds(self, words: np.ndarray) -> np.ndarray:
+        counts = np.bitwise_count(words)
+        ones = counts[:, 0]
+        for col in counts.T[1:]:  # at most 2 * 64 ones: uint8 holds the sum
+            ones = ones + col
+        return self.classifier.classify_weights(ones)
 
 
 def default_noiseless_inner(w: int, ell: int = 0, weight: int = 0) -> NoiselessInner:
@@ -245,11 +301,8 @@ class GachaParams:
         return s + 1
 
 
-def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
-                   w: int = 0, d: int = 0, r: int = 0, B: int = 0,
-                   ell: int = 0, weight: int = 0, lin_dim: int = 0,
-                   code_seed: int = 7) -> GachaParams:
-    """Fill unset sizing from the standard ratios.
+def default_sizing(n: int, k: int, w: int = 0, d: int = 0, r: int = 0, B: int = 0):
+    """(w, d, r, B), the unset ones (0) filled from the standard ratios.
 
     nu = ceil(log2 n); d ~ sqrt(nu)/3; w covers both the index space (w*d >=
     nu) and a comfortable birthday margin (w >= 3 sqrt(nu)); r = 9d; B = 24dk.
@@ -264,6 +317,16 @@ def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
     if w == 0:
         w = max(math.ceil(nu / d), math.ceil(3 * math.sqrt(nu)),
                 math.ceil(math.log2(B + 1)), 2)
+    return w, d, r, B
+
+
+def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
+                   w: int = 0, d: int = 0, r: int = 0, B: int = 0,
+                   ell: int = 0, weight: int = 0, lin_dim: int = 0,
+                   code_seed: int = 7) -> GachaParams:
+    """GachaParams with unset sizing from default_sizing and the default
+    inner layer: constant-weight without a channel crossover, else linear."""
+    w, d, r, B = default_sizing(n, k, w, d, r, B)
     if channel_crossover is None:
         inner = default_noiseless_inner(w, ell=ell, weight=weight)
     else:
@@ -376,8 +439,9 @@ class SynthWord:
 
 
 def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
-    """classify_blocks of one (B, blocks) uint64 array of block words as a
-    SynthWord; an adapter for bench/tracer.py, deleted by Benchmark v2."""
+    """The inner layer's classify_blocks of one (B, blocks) uint64 array of
+    block words as a SynthWord; an adapter for bench/tracer.py, deleted by
+    Benchmark v2."""
     observed = np.asarray(observed, dtype=np.uint64)
     shape = (params.B, params.inner.blocks)
     if observed.shape != shape:
@@ -421,20 +485,23 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
     fragment (slot, lo) with birthday hi in row `row`, both field elements.
     Slots are distinct within a (row, birthday) group and arrive in ascending
-    order, and point_of_slot maps an array of slots to their points.  A
-    stable argsort on (row, birthday) forms the groups.  A group of d or more
-    is interpolated on its d smallest slots, retried once on the next d
-    (slots 1..d when it has fewer than 2d), then abandoned.  A candidate is
-    accepted when it reproduces the birthday at b0, its index lies in [0, n)
-    and below 2^63, and it matches a strict majority (and at least d) of the
-    group's points.  The indices come in the arrival order of their groups'
+    order, and point_of_slot maps an array of slots to their points.  Rows
+    must lie below 2^(63 - w), so that one stable argsort of the int64 key
+    row << w | hi forms the groups, in the order of lexsort((hi, row)).  A
+    group of d or more is interpolated on its d smallest slots, retried once
+    on the next d (slots 1..d when it has fewer than 2d), then abandoned.  A
+    candidate is accepted when it reproduces the birthday at b0, its index
+    lies in [0, n) and below 2^63, and it matches a strict majority (and at
+    least d) of the group's points.  The indices come in the arrival order of their groups'
     first fragments, so rows ascend when the fragments' rows do.
     """
     row, slot, hi, lo = fragments
-    order = np.lexsort((hi, row))
-    row, x, hi, lo = row[order], point_of_slot(slot[order]), hi[order], lo[order]
+    key = row << fld.w | hi
+    order = np.argsort(key, kind="stable")
+    key, x, lo = key[order], point_of_slot(slot[order]), lo[order]
+    hi = key & ((1 << fld.w) - 1)
     bounds = np.ones(len(order) + 1, dtype=bool)  # where each group starts, and the end
-    bounds[1:-1] = (row[1:] != row[:-1]) | (hi[1:] != hi[:-1])
+    bounds[1:-1] = key[1:] != key[:-1]
     bounds = np.flatnonzero(bounds)
     sizes = bounds[1:] - bounds[:-1]
     ready = sizes >= d
@@ -461,20 +528,21 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
         skip = np.where(size >= 2 * d, d, 1)
     keep = np.flatnonzero(accepted >= 0)
     keep = keep[np.argsort(order[starts[keep]])]
-    return row[starts[keep]], accepted[keep]
+    return key[starts[keep]] >> fld.w, accepted[keep]
 
 
 def decode_rows(params: GachaParams, words, nrows: int):
     """(row, index) int64 arrays of what nrows copies' observed block words,
-    an (nrows * B, blocks) uint64 array, decode to; see recover_rows."""
+    an (nrows * B, blocks) uint64 array, decode to: the inner layer's
+    one_writer pairs that lie in GF(2^w), through recover_rows."""
     words = checked_words(words, (nrows * params.B, params.inner.blocks), np.uint64)
-    kinds, hi, lo = params.inner.classify_blocks(words, params.B)
-    # ONE fragments only; a payload wider than the pair can read a birthday
-    # or fragment outside GF(2^w), which no person writes
+    batch, hi, lo = params.inner.one_writer(words, params.B)  # by copy, then batch
+    # a payload wider than the pair can read a birthday or fragment outside
+    # GF(2^w), which no person writes
     q = 1 << params.w
-    one = np.flatnonzero((kinds == _ONE) & (hi < q) & (lo < q))  # by copy, then batch
-    row, slot = np.divmod(one, params.B)
-    return recover_rows(params.field, params.d, params.b0, (row, slot, hi[one], lo[one]),
+    keep = np.flatnonzero((hi < q) & (lo < q))
+    row, slot = np.divmod(batch[keep], params.B)
+    return recover_rows(params.field, params.d, params.b0, (row, slot, hi[keep], lo[keep]),
                         params.point, params.n)
 
 

@@ -17,7 +17,10 @@ Two interchangeable inner layers:
   BSC crossover.
 
 Each operation has one implementation, over numpy arrays (uint64 for bit
-strings, bit i = position i): encode_many, classify_many, decode_many and
+strings, bit i = position i): encode_many, rank_many, classify_many,
+decode_many and classify_weights.  The Gacha scheme's inner layers
+(gacha_core.NoiselessInner and NoisyInner) build their one_writer, which
+reads back only the batches one person wrote, on rank_many, decode_many and
 classify_weights.  The scalar combinadic rank and unrank the tests check
 them against live in tests/scaffolding.py; the int methods, both codes'
 encode and classify_noiseless, remain only as adapters for bench/tracer.py.
@@ -171,6 +174,11 @@ class ConstantWeightCode:
         if self.payload_bits <= MAX_IMAGE_TABLE_BITS:
             return _images(self.ell, self.weight, self.payload_bits)[rank].astype(np.uint64)
         return _unrank_many(rank, self.ell, self.weight)
+
+    def rank_many(self, strings) -> np.ndarray:
+        """The colex rank of every weight-`weight` string of a uint64 array,
+        as a flat uint64 array; the inverse of encode_many on images."""
+        return _rank_many(np.asarray(strings, dtype=np.uint64), self.ell, self.weight)
 
     def classify_noiseless(self, observed: int):
         """classify_many of one string, as (Occupancy, payload | None); an

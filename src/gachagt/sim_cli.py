@@ -25,7 +25,7 @@ from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_dec
                         observe_words, pack_rows, unpack_rows, words_to_bits, zero_words)
 from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
-from .gacha_core import analytic_budget, default_params, gacha_scheme
+from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
 from .gadgets import GadgetParams, pyramid_build
 from .scheme import SchemeHandle, decode_copies
 
@@ -340,8 +340,9 @@ class AggregateReport:
 
 def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
     if config.scheme in ("gacha", "gacha+gadgets"):
-        params = gacha_params_for(config, matrix_seed=0)
-        budget = analytic_budget(base_gacha_config(config).k, params.w, params.d, params.r)
+        base = base_gacha_config(config)
+        w, d, r, _ = default_sizing(base.n, base.k, base.w, base.d, base.r, base.B)
+        budget = analytic_budget(base.k, w, d, r)
     else:
         budget = 0.0
     if not rows:
@@ -350,12 +351,13 @@ def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
     fn = np.array([r[6] for r in rows], dtype=float)
     dns = np.array([r[7] for r in rows], dtype=float)
     t = len(rows)
+    std_fp, std_fn = fp.std(), fn.std()
     return AggregateReport(
         trials=t,
-        mean_fp=float(fp.mean()), std_fp=float(fp.std()),
-        ci95_fp=float(1.96 * fp.std() / math.sqrt(t)),
-        mean_fn=float(fn.mean()), std_fn=float(fn.std()),
-        ci95_fn=float(1.96 * fn.std() / math.sqrt(t)),
+        mean_fp=float(fp.mean()), std_fp=float(std_fp),
+        ci95_fp=float(1.96 * std_fp / math.sqrt(t)),
+        mean_fn=float(fn.mean()), std_fn=float(std_fn),
+        ci95_fn=float(1.96 * std_fn / math.sqrt(t)),
         m=int(rows[0][4]),
         mean_decode_ns=float(dns.mean()),
         budget=budget,
@@ -400,10 +402,8 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
         writer.writerows(rows)
 
     report = aggregate_rows(config, rows)
-    agg_path = out / "aggregate.csv"
-    fresh = not agg_path.exists() or agg_path.stat().st_size == 0
-    with agg_path.open("a", newline="") as fh:
-        if fresh:
+    with (out / "aggregate.csv").open("a", newline="") as fh:
+        if fh.tell() == 0:  # a new or empty file: the header first
             fh.write(f"# gachagt={__version__}\n")
             fh.write("# rng_family=numpy-PCG64/default_rng\n")
             fh.write(f"# numpy={np.__version__}\n")

@@ -2,8 +2,10 @@
 decoder fault injector, for exercising the composition gadgets; the sets and
 lists a stacked decode's (row, index) arrays stand for; the scalar field,
 polynomial and combinadic references the array paths are checked against,
-built on shift-and-add products, not on the field's tables; the scalar
-decoders and the dict vote the stacked array decode is checked against; the
+built on shift-and-add products, not on the field's tables; the per-batch
+reading (reference_symbols) that both the inner layers' one_writer and the
+scalar decodes are checked against, which never calls an inner layer; the
+scalar decoders and the dict vote the stacked array decode is checked against; the
 row-wise bits_to_blocks; the per-column Bernoulli design, COMP and
 ConfigMatrix check the dense ones replace; and the masked-searchsorted
 channel draw."""
@@ -12,7 +14,7 @@ from math import comb
 
 import numpy as np
 
-from gachagt.gacha_core import bits_to_blocks
+from gachagt.gacha_core import COLLISION, NoiselessInner
 from gachagt.gf2e import InsufficientEvaluations, _mulmod_poly, _powmod_poly, field
 from gachagt.inner_code import Occupancy
 from gachagt.scheme import SchemeHandle, checked_bits, stacked_args
@@ -246,6 +248,61 @@ def classify_noiseless_reference(code, observed: int):
     return (Occupancy.ONE, rank) if rank < (1 << code.payload_bits) else (Occupancy.MANY, None)
 
 
+def splitmix_key(s, b, dim):
+    """The whitening key of block b of batch s: splitmix64's finalizer of 2 s + b."""
+    mask = (1 << 64) - 1
+    z = (s * 2 + b + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return (z ^ (z >> 31)) & ((1 << dim) - 1)
+
+
+def scalar_pair(inner, payloads):
+    """The pair (hi, lo) a batch's block payloads carry."""
+    if inner.blocks == 1:
+        return payloads[0] >> inner.w, payloads[0] & ((1 << inner.w) - 1)
+    return payloads[0], payloads[1]
+
+
+def classify_weight(clf, ones):
+    """The Occupancy a weight classifier reads from a symbol's count of ones."""
+    mean = ones / clf.ell
+    if mean < clf.tau:
+        return Occupancy.EMPTY
+    return Occupancy.ONE if mean < clf.theta else Occupancy.MANY
+
+
+def reference_symbols(p, words):
+    """What each batch of one copy's (B, blocks) block words reads, one batch
+    at a time through scalar references (the colex rank, the weight
+    thresholds and the exhaustive nearest-codeword search): None when empty,
+    COLLISION when several wrote, else the one writer's pair (hi, lo)."""
+    inner, out = p.inner, []
+    noiseless = isinstance(inner, NoiselessInner)
+    for s in range(p.B):
+        row = [int(x) for x in words[s]]
+        if noiseless:
+            read = [classify_noiseless_reference(inner.code, x) for x in row]
+            if all(k is Occupancy.EMPTY for k, _ in read):
+                out.append(None)
+            elif all(k is Occupancy.ONE for k, _ in read):
+                out.append(scalar_pair(inner, [v for _, v in read]))
+            else:
+                out.append(COLLISION)
+            continue
+        kind = classify_weight(inner.classifier, sum(x.bit_count() for x in row))
+        if kind is Occupancy.EMPTY:
+            out.append(None)
+        elif kind is Occupancy.MANY:
+            out.append(COLLISION)
+        else:
+            nearest = inner.code._nearest(np.array(row, dtype=np.uint64)).tolist()
+            out.append(scalar_pair(inner, [v ^ splitmix_key(s, b, inner.code.dim)
+                                           for b, v in enumerate(nearest)]))
+    return out
+
+
+
 # ---------------------------------------------------------------------------
 # scalar decoders
 # ---------------------------------------------------------------------------
@@ -269,18 +326,18 @@ def recover_in_order(fld, d: int, b0: int, groups, point_of_slot, n: int) -> lis
 
 
 def scalar_gacha_decode(params):
-    """The single-layer decode one batch list at a time: every batch
-    classified, the ONE batches whose pair lies in the field grouped by
+    """The single-layer decode one batch at a time: every batch read by
+    reference_symbols, the one-writer pairs that lie in the field grouped by
     birthday in a dict, then recover_in_order, so the indices come in
     arrival order."""
     q = 1 << params.w
 
     def decode(bits):
-        kinds, his, los = params.inner.classify_blocks(bits_to_blocks(params, bits), params.B)
         groups = {}
-        for s, (kind, hi, lo) in enumerate(zip(kinds.tolist(), his.tolist(), los.tolist())):
-            if kind == Occupancy.ONE.value and hi < q and lo < q:
-                groups.setdefault(hi, []).append((s, lo))
+        for s, sym in enumerate(reference_symbols(params,
+                                                  bits_to_blocks_reference(params, bits))):
+            if type(sym) is tuple and max(sym) < q:
+                groups.setdefault(sym[0], []).append((s, sym[1]))
         return recover_in_order(params.field, params.d, params.b0, groups, params.point,
                                 params.n)
 

@@ -11,7 +11,6 @@ import gachagt.gacha_core as gacha_core
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
 from gachagt.core_model import person_rng, run_tests, sample_instance, score
 from gachagt.gf2e import FieldSpec, field
-from gachagt.inner_code import Occupancy
 from gachagt.gacha_core import (
     COLLISION,
     GachaParams,
@@ -32,16 +31,17 @@ from gachagt.gacha_core import (
     synthesize_blocks,
 )
 from scaffolding import (
-    classify_noiseless_reference,
     combination_unrank,
     index_to_poly,
     poly_eval_reference,
     poly_to_index,
     recover_from_groups_reference,
     recover_in_order,
+    reference_symbols,
     row_lists,
     row_sets,
     scalar_gacha_decode,
+    splitmix_key,
 )
 
 
@@ -353,61 +353,14 @@ INNER_SHAPES = {
                                            w=16, d=2, r=18, B=384, code_seed=7),
     "lin-1-block": lambda: default_params(256, 2, channel_crossover=0.05, matrix_seed=3,
                                           w=8, code_seed=7),
+    # 14-bit payloads carrying 12-bit halves: garbage reads pairs outside GF(2^12)
+    "lin-wide": lambda: default_params(4096, 4, channel_crossover=0.05, matrix_seed=3,
+                                       w=12, lin_dim=14, code_seed=7),
 }
-
-
-def splitmix_key(s, b, dim):
-    """The whitening key of block b of batch s: splitmix64's finalizer of 2 s + b."""
-    mask = (1 << 64) - 1
-    z = (s * 2 + b + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return (z ^ (z >> 31)) & ((1 << dim) - 1)
 
 
 def scalar_payloads(inner, hi, lo):
     return [(hi << inner.w) | lo] if inner.blocks == 1 else [hi, lo]
-
-
-def scalar_pair(inner, payloads):
-    if inner.blocks == 1:
-        return payloads[0] >> inner.w, payloads[0] & ((1 << inner.w) - 1)
-    return payloads[0], payloads[1]
-
-
-def classify_weight(clf, ones):
-    mean = ones / clf.ell
-    if mean < clf.tau:
-        return Occupancy.EMPTY
-    return Occupancy.ONE if mean < clf.theta else Occupancy.MANY
-
-
-def reference_symbols(p, words):
-    """One batch at a time, through scalar references: the colex rank, the
-    weight thresholds and the exhaustive nearest-codeword search."""
-    inner, out = p.inner, []
-    noiseless = isinstance(inner, NoiselessInner)
-    for s in range(p.B):
-        row = [int(x) for x in words[s]]
-        if noiseless:
-            read = [classify_noiseless_reference(inner.code, x) for x in row]
-            if all(k is Occupancy.EMPTY for k, _ in read):
-                out.append(None)
-            elif all(k is Occupancy.ONE for k, _ in read):
-                out.append(scalar_pair(inner, [v for _, v in read]))
-            else:
-                out.append(COLLISION)
-            continue
-        kind = classify_weight(inner.classifier, sum(x.bit_count() for x in row))
-        if kind is Occupancy.EMPTY:
-            out.append(None)
-        elif kind is Occupancy.MANY:
-            out.append(COLLISION)
-        else:
-            nearest = inner.code._nearest(np.array(row, dtype=np.uint64)).tolist()
-            out.append(scalar_pair(inner, [v ^ splitmix_key(s, b, inner.code.dim)
-                                           for b, v in enumerate(nearest)]))
-    return out
 
 
 def reference_words(p, j):
@@ -490,6 +443,64 @@ def test_synthesize_blocks_matches_scalar_reference(shape, source, seed):
     p = INNER_SHAPES[shape]()
     words = source(p, np.random.default_rng(seed))
     assert synthesize_blocks(p, words).symbols == reference_symbols(p, words)
+
+
+def reference_one_writer(p, copies):
+    """(batch, hi, lo) of the tuple entries of reference_symbols over stacked
+    copies, batch counted across them."""
+    return [(c * p.B + s, *sym) for c, words in enumerate(copies)
+            for s, sym in enumerate(reference_symbols(p, words)) if type(sym) is tuple]
+
+
+@pytest.mark.parametrize("source", [or_of_sick_blocks, garbage_blocks])
+@pytest.mark.parametrize("shape", INNER_SHAPES)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), nrows=st.sampled_from([1, 3]))
+def test_one_writer_matches_scalar_reference(shape, source, seed, nrows):
+    p = INNER_SHAPES[shape]()
+    rng = np.random.default_rng(seed)
+    copies = [source(p, rng) for _ in range(nrows)]
+    got = p.inner.one_writer(np.concatenate(copies), p.B)
+    assert all(a.dtype == np.int64 for a in got)
+    assert list(zip(*(a.tolist() for a in got))) == reference_one_writer(p, copies)
+
+
+def test_wide_payload_reads_pairs_outside_the_field():
+    # the decode drops them, as the scalar decode does
+    p = INNER_SHAPES["lin-wide"]()
+    words = garbage_blocks(p, np.random.default_rng(4))
+    _, hi, lo = p.inner.one_writer(words, p.B)
+    assert (np.maximum(hi, lo) >= 1 << p.w).any()
+    assert row_lists(decode_rows(p, words, 1), 1) == scalar_decode_rows(p, [words])
+
+
+@pytest.mark.parametrize("shape", INNER_SHAPES)
+def test_one_writer_on_no_rows_and_no_one_writer(shape):
+    # zero copies, every batch empty, and every batch full: empty int64 arrays
+    p = INNER_SHAPES[shape]()
+    blocks = p.inner.blocks
+    for words, nrows in ((np.zeros((0, blocks), dtype=np.uint64), 0),
+                         (np.zeros((2 * p.B, blocks), dtype=np.uint64), 2),
+                         (np.full((p.B, blocks), (1 << p.inner.ell) - 1, dtype=np.uint64), 1)):
+        got = p.inner.one_writer(words, p.B)
+        assert [(a.dtype, a.shape) for a in got] == [(np.dtype(np.int64), (0,))] * 3
+        row, index = decode_rows(p, words, nrows)
+        assert row.dtype == index.dtype == np.int64 and len(row) == len(index) == 0
+
+
+@pytest.mark.parametrize("shape", INNER_SHAPES)
+def test_one_writer_rejects_bits_past_ell(shape):
+    # a bit at ell in one person's lightest batch, which still reads as one
+    # writer by weight; ell < 64 in every shape
+    p = INNER_SHAPES[shape]()
+    words = observed_blocks(p, [1])
+    batch = p.inner.one_writer(words, p.B)[0]
+    s = int(batch[np.argmin(np.bitwise_count(words[batch]).sum(axis=1))])
+    words[s, 0] |= np.uint64(1 << p.inner.ell)
+    with pytest.raises(ValueError):
+        p.inner.one_writer(words, p.B)
+    with pytest.raises(ValueError):
+        decode_rows(p, words, 1)
 
 
 def test_bits_to_blocks_matches_scalar_packing():
@@ -650,13 +661,13 @@ def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
 
 
 @st.composite
-def fragment_rows(draw):
-    """(w, d, nrows, fragments) for recover_rows over GF(2^8), GF(2^17) or
-    GF(2^32): per row, slots in ascending order, each holding fragments of
+def fragment_rows(draw, widths=(8, 17, 32)):
+    """(w, d, nrows, fragments) for recover_rows over GF(2^w), w drawn from
+    widths: per row, slots in ascending order, each holding fragments of
     distinct birthdays in any order; fragments from a few polynomials, half
     of them with an index below 2^24, some under wrong birthdays, some
     garbage."""
-    w = draw(st.sampled_from([8, 17, 32]))
+    w = draw(st.sampled_from(widths))
     d = draw(st.sampled_from([1, 2, 3, 4]))
     nrows = draw(st.integers(1, 3))
     fld, q = field(w), 1 << w
@@ -698,6 +709,29 @@ def test_recover_rows_matches_recover_from_groups(case, n):
         # the adapter bench/tracer.py wraps, over the same groups
         assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == set(want[-1])
     assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=fragment_rows(widths=(32,)), data=st.data())
+def test_recover_rows_groups_far_apart_rows(case, data):
+    # rows up to 2^20 over GF(2^32): the grouping key row << 32 | birthday
+    # keeps every (row, birthday) group apart, row by row as the reference
+    w, d, nrows, frags = case
+    fld, n = field(w), 1 << 24
+    labels = sorted(data.draw(st.lists(st.integers(0, 1 << 20), min_size=nrows,
+                                       max_size=nrows, unique=True)))
+    labelled = [(labels[r], slot, hi, lo) for r, slot, hi, lo in frags]
+    arrays = tuple(np.array([f[i] for f in labelled], dtype=np.int64) for i in range(4))
+    row, index = recover_rows(fld, d, 0, arrays, lambda s: s + 1, n)
+    for r, label in enumerate(labels):
+        groups = {}
+        for fr, slot, hi, lo in frags:
+            if fr == r:
+                groups.setdefault(hi, []).append((slot, lo))
+        want = recover_in_order(fld, d, 0, groups, lambda s: s + 1, n)
+        assert index[row == label].tolist() == want
+        assert set(want) == recover_from_groups_reference(fld, d, 0, groups, lambda s: s + 1, n)
+    assert set(row.tolist()) <= set(labels) and (np.diff(row) >= 0).all()
 
 
 def test_recover_rows_retries_after_an_index_past_int64():

@@ -1,6 +1,7 @@
 """Config parsing, CSV emission, determinism, CLI entry points."""
 
 import csv
+import itertools
 import math
 import os
 import subprocess
@@ -8,6 +9,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gachagt
+import gachagt.sim_cli as sim_cli
 from gachagt.sim_cli import (
     AGG_HEADER,
     TRIAL_HEADER,
@@ -560,6 +563,34 @@ def run_fingerprint_fields(config):
     return {"gachagt": gachagt.__version__, "numpy": np.__version__,
             "master_seed": str(config.master_seed),
             "config_sha256": run_fingerprint(config).rsplit("=", 1)[1]}
+
+
+RUN_FILES = Path(__file__).resolve().parent / "data" / "run_files"
+# a pyramid, whose budget reads the base sizing; a noisy gacha run; and COMP,
+# whose budget is 0, appended to one aggregate.csv
+PINNED_RUNS = {
+    "gadgets": ("scheme=gacha+gadgets\nn=65536\nk=8\ntrials=3\nmaster_seed=5\nchannel=none\n"
+                "rho=4\nR=16\ntau_depth=2\nouter_w=8\nB=24\n"),
+    "gacha-bsc": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\nchannel=bsc:0.05\n",
+    "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\nchannel=none\n",
+}
+
+
+def test_run_writes_the_pinned_files(tmp_path, monkeypatch):
+    # trials.csv after each run and the shared aggregate.csv, byte for byte
+    # as saved, with the decode clock replaced by ticks 37 i^2 so decode_ns
+    # is fixed; a gachagt version bump rewrites the saved aggregate.csv
+    saved = (RUN_FILES / "aggregate.csv").read_bytes()
+    written = saved.decode().splitlines()[2]
+    if written != f"# numpy={np.__version__}":
+        pytest.skip(f"run_files were written by {written[2:]}, this is numpy={np.__version__}")
+    ticks = (37 * i * i for i in itertools.count())
+    monkeypatch.setattr(sim_cli, "time", SimpleNamespace(perf_counter_ns=lambda: next(ticks)))
+    for name, text in PINNED_RUNS.items():
+        run(parse_config(text), out_dir=tmp_path)
+        assert (tmp_path / "trials.csv").read_bytes() == \
+            (RUN_FILES / f"trials_{name}.csv").read_bytes(), name
+    assert (tmp_path / "aggregate.csv").read_bytes() == saved
 
 
 def test_composed_capacity_counts_pi():
