@@ -3,6 +3,7 @@
 Every combination of a channel, a symmetrize setting and a scheme is parsed
 and run with `sim_cli.run`; each prints one line with the SHA-256 of its
 `trials.csv` rows without the `decode_ns` column, or the error it raised.
+The REJECTED configs must fail at parse time, and print that error.
 The first line names the numpy version, since numpy keeps its Generator
 streams identical only within one version.  Run it against each tree and
 diff the outputs:
@@ -85,6 +86,21 @@ SCHEMES = {
                           "w=16\nd=2\nr=18\nB=384\ncode_seed=7\n"),
     # w = 10 by default, so the linear inner code is (40, 20): a dim-20 table
     "gacha-n600": "scheme=gacha\nn=600\nk=2\ntrials=8\nmaster_seed=5\n",
+    # outer_w from its default, the narrowest field with R + 1 points: 5 at
+    # R = 16, so a 2^10-person base and a composed capacity of pi * 2^10,
+    # which n = 1000 stays under and n = 2048 at pi = 2 meets exactly
+    "gadgets-default-w": ("scheme=gacha+gadgets\nn=1000\nk=2\ntrials=4\nmaster_seed=5\n"
+                          "rho=4\nR=16\ntau_depth=2\n"),
+    "gadgets-capacity": ("scheme=gacha+gadgets\nn=2048\nk=2\ntrials=4\nmaster_seed=5\n"
+                         "rho=4\nR=16\ntau_depth=2\npi=2\n"),
+}
+# configs that must fail at parse time: one person past the composed
+# capacity, and R + 1 = 17 points in a 2^4 field
+REJECTED = {
+    "rejected-capacity": ("scheme=gacha+gadgets\nn=2049\nk=2\ntrials=4\nmaster_seed=5\n"
+                          "rho=4\nR=16\ntau_depth=2\npi=2\n"),
+    "rejected-R-past-outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\ntrials=4\nmaster_seed=5\n"
+                                "rho=4\nR=16\ntau_depth=2\nouter_w=4\n"),
 }
 CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
 
@@ -110,10 +126,11 @@ def matrix_lines():
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "channel.csv"
         custom.write_text(CUSTOM_CSV)
+        configs = {**SCHEMES, **REJECTED}
         for i, (scheme, channel, sym) in enumerate(
-                itertools.product(SCHEMES, CHANNELS, SYMMETRIZE)):
+                itertools.product(configs, CHANNELS, SYMMETRIZE)):
             spec = f"custom:{custom}" if channel == "custom" else channel
-            text = SCHEMES[scheme] + f"channel={spec}\nsymmetrize={sym}\n"
+            text = configs[scheme] + f"channel={spec}\nsymmetrize={sym}\n"
             yield f"{scheme} {channel} {sym}: {digest(text, Path(tmp) / str(i))}"
 
 

@@ -37,10 +37,10 @@ from .gacha_core import (
 )
 from .scheme import SchemeHandle
 from .gadgets import (
-    GadgetParams,
     expander_build,
     parallel_build,
     pyramid_build,
+    pyramid_shape,
     serial_build,
 )
 from .baselines import OracleResult, brute_force_decode, comp_decode

@@ -509,6 +509,8 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
     accepted = np.full(len(starts), -1, dtype=np.int64)
     todo, first, size, skip = np.arange(len(starts)), starts, sizes, 0
     for retry in (False, True):  # the d smallest slots; then the next d, or slots 1..d
+        if not len(todo):  # no group left to settle
+            break
         pick = (first + skip)[:, None] + np.arange(d)
         g = fld.interpolate_many(x[pick], lo[pick])
         group = np.repeat(np.arange(len(todo)), size)
@@ -521,9 +523,9 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
         matches = np.bincount(group[hits[:len(at)]], minlength=len(todo))
         ok = hits[len(at):] & (0 <= j) & (j < n) & (matches >= np.maximum(d, size // 2 + 1))
         accepted[todo[ok]] = j[ok]
-        if retry or ok.all():
+        if retry:
             break
-        again = np.flatnonzero(~ok & (size > d))
+        again = np.flatnonzero(~ok & (size > d))  # failed, with slots left
         todo, first, size = todo[again], first[again], size[again]
         skip = np.where(size >= 2 * d, d, 1)
     keep = np.flatnonzero(accepted >= 0)

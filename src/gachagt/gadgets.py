@@ -12,7 +12,8 @@ Each gadget wraps any SchemeHandle and returns a bigger SchemeHandle:
   two pairs under one birthday, the one that arrived first is kept.
 
 pyramid_build stacks expander layers, then an optional vote layer, then an
-optional parallel layer outermost.
+optional parallel layer outermost; pyramid_shape sizes that stack and checks
+it by arithmetic, before anything is built.
 
 A gadget encodes through its inner handle's stacked observe: it maps each
 (person, copy) of a call to the inner persons and copies it stands for and
@@ -32,7 +33,7 @@ base checks their shape.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,26 +46,43 @@ from .scheme import SchemeHandle, forwarded_layout, stacked_args
 _PARALLEL_TAG, _SERIAL_TAG, _EXPANDER_TAG = 11, 12, 13
 
 
-@dataclass(frozen=True)
-class GadgetParams:
-    """Free composition parameters, validated up front."""
+class PyramidShape(NamedTuple):
+    outer_w: int  # the field width of every expander layer
+    base_n: int   # the Gacha base's population, 2^(2 outer_w)
+    base_k: int   # the base's sick load
+    bits: int     # the composed population is pi * 2^bits
 
-    pi: int = 1
-    sigma: int = 1
-    rho: int = 4
-    R: int = 16
-    tau_depth: int = 2
-    outer_w: int = 8
 
-    def __post_init__(self):
-        if self.pi < 1:
-            raise ValueError(f"need pi >= 1, got {self.pi}")
-        if self.sigma < 1:
-            raise ValueError(f"need sigma >= 1, got {self.sigma}")
-        if not 1 < self.rho < self.R:
-            raise ValueError(f"need 1 < rho < R, got rho={self.rho}, R={self.R}")
-        if self.tau_depth < 2:
-            raise ValueError(f"need tau_depth >= 2, got {self.tau_depth}")
+def pyramid_shape(n: int, k: int, rho: int, R: int, outer_w: int, tau_depth: int,
+                  sigma: int = 1, pi: int = 1) -> PyramidShape:
+    """The shape of the pyramid for n persons, k of them sick; ValueError
+    where pyramid_build over a Gacha base of that shape would raise or hold
+    fewer than n persons.
+
+    outer_w = 0 takes the narrowest field with R + 1 points.  Layer 0 pairs
+    into the base's 2^(2 outer_w) persons, each later one into the
+    2^(outer_w ceil(rho / 2)) persons below it, and one layer multiplies the
+    sick load by R / (2 rho).  No power of an unchecked value is formed, so
+    any int argument answers at once."""
+    if pi < 1:
+        raise ValueError(f"need pi >= 1, got {pi}")
+    if sigma < 1:
+        raise ValueError(f"need sigma >= 1, got {sigma}")
+    if not 1 < rho < R:
+        raise ValueError(f"need 1 < rho < R, got rho={rho}, R={R}")
+    if tau_depth < 2:
+        raise ValueError(f"need tau_depth >= 2, got {tau_depth}")
+    outer_w = outer_w or max(2, R.bit_length())
+    if not 2 <= outer_w <= 32 or R + 1 > 1 << outer_w:
+        raise ValueError(f"need 2 <= outer_w <= 32 and R + 1 <= 2^outer_w, got R={R}, "
+                         f"outer_w={outer_w}")
+    bits = outer_w * ((rho + 1) // 2)
+    if tau_depth > 2 and bits < 2 * outer_w:
+        raise ValueError(f"expander layer 1: pair map not injective: 2^(2*{outer_w}) > "
+                         f"inner population 2^{outer_w} (rho={rho})")
+    if (-(-n // pi) - 1).bit_length() > bits:  # n > pi 2^bits
+        raise ValueError(f"population {n} exceeds the composed capacity {pi} * 2^{bits}")
+    return PyramidShape(outer_w, 1 << (2 * outer_w), max(1, 2 * k * rho // R), bits)
 
 
 def parallel_build(inner: SchemeHandle, pi: int, seed: int = 0) -> SchemeHandle:
@@ -194,8 +212,9 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
 def pyramid_build(base: SchemeHandle, tau_depth: int, rho: int, R: int, outer_w: int,
                   sigma: int = 1, pi: int = 1, seed: int = 0) -> SchemeHandle:
     """(tau_depth - 1) expander layers over the base, each with the same rho,
-    R and outer_w, then a vote layer when sigma > 1, then a parallel layer
-    when pi > 1."""
+    R and outer_w, then a vote layer when sigma != 1, then a parallel layer
+    when pi != 1 (each of which rejects a count below 1).  pyramid_shape
+    sizes the base and checks the whole stack by arithmetic."""
     if tau_depth < 2:
         raise ValueError(f"need tau_depth >= 2, got {tau_depth}")
     handle = base
@@ -205,8 +224,8 @@ def pyramid_build(base: SchemeHandle, tau_depth: int, rho: int, R: int, outer_w:
                                     seed=(seed * 1000003 + i))
         except ValueError as e:
             raise ValueError(f"expander layer {i}: {e}") from e
-    if sigma > 1:
+    if sigma != 1:
         handle = serial_build(handle, sigma, seed=(seed * 1000003 + 97))
-    if pi > 1:
+    if pi != 1:
         handle = parallel_build(handle, pi, seed=(seed * 1000003 + 98))
     return handle

@@ -26,7 +26,7 @@ from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_dec
 from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
-from .gadgets import GadgetParams, pyramid_build
+from .gadgets import PyramidShape, pyramid_build, pyramid_shape
 from .scheme import SchemeHandle, decode_copies
 
 SEED_FOLD = 0x9E3779B97F4A7C15
@@ -148,15 +148,18 @@ def validate_config(config: SimConfig) -> None:
         raise ValueError("the constant-weight inner layer is noiseless-only; use inner=linear")
     if config.scheme == "comp" and noisy:
         raise ValueError("comp decodes noiseless results only; use channel=none")
-    if config.scheme == "gacha+gadgets":
-        GadgetParams(pi=config.pi, sigma=config.sigma, rho=config.rho, R=config.R,
-                     tau_depth=config.tau_depth)
-        _check_pyramid(config)
     if config.scheme in ("gacha", "gacha+gadgets"):
-        m = gacha_params_for(config, 0).m  # the base sizing every trial builds
+        m = gacha_params_for(config, 0).m  # the base every trial builds, under its pyramid
     else:
         m = bernoulli_m(config)
     if config.scheme == "gacha+gadgets":
+        bits = pyramid_of(config).bits
+        # the vote and parallel layers permute (sigma + pi) 2^bits persons
+        permuted = (config.sigma if config.sigma > 1 else 0) + (config.pi if config.pi > 1 else 0)
+        if permuted and (bits >= MAX_PERMUTED.bit_length() or permuted << bits > MAX_PERMUTED):
+            raise ValueError(f"the vote and parallel layers would permute {permuted} * "
+                             f"2^{bits} persons a trial, more than "
+                             f"2^{MAX_PERMUTED.bit_length() - 1}")
         # R >= 3, so each expander layer at least doubles m: past
         # log2(MAX_TESTS) layers m is over the cap without forming R^layers
         layers = config.tau_depth - 1
@@ -174,56 +177,30 @@ def derive_seed(master_seed: int, trial: int) -> int:
     return (master_seed ^ ((trial + 1) * SEED_FOLD)) & SEED_MASK
 
 
-def _pyramid_outer_w(config: SimConfig) -> int:  # outer_w, else the narrowest for R + 1 points
-    return config.outer_w or max(2, int(math.ceil(math.log2(config.R + 1))))
+def pyramid_of(config: SimConfig) -> PyramidShape:
+    """The gadget stack's shape, by gadgets.pyramid_shape, which raises where
+    no pyramid of this config can be built."""
+    return pyramid_shape(config.n, config.k, config.rho, config.R, config.outer_w,
+                         config.tau_depth, config.sigma, config.pi)
 
 
-def _check_pyramid(config: SimConfig) -> None:
-    """pyramid_build's checks of every expander layer, and the composed
-    capacity, by arithmetic: layer 0 pairs into the base's 2^(2 outer_w)
-    persons, each later one into the 2^(outer_w d_out) persons below it,
-    d_out = ceil(rho / 2), and the parallel layer multiplies by pi."""
-    outer_w, d_out = _pyramid_outer_w(config), (config.rho + 1) // 2
-    if not 2 <= outer_w <= 32 or config.R + 1 > 1 << outer_w:
-        raise ValueError(f"need 2 <= outer_w <= 32 and R + 1 <= 2^outer_w, got R={config.R}, "
-                         f"outer_w={outer_w}")
-    if config.tau_depth > 2 and d_out < 2:
-        raise ValueError(f"expander layer 1: pair map not injective: 2^(2*{outer_w}) > "
-                         f"inner population 2^{outer_w} (rho={config.rho})")
-    # n > pi 2^(outer_w d_out), without forming a power that can run to 2^(2^36)
-    if (-(-config.n // config.pi) - 1).bit_length() > outer_w * d_out:
-        raise ValueError(f"population {config.n} exceeds the composed capacity "
-                         f"{config.pi} * 2^{outer_w * d_out}")
-    # the vote and parallel layers permute (sigma + pi) 2^(outer_w d_out) persons
-    permuted = (config.sigma if config.sigma > 1 else 0) + (config.pi if config.pi > 1 else 0)
-    if permuted and (outer_w * d_out >= MAX_PERMUTED.bit_length()
-                     or permuted << outer_w * d_out > MAX_PERMUTED):
-        raise ValueError(f"the vote and parallel layers would permute {permuted} * "
-                         f"2^{outer_w * d_out} persons a trial, more than "
-                         f"2^{MAX_PERMUTED.bit_length() - 1}")
-
-
-def base_gacha_config(config: SimConfig) -> SimConfig:
-    """The core-scheme sizing a config implies (the pyramid's innermost layer)."""
-    if config.scheme == "gacha":
-        return config
-    # one expander layer multiplies the sick load by R / (2 rho) and addresses
-    # its inner scheme through the 2 * outer_w - bit pair space
-    outer_w = _pyramid_outer_w(config)
-    return replace(config, scheme="gacha", n=1 << (2 * outer_w), outer_w=outer_w,
-                   k=max(1, 2 * config.k * config.rho // config.R))
+def base_population(config: SimConfig) -> tuple:
+    """(n, k) of the Gacha base: the config's own, or its pyramid's innermost
+    layer."""
+    if config.scheme == "gacha+gadgets":
+        shape = pyramid_of(config)
+        return shape.base_n, shape.base_k
+    return config.n, config.k
 
 
 def gacha_params_for(config: SimConfig, matrix_seed: int):
-    config = base_gacha_config(config)
     crossover = config.noise.crossover
     if crossover is None and config.inner == "linear":
         crossover = 0.0
     if config.inner == "cw":
         crossover = None
     return default_params(
-        config.n,
-        config.k,
+        *base_population(config),
         channel_crossover=crossover,
         matrix_seed=matrix_seed,
         w=config.w, d=config.d, r=config.r, B=config.B,
@@ -239,7 +216,7 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
             return base
         return pyramid_build(
             base, config.tau_depth, rho=config.rho, R=config.R,
-            outer_w=_pyramid_outer_w(config),
+            outer_w=pyramid_of(config).outer_w,
             sigma=config.sigma, pi=config.pi, seed=gadget_seed,
         )
     if config.scheme in ("comp", "oracle"):
@@ -340,9 +317,9 @@ class AggregateReport:
 
 def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
     if config.scheme in ("gacha", "gacha+gadgets"):
-        base = base_gacha_config(config)
-        w, d, r, _ = default_sizing(base.n, base.k, base.w, base.d, base.r, base.B)
-        budget = analytic_budget(base.k, w, d, r)
+        n, k = base_population(config)
+        w, d, r, _ = default_sizing(n, k, config.w, config.d, config.r, config.B)
+        budget = analytic_budget(k, w, d, r)
     else:
         budget = 0.0
     if not rows:

@@ -750,3 +750,27 @@ def test_recover_rows_retries_after_an_index_past_int64():
     groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
     assert recover_from_groups_reference(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
     assert row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), 1) == [{12345}]
+
+
+@pytest.mark.parametrize("retried", [False, True])
+def test_recover_rows_passes_once_when_no_group_can_retry(monkeypatch, retried):
+    # GF(2^8), d = 2: birthday 5 has four fragments on the constant 5, and
+    # birthday 7 fails with exactly d fragments (no retry) or with d + 1
+    fld, d = field(8), 2
+    hi, lo = [5, 5, 5, 5, 7, 7] + [7] * retried, [5, 5, 5, 5, 1, 2] + [3] * retried
+    arrays = tuple(np.array(col, dtype=np.int64)
+                   for col in ([0] * len(hi), range(len(hi)), hi, lo))
+    shapes = []
+    real = FieldSpec.interpolate_many
+
+    def spied(self, xs, ys):
+        shapes.append(np.shape(xs))
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(FieldSpec, "interpolate_many", spied)
+    got = recover_rows(fld, d, 0, arrays, lambda s: s + 1, 1 << 16)
+    assert shapes == [(2, 2), (1, 2)] if retried else shapes == [(2, 2)]
+    groups = {}
+    for slot, (h, v) in enumerate(zip(hi, lo)):
+        groups.setdefault(h, []).append((slot, v))
+    assert row_lists(got, 1) == [recover_in_order(fld, d, 0, groups, lambda s: s + 1, 1 << 16)]

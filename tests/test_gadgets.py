@@ -6,18 +6,21 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gachagt.gadgets as gadgets
 from gachagt.channels import bsc
 from gachagt.core_model import sample_instance, score
 from gachagt.gacha_core import default_params, gacha_scheme
 from gachagt.gadgets import (
-    GadgetParams,
     expander_build,
     parallel_build,
     pyramid_build,
+    pyramid_shape,
     serial_build,
 )
+from gachagt.sim_cli import parse_config
 from scaffolding import (
     fault_injected,
     identity_scheme,
@@ -28,16 +31,29 @@ from scaffolding import (
 )
 
 
-def test_gadget_params_validation():
-    GadgetParams(pi=2, sigma=3, rho=3, R=8, tau_depth=2)
-    with pytest.raises(ValueError):
-        GadgetParams(rho=5, R=4)
-    with pytest.raises(ValueError):
-        GadgetParams(rho=1, R=4)
-    with pytest.raises(ValueError):
-        GadgetParams(tau_depth=1)
-    with pytest.raises(ValueError):
-        GadgetParams(sigma=0)
+PYRAMID = dict(n=500, k=4, rho=3, R=8, outer_w=0, tau_depth=2, sigma=3, pi=2)
+REJECTED = {
+    "rho above R": (dict(rho=5, R=4), "need 1 < rho < R"),
+    "rho 1": (dict(rho=1, R=4), "need 1 < rho < R"),
+    "tau_depth 1": (dict(tau_depth=1), "need tau_depth >= 2"),
+    "sigma 0": (dict(sigma=0), "need sigma >= 1"),
+}
+
+
+def pyramid_config(**keys) -> str:
+    return "scheme=gacha+gadgets\ntrials=1\nmaster_seed=1\n" + "".join(
+        f"{key}={value}\n" for key, value in keys.items())
+
+
+def test_pyramid_shape_validation():
+    # outer_w 4 holds R + 1 = 9 points; the capacity is 2 * 2^(4 * 2) = 512
+    assert pyramid_shape(**PYRAMID) == (4, 1 << 8, 3, 8)
+    assert parse_config(pyramid_config(**PYRAMID)).sigma == 3
+    for bad, message in REJECTED.values():
+        with pytest.raises(ValueError, match=message):
+            pyramid_shape(**{**PYRAMID, **bad})
+        with pytest.raises(ValueError, match=message):
+            parse_config(pyramid_config(**{**PYRAMID, **bad}))
 
 
 def serial_vote(sigma: int, reports) -> list:
@@ -324,6 +340,39 @@ def test_pyramid_reports_failing_layer():
     base = identity_scheme(256)
     with pytest.raises(ValueError, match="expander layer 0"):
         pyramid_build(base, tau_depth=2, rho=5, R=4, outer_w=4, seed=0)
+
+
+LEAST = {"rho": 2, "tau_depth": 2, "sigma": 1, "pi": 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), k=st.integers(1, 8), rho=st.integers(2, 6), R=st.integers(3, 20),
+       outer_w=st.integers(0, 5), tau_depth=st.integers(2, 3), sigma=st.integers(1, 3),
+       pi=st.integers(1, 2), below=st.lists(st.sampled_from(sorted(LEAST)), max_size=2))
+def test_pyramid_shape_raises_exactly_where_the_build_fails(data, k, rho, R, outer_w,
+                                                             tau_depth, sigma, pi, below):
+    # rho <= 6 and outer_w <= 5 keep every permuted population below 2^16;
+    # each key named in `below` is set one under its least legal value
+    least = {key: LEAST[key] - 1 for key in below}
+    rho, tau_depth = least.get("rho", rho), least.get("tau_depth", tau_depth)
+    sigma, pi = least.get("sigma", sigma), least.get("pi", pi)
+    w = outer_w or next(w for w in range(2, 33) if R < 1 << w)  # the narrowest field
+    base_k = max(1, 2 * k * rho // R)
+    try:
+        base = gacha_scheme(default_params(1 << (2 * w), base_k))
+        handle = pyramid_build(base, tau_depth, rho, R, w, sigma, pi)
+    except ValueError:
+        handle = None
+    # any population, or one next to the capacity the build reached
+    near = [] if handle is None else [c for c in (handle.n - 1, handle.n, handle.n + 1) if c > k]
+    n = data.draw(st.integers(k + 1, 1 << 17) | st.sampled_from(near or [k + 1]))
+    try:
+        shape = pyramid_shape(n, k, rho, R, outer_w, tau_depth, sigma, pi)
+    except ValueError:
+        shape = None
+    assert (shape is not None) == (handle is not None and handle.n >= n)
+    if shape is not None:
+        assert shape == (w, 1 << (2 * w), base_k, (handle.n // pi).bit_length() - 1)
 
 
 def test_pyramid_default_schedule_runs():

@@ -27,6 +27,7 @@ def small_matrix(monkeypatch):
     module = load()
     monkeypatch.setattr(module, "SCHEMES", {"gacha": module.SCHEMES["gacha"],
                                             "bad": "scheme=nope\n"})
+    monkeypatch.setattr(module, "REJECTED", {})
     monkeypatch.setattr(module, "CHANNELS", ("none", "bsc:0.05"))
     monkeypatch.setattr(module, "SYMMETRIZE", ("auto",))
     return module
@@ -56,6 +57,12 @@ def test_every_config_parses():
     # the caps on per-trial work leave every config of the matrix buildable
     for text in load().SCHEMES.values():
         assert parse_config(text + "channel=none\n").trials > 0
+
+
+def test_every_rejected_config_fails_at_parse():
+    for text in load().REJECTED.values():
+        with pytest.raises(ValueError):
+            parse_config(text + "channel=none\n")
 
 
 def test_trial_rows_match_the_pinned_matrix(capsys):
