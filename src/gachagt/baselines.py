@@ -1,13 +1,14 @@
 """Reference decoders for oracle-equivalence testing.
 
 COMP keeps everyone who never appears in a negative test, reading the
-Bernoulli design as packed 64-bit words; this module owns that format, and
-COMP's observation of nrows copies is the same format, (nrows, ceil(m / 64))
-words (observe_words), read by comp_decode_words without unpacking.
-words_to_bits and bits_to_words are its to_bits / from_bits.  The
-brute-force decoder enumerates all k-subsets: with noiseless results it lists
-every support that explains the observations exactly; with a channel it ranks
-supports by exact log-likelihood.
+Bernoulli design as packed words, each person's m tests one group of
+scheme's packed format.  COMP's observation of nrows copies is the same
+format, (nrows, ceil(m / 64)) words (observe_words), read by
+comp_decode_words without unpacking; words_to_bits and bits_to_words are its
+to_bits / from_bits.  The brute-force decoder enumerates all k-subsets over
+the columns as Python int masks (group_ints): with noiseless results it
+lists every support that explains the observations exactly; with a channel
+it ranks supports by exact log-likelihood.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from .channels import DiscreteChannel
 from .core_model import ConfigMatrix
-from .scheme import checked_bits, checked_words, stacked_args
+from .scheme import (WORD, checked_bits, checked_words, group_ints, pack_groups, stacked_args,
+                     unpack_groups, zero_words)
 
 MAX_ENUMERATION = 10 ** 6
 
@@ -31,40 +33,14 @@ class OracleResult:
     best: tuple
 
 
-# A packed design is an (n, ceil(m / 64)) array of little-endian uint64
-# words: bit t of row j is test t, and the pad bits past test m - 1 are zero.
-WORD = np.dtype("<u8")
-
-
-def zero_words(rows: int, m: int) -> np.ndarray:
-    """The packed words of an all-zero (rows, m) design."""
-    return np.zeros((rows, -(-m // 64)), dtype=WORD)
-
-
-def pack_rows(bits, out=None) -> np.ndarray:
-    """The packed words of an (rows, m) 0/1 array, written into out (from
-    zero_words) when given."""
-    bits = np.asarray(bits)
-    rows, m = bits.shape
-    if out is None:
-        out = zero_words(rows, m)
-    out.view(np.uint8)[:, :-(-m // 8)] = np.packbits(bits, axis=1, bitorder="little")
-    return out
-
-
-def unpack_rows(words: np.ndarray, m: int) -> np.ndarray:
-    """The (rows, m) uint8 bits of packed words."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=m, bitorder="little")
-
-
 def words_to_bits(m: int, words: np.ndarray) -> np.ndarray:
     """The nrows * m uint8 test bits of (nrows, ceil(m / 64)) packed words."""
-    return unpack_rows(words, m).reshape(-1)
+    return unpack_groups(words, m).reshape(-1)
 
 
 def bits_to_words(m: int, bits, nrows: int = 1) -> np.ndarray:
     """The (nrows, ceil(m / 64)) packed words of nrows * m test bits."""
-    return pack_rows(checked_bits(bits, m, nrows).reshape(nrows, m))
+    return pack_groups(checked_bits(bits, m, nrows).reshape(nrows, m))
 
 
 def observe_words(words: np.ndarray, m: int, js, rows, nrows: int) -> np.ndarray:
@@ -78,7 +54,7 @@ def observe_words(words: np.ndarray, m: int, js, rows, nrows: int) -> np.ndarray
 
 def comp_decode(matrix: ConfigMatrix, y) -> set:
     """Everyone whose tests are all positive (vacuously true for no tests)."""
-    return set(comp_decode_words(pack_rows(matrix.dense()), matrix.m,
+    return set(comp_decode_words(pack_groups(matrix.dense()), matrix.m,
                                  bits_to_words(matrix.m, y))[1].tolist())
 
 
@@ -88,21 +64,12 @@ def comp_decode_words(words: np.ndarray, m: int, y, nrows: int = 1):
     everyone in no negative test of copy row, by ANDing each word column with
     the copy's negative tests, ~y under the pad mask."""
     negative = ~checked_words(y, (nrows, words.shape[1]), WORD)
-    negative[:, -1] &= np.uint64(((1 << 64) - 1) >> (-m % 64))  # tests m, m + 1, ... are pad
+    if m % 64:  # tests m, m + 1, ... of the last word are pad
+        negative[:, -1] &= np.uint64(((1 << 64) - 1) >> (-m % 64))
     hit = np.zeros((nrows, len(words)), dtype=WORD)
     for r, i in zip(*np.nonzero(negative)):
         hit[r] |= words[:, i] & negative[r, i]
     return np.nonzero(hit == 0)
-
-
-def _column_masks(matrix: ConfigMatrix):
-    masks = []
-    for col in matrix.columns:
-        mask = 0
-        for t in np.asarray(col, dtype=np.int64):
-            mask |= 1 << int(t)
-        masks.append(mask)
-    return masks
 
 
 def brute_force_decode(matrix: ConfigMatrix, observations, k: int,
@@ -118,13 +85,10 @@ def brute_force_decode(matrix: ConfigMatrix, observations, k: int,
     observations = np.asarray(observations)
     if len(observations) != matrix.m:
         raise ValueError(f"observation length {len(observations)} != m = {matrix.m}")
-    masks = _column_masks(matrix)
+    masks = group_ints(matrix.dense())
 
     if channel is None:
-        target = 0
-        for i, b in enumerate(observations):
-            if b:
-                target |= 1 << i
+        target = group_ints(observations[None] != 0)[0]
         consistent = [
             support
             for support in combinations(range(matrix.n), k)
@@ -135,19 +99,10 @@ def brute_force_decode(matrix: ConfigMatrix, observations, k: int,
 
     # per-test log-likelihoods; zero-probability symbols tracked as masks so
     # impossible supports rank at exactly -inf without NaN arithmetic
-    l0 = np.zeros(matrix.m)
-    l1 = np.zeros(matrix.m)
-    imp0 = imp1 = 0
-    for i, z in enumerate(observations):
-        p0, p1 = channel.mu0[int(z)], channel.mu1[int(z)]
-        if p0 > 0:
-            l0[i] = math.log(p0)
-        else:
-            imp0 |= 1 << i
-        if p1 > 0:
-            l1[i] = math.log(p1)
-        else:
-            imp1 |= 1 << i
+    symbols = observations.astype(np.int64)
+    p0, p1 = (np.asarray(mu)[symbols] for mu in (channel.mu0, channel.mu1))
+    l0, l1 = (np.array([math.log(p) if p > 0 else 0.0 for p in ps.tolist()]) for ps in (p0, p1))
+    imp0, imp1 = group_ints(np.stack([p0 == 0, p1 == 0]))
     base = float(l0.sum())
     full = (1 << matrix.m) - 1
 

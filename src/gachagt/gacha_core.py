@@ -18,7 +18,8 @@ indices.
 The scheme's observation is its (nrows * B, blocks) uint64 block words:
 observe ORs the columns straight into them, and decode_rows reads them
 without ever forming the nrows * m bits.  blocks_to_bits and bits_to_blocks
-are the handle's to_bits / from_bits, for the channel and the tests.
+are the handle's to_bits / from_bits, for the channel and the tests: each
+block is one group of ell bits in scheme's packed format, one word wide.
 
 decode_rows does this for a stack of copies at once, in arrays: one
 inner-layer one_writer call over every copy's batches returns only the
@@ -49,7 +50,8 @@ from .inner_code import (
     WeightClassifier,
     min_even_block_length,
 )
-from .scheme import SchemeHandle, checked_bits, checked_words, stacked_args
+from .scheme import (SchemeHandle, checked_bits, checked_words, pack_groups, stacked_args,
+                     unpack_groups)
 
 
 class _Collision:
@@ -395,36 +397,15 @@ def observed_blocks(params: GachaParams, js, rows=None, nrows: int = 1) -> np.nd
 def blocks_to_bits(params: GachaParams, words: np.ndarray) -> np.ndarray:
     """The uint8 test bits of an (nrows * B, blocks) uint64 array of block
     words, nrows * m of them; the inverse of bits_to_blocks."""
-    octets = np.ascontiguousarray(words, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    return np.unpackbits(octets, axis=1, count=params.inner.ell, bitorder="little").ravel()
+    return unpack_groups(np.reshape(words, (-1, 1)), params.inner.ell).ravel()
 
 
 def bits_to_blocks(params: GachaParams, bits: np.ndarray, nrows: int = 1) -> np.ndarray:
     """Pack nrows copies' observed bit vectors, nrows * m bits, into an
-    (nrows * B, blocks) uint64 array; bit c of a block word is test c of
-    that block.
-
-    One flat packbits; then block i is an unaligned little-endian 8-byte
-    read at byte (ell * i) >> 3, shifted down by (ell * i) & 7 and ORed with
-    the next 8 bytes for the bits that spill past the first read, so one
-    path serves every ell <= 64.  Eight blocks span exactly ell bytes, so
-    block 8 g + k is read through a view with stride ell for each k.
-    """
-    ell = params.inner.ell
-    bits = checked_bits(bits, params.m, nrows)
-    count = bits.size // ell
-    groups = -(-count // 8)
-    packed = np.zeros(groups * ell + 16, dtype=np.uint8)
-    packed[:(bits.size + 7) // 8] = np.packbits(bits, bitorder="little")
-    words = np.empty((groups, 8), dtype=np.uint64)
-    for k in range(8):
-        at, shift = divmod(ell * k, 8)
-        first, spill = (np.ndarray(groups, "<u8", packed, at + ahead, (ell,)) for ahead in (0, 8))
-        np.right_shift(first, shift, out=words[:, k])
-        if shift:
-            words[:, k] |= spill << (64 - shift)
-    words &= np.uint64((1 << ell) - 1)
-    return words.ravel()[:count].reshape(nrows * params.B, params.inner.blocks)
+    (nrows * B, blocks) uint64 array: each ell-bit block is one packed group
+    of one word, bit c of which is test c of that block."""
+    words = pack_groups(checked_bits(bits, params.m, nrows).reshape(-1, params.inner.ell))
+    return words.reshape(nrows * params.B, params.inner.blocks)
 
 
 # ---------------------------------------------------------------------------

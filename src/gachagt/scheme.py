@@ -7,9 +7,14 @@ scheme's seeds), and decodes a stack of copies' observations back to
 
 Observations stay in the scheme's own layout from observe to decode: packed
 uint64 words for the Gacha base (gacha_core) and for COMP (baselines), plain
-bits for the oracle and the test schemes.  Only the module that owns a
-layout knows its format.  Everyone else goes through the handle's to_bits /
-from_bits pair, and only the channel and the tests need the dense bits.
+bits for the oracle and the test schemes.  Everyone else goes through the
+handle's to_bits / from_bits pair, and only the channel and the tests need
+the dense bits.
+
+Both packed layouts are one format, owned here: groups of test bits (a
+block's ell for Gacha, a copy's or a person's m for COMP), each zero-padded
+to whole little-endian uint64 words.  zero_words, pack_groups, unpack_groups
+and group_ints are the only code that knows its bit order and padding.
 """
 
 from __future__ import annotations
@@ -21,6 +26,47 @@ from itertools import chain
 import numpy as np
 
 from .core_model import ConfigMatrix
+
+
+# The packed format: bit t of a group's words is its test t, in word t // 64
+# at bit t % 64, and the pad bits past the group's last test are zero.
+WORD = np.dtype("<u8")
+
+
+def zero_words(groups: int, width: int) -> np.ndarray:
+    """The packed words of groups all-zero groups of width bits."""
+    return np.zeros((groups, -(-width // 64)), dtype=WORD)
+
+
+def pack_groups(bits, out=None) -> np.ndarray:
+    """The packed words of a (groups, width) bool or integer array, nonzero
+    read as 1, written into out (zero_words, or a slice of its rows) when
+    given: each group padded to whole words, then one flat packbits."""
+    bits = np.asarray(bits)
+    groups, width = bits.shape
+    size = -(-width // 64)
+    if width % 64:
+        padded = np.zeros((groups, 64 * size), dtype=bool)
+        padded[:, :width] = bits
+        bits = padded
+    words = np.packbits(bits, bitorder="little").view(WORD).reshape(groups, size)
+    if out is None:
+        return words
+    out[...] = words
+    return out
+
+
+def unpack_groups(words, width: int) -> np.ndarray:
+    """The (groups, width) uint8 bits of (groups, ceil(width / 64)) packed
+    words; the inverse of pack_groups."""
+    octets = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
+    return np.unpackbits(octets, axis=1, count=width, bitorder="little")
+
+
+def group_ints(bits) -> list:
+    """Each group of a (groups, width) array, packed, as a Python int whose
+    bit t is the group's test t."""
+    return [int.from_bytes(row.tobytes(), "little") for row in pack_groups(bits)]
 
 
 def stacked_args(js, rows, nrows: int, n: int):
@@ -82,7 +128,7 @@ def _forwarded_from_bits(from_bits, m: int, copies: int, bits, nrows: int):
 def decode_copies(decode, m: int, bits, nrows: int):
     """A stacked decode from a decode of one copy into distinct indices, run
     one copy at a time: each copy's indices as (row, index) arrays."""
-    bits = checked_bits(bits, m, nrows)
+    bits = checked_bits(bits, m, nrows, dtype=None)  # a channel's raw symbols as they are
     found = [decode(bits[r * m:(r + 1) * m]) for r in range(nrows)]
     row = np.repeat(np.arange(nrows), [len(s) for s in found])
     return row, np.fromiter(chain.from_iterable(found), dtype=np.int64, count=len(row))

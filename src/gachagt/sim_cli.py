@@ -22,12 +22,12 @@ import numpy as np
 
 from . import __version__
 from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_decode_words,
-                        observe_words, pack_rows, unpack_rows, words_to_bits, zero_words)
+                        observe_words, words_to_bits)
 from .channels import NoiseModel
 from .core_model import ConfigMatrix, person_streams, sample_instance, score
 from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
 from .gadgets import PyramidShape, pyramid_build, pyramid_shape
-from .scheme import SchemeHandle, decode_copies
+from .scheme import SchemeHandle, decode_copies, pack_groups, unpack_groups, zero_words
 
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
@@ -130,6 +130,13 @@ MAX_TESTS = 1 << 26
 # depend on gadget_seed), each with its argsort inverse: 2^22 permuted
 # persons is 64 MB and about a second a trial.
 MAX_PERMUTED = 1 << 22
+# A Bernoulli design trial (comp, oracle) keeps its n * m bits packed (n * m / 8
+# bytes) and draws them 256 rows at a time as float64 (8 * min(256, n) * m
+# bytes) beside their bool comparison and its padded copy; the oracle also
+# unpacks the design for its ConfigMatrix and its dense matrix (2 * n * m
+# bytes).  So n * m = 2^27 holds at most about 1.4 GB, the draws at n <= 256;
+# the bench's comp shape has n * m = 741,376 (2^19.5).
+MAX_DESIGN_BITS = 1 << 27
 
 
 def validate_config(config: SimConfig) -> None:
@@ -167,6 +174,9 @@ def validate_config(config: SimConfig) -> None:
              else m * config.R ** layers * config.sigma * config.pi)
     if m > MAX_TESTS:
         raise ValueError(f"a trial would run more than 2^{MAX_TESTS.bit_length() - 1} tests")
+    if config.scheme in ("comp", "oracle") and config.n * m > MAX_DESIGN_BITS:
+        raise ValueError(f"a trial would draw a design of more than "
+                         f"2^{MAX_DESIGN_BITS.bit_length() - 1} bits (n * m)")
     # C(n, k) > 10^6 once min(k, n - k) > 20, where comb itself grows slow
     if config.scheme == "oracle" and (min(config.k, config.n - config.k) > 20
                                       or math.comb(config.n, config.k) > 10 ** 6):
@@ -246,7 +256,7 @@ def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
         rows = min(len(draws), config.n - start)
         for buf, gen in zip(draws[:rows], streams):
             gen.random(out=buf)
-        pack_rows(draws[:rows] < p, out=words[start:start + rows])
+        pack_groups(draws[:rows] < p, out=words[start:start + rows])
     return words, m
 
 
@@ -264,7 +274,7 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
             layers=("comp",),
         )
     matrix = ConfigMatrix(m=m, n=config.n,
-                          columns=[np.flatnonzero(row) for row in unpack_rows(words, m)])
+                          columns=[np.flatnonzero(row) for row in unpack_groups(words, m)])
 
     def observe(js, rows, nrows):
         return words_to_bits(m, observe_words(words, m, js, rows, nrows))

@@ -6,9 +6,9 @@ built on shift-and-add products, not on the field's tables; the per-batch
 reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
-row-wise bits_to_blocks; the per-column Bernoulli design, COMP and
-ConfigMatrix check the dense ones replace; and the masked-searchsorted
-channel draw."""
+row-wise bits_to_blocks; the per-column Bernoulli design, COMP, the
+brute-force oracle's bit-by-bit column masks and the ConfigMatrix check the
+dense ones replace; and the masked-searchsorted channel draw."""
 
 from math import comb
 
@@ -384,6 +384,18 @@ def comp_decode_reference(matrix, y) -> set:
         if col.size == 0 or bool(y[col].all()):
             out.add(j)
     return out
+
+
+def column_masks_reference(matrix) -> list:
+    """Each column of a ConfigMatrix as a Python int, one bit at a time:
+    bit t is set when the column holds test t."""
+    masks = []
+    for col in matrix.columns:
+        mask = 0
+        for t in np.asarray(col, dtype=np.int64):
+            mask |= 1 << int(t)
+        masks.append(mask)
+    return masks
 
 
 def config_matrix_valid_reference(m: int, columns) -> bool:

@@ -1,9 +1,9 @@
 """The packed Bernoulli design behind COMP and the oracle: the one-pass
 seeding against numpy's own SeedSequence and default_rng (on the state
 copy and on the setter it falls back to), the design against
-the per-column build it replaces, the word layout bit by bit, COMP's
-word ANDs against the column loop, and the handle's observe against
-run_tests."""
+the per-column build it replaces, COMP's word ANDs against the column loop
+(no tests included), and the handle's observe against run_tests.  The word
+layout itself is checked in test_packed_format."""
 
 import numpy as np
 import pytest
@@ -11,9 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt import core_model
-from gachagt.baselines import (WORD, bits_to_words, comp_decode, comp_decode_words, pack_rows,
-                               unpack_rows, zero_words)
+from gachagt.baselines import bits_to_words, comp_decode, comp_decode_words
 from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
+from gachagt.scheme import WORD, pack_groups, zero_words
 from gachagt.sim_cli import _bernoulli_design, build_scheme, parse_config
 from scaffolding import bernoulli_columns_reference, comp_decode_reference, row_sets
 
@@ -109,17 +109,12 @@ def test_comp_decode_checks_length():
     assert row.tolist() == [0, 0, 0] and index.tolist() == [0, 1, 2]
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=st.integers(0, 9), m=st.sampled_from([1, 7, 8, 63, 64, 65, 128, 181]),
-       seed=st.integers(0, 1 << 32))
-def test_packed_words_layout(rows, m, seed):
-    bits = np.random.default_rng(seed).random((rows, m)) < 0.4
-    words = pack_rows(bits)
-    assert words.dtype == WORD and words.shape == (rows, -(-m // 64))
-    for j in range(rows):
-        for t in range(words.shape[1] * 64):  # bit t of row j is test t; pad bits are 0
-            assert (int(words[j, t // 64]) >> (t % 64)) & 1 == (t < m and bits[j, t])
-    assert np.array_equal(unpack_rows(words, m), bits)
+def test_comp_decode_of_no_tests_keeps_everyone():
+    # vacuously true: with m = 0 there is no word, so no pad word to mask
+    matrix = ConfigMatrix(m=0, n=3, columns=[np.zeros(0, dtype=np.int64)] * 3)
+    assert comp_decode(matrix, np.zeros(0, dtype=np.uint8)) == {0, 1, 2}
+    row, index = comp_decode_words(zero_words(3, 0), 0, zero_words(2, 0), 2)
+    assert row.tolist() == [0, 0, 0, 1, 1, 1] and index.tolist() == [0, 1, 2, 0, 1, 2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,10 +127,10 @@ def test_comp_decode_words_matches_column_loop(n, m, seed):
     ys = [np.zeros(m, np.uint8), np.ones(m, np.uint8), (rng.random(m) < 0.8).astype(np.uint8)]
     want = [comp_decode_reference(matrix, y) for y in ys]
     for y, found in zip(ys, want):
-        assert comp_decode_words(pack_rows(design), m, bits_to_words(m, y))[1].tolist() == sorted(found)
+        assert comp_decode_words(pack_groups(design), m, bits_to_words(m, y))[1].tolist() == sorted(found)
         assert comp_decode(matrix, y) == found
     stacked = bits_to_words(m, np.concatenate(ys), 3)
-    assert row_sets(comp_decode_words(pack_rows(design), m, stacked, 3), 3) == want
+    assert row_sets(comp_decode_words(pack_groups(design), m, stacked, 3), 3) == want
 
 
 @settings(max_examples=60, deadline=None)

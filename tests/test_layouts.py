@@ -23,6 +23,7 @@ from gachagt.baselines import brute_force_decode
 from gachagt.channels import NoiseModel, apply_plan_many
 from gachagt.gacha_core import build_column, gacha_scheme
 from gachagt.gadgets import _PARALLEL_TAG, _SERIAL_TAG
+from gachagt.scheme import decode_copies
 from scaffolding import (
     bernoulli_columns_reference,
     comp_decode_reference,
@@ -168,6 +169,15 @@ def test_wrong_lengths_and_shapes_raise(name):
         for bad in (words.astype(np.int64), words.tolist()):
             with pytest.raises(ValueError, match="observed words"):
                 h.decode_rows(bad, 2)
+
+
+def test_decode_copies_hands_raw_symbols_unchanged():
+    # the oracle reads a custom channel's raw symbols, which can pass 255
+    seen = []
+    z = np.array([299, 256, 1, 0, 2, 299])
+    row, index = decode_copies(lambda copy: seen.append(copy) or [len(seen)], 3, z, 2)
+    assert [copy.tolist() for copy in seen] == [[299, 256, 1], [0, 2, 299]]
+    assert row.tolist() == [0, 1] and index.tolist() == [1, 2]
 
 
 def trial_config(text):

@@ -498,6 +498,10 @@ OVERSIZED = {
                             "more than 2\\^26 tests"),
     "B 2^31": ("scheme=gacha\nn=4096\nk=2\nB=2147483648\nw=32\n", "more than 2\\^26 tests"),
     "comp m": ("scheme=comp\nn=100\nk=2\nm=67108865\n", "more than 2\\^26 tests"),
+    # a 128 GiB draw buffer and 7.8 GiB of design words; 80 TB of design words
+    "comp n * m": ("scheme=comp\nn=1000\nk=2\nm=67108864\n", "more than 2\\^27 bits"),
+    "comp n 10^12": ("scheme=comp\nn=1000000000000\nk=8\n", "more than 2\\^27 bits"),
+    "oracle n * m": ("scheme=oracle\nn=1000000\nk=1\nm=1000\n", "more than 2\\^27 bits"),
     "sigma over 2^32 persons": ("scheme=gacha+gadgets\nn=1000\nk=2\nrho=4\nR=16\nsigma=2\n"
                                 "outer_w=16\n", "permute 2 \\* 2\\^32 persons"),
     "pi over 2^22 persons": ("scheme=gacha+gadgets\nn=1000\nk=2\nrho=4\nR=16\npi=3\n"
@@ -539,6 +543,9 @@ def test_sizes_under_the_caps_parse():
     text = ("scheme=gacha+gadgets\nn=100000\nk=8\nrho=4\nR=8\nsigma=3\npi=2\nouter_w=8\n"
             "trials=1\nmaster_seed=1\n")
     assert parse_config(text).sigma == 3
+    # a Bernoulli design of exactly 2^27 bits, and the bench's comp shape
+    for text in ("scheme=comp\nn=2048\nk=2\nm=65536\n", "scheme=comp\nn=4096\nk=8\n"):
+        assert parse_config(text + "trials=1\nmaster_seed=1\n").scheme == "comp"
 
 
 def test_aggregate_records_every_run(tmp_path):
