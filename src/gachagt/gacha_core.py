@@ -1,12 +1,13 @@
 """The single-layer Gacha scheme: birthday-tagged polynomial fragments spread
 over batches of tests.
 
-Encoding: person j owns the polynomial whose coefficients are the base-2^w
-digits of j.  She joins r of the B batches; in chosen batch s she writes the
-pair (g(b0), g(p_s)) through the inner layer, where b0 is a shared evaluation
-point and the p_s are distinct per batch.  The first element tags every
-fragment she writes with the same "birthday", so the decoder can sort
-fragments by owner without knowing who wrote what.
+Encoding: person j owns the polynomial g whose coefficients are the
+base-2^w digits of j.  She joins r of the B batches; in chosen batch s she
+writes the note (g(0), g(s + 1)) through the inner layer.  The first element
+tags every fragment she writes with the same "birthday", so the decoder can
+sort fragments by owner without knowing who wrote what.  This birthday-number
+code is the one every pyramid layer stacks, and this module owns it: notes
+writes it, for the expander layers too, and recover_rows reads it.
 
 Decoding: find the batches exactly one person wrote, read the pair back
 from each, group pairs by birthday, and interpolate each group back to a
@@ -183,16 +184,13 @@ def _key_table(size: int, blocks: int, dim: int) -> np.ndarray:
 
 
 class NoisyInner(PairInner):
-    """Linear-code image per block plus a weight test over the whole symbol."""
+    """Linear-code image per block plus a weight test over the whole symbol,
+    sized for a channel of the given crossover."""
 
-    def __init__(self, code: BinaryLinearCode, classifier: WeightClassifier, w: int):
+    def __init__(self, code: BinaryLinearCode, crossover: float, w: int):
         super().__init__(code.dim, w, code.ell, "inner dimension")
         self.code = code
-        self.classifier = classifier
-        if classifier.ell != self.bits_per_symbol:
-            raise ValueError(
-                f"classifier covers {classifier.ell} bits but a symbol spans {self.bits_per_symbol}"
-            )
+        self.classifier = WeightClassifier(ell=self.bits_per_symbol, p=crossover)
 
     def _keys(self, batches) -> np.ndarray:
         """whiten_keys of an int64 array of batches, gathered from a cached
@@ -247,9 +245,7 @@ def default_noisy_inner(w: int, crossover: float, ell: int = 0, dim: int = 0,
         dim = 2 * w if 2 * w <= MAX_ENUMERABLE_DIM else w
     if ell == 0:
         ell = 2 * dim
-    code = linear_code(ell, dim, seed)
-    blocks = 1 if dim >= 2 * w else 2
-    return NoisyInner(code, WeightClassifier(ell=blocks * ell, p=crossover), w)
+    return NoisyInner(linear_code(ell, dim, seed), crossover, w)
 
 
 @dataclass
@@ -296,12 +292,6 @@ class GachaParams:
     def m(self) -> int:
         return self.B * self.bits_per_symbol
 
-    # evaluation points: b0 = 0, batch s uses the (s+1)-th field element
-    b0 = 0
-
-    def point(self, s: int) -> int:
-        return s + 1
-
 
 def default_sizing(n: int, k: int, w: int = 0, d: int = 0, r: int = 0, B: int = 0):
     """(w, d, r, B), the unset ones (0) filled from the standard ratios.
@@ -342,6 +332,21 @@ def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
 # encoding
 # ---------------------------------------------------------------------------
 
+def _point(slots):
+    """The evaluation point of every slot: slot s is read at s + 1, since
+    the birthday takes 0."""
+    return slots + 1
+
+
+def notes(fld: FieldSpec, d: int, js, slots):
+    """(birthdays, fragments) that persons js write: for an int64 array js
+    and an (len(js), r) int64 array of slots, each person's index polynomial
+    g at 0, its constant term, as a (len(js), 1) array and at the point of
+    each of its slots as a (len(js), r) array."""
+    g = fld.index_to_poly_many(js, d)
+    return g[:, :1], fld.poly_eval_many(g, _point(slots))
+
+
 def column_words(params: GachaParams, js: np.ndarray):
     """(batches, words) for an int64 array js of persons in [0, n): the
     (len(js), r) sorted batches each person joins and the (len(js), r,
@@ -350,15 +355,13 @@ def column_words(params: GachaParams, js: np.ndarray):
     Person j's batches are the sorted choice of its own stream,
     default_rng((matrix_seed, j)).choice(B, r, replace=False), so each row
     is deterministic in (matrix_seed, j) whatever else js holds; one
-    choice_sets call draws them for every person.  One poly_eval_many call
-    evaluates every person's polynomial at b0 and at its batches' points,
-    and one encode_blocks call encodes every pair.
+    choice_sets call draws them for every person, one notes call writes
+    every person's note in each of its batches, and one encode_blocks call
+    encodes every note.
     """
     batches = choice_sets(params.matrix_seed, js, params.B, params.r)
-    points = np.concatenate([np.full((len(js), 1), params.b0), params.point(batches)], axis=1)
-    fld = params.field
-    evals = fld.poly_eval_many(fld.index_to_poly_many(js, params.d), points)
-    return batches, params.inner.encode_blocks(evals[:, :1], evals[:, 1:], batches)
+    birthdays, fragments = notes(params.field, params.d, js, batches)
+    return batches, params.inner.encode_blocks(birthdays, fragments, batches)
 
 
 def column_symbols(params: GachaParams, j: int):
@@ -439,10 +442,14 @@ def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
 
 def recover_from_groups(fld: FieldSpec, d: int, b0: int, groups, point_of_slot, n: int):
     """recover_rows of one row as a set, groups mapping a birthday to
-    [(slot, fragment)]; an adapter for bench/tracer.py, deleted by Benchmark v2."""
+    [(slot, fragment)]; an adapter for bench/tracer.py, deleted by Benchmark v2.
+    Raises ValueError unless b0 is 0 and point_of_slot maps an array of the
+    slots to the points recover_rows reads them at, slot s at s + 1."""
     frags = [(s, hi, lo) for hi, pts in groups.items() for s, lo in sorted(pts)]
     slot, hi, lo = np.array(frags, dtype=np.int64).reshape(-1, 3).T
-    _, index = recover_rows(fld, d, b0, (np.zeros_like(slot), slot, hi, lo), point_of_slot, n)
+    if b0 != 0 or not np.array_equal(point_of_slot(slot), _point(slot)):
+        raise ValueError("recover_rows reads the birthday at 0 and slot s at s + 1")
+    _, index = recover_rows(fld, d, (np.zeros_like(slot), slot, hi, lo), n)
     return set(index.tolist())
 
 
@@ -455,31 +462,31 @@ def list_decode(params: GachaParams, word: SynthWord):
             continue
         hi, lo = sym
         groups.setdefault(hi, []).append((s, lo))
-    return recover_from_groups(params.field, params.d, params.b0, groups,
-                               params.point, params.n)
+    return recover_from_groups(params.field, params.d, 0, groups, _point, params.n)
 
 
-def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: int):
-    """Interpolate each birthday group of the fragments of many rows and
-    verify it, in arrays: the accepted indices as (row, index) int64 arrays.
+def recover_rows(fld: FieldSpec, d: int, fragments, n: int):
+    """Interpolate each birthday group of the notes of many rows and verify
+    it, in arrays: the accepted indices as (row, index) int64 arrays.
 
-    fragments is (row, slot, hi, lo), int64 arrays in arrival order: a
-    fragment (slot, lo) with birthday hi in row `row`, both field elements.
-    Slots are distinct within a (row, birthday) group and arrive in ascending
-    order, and point_of_slot maps an array of slots to their points.  Rows
-    must lie below 2^(63 - w), so that one stable argsort of the int64 key
-    row << w | hi forms the groups, in the order of lexsort((hi, row)).  A
-    group of d or more is interpolated on its d smallest slots, retried once
-    on the next d (slots 1..d when it has fewer than 2d), then abandoned.  A
-    candidate is accepted when it reproduces the birthday at b0, its index
-    lies in [0, n) and below 2^63, and it matches a strict majority (and at
-    least d) of the group's points.  The indices come in the arrival order of their groups'
-    first fragments, so rows ascend when the fragments' rows do.
+    fragments is (row, slot, hi, lo), int64 arrays in arrival order: a note
+    (hi, lo) that notes wrote in slot `slot` of row `row`, both field
+    elements, so lo is read at the slot's point s + 1.  Slots are distinct
+    within a (row, birthday) group and below 2^w - 1, and arrive in
+    ascending order.  Rows must lie below 2^(63 - w), so that one stable
+    argsort of the int64 key row << w | hi forms the groups, in the order of
+    lexsort((hi, row)).  A group of d or more is interpolated on its d
+    smallest slots, retried once on the next d (slots 1..d when it has fewer
+    than 2d), then abandoned.  A candidate g is accepted when its constant
+    term g(0) is the birthday, its index lies in [0, n) and below 2^63, and
+    it matches a strict majority (and at least d) of the group's fragments.
+    The indices come in the arrival order of their groups' first fragments,
+    so rows ascend when the fragments' rows do.
     """
     row, slot, hi, lo = fragments
     key = row << fld.w | hi
     order = np.argsort(key, kind="stable")
-    key, x, lo = key[order], point_of_slot(slot[order]), lo[order]
+    key, x, lo = key[order], _point(slot[order]), lo[order]
     hi = key & ((1 << fld.w) - 1)
     bounds = np.ones(len(order) + 1, dtype=bool)  # where each group starts, and the end
     bounds[1:-1] = key[1:] != key[:-1]
@@ -496,13 +503,11 @@ def recover_rows(fld: FieldSpec, d: int, b0: int, fragments, point_of_slot, n: i
         g = fld.interpolate_many(x[pick], lo[pick])
         group = np.repeat(np.arange(len(todo)), size)
         at = np.repeat(first - np.cumsum(size) + size, size) + np.arange(len(group))
-        # one Horner for g at every fragment's point and at b0, the birthday's
-        points = np.concatenate([x[at], np.full(len(todo), b0)])
-        hits = fld.poly_eval_many(g.take(np.concatenate([group, np.arange(len(todo))]), axis=0),
-                                  points) == np.concatenate([lo[at], hi[first]])
+        hits = fld.poly_eval_many(g.take(group, axis=0), x[at]) == lo[at]
         j = fld.poly_to_index_many(g)
-        matches = np.bincount(group[hits[:len(at)]], minlength=len(todo))
-        ok = hits[len(at):] & (0 <= j) & (j < n) & (matches >= np.maximum(d, size // 2 + 1))
+        matches = np.bincount(group[hits], minlength=len(todo))
+        ok = ((g[:, 0] == hi[first]) & (0 <= j) & (j < n)
+              & (matches >= np.maximum(d, size // 2 + 1)))
         accepted[todo[ok]] = j[ok]
         if retry:
             break
@@ -525,8 +530,7 @@ def decode_rows(params: GachaParams, words, nrows: int):
     q = 1 << params.w
     keep = np.flatnonzero((hi < q) & (lo < q))
     row, slot = np.divmod(batch[keep], params.B)
-    return recover_rows(params.field, params.d, params.b0, (row, slot, hi[keep], lo[keep]),
-                        params.point, params.n)
+    return recover_rows(params.field, params.d, (row, slot, hi[keep], lo[keep]), params.n)
 
 
 def gacha_scheme(params: GachaParams) -> SchemeHandle:

@@ -7,8 +7,9 @@ Each gadget wraps any SchemeHandle and returns a bigger SchemeHandle:
 * serial_build runs independent shuffled copies over the same population and
   keeps indices reported by at least half of them.
 * expander_build lets every person join rho of R copies under a fresh
-  birthday/fragment code, so per-copy results can be re-assembled by the same
-  group-and-interpolate decoder the core scheme uses.  When one copy reports
+  instance of the core scheme's birthday-number code, written by its notes,
+  so per-copy results can be re-assembled by the same group-and-interpolate
+  decoder, its recover_rows.  When one copy reports
   two pairs under one birthday, the one that arrived first is kept.
 
 pyramid_build stacks expander layers, then an optional vote layer, then an
@@ -39,7 +40,7 @@ import numpy as np
 
 from .core_model import choice_sets
 from .gf2e import field
-from .gacha_core import recover_rows
+from .gacha_core import notes, recover_rows
 from .scheme import SchemeHandle, forwarded_layout, stacked_args
 
 # rng stream tags so each gadget derives an independent stream from its seed
@@ -154,14 +155,14 @@ def serial_build(inner: SchemeHandle, sigma: int, seed: int = 0) -> SchemeHandle
 
 def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
                    seed: int = 0) -> SchemeHandle:
-    """R copies, rho joined per person under a fresh birthday/fragment code.
+    """R copies, rho joined per person under a fresh birthday-number code.
 
     Person j of the new population becomes a polynomial of dimension
     ceil(rho/2) over GF(2^outer_w); in copy r she impersonates the inner index
-    pairing (g(0), g(r+1)).  Decoding maps per-copy indices back to pairs,
-    keeps the first pair per (copy, birthday) in the inner decode's arrival
-    order, and regroups them through the core decoder's recover_rows, with
-    copy r of row t as slot r of row t.
+    pairing the note gacha_core.notes writes for her in slot r.  Decoding
+    maps per-copy indices back to notes, keeps the first per (copy, birthday)
+    in the inner decode's arrival order, and regroups them through the core
+    decoder's recover_rows, with copy r of row t as slot r of row t.
     """
     if not 1 < rho < R:
         raise ValueError(f"need 1 < rho < R, got rho={rho}, R={R}")
@@ -182,10 +183,8 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         # default_rng((seed, tag, j)).choice(R, rho) for every person, sorted:
         # the copies are ORed, so their order does not matter
         copies = choice_sets((seed, _EXPANDER_TAG), js, R, rho)
-        # (g(0), g(r + 1)) for every person j and copy r, in one evaluation
-        points = np.concatenate([np.zeros((len(js), 1), dtype=np.int64), copies + 1], axis=1)
-        evals = fld.poly_eval_many(fld.index_to_poly_many(js, d_out), points)
-        pairs = (evals[:, :1] << outer_w) | evals[:, 1:]
+        birthdays, fragments = notes(fld, d_out, js, copies)
+        pairs = (birthdays << outer_w) | fragments
         return inner.observe(pairs.ravel(), (rows[:, None] * R + copies).ravel(), nrows * R)
 
     def decode_rows(words, nrows):
@@ -195,8 +194,7 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
         # the first pair per (copy, birthday) in arrival order; later ones conflict
         first = np.sort(np.unique(c << outer_w | hi, return_index=True)[1])
         row, slot = np.divmod(c[first], R)
-        return recover_rows(fld, d_out, 0, (row, slot, hi[first], lo[first]),
-                            lambda r: r + 1, n_out)
+        return recover_rows(fld, d_out, (row, slot, hi[first], lo[first]), n_out)
 
     return SchemeHandle(
         n=n_out,

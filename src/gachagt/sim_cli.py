@@ -174,6 +174,8 @@ def validate_config(config: SimConfig) -> None:
              else m * config.R ** layers * config.sigma * config.pi)
     if m > MAX_TESTS:
         raise ValueError(f"a trial would run more than 2^{MAX_TESTS.bit_length() - 1} tests")
+    if config.n >= 1 << 63:  # person indices are int64
+        raise ValueError(f"population {config.n} is 2^63 or more")
     if config.scheme in ("comp", "oracle") and config.n * m > MAX_DESIGN_BITS:
         raise ValueError(f"a trial would draw a design of more than "
                          f"2^{MAX_DESIGN_BITS.bit_length() - 1} bits (n * m)")

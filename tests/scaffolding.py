@@ -2,24 +2,45 @@
 decoder fault injector, for exercising the composition gadgets; the sets and
 lists a stacked decode's (row, index) arrays stand for; the scalar field,
 polynomial and combinadic references the array paths are checked against,
-built on shift-and-add products, not on the field's tables; the per-batch
+built on shift-and-add products, not on the field's tables, and Rabin's test
+the built-in reduction polynomials are checked with; the per-batch
 reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
 row-wise bits_to_blocks; the per-column Bernoulli design, COMP, the
 brute-force oracle's bit-by-bit column masks and the ConfigMatrix check the
-dense ones replace; and the masked-searchsorted channel draw."""
+dense ones replace; the masked-searchsorted channel draw; and the scan of
+the package's modules for the names that only one module may use."""
 
+import ast
 from math import comb
+from pathlib import Path
 
 import numpy as np
 
 from gachagt.gacha_core import COLLISION, NoiselessInner
-from gachagt.gf2e import InsufficientEvaluations, _mulmod_poly, _powmod_poly, field
+from gachagt.gf2e import (InsufficientEvaluations, _mulmod_poly, _powmod_poly, _prime_factors,
+                          field)
 from gachagt.inner_code import Occupancy
 from gachagt.scheme import SchemeHandle, checked_bits, stacked_args
 
 _FAULTS_TAG = 14  # rng stream tag, distinct from the gadgets' tags 11-13
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gachagt"
+
+
+def package_users(names) -> dict:
+    """Module name -> lines that name one of names, as an attribute, a bare
+    name or an import, in the package's modules."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            named = ((isinstance(node, ast.Attribute) and node.attr in names)
+                     or (isinstance(node, ast.Name) and node.id in names)
+                     or (isinstance(node, ast.alias) and node.name.split(".")[-1] in names))
+            if named:
+                found.setdefault(path.name, []).append(getattr(node, "lineno", None))
+    return found
 
 
 def identity_scheme(n: int) -> SchemeHandle:
@@ -99,6 +120,41 @@ def row_lists(found, nrows: int) -> list:
 # scalar references: GF(2^w) by shift and add, combinadics by math.comb
 # ---------------------------------------------------------------------------
 
+def _poly_mod(a: int, b: int) -> int:
+    db = b.bit_length() - 1
+    while a and a.bit_length() - 1 >= db:
+        a ^= b << (a.bit_length() - 1 - db)
+    return a
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return a
+
+
+def _x_pow_2e_mod(e: int, f: int) -> int:
+    r = 0b10
+    for _ in range(e):
+        r = _mulmod_poly(r, r, f)
+    return r
+
+
+def is_irreducible(mask: int) -> bool:
+    """Rabin's test over GF(2): x^(2^w) == x mod f, and for each prime p | w
+    the polynomial x^(2^(w/p)) - x is coprime with f."""
+    w = mask.bit_length() - 1
+    if w < 1 or not mask & 1:
+        return False
+    if _x_pow_2e_mod(w, mask) != 0b10:
+        return False
+    for p in _prime_factors(w):
+        h = _x_pow_2e_mod(w // p, mask) ^ 0b10
+        if _poly_gcd(mask, h) != 1:
+            return False
+    return True
+
+
 def _element(fld, a: int) -> int:
     if not 0 <= a < (1 << fld.w):
         raise ValueError(f"{a} is not an element of GF(2^{fld.w})")
@@ -171,13 +227,13 @@ def interpolate_reference(fld, points, d: int) -> tuple:
     return tuple(rows[i][d] for i in range(d))
 
 
-def recover_from_groups_reference(fld, d: int, b0: int, groups, point_of_slot, n: int) -> set:
+def recover_from_groups_reference(fld, d: int, groups, n: int) -> set:
     """recover_rows on one row, one birthday group at a time in a dict.
 
     groups maps a birthday value to [(slot, fragment)] with pairwise-distinct
-    slots; point_of_slot maps a slot to its evaluation point.  A candidate is
-    accepted when it reproduces the birthday at b0, its index fits in [0, n),
-    and it matches a strict majority (and at least d) of the group's points.
+    slots, slot s read at point s + 1.  A candidate is accepted when it
+    reproduces the birthday at 0, its index fits in [0, n), and it matches a
+    strict majority (and at least d) of the group's points.
     Interpolation runs on the d smallest slots, with one retry on the next d
     slots (slots 1..d when there are fewer than 2d), then the group is
     abandoned.
@@ -195,15 +251,15 @@ def recover_from_groups_reference(fld, d: int, b0: int, groups, point_of_slot, n
         need = max(d, len(pts) // 2 + 1)
         for subset in attempts:
             try:
-                g = interpolate_reference(fld, [(point_of_slot(s), y) for s, y in subset], d)
+                g = interpolate_reference(fld, [(s + 1, y) for s, y in subset], d)
             except InsufficientEvaluations:
                 break
-            if poly_eval_reference(fld, g, b0) != birthday:
+            if poly_eval_reference(fld, g, 0) != birthday:
                 continue
             j = poly_to_index(fld, g)
             if j >= n:
                 continue
-            matches = sum(1 for s, y in pts if poly_eval_reference(fld, g, point_of_slot(s)) == y)
+            matches = sum(1 for s, y in pts if poly_eval_reference(fld, g, s + 1) == y)
             if matches >= need:
                 found.add(j)
                 break
@@ -317,12 +373,12 @@ def majority_vote_reference(decoded_sets, threshold: int) -> set:
     return {j for j, c in counts.items() if c >= threshold}
 
 
-def recover_in_order(fld, d: int, b0: int, groups, point_of_slot, n: int) -> list:
+def recover_in_order(fld, d: int, groups, n: int) -> list:
     """recover_from_groups_reference one group at a time: its indices as a
     list in the dict order of their groups, the arrival order of their first
     fragments."""
     return [j for hi, pts in groups.items()
-            for j in recover_from_groups_reference(fld, d, b0, {hi: pts}, point_of_slot, n)]
+            for j in recover_from_groups_reference(fld, d, {hi: pts}, n)]
 
 
 def scalar_gacha_decode(params):
@@ -338,8 +394,7 @@ def scalar_gacha_decode(params):
                                                   bits_to_blocks_reference(params, bits))):
             if type(sym) is tuple and max(sym) < q:
                 groups.setdefault(sym[0], []).append((s, sym[1]))
-        return recover_in_order(params.field, params.d, params.b0, groups, params.point,
-                                params.n)
+        return recover_in_order(params.field, params.d, groups, params.n)
 
     return decode
 
@@ -362,7 +417,7 @@ def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, 
                 continue
             seen.add((hi, r))
             groups.setdefault(hi, []).append((r, lo))
-    return recover_in_order(fld, d_out, 0, groups, lambda r: r + 1, 1 << (outer_w * d_out))
+    return recover_in_order(fld, d_out, groups, 1 << (outer_w * d_out))
 
 
 def bernoulli_columns_reference(n: int, k: int, m: int, matrix_seed: int) -> list:

@@ -24,6 +24,7 @@ from gachagt.gacha_core import (
     default_params,
     gacha_scheme,
     list_decode,
+    notes,
     recover_from_groups,
     recover_rows,
     whiten_keys,
@@ -33,6 +34,7 @@ from gachagt.gacha_core import (
 from scaffolding import (
     combination_unrank,
     index_to_poly,
+    package_users,
     poly_eval_reference,
     poly_to_index,
     recover_from_groups_reference,
@@ -168,11 +170,11 @@ def test_synthesize_single_person():
     h = gacha_scheme(p)
     word = synthesize_blocks(p, bits_to_blocks(p, h.observed_bits({j})))
     g = index_to_poly(p.field, j, p.d)
-    hi = poly_eval_reference(p.field, g, p.b0)
+    hi = poly_eval_reference(p.field, g, 0)
     chosen = {s for s, _ in column_symbols(p, j)}
     for s, sym in enumerate(word.symbols):
         if s in chosen:
-            assert sym == (hi, poly_eval_reference(p.field, g, p.point(s)))
+            assert sym == (hi, poly_eval_reference(p.field, g, s + 1))
         else:
             assert sym is None
 
@@ -194,7 +196,7 @@ def test_synthesize_shared_batch_collision():
     g1 = index_to_poly(p.field, j1, p.d)
     for s in only1:
         assert word.symbols[s] == (
-            poly_eval_reference(p.field, g1, p.b0), poly_eval_reference(p.field, g1, p.point(s))
+            poly_eval_reference(p.field, g1, 0), poly_eval_reference(p.field, g1, s + 1)
         )
 
 
@@ -370,10 +372,10 @@ def reference_words(p, j):
     rng = person_rng(p.matrix_seed, j)
     batches = np.sort(rng.choice(p.B, size=p.r, replace=False)).tolist()
     g = index_to_poly(p.field, j, p.d)
-    hi = poly_eval_reference(p.field, g, p.b0)
+    hi = poly_eval_reference(p.field, g, 0)
     out = []
     for s in batches:
-        pay = scalar_payloads(inner, hi, poly_eval_reference(p.field, g, p.point(s)))
+        pay = scalar_payloads(inner, hi, poly_eval_reference(p.field, g, s + 1))
         if isinstance(inner, NoiselessInner):
             words = tuple(combination_unrank(v, inner.code.ell, inner.code.weight) for v in pay)
         else:
@@ -553,10 +555,10 @@ def crafted_blocks(p, rng):
         j = int(rng.integers(0, p.n)) if rng.random() < 0.6 else int(
             rng.integers(0, 1 << min(p.w * p.d, 62)))
         g = index_to_poly(fld, j, p.d)
-        hi = poly_eval_reference(fld, g, p.b0) if rng.random() < 0.7 else int(rng.choice(pool))
+        hi = poly_eval_reference(fld, g, 0) if rng.random() < 0.7 else int(rng.choice(pool))
         for _ in range(int(rng.integers(1, 2 * p.d + 3))):
             s = free.pop()
-            lo = (poly_eval_reference(fld, g, p.point(s)) if rng.random() < 0.75
+            lo = (poly_eval_reference(fld, g, s + 1) if rng.random() < 0.75
                   else int(rng.integers(0, q)))
             batches.append(s)
             his.append(hi)
@@ -615,10 +617,10 @@ def test_decode_rows_retries_on_the_next_slots():
     fld, j = p.field, (12345 << 16) | 777
     g = index_to_poly(fld, j, p.d)
     batches = np.array([3, 10, 20, 30, 40])
-    los = [poly_eval_reference(fld, g, p.point(int(s))) for s in batches]
+    los = [poly_eval_reference(fld, g, int(s) + 1) for s in batches]
     los[0] ^= 1
     words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
-    words[batches] = p.inner.encode_blocks(np.full(5, poly_eval_reference(fld, g, p.b0)),
+    words[batches] = p.inner.encode_blocks(np.full(5, poly_eval_reference(fld, g, 0)),
                                            np.array(los),
                                            batches)
     assert row_sets(decode_rows(replace(p, n=1 << 32), words, 1), 1) == [{j}]
@@ -634,10 +636,10 @@ def test_decode_rows_rejects_indices_past_int64():
     for g, want in (((5, 0, 0, 1 << 13), set()), ((5, 0, 0, 1 << 12), set()),
                     ((5, 0, 0, 0), {5})):
         assert (poly_to_index(fld, g) + (1 << 63)) % (1 << 64) - (1 << 63) < p.n  # as int64
-        los = np.array([poly_eval_reference(fld, g, p.point(int(s))) for s in batches])
+        los = np.array([poly_eval_reference(fld, g, int(s) + 1) for s in batches])
         words = np.zeros((p.B, p.inner.blocks), dtype=np.uint64)
         words[batches] = p.inner.encode_blocks(
-            np.full(len(batches), poly_eval_reference(fld, g, p.b0)), los, batches)
+            np.full(len(batches), poly_eval_reference(fld, g, 0)), los, batches)
         assert row_sets(decode_rows(p, words, 1), 1) == [want]
         assert scalar_decode_rows(p, [words]) == [list(want)]
 
@@ -658,6 +660,48 @@ def test_decode_rows_never_reaches_the_scalar_path(shape, monkeypatch):
     monkeypatch.setattr(FieldSpec, "poly_eval", scalar)
     got = decode_rows(p, np.concatenate(copies), len(copies))
     assert row_lists(got, len(copies)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(w=st.sampled_from([8, 16, 17]), d=st.integers(1, 4), data=st.data())
+def test_notes_match_poly_eval_reference(w, d, data):
+    # each person writes g(0) as its birthday and g(s + 1) in slot s
+    fld = field(w)
+    js = data.draw(st.lists(st.integers(0, (1 << min(w * d, 63)) - 1), max_size=6))
+    r = data.draw(st.integers(1, 5))
+    slots = data.draw(st.lists(st.lists(st.integers(0, (1 << w) - 2), min_size=r, max_size=r),
+                               min_size=len(js), max_size=len(js)))
+    birthdays, fragments = notes(fld, d, np.array(js, dtype=np.int64),
+                                 np.array(slots, dtype=np.int64).reshape(len(js), r))
+    polys = [index_to_poly(fld, j, d) for j in js]
+    assert birthdays.tolist() == [[poly_eval_reference(fld, g, 0)] for g in polys]
+    assert fragments.tolist() == [[poly_eval_reference(fld, g, s + 1) for s in row]
+                                  for g, row in zip(polys, slots)]
+
+
+def test_recover_from_groups_reads_only_the_notes_convention():
+    # the adapter keeps its birthday point and point map for bench/tracer.py,
+    # and accepts only the ones recover_rows reads: 0 and slot s at s + 1
+    fld, d, n = field(16), 2, 1 << 20
+    g = index_to_poly(fld, 12345, d)
+    groups = {poly_eval_reference(fld, g, 0): [(s, poly_eval_reference(fld, g, s + 1))
+                                               for s in (0, 3, 4, 9)]}
+    arrays = tuple(np.array(col, dtype=np.int64) for col in
+                   zip(*[(0, s, hi, lo) for hi, pts in groups.items() for s, lo in pts]))
+    assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
+    assert row_sets(recover_rows(fld, d, arrays, n), 1) == [{12345}]
+    for b0, point_of_slot in ((1, lambda s: s + 1), (0, lambda s: s + 2),
+                              (0, lambda s: 2 * s + 1)):  # the last agrees at slot 0 only
+        with pytest.raises(ValueError, match="slot s at s \\+ 1"):
+            recover_from_groups(fld, d, b0, groups, point_of_slot, n)
+
+
+def test_only_gacha_core_converts_indices():
+    # the birthday-number code has one writer and one reader, both in
+    # gacha_core: no other module turns indices into polynomials or back
+    users = package_users({"index_to_poly_many", "poly_to_index_many"})
+    assert "gacha_core.py" in users  # the scan sees the owner's own calls
+    assert sorted(users) == ["gacha_core.py"], f"index conversion outside gacha_core: {users}"
 
 
 @st.composite
@@ -698,14 +742,14 @@ def test_recover_rows_matches_recover_from_groups(case, n):
     w, d, nrows, frags = case
     fld = field(w)
     arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
-    got = row_lists(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), nrows)
+    got = row_lists(recover_rows(fld, d, arrays, n), nrows)
     want = []
     for row in range(nrows):
         groups = {}
         for r, slot, hi, lo in frags:
             if r == row:
                 groups.setdefault(hi, []).append((slot, lo))
-        want.append(recover_in_order(fld, d, 0, groups, lambda s: s + 1, n))
+        want.append(recover_in_order(fld, d, groups, n))
         # the adapter bench/tracer.py wraps, over the same groups
         assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == set(want[-1])
     assert got == want
@@ -722,15 +766,15 @@ def test_recover_rows_groups_far_apart_rows(case, data):
                                        max_size=nrows, unique=True)))
     labelled = [(labels[r], slot, hi, lo) for r, slot, hi, lo in frags]
     arrays = tuple(np.array([f[i] for f in labelled], dtype=np.int64) for i in range(4))
-    row, index = recover_rows(fld, d, 0, arrays, lambda s: s + 1, n)
+    row, index = recover_rows(fld, d, arrays, n)
     for r, label in enumerate(labels):
         groups = {}
         for fr, slot, hi, lo in frags:
             if fr == r:
                 groups.setdefault(hi, []).append((slot, lo))
-        want = recover_in_order(fld, d, 0, groups, lambda s: s + 1, n)
+        want = recover_in_order(fld, d, groups, n)
         assert index[row == label].tolist() == want
-        assert set(want) == recover_from_groups_reference(fld, d, 0, groups, lambda s: s + 1, n)
+        assert set(want) == recover_from_groups_reference(fld, d, groups, n)
     assert set(row.tolist()) <= set(labels) and (np.diff(row) >= 0).all()
 
 
@@ -748,8 +792,8 @@ def test_recover_rows_retries_after_an_index_past_int64():
     frags = [(0, s, q[0], poly_eval_reference(fld, p if s < 3 else q, s + 1)) for s in range(7)]
     arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*frags))
     groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
-    assert recover_from_groups_reference(fld, d, 0, groups, lambda s: s + 1, n) == {12345}
-    assert row_sets(recover_rows(fld, d, 0, arrays, lambda s: s + 1, n), 1) == [{12345}]
+    assert recover_from_groups_reference(fld, d, groups, n) == {12345}
+    assert row_sets(recover_rows(fld, d, arrays, n), 1) == [{12345}]
 
 
 @pytest.mark.parametrize("retried", [False, True])
@@ -768,9 +812,9 @@ def test_recover_rows_passes_once_when_no_group_can_retry(monkeypatch, retried):
         return real(self, xs, ys)
 
     monkeypatch.setattr(FieldSpec, "interpolate_many", spied)
-    got = recover_rows(fld, d, 0, arrays, lambda s: s + 1, 1 << 16)
+    got = recover_rows(fld, d, arrays, 1 << 16)
     assert shapes == [(2, 2), (1, 2)] if retried else shapes == [(2, 2)]
     groups = {}
     for slot, (h, v) in enumerate(zip(hi, lo)):
         groups.setdefault(h, []).append((slot, v))
-    assert row_lists(got, 1) == [recover_in_order(fld, d, 0, groups, lambda s: s + 1, 1 << 16)]
+    assert row_lists(got, 1) == [recover_in_order(fld, d, groups, 1 << 16)]

@@ -272,9 +272,9 @@ def test_expander_regroups_the_pair_that_arrives_first(backwards, monkeypatch):
     calls = []
     real = gadgets.recover_rows
 
-    def recorded(fld, d, b0, fragments, *rest):
+    def recorded(fld, d, fragments, n):
         calls.append(fragments)
-        return real(fld, d, b0, fragments, *rest)
+        return real(fld, d, fragments, n)
 
     monkeypatch.setattr(gadgets, "recover_rows", recorded)
     for j in (0, 77, 200):

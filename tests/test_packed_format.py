@@ -6,18 +6,13 @@ design with pad bits zeroed, the oracle's int masks against the bit-by-bit
 loop, and a scan that keeps every packbits / unpackbits call of the package
 in scheme.py."""
 
-import ast
-from pathlib import Path
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt.core_model import ConfigMatrix
 from gachagt.scheme import WORD, group_ints, pack_groups, unpack_groups, zero_words
-from scaffolding import column_masks_reference
-
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gachagt"
+from scaffolding import column_masks_reference, package_users
 
 # every width from 0 to 200, with the word and byte edges drawn often
 WIDTHS = st.one_of(st.sampled_from([0, 1, 8, 63, 64, 65, 128, 181]), st.integers(0, 200))
@@ -76,22 +71,7 @@ def test_group_ints_match_the_bit_loop(n, m, seed):
     assert group_ints(matrix.dense()) == column_masks_reference(matrix)
 
 
-def _packbits_users() -> dict:
-    """Module name -> lines that name np.packbits / np.unpackbits, or import
-    either, in the package."""
-    names = {"packbits", "unpackbits"}
-    found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            named = ((isinstance(node, ast.Attribute) and node.attr in names)
-                     or (isinstance(node, ast.Name) and node.id in names)
-                     or (isinstance(node, ast.alias) and node.name.split(".")[-1] in names))
-            if named:
-                found.setdefault(path.name, []).append(getattr(node, "lineno", None))
-    return found
-
-
 def test_only_scheme_packs_bits():
-    users = _packbits_users()
+    users = package_users({"packbits", "unpackbits"})
     assert "scheme.py" in users  # the scan sees the owner's own calls
     assert sorted(users) == ["scheme.py"], f"packbits outside scheme.py: {users}"

@@ -486,6 +486,11 @@ UNBUILDABLE = {
     "R past outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\nR=16\nouter_w=3\n", "R \\+ 1 <= 2\\^outer_w"),
     "outer_w too wide": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=33\n", "outer_w <= 32"),
     "huge outer_w": ("scheme=gacha+gadgets\nn=64\nk=2\nouter_w=" + "9" * 30 + "\n", "outer_w <= 32"),
+    # person indices are int64: sample_instance cannot draw from 2^63 persons
+    "n 2^63": ("scheme=gacha\nn=9223372036854775808\nk=2\n",
+               "population 9223372036854775808 is 2\\^63 or more"),
+    "pyramid n 2^64 - 1": ("scheme=gacha+gadgets\nn=18446744073709551615\nk=2\nrho=4\nR=32\n"
+                           "outer_w=32\n", "population 18446744073709551615 is 2\\^63 or more"),
 }
 # sizes whose trials would do unbounded work: each parsed, then built m =
 # R^(tau_depth - 1) base tests, or permuted 2^32 persons, in its first trial
@@ -546,6 +551,14 @@ def test_sizes_under_the_caps_parse():
     # a Bernoulli design of exactly 2^27 bits, and the bench's comp shape
     for text in ("scheme=comp\nn=2048\nk=2\nm=65536\n", "scheme=comp\nn=4096\nk=8\n"):
         assert parse_config(text + "trials=1\nmaster_seed=1\n").scheme == "comp"
+
+
+def test_largest_population_runs_a_trial(tmp_path):
+    # n = 2^63 - 1, the largest population validate_config accepts
+    config = parse_config("scheme=gacha\nn=9223372036854775807\nk=2\ntrials=1\nmaster_seed=1\n")
+    run(config, out_dir=tmp_path)
+    header, row = (tmp_path / "trials.csv").read_text().splitlines()[:2]
+    assert dict(zip(header.split(","), row.split(",")))["m"] == "8064"
 
 
 def test_aggregate_records_every_run(tmp_path):
