@@ -93,6 +93,10 @@ SCHEMES = {
                           "rho=4\nR=16\ntau_depth=2\n"),
     "gadgets-capacity": ("scheme=gacha+gadgets\nn=2048\nk=2\ntrials=4\nmaster_seed=5\n"
                          "rho=4\nR=16\ntau_depth=2\npi=2\n"),
+    # under a channel, a [26, 6] linear inner code, two blocks a pair at
+    # w = 6: a coset table of 2^20 syndromes over 2^6 codewords
+    "gacha-lin-r20": ("scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=6\nd=2\nB=40\n"
+                      "lin_dim=6\nell=26\n"),
 }
 # configs that must fail at parse time: one person past the composed
 # capacity, and R + 1 = 17 points in a 2^4 field

@@ -98,16 +98,14 @@ def fn_channel(r: float) -> DiscreteChannel:
     return DiscreteChannel((1.0, 0.0), (r, 1 - r))
 
 
+# the one-parameter channel kinds, by their lower-case spec names
+_KINDS = {"bsc": bsc, "bec": bec, "fp": fp_channel, "fn": fn_channel}
+
+
 def make_channel(kind: str, param=None, mu0=None, mu1=None) -> DiscreteChannel:
     kind = kind.lower()
-    if kind == "bsc":
-        return bsc(param)
-    if kind == "bec":
-        return bec(param)
-    if kind == "fp":
-        return fp_channel(param)
-    if kind == "fn":
-        return fn_channel(param)
+    if kind in _KINDS:
+        return _KINDS[kind](param)
     if kind == "custom":
         return DiscreteChannel(mu0, mu1)
     raise ValueError(f"unknown channel kind {kind!r}")
@@ -131,8 +129,8 @@ def _parse_channel(spec: str):
         return "none", None
     kind, _, arg = spec.partition(":")
     kind = kind.lower()
-    if kind in ("bsc", "bec", "fp", "fn"):
-        return kind, make_channel(kind, float(arg))
+    if kind in _KINDS:
+        return kind, _KINDS[kind](float(arg))
     if kind == "custom":
         try:
             with open(arg, newline="") as fh:

@@ -48,6 +48,7 @@ from .inner_code import (
     BinaryLinearCode,
     ConstantWeightCode,
     Occupancy,
+    UnsupportedCodeSize,
     WeightClassifier,
     min_even_block_length,
 )
@@ -65,7 +66,7 @@ class _Collision:
 COLLISION = _Collision()  # SynthWord slot marker: several writers, nothing readable
 
 
-_EMPTY, _ONE, _MANY = (k.value for k in Occupancy)
+_EMPTY, _ONE = Occupancy.EMPTY.value, Occupancy.ONE.value
 
 
 class PairInner:
@@ -107,17 +108,6 @@ class PairInner:
             v = payloads[..., 0]
             return v >> self.w, v & ((1 << self.w) - 1)
         return payloads[..., 0], payloads[..., 1]
-
-    def classify_blocks(self, words: np.ndarray, B: int):
-        """(kinds, hi, lo) per batch: ONE at the one_writer batches, EMPTY
-        where the layer's empty test holds, MANY otherwise; hi/lo hold where
-        ONE and 0 elsewhere.  A helper for the synthesize_blocks adapter."""
-        batch, one_hi, one_lo = self.one_writer(words, B)
-        kinds = np.where(self.empty(words), _EMPTY, _MANY).astype(np.uint8)
-        kinds[batch] = _ONE
-        hi, lo = np.zeros((2, len(words)), dtype=np.int64)
-        hi[batch], lo[batch] = one_hi, one_lo
-        return kinds, hi, lo
 
 
 def _every_block(mask: np.ndarray) -> np.ndarray:
@@ -185,9 +175,12 @@ def _key_table(size: int, blocks: int, dim: int) -> np.ndarray:
 
 class NoisyInner(PairInner):
     """Linear-code image per block plus a weight test over the whole symbol,
-    sized for a channel of the given crossover."""
+    sized for a channel of the given crossover.  Raises UnsupportedCodeSize
+    on a code without a coset table, which decode_many cannot decode."""
 
     def __init__(self, code: BinaryLinearCode, crossover: float, w: int):
+        if code.coset_table is None:
+            raise UnsupportedCodeSize(f"[{code.ell}, {code.dim}] inner code: no coset-leader table")
         super().__init__(code.dim, w, code.ell, "inner dimension")
         self.code = code
         self.classifier = WeightClassifier(ell=self.bits_per_symbol, p=crossover)
@@ -423,19 +416,16 @@ class SynthWord:
 
 
 def synthesize_blocks(params: GachaParams, observed) -> SynthWord:
-    """The inner layer's classify_blocks of one (B, blocks) uint64 array of
-    block words as a SynthWord; an adapter for bench/tracer.py, deleted by
-    Benchmark v2."""
+    """One (B, blocks) uint64 array of block words as a SynthWord: the inner
+    layer's one_writer pairs, None where its empty test holds, COLLISION
+    elsewhere; an adapter for bench/tracer.py, deleted by Benchmark v2."""
     observed = np.asarray(observed, dtype=np.uint64)
     shape = (params.B, params.inner.blocks)
     if observed.shape != shape:
         raise ValueError(f"expected {shape} blocks, got {observed.shape}")
-    kinds, hi, lo = params.inner.classify_blocks(observed, params.B)
-    symbols = [None] * params.B
-    for s in np.flatnonzero(kinds == _MANY).tolist():
-        symbols[s] = COLLISION
-    one = np.flatnonzero(kinds == _ONE)
-    for s, pair in zip(one.tolist(), zip(hi[one].tolist(), lo[one].tolist())):
+    batch, hi, lo = params.inner.one_writer(observed, params.B)
+    symbols = [None if e else COLLISION for e in params.inner.empty(observed).tolist()]
+    for s, pair in zip(batch.tolist(), zip(hi.tolist(), lo.tolist())):
         symbols[s] = pair
     return SynthWord(symbols=symbols)
 

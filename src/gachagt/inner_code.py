@@ -10,20 +10,20 @@ Two interchangeable inner layers:
 * BinaryLinearCode: a seeded random systematic linear code with
   nearest-codeword decoding by a coset-leader (syndrome) table that holds
   every minimum-weight leader of every coset, so a tie resolves to the
-  smallest payload without a search; codes with more syndromes than
-  codewords (ell > 2 dim) search the codebook exhaustively instead.  Paired
-  with a WeightClassifier whose thresholds separate the empty string, one
-  codeword, and the OR of two codewords by observed weight under a known
-  BSC crossover.
+  smallest payload without a search.  Every decodable code, the ones with
+  at most 2^MAX_ENUMERABLE_DIM syndromes, has a table, and the table is its
+  one decoder.  Paired with a WeightClassifier whose thresholds separate
+  the empty string, one codeword, and the OR of two codewords by observed
+  weight under a known BSC crossover.
 
 Each operation has one implementation, over numpy arrays (uint64 for bit
-strings, bit i = position i): encode_many, rank_many, classify_many,
-decode_many and classify_weights.  The Gacha scheme's inner layers
-(gacha_core.NoiselessInner and NoisyInner) build their one_writer, which
-reads back only the batches one person wrote, on rank_many, decode_many and
-classify_weights.  The scalar combinadic rank and unrank the tests check
-them against live in tests/scaffolding.py; the int methods, both codes'
-encode and classify_noiseless, remain only as adapters for bench/tracer.py.
+strings, bit i = position i): encode_many, rank_many, decode_many and
+classify_weights.  The Gacha scheme's inner layers (gacha_core.NoiselessInner
+and NoisyInner) build their one_writer, which reads back only the batches
+one person wrote, on them.  The scalar combinadic rank and unrank and the
+exhaustive nearest-codeword search the tests check them against live in
+tests/scaffolding.py; the int methods, both codes' encode and
+classify_noiseless, remain only as adapters for bench/tracer.py.
 """
 
 from __future__ import annotations
@@ -138,7 +138,7 @@ def _images(ell: int, weight: int, payload_bits: int) -> np.ndarray:
 class ConstantWeightCode:
     """Payloads as the weight-`weight` subsets of [ell] in colex order.
 
-    encode_many/classify_many work on uint64 arrays of any shape through
+    encode_many/rank_many work on uint64 arrays of any shape through
     binomial tables: unrank is one searchsorted per set bit, rank one
     byte-table gather per byte.
     Codes with at most 2^16 payloads unrank every payload once and then
@@ -181,35 +181,21 @@ class ConstantWeightCode:
         return _rank_many(np.asarray(strings, dtype=np.uint64), self.ell, self.weight)
 
     def classify_noiseless(self, observed: int):
-        """classify_many of one string, as (Occupancy, payload | None); an
-        adapter for bench/tracer.py, deleted by Benchmark v2."""
-        kinds, payloads = self.classify_many(np.array([observed], dtype=np.uint64))
-        kind = Occupancy(int(kinds[0]))
-        return kind, int(payloads[0]) if kind is Occupancy.ONE else None
-
-    def classify_many(self, observed):
-        """(Occupancy, payload) of every exact observed string of a uint64
-        array, as (kinds, payloads) of the same shape: kinds holds Occupancy
-        values as uint8, payloads the decoded payload where kinds is ONE and
-        0 elsewhere.
-
-        Weight 0 is empty; weight == `weight` decodes when the string is a
-        valid image, otherwise it is treated as a collision (several writers
-        can in principle OR to the target weight without hitting an image).
-        """
-        observed = np.asarray(observed, dtype=np.uint64)
-        if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
+        """(Occupancy, payload | None) of one exact observed string: EMPTY at
+        weight 0, ONE with its rank at an image (a string of the code's
+        weight that rank_many puts below 2^payload_bits), MANY otherwise, as
+        several writers can OR to any weight; an adapter for bench/tracer.py,
+        deleted by Benchmark v2."""
+        observed = int(observed)
+        if observed >> self.ell:
             raise ValueError("observed string longer than ell")
-        weights = np.bitwise_count(observed)
-        kinds = np.where(weights == 0, Occupancy.EMPTY.value, Occupancy.MANY.value).astype(np.uint8)
-        payloads = np.zeros(observed.shape, dtype=np.int64)
-        at = np.flatnonzero(weights == self.weight)
-        strings = observed.ravel()[at]
-        rank = _rank_many(strings, self.ell, self.weight)
-        image = rank < np.uint64(1 << self.payload_bits)
-        kinds.ravel()[at[image]] = Occupancy.ONE.value
-        payloads.ravel()[at[image]] = rank[image]
-        return kinds, payloads
+        if observed == 0:
+            return Occupancy.EMPTY, None
+        if observed.bit_count() == self.weight:
+            rank = int(self.rank_many(np.array([observed], dtype=np.uint64))[0])
+            if rank < 1 << self.payload_bits:
+                return Occupancy.ONE, rank
+        return Occupancy.MANY, None
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +305,16 @@ class BinaryLinearCode:
     """Systematic seeded random code: codeword = payload | parity(payload) << dim.
 
     The full codebook is enumerated at construction (dim <= 20), indexed by
-    payload, so nearest-codeword ties resolve to the smallest payload.
+    payload.
 
-    When the 2^(ell - dim) syndromes are no more than the 2^dim codewords
-    (ell <= 2 dim), construction also builds the standard array's coset-leader
-    table (MacWilliams & Sloane, ch. 1): for every syndrome, whether its
+    When the code has at most 2^MAX_ENUMERABLE_DIM syndromes (ell - dim <=
+    20), construction also builds the standard array's coset-leader table
+    (MacWilliams & Sloane, ch. 1): for every syndrome, whether its
     minimum-weight error pattern is unique, and the payload parts of all of
-    its minimum-weight patterns.  decode_many then decodes a
-    received word to the smallest lo(y) ^ lo(e) over its coset's leaders e,
-    which is the nearest codeword with the smallest payload, exactly as the
-    exhaustive search picks it.  Only codes without a table (ell > 2 dim)
-    run that search.
+    its minimum-weight patterns.  decode_many decodes a received word to the
+    smallest lo(y) ^ lo(e) over its coset's leaders e, which is the nearest
+    codeword with the smallest payload.  A longer code keeps its codebook,
+    but has no table and no decoder.
     """
 
     ell: int
@@ -357,7 +342,8 @@ class BinaryLinearCode:
             cb[1 << i:2 << i] = cb[:1 << i] ^ np.uint64(rows[i])
         cb.setflags(write=False)
         object.__setattr__(self, "codebook", cb)
-        table = _coset_leaders(cb, self.ell, self.dim) if self.ell <= 2 * self.dim else None
+        decodable = self.ell - self.dim <= MAX_ENUMERABLE_DIM
+        table = _coset_leaders(cb, self.ell, self.dim) if decodable else None
         object.__setattr__(self, "coset_table", table)
 
     def encode(self, payload: int) -> int:
@@ -370,33 +356,25 @@ class BinaryLinearCode:
     def decode_many(self, observed: np.ndarray) -> np.ndarray:
         """The payload of the codeword nearest to every string of a 1-D
         uint64 array of observed strings (ties: smallest payload).  Raises
-        ValueError on a string with a bit at or above ell.
+        UnsupportedCodeSize on a code without a coset table, and ValueError
+        on a string with a bit at or above ell.
         """
+        if self.coset_table is None:
+            raise UnsupportedCodeSize(f"ell - dim = {self.ell - self.dim} > "
+                                      f"{MAX_ENUMERABLE_DIM}: no coset-leader table")
         observed = np.asarray(observed, dtype=np.uint64)
         if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
             raise ValueError("observed string longer than ell")
-        if self.coset_table is None:
-            return self._nearest(observed)
         _, start, leaders = self.coset_table
         lo = observed & np.uint64((1 << self.dim) - 1)
         syndrome = (observed ^ self.codebook[lo]) >> np.uint64(self.dim)
         first = start[syndrome]
         counts = start[syndrome + np.uint64(1)] - first
         # the nearest codewords are y ^ e over the coset's leaders e; a tie
-        # goes to the smallest payload, lo(y) ^ lo(e), like _nearest's
+        # goes to the smallest payload, lo(y) ^ lo(e)
         offsets = np.cumsum(counts) - counts
         at = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
         return np.minimum.reduceat(np.repeat(lo, counts) ^ leaders[at], offsets).astype(np.int64)
-
-    def _nearest(self, observed: np.ndarray) -> np.ndarray:
-        """Exhaustive nearest-codeword search, ties to the smallest payload."""
-        out = np.empty(observed.shape[0], dtype=np.int64)
-        chunk = max(1, (1 << 19) // len(self.codebook))  # a 4 MiB distance block
-        for lo in range(0, observed.shape[0], chunk):
-            block = observed[lo:lo + chunk]
-            d = np.bitwise_count(block[:, None] ^ self.codebook[None, :])
-            out[lo:lo + chunk] = np.argmin(d, axis=1)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -48,7 +48,6 @@ class SimConfig:
     d: int = 0
     r: int = 0
     B: int = 0
-    inner: str = "auto"     # auto | cw | linear
     ell: int = 0            # per-block length
     weight: int = 0         # constant-weight ones per block
     lin_dim: int = 0        # linear-code payload bits per block
@@ -69,12 +68,12 @@ _INT_KEYS = {
     "n", "k", "trials", "master_seed", "w", "d", "r", "B", "ell", "weight",
     "lin_dim", "code_seed", "pi", "sigma", "rho", "R", "tau_depth", "outer_w", "m",
 }
-_STR_KEYS = {"scheme", "channel", "inner", "symmetrize", "out"}
+_STR_KEYS = {"scheme", "channel", "symmetrize", "out"}
 _REQUIRED = ("scheme", "n", "k", "trials", "master_seed")
 _GADGET_KEYS = {"pi", "sigma", "rho", "R", "tau_depth", "outer_w"}
 
 
-_SIZING_KEYS = {"w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed", "inner"}
+_SIZING_KEYS = {"w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed"}
 
 
 def parse_config(text: str) -> SimConfig:
@@ -148,12 +147,7 @@ def validate_config(config: SimConfig) -> None:
                 "outer_w", "m"):
         if getattr(config, key) < 0:
             raise ValueError(f"{key} must be >= 0, got {getattr(config, key)}")
-    noisy = config.noise.channel is not None
-    if config.inner not in ("auto", "cw", "linear"):
-        raise ValueError("inner must be auto, cw, or linear")
-    if config.inner == "cw" and noisy:
-        raise ValueError("the constant-weight inner layer is noiseless-only; use inner=linear")
-    if config.scheme == "comp" and noisy:
+    if config.scheme == "comp" and config.noise.channel is not None:
         raise ValueError("comp decodes noiseless results only; use channel=none")
     if config.scheme in ("gacha", "gacha+gadgets"):
         m = gacha_params_for(config, 0).m  # the base every trial builds, under its pyramid
@@ -206,14 +200,11 @@ def base_population(config: SimConfig) -> tuple:
 
 
 def gacha_params_for(config: SimConfig, matrix_seed: int):
-    crossover = config.noise.crossover
-    if crossover is None and config.inner == "linear":
-        crossover = 0.0
-    if config.inner == "cw":
-        crossover = None
+    """The Gacha base's params; the channel picks its inner layer, the
+    constant-weight one only without a channel."""
     return default_params(
         *base_population(config),
-        channel_crossover=crossover,
+        channel_crossover=config.noise.crossover,
         matrix_seed=matrix_seed,
         w=config.w, d=config.d, r=config.r, B=config.B,
         ell=config.ell, weight=config.weight, lin_dim=config.lin_dim,
@@ -292,14 +283,20 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
     )
 
 
-def run_trial(config: SimConfig, trial: int):
-    """One seeded trial; returns the per-trial CSV row as a tuple."""
+def trial_setup(config: SimConfig, trial: int):
+    """(seed_t, rng, handle, instance) of one seeded trial: its rng draws the
+    matrix seed, then the gadget seed, which build the scheme, then the
+    instance, and is left for the trial's channel draws."""
     seed_t = derive_seed(config.master_seed, trial)
     rng = np.random.default_rng(seed_t)
     matrix_seed = int(rng.integers(SEED_MASK))
-    gadget_seed = int(rng.integers(SEED_MASK))
-    handle = build_scheme(config, matrix_seed, gadget_seed)
-    inst = sample_instance(config.n, config.k, rng)
+    handle = build_scheme(config, matrix_seed, int(rng.integers(SEED_MASK)))
+    return seed_t, rng, handle, sample_instance(config.n, config.k, rng)
+
+
+def run_trial(config: SimConfig, trial: int):
+    """One seeded trial; returns the per-trial CSV row as a tuple."""
+    seed_t, rng, handle, inst = trial_setup(config, trial)
     words = config.noise.receive(handle.observed_words(inst.sick_set), handle, rng)
     t0 = time.perf_counter_ns()
     estimate = handle.decode(words)
@@ -315,6 +312,8 @@ def _trial_star(args):
 
 @dataclass
 class AggregateReport:
+    """One aggregate.csv row: run writes its fields in order, AGG_HEADER's."""
+
     trials: int
     mean_fp: float
     std_fp: float
@@ -400,11 +399,7 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
             fh.write(f"# master_seed={config.master_seed}\n")
             csv.writer(fh).writerow(AGG_HEADER)
         fh.write(run_fingerprint(config) + "\n")
-        csv.writer(fh).writerow([
-            report.trials, report.mean_fp, report.std_fp, report.ci95_fp,
-            report.mean_fn, report.std_fn, report.ci95_fn, report.m,
-            report.mean_decode_ns, report.budget,
-        ])
+        csv.writer(fh).writerow(astuple(report))
     return report
 
 
@@ -431,12 +426,8 @@ def oracle_check(config: SimConfig):
 
     unique = full = mismatches = comp_bad = 0
     for trial in range(config.trials):
-        seed_t = derive_seed(config.master_seed, trial)
-        rng = np.random.default_rng(seed_t)
-        matrix_seed = int(rng.integers(SEED_MASK))
-        handle = build_scheme(config, matrix_seed, int(rng.integers(SEED_MASK)))
+        _, _, handle, inst = trial_setup(config, trial)
         matrix = handle.build()
-        inst = sample_instance(config.n, config.k, rng)
         y = run_tests(matrix, inst)
         estimate = handle.decode(handle.from_bits(y, 1))
         oracle = brute_force_decode(matrix, y, config.k)

@@ -3,7 +3,9 @@ decoder fault injector, for exercising the composition gadgets; the sets and
 lists a stacked decode's (row, index) arrays stand for; the scalar field,
 polynomial and combinadic references the array paths are checked against,
 built on shift-and-add products, not on the field's tables, and Rabin's test
-the built-in reduction polynomials are checked with; the per-batch
+the built-in reduction polynomials are checked with; the exhaustive
+nearest-codeword search the linear codes' coset tables are checked against;
+the per-batch
 reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
@@ -304,6 +306,19 @@ def classify_noiseless_reference(code, observed: int):
     return (Occupancy.ONE, rank) if rank < (1 << code.payload_bits) else (Occupancy.MANY, None)
 
 
+def nearest_reference(code, observed) -> np.ndarray:
+    """The payload of the codeword nearest to every string of a 1-D uint64
+    array, by an exhaustive search of a linear code's codebook in blocks of
+    rows; np.argmin sends a tie to the smallest payload."""
+    observed = np.asarray(observed, dtype=np.uint64)
+    out = np.empty(observed.shape[0], dtype=np.int64)
+    chunk = max(1, (1 << 19) // len(code.codebook))  # a 4 MiB distance block
+    for lo in range(0, observed.shape[0], chunk):
+        d = np.bitwise_count(observed[lo:lo + chunk, None] ^ code.codebook[None, :])
+        out[lo:lo + chunk] = np.argmin(d, axis=1)
+    return out
+
+
 def splitmix_key(s, b, dim):
     """The whitening key of block b of batch s: splitmix64's finalizer of 2 s + b."""
     mask = (1 << 64) - 1
@@ -352,7 +367,7 @@ def reference_symbols(p, words):
         elif kind is Occupancy.MANY:
             out.append(COLLISION)
         else:
-            nearest = inner.code._nearest(np.array(row, dtype=np.uint64)).tolist()
+            nearest = nearest_reference(inner.code, row).tolist()
             out.append(scalar_pair(inner, [v ^ splitmix_key(s, b, inner.code.dim)
                                            for b, v in enumerate(nearest)]))
     return out

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt.inner_code import (
+    MAX_ENUMERABLE_DIM,
     BinaryLinearCode,
     ConstantWeightCode,
     Occupancy,
@@ -19,7 +20,8 @@ from gachagt.inner_code import (
     linear_code,
     min_even_block_length,
 )
-from scaffolding import classify_noiseless_reference, combination_rank, combination_unrank
+from scaffolding import (classify_noiseless_reference, combination_rank, combination_unrank,
+                         nearest_reference)
 
 
 # ---------------------------------------------------------------------------
@@ -65,8 +67,6 @@ def test_cw_round_trip_exhaustive():
     code = ConstantWeightCode(8, 4, 6)  # C(8,4) = 70 >= 64
     images = code.encode_many(np.arange(64))
     assert np.bitwise_count(images).tolist() == [4] * 64
-    kinds, payloads = code.classify_many(images)
-    assert kinds.tolist() == [Occupancy.ONE.value] * 64 and payloads.tolist() == list(range(64))
     assert [code.encode(v) for v in range(64)] == images.tolist()  # the adapters agree
     assert [code.classify_noiseless(int(x)) for x in images] == [(Occupancy.ONE, v)
                                                                  for v in range(64)]
@@ -78,7 +78,7 @@ def test_cw_or_of_distinct_images_collides_exhaustive():
     a, b = np.array(list(combinations(images, 2)), dtype=np.uint64).T
     merged = a | b
     assert (np.bitwise_count(merged) > 4).all()  # distinct same-weight strings OR heavier
-    assert (code.classify_many(merged)[0] == Occupancy.MANY.value).all()
+    assert {code.classify_noiseless(x) for x in merged} == {(Occupancy.MANY, None)}
 
 
 def test_cw_classify_empty_and_non_image():
@@ -87,9 +87,6 @@ def test_cw_classify_empty_and_non_image():
     # weight-4 string with rank >= 64 is not an image: conservative collision
     heavy = combination_unrank(69, 8, 4)
     assert code.classify_noiseless(heavy) == (Occupancy.MANY, None)
-    kinds, payloads = code.classify_many(np.array([0, heavy], dtype=np.uint64))
-    assert kinds.tolist() == [Occupancy.EMPTY.value, Occupancy.MANY.value]
-    assert payloads.tolist() == [0, 0]
 
 
 CW_CODES = [(8, 4, 6), (28, 14, 16), (28, 14, 25), (20, 3, 10), (33, 2, 9),
@@ -138,11 +135,10 @@ def test_cw_encode_many_matches_scalar(ell, weight, payload_bits, data):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_cw_classify_many_matches_scalar(ell, weight, payload_bits, data):
+    # many words of every class, each through the classify_noiseless adapter
     code = ConstantWeightCode(ell, weight, payload_bits)
     words = data.draw(st.lists(cw_words(code), min_size=1, max_size=24))
-    kinds, payloads = code.classify_many(np.array(words, dtype=np.uint64))
-    got = [(Occupancy(k), int(v) if k == Occupancy.ONE.value else None)
-           for k, v in zip(kinds, payloads)]
+    got = [code.classify_noiseless(w) for w in words]
     assert got == [classify_noiseless_reference(code, w) for w in words]
 
 
@@ -182,9 +178,6 @@ def test_cw_bulk_rejects_long_words_and_payloads(ell, weight, payload_bits):
         word = (1 << bit) | combination_unrank(3, ell, weight)
         with pytest.raises(ValueError, match="longer than ell"):
             code.classify_noiseless(word)
-        with pytest.raises(ValueError, match="longer than ell"):
-            code.classify_many(np.array([combination_unrank(1, ell, weight), word],
-                                        dtype=np.uint64))
     for bad in (-1, 1 << payload_bits):
         with pytest.raises(ValueError):
             code.encode(bad)
@@ -253,8 +246,8 @@ def test_lin_decode_exact_and_single_flip():
 
 
 def test_lin_decode_many_matches_scalar():
-    # a code without a coset table: decode_many is the exhaustive search,
-    # in blocks of rows; one word at a time must agree
+    # a code with more syndromes (2^20) than codewords (2^12) decodes by its
+    # table; one word at a time through the codebook must agree
     code = linear_code(32, 12, seed=7)
     rng = np.random.default_rng(4)
     words = rng.integers(0, 1 << 32, size=300, dtype=np.uint64)
@@ -263,7 +256,7 @@ def test_lin_decode_many_matches_scalar():
         assert int(np.argmin(np.bitwise_count(code.codebook ^ w))) == int(v)
 
 
-# codes small enough to get a coset-leader table (ell <= 2 dim); (32, 16, 7)
+# codes with no more syndromes than codewords (ell <= 2 dim); (32, 16, 7)
 # is the code of the noisy AC-6 shape, (34, 17, 7) the default at n = 2^32
 TABLE_CODES = [(32, 16, 7), (34, 17, 7), (24, 12, 7), (20, 16, 3)] + [(12, 6, s) for s in range(4)]
 
@@ -297,15 +290,32 @@ def received_words(draw, code):
 @given(data=st.data())
 def test_lin_decode_many_table_matches_scalar(ell, dim, seed, data):
     code = linear_code(ell, dim, seed)
-    assert code.coset_table is not None
     words = data.draw(st.lists(received_words(code), min_size=1, max_size=40))
     words = np.array(words, dtype=np.uint64)
-    assert np.array_equal(code.decode_many(words), code._nearest(words))
+    assert np.array_equal(code.decode_many(words), nearest_reference(code, words))
+
+
+# codes with more syndromes than codewords, up to the 2^20 a table may hold:
+# (26, 6) is the rows_matrix's gacha-lin-r20 code, (21, 1) a repetition-like
+# code whose leaders weigh up to 10
+WIDE_CODES = [(32, 12, 7), (26, 6, 7), (28, 8, 3), (21, 1, 7), (20, 3, 0), (30, 10, 1)]
+
+
+@pytest.mark.parametrize("ell,dim,seed", WIDE_CODES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_lin_decode_many_matches_nearest_on_wide_codes(ell, dim, seed, data):
+    code = linear_code(ell, dim, seed)
+    assert dim < ell - dim <= MAX_ENUMERABLE_DIM
+    words = data.draw(st.lists(received_words(code), min_size=1, max_size=40))
+    words = np.array(words, dtype=np.uint64)
+    assert np.array_equal(code.decode_many(words), nearest_reference(code, words))
 
 
 @pytest.mark.parametrize("ell,dim,seed", TABLE_CODES)
 def test_lin_tie_words_land_in_tied_cosets(ell, dim, seed):
-    # the "tie" draws above must exercise the exhaustive fallback
+    # the "tie" draws above must land in tied cosets, whose several leaders
+    # decode_many weighs
     code = linear_code(ell, dim, seed)
     tie_table = code.coset_table[0]
     assert tie_table.any() and not tie_table.all()
@@ -344,14 +354,19 @@ def test_lin_decode_many_matches_nearest_on_the_widest_table_code():
     lo = words & np.uint64((1 << 20) - 1)
     syndrome = (words ^ code.codebook[lo]) >> np.uint64(20)
     assert code.coset_table[0][syndrome].mean() > 0.4
-    assert np.array_equal(code.decode_many(words), code._nearest(words))
+    assert np.array_equal(code.decode_many(words), nearest_reference(code, words))
     assert code.decode_many(words[:0]).shape == (0,)
 
 
-def test_lin_coset_table_only_when_no_larger_than_codebook():
-    assert linear_code(32, 12, seed=7).coset_table is None
-    assert linear_code(64, 20, seed=7).coset_table is None
-    assert linear_code(32, 16, seed=7).coset_table is not None
+def test_lin_coset_table_for_every_decodable_code():
+    # a table whenever ell - dim <= 20; a longer code keeps its codebook
+    # (the weight-concentration tests read it) but cannot decode
+    assert linear_code(32, 12, seed=7).coset_table is not None
+    assert linear_code(26, 6, seed=7).coset_table is not None
+    code = linear_code(64, 20, seed=7)
+    assert code.coset_table is None and len(code.codebook) == 1 << 20
+    with pytest.raises(UnsupportedCodeSize, match="no coset-leader table"):
+        code.decode_many(code.codebook[:3])
 
 
 @pytest.mark.parametrize("ell,dim", [(32, 16), (32, 12)])

@@ -55,6 +55,20 @@ def test_parse_minimal_fills_defaults():
 def test_parse_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown key"):
         parse_config(MINIMAL + "wat=1\n")
+    # the channel picks the inner layer: no key restates it
+    for inner in ("auto", "cw", "linear"):
+        with pytest.raises(ValueError, match="unknown key 'inner'"):
+            parse_config(MINIMAL + f"inner={inner}\n")
+
+
+def test_noiseless_bsc_runs_the_linear_layer():
+    # bsc:0 flips no bit: the linear layer with a weight test at p = 0
+    from gachagt.gacha_core import NoiselessInner, NoisyInner
+    from gachagt.sim_cli import gacha_params_for
+
+    assert isinstance(gacha_params_for(parse_config(MINIMAL), 0).inner, NoiselessInner)
+    inner = gacha_params_for(parse_config(MINIMAL.replace("=none", "=bsc:0")), 0).inner
+    assert isinstance(inner, NoisyInner) and inner.classifier.p == 0
 
 
 def test_parse_rejects_bad_channel():
@@ -270,8 +284,6 @@ def test_cli_bad_thread_counts_are_config_errors(tmp_path, monkeypatch, capsys, 
 def test_validate_inapplicable_keys():
     with pytest.raises(ValueError, match="only apply"):
         parse_config("scheme=comp\nn=50\nk=2\nchannel=none\ntrials=1\nmaster_seed=1\nrho=3\n")
-    with pytest.raises(ValueError, match="noiseless-only"):
-        parse_config(MINIMAL.replace("channel=none", "channel=bsc:0.1") + "inner=cw\n")
     with pytest.raises(ValueError, match="noiseless results"):
         parse_config("scheme=comp\nn=50\nk=2\nchannel=bsc:0.1\ntrials=1\nmaster_seed=1\n")
 
@@ -430,10 +442,9 @@ VALUES = {
                          "custom:/nonexistent/channel.csv", "custom:\0"]),
         st.sampled_from(sorted(CUSTOM_CSVS)).map(lambda name: "custom:{%s}" % name)),
     "symmetrize": st.sampled_from(["auto", "on", "off", "yes", ""]),
-    "inner": st.sampled_from(["auto", "cw", "linear", "none"]),
     "out": st.sampled_from(["out", ""]),
 }
-KEYS = ["scheme", "n", "k", "trials", "master_seed", "channel", "symmetrize", "inner",
+KEYS = ["scheme", "n", "k", "trials", "master_seed", "channel", "symmetrize",
         "out", "w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed", "m", "pi",
         "sigma", "rho", "R", "tau_depth", "outer_w", "wat", ""]
 
@@ -491,6 +502,9 @@ UNBUILDABLE = {
                "population 9223372036854775808 is 2\\^63 or more"),
     "pyramid n 2^64 - 1": ("scheme=gacha+gadgets\nn=18446744073709551615\nk=2\nrho=4\nR=32\n"
                            "outer_w=32\n", "population 18446744073709551615 is 2\\^63 or more"),
+    # a [40, 8] inner code: 2^32 syndromes, too many for a coset table
+    "inner code past its table": ("scheme=gacha\nn=4096\nk=2\nchannel=bsc:0.05\nlin_dim=8\n"
+                                  "ell=40\n", "no coset-leader table"),
 }
 # sizes whose trials would do unbounded work: each parsed, then built m =
 # R^(tau_depth - 1) base tests, or permuted 2^32 persons, in its first trial
@@ -636,8 +650,8 @@ def small_configs(draw):
     for key, top in optional.items():
         if draw(st.integers(0, 3)) == 0:
             lines.append(f"{key}={draw(st.integers(0, top))}")
-    if scheme in ("gacha", "gacha+gadgets"):
-        lines.append("inner=" + draw(st.sampled_from(["auto", "cw", "linear"])))
+    if scheme in ("gacha", "gacha+gadgets") and draw(st.integers(0, 2)) == 0:
+        lines[5] = "channel=bsc:0"  # over the drawn channel: the linear layer, noiseless
     if scheme == "gacha+gadgets":
         R, outer_w, pi = (draw(st.integers(3, 40)), draw(st.sampled_from([0, 2, 4, 5, 6])),
                           draw(st.integers(1, 2)))
