@@ -1,8 +1,8 @@
 """Digest the trial rows of a grid of small configs, to compare two trees.
 
-Every combination of a channel, a symmetrize setting and a scheme is parsed
-and run with `sim_cli.run`; each prints one line with the SHA-256 of its
-`trials.csv` rows without the `decode_ns` column, or the error it raised.
+Every combination of a channel and a scheme is parsed and run with
+`sim_cli.run`; each prints one line with the SHA-256 of its `trials.csv`
+rows without the `decode_ns` column, or the error it raised.
 The REJECTED configs must fail at parse time, and print that error.
 The first line names the numpy version, since numpy keeps its Generator
 streams identical only within one version.  Run it against each tree and
@@ -31,7 +31,6 @@ import numpy as np
 from gachagt import sim_cli
 
 CHANNELS = ("none", "bsc:0.05", "BSC:0.05", "fp:0.05", "fn:0.1", "bec:0.1", "custom")
-SYMMETRIZE = ("auto", "on", "off")
 # sized tight enough that noise moves the fp/fn columns
 SCHEMES = {
     "gacha": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nB=40\n",
@@ -124,18 +123,16 @@ def digest(text: str, out: Path) -> str:
 
 
 def matrix_lines():
-    """The numpy version, then one line per (scheme, channel, symmetrize)
-    combination."""
+    """The numpy version, then one line per (scheme, channel) combination."""
     yield f"# numpy={np.__version__}"
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "channel.csv"
         custom.write_text(CUSTOM_CSV)
         configs = {**SCHEMES, **REJECTED}
-        for i, (scheme, channel, sym) in enumerate(
-                itertools.product(configs, CHANNELS, SYMMETRIZE)):
+        for i, (scheme, channel) in enumerate(itertools.product(configs, CHANNELS)):
             spec = f"custom:{custom}" if channel == "custom" else channel
-            text = configs[scheme] + f"channel={spec}\nsymmetrize={sym}\n"
-            yield f"{scheme} {channel} {sym}: {digest(text, Path(tmp) / str(i))}"
+            text = configs[scheme] + f"channel={spec}\n"
+            yield f"{scheme} {channel}: {digest(text, Path(tmp) / str(i))}"
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,6 @@ from .channels import (
     NoiseModel,
     SymmetrizerPlan,
     ZeroCapacityError,
-    make_channel,
     parse_channel_spec,
     plan_symmetrize,
 )

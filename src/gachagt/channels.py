@@ -102,15 +102,6 @@ def fn_channel(r: float) -> DiscreteChannel:
 _KINDS = {"bsc": bsc, "bec": bec, "fp": fp_channel, "fn": fn_channel}
 
 
-def make_channel(kind: str, param=None, mu0=None, mu1=None) -> DiscreteChannel:
-    kind = kind.lower()
-    if kind in _KINDS:
-        return _KINDS[kind](param)
-    if kind == "custom":
-        return DiscreteChannel(mu0, mu1)
-    raise ValueError(f"unknown channel kind {kind!r}")
-
-
 def parse_channel_spec(spec: str):
     """Parse 'bsc:0.1', 'bec:0.2', 'fp:0.2', 'fn:0.3', 'custom:<csv path>' or 'none'.
 
@@ -213,7 +204,7 @@ def apply_plan_many(plan: SymmetrizerPlan, symbols: np.ndarray,
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """A parsed channel spec and symmetrize setting, resolved once.
+    """A parsed channel spec, resolved once.
 
     channel    the DiscreteChannel, or None when the results are noiseless
     plan       the SymmetrizerPlan applied after the channel, or None
@@ -227,21 +218,16 @@ class NoiseModel:
     raw: bool = False
 
     @classmethod
-    def parse(cls, spec: str, symmetrize: str = "auto", raw: bool = False) -> "NoiseModel":
-        """symmetrize: auto plans for every kind but bsc, on always plans, off
-        never (only bsc may go without a plan); raw skips the plan."""
-        if symmetrize not in ("auto", "on", "off"):
-            raise ValueError("symmetrize must be auto, on, or off")
+    def parse(cls, spec: str, raw: bool = False) -> "NoiseModel":
+        """Plan the symmetrizer for every channel kind but bsc, which is
+        already one; raw plans nothing."""
         kind, channel = _parse_channel(spec)
         if channel is None or raw:
             return cls(channel, raw=raw)
-        is_bsc = kind == "bsc"
-        if symmetrize == "on" or (symmetrize == "auto" and not is_bsc):
-            plan = plan_symmetrize(channel)
-            return cls(channel, plan, plan.crossover)
-        if not is_bsc:
-            raise ValueError("asymmetric channels need the symmetrizer; drop symmetrize=off")
-        return cls(channel, crossover=channel.mu0[1])  # bsc(s) stores s exactly as P(1 | 0)
+        if kind == "bsc":
+            return cls(channel, crossover=channel.mu0[1])  # bsc(s) stores s exactly as P(1 | 0)
+        plan = plan_symmetrize(channel)
+        return cls(channel, plan, plan.crossover)
 
     def receive(self, words, layout, rng: np.random.Generator):
         """What the decoder reads for the noiseless observation words, in

@@ -66,8 +66,6 @@ class ConfigMatrix:
 class TrialMetrics:
     false_positives: int
     false_negatives: int
-    m: int = 0
-    decode_nanos: int = 0
 
 
 def sample_instance(n: int, k: int, seed) -> ProblemInstance:
@@ -397,13 +395,11 @@ def run_tests(matrix: ConfigMatrix, inst: ProblemInstance) -> np.ndarray:
     return y
 
 
-def score(inst: ProblemInstance, estimate, m: int = 0, decode_nanos: int = 0) -> TrialMetrics:
+def score(inst: ProblemInstance, estimate) -> TrialMetrics:
     estimate = set(estimate)
     if any(not 0 <= j < inst.n for j in estimate):
         raise ValueError("estimated index out of range")
     return TrialMetrics(
         false_positives=len(estimate - inst.sick_set),
         false_negatives=len(inst.sick_set - estimate),
-        m=m,
-        decode_nanos=decode_nanos,
     )

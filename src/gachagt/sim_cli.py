@@ -12,9 +12,10 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import sys
 import time
-from dataclasses import astuple, dataclass, replace
+from dataclasses import MISSING, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -32,8 +33,6 @@ from .scheme import SchemeHandle, decode_copies, pack_groups, unpack_groups, zer
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
 
-SCHEMES = ("gacha", "gacha+gadgets", "comp", "oracle")
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -42,7 +41,7 @@ class SimConfig:
     k: int
     trials: int
     master_seed: int
-    noise: NoiseModel = NoiseModel()  # the channel= and symmetrize= keys, resolved
+    noise: NoiseModel = NoiseModel()  # the channel= key, resolved
     # core sizing (0 = fill from the standard ratios)
     w: int = 0
     d: int = 0
@@ -64,22 +63,28 @@ class SimConfig:
     out: str = "out"
 
 
-_INT_KEYS = {
-    "n", "k", "trials", "master_seed", "w", "d", "r", "B", "ell", "weight",
-    "lin_dim", "code_seed", "pi", "sigma", "rho", "R", "tau_depth", "outer_w", "m",
+# one key per field but noise, which the channel key is parsed into
+_INT_KEYS = {f.name for f in fields(SimConfig) if f.type == "int"}
+_STR_KEYS = {f.name for f in fields(SimConfig) if f.type == "str"} | {"channel"}
+_REQUIRED = tuple(f.name for f in fields(SimConfig) if f.default is MISSING)
+# the keys each scheme takes beside the ones every scheme takes
+_GACHA_KEYS = {"w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed"}
+SCHEME_KEYS = {
+    "gacha": _GACHA_KEYS,
+    "gacha+gadgets": _GACHA_KEYS | {"pi", "sigma", "rho", "R", "tau_depth", "outer_w"},
+    "comp": {"m"},
+    "oracle": {"m"},
 }
-_STR_KEYS = {"scheme", "channel", "symmetrize", "out"}
-_REQUIRED = ("scheme", "n", "k", "trials", "master_seed")
-_GADGET_KEYS = {"pi", "sigma", "rho", "R", "tau_depth", "outer_w"}
-
-
-_SIZING_KEYS = {"w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed"}
+_COMMON_KEYS = (_INT_KEYS | _STR_KEYS).difference(*SCHEME_KEYS.values())
+# a comment starts at a # that begins the line or follows whitespace, so a
+# channel=custom: path may hold one
+_COMMENT = re.compile(r"(?<!\S)#")
 
 
 def parse_config(text: str) -> SimConfig:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
@@ -100,19 +105,14 @@ def parse_config(text: str) -> SimConfig:
     for key in _REQUIRED:
         if key not in values:
             raise ValueError(f"missing required key {key!r}")
-    scheme = values.get("scheme")
-    if scheme != "gacha+gadgets":
-        bad = sorted(_GADGET_KEYS & values.keys())
-        if bad:
-            raise ValueError(f"keys {bad} only apply to scheme=gacha+gadgets")
-    if scheme in ("comp", "oracle"):
-        bad = sorted(_SIZING_KEYS & values.keys())
-        if bad:
-            raise ValueError(f"keys {bad} only apply to the gacha schemes")
-    if scheme in ("gacha", "gacha+gadgets") and "m" in values:
-        raise ValueError("key m only applies to scheme=comp or scheme=oracle")
-    noise = NoiseModel.parse(values.pop("channel", "none"), values.pop("symmetrize", "auto"),
-                             raw=scheme == "oracle")  # the oracle reads raw symbols
+    scheme = values["scheme"]
+    if scheme not in SCHEME_KEYS:
+        raise ValueError(f"scheme must be one of {tuple(SCHEME_KEYS)}, got {scheme!r}")
+    bad = sorted(values.keys() - _COMMON_KEYS - SCHEME_KEYS[scheme])
+    if bad:
+        raise ValueError(f"keys {bad} do not apply to scheme={scheme}")
+    # the oracle reads raw symbols
+    noise = NoiseModel.parse(values.pop("channel", "none"), raw=scheme == "oracle")
     config = SimConfig(noise=noise, **values)
     validate_config(config)
     return config
@@ -139,8 +139,6 @@ MAX_DESIGN_BITS = 1 << 27
 
 
 def validate_config(config: SimConfig) -> None:
-    if config.scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}, got {config.scheme!r}")
     if not 0 < config.k < config.n:
         raise ValueError(f"need 0 < k < n, got k={config.k}, n={config.n}")
     for key in ("trials", "w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed",
@@ -301,7 +299,7 @@ def run_trial(config: SimConfig, trial: int):
     t0 = time.perf_counter_ns()
     estimate = handle.decode(words)
     decode_ns = time.perf_counter_ns() - t0
-    metrics = score(inst, estimate, m=handle.m, decode_nanos=decode_ns)
+    metrics = score(inst, estimate)
     return (trial, seed_t, config.n, config.k, handle.m,
             metrics.false_positives, metrics.false_negatives, decode_ns)
 
@@ -312,7 +310,8 @@ def _trial_star(args):
 
 @dataclass
 class AggregateReport:
-    """One aggregate.csv row: run writes its fields in order, AGG_HEADER's."""
+    """One aggregate.csv row: run writes its fields in order, under
+    AGG_HEADER, their names."""
 
     trials: int
     mean_fp: float
@@ -323,7 +322,7 @@ class AggregateReport:
     ci95_fn: float
     m: int
     mean_decode_ns: float
-    budget: float
+    analytic_budget: float
 
 
 def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
@@ -348,13 +347,12 @@ def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
         ci95_fn=float(1.96 * std_fn / math.sqrt(t)),
         m=int(rows[0][4]),
         mean_decode_ns=float(dns.mean()),
-        budget=budget,
+        analytic_budget=budget,
     )
 
 
 TRIAL_HEADER = ["trial", "seed", "n", "k", "m", "fp", "fn", "decode_ns"]
-AGG_HEADER = ["trials", "mean_fp", "std_fp", "ci95_fp", "mean_fn", "std_fn",
-              "ci95_fn", "m", "mean_decode_ns", "analytic_budget"]
+AGG_HEADER = [f.name for f in fields(AggregateReport)]
 
 
 def run_fingerprint(config: SimConfig) -> str:
@@ -492,7 +490,7 @@ def main(argv=None) -> int:
         print(f"trials={report.trials} m={report.m} "
               f"mean_fp={report.mean_fp:.6f} mean_fn={report.mean_fn:.6f} "
               f"mean_decode_ms={report.mean_decode_ns / 1e6:.3f} "
-              f"budget={report.budget:.6g}")
+              f"budget={report.analytic_budget:.6g}")
         return 0
 
     try:

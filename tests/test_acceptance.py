@@ -89,10 +89,11 @@ def test_ac1_noiseless_scheme(ac1_result):
     report, errs = ac1_result
     mean = float(errs.mean())
     band = 3 * float(errs.std()) / math.sqrt(len(errs))
-    ok = mean <= 0.05 and mean <= report.budget + band
+    ok = mean <= 0.05 and mean <= report.analytic_budget + band
     assert report_line(
         "AC-1", ok,
-        f"mean FN+FP {mean:.5f} (<= 0.05 and <= budget {report.budget:.5f} + 3sigma {band:.5f})",
+        f"mean FN+FP {mean:.5f} (<= 0.05 and <= budget {report.analytic_budget:.5f}"
+        f" + 3sigma {band:.5f})",
     )
 
 
@@ -310,7 +311,7 @@ def test_ac10_expander_layer_trend(ac1_result):
                            seed=gseed)
         assert h.k_design == K
         inst = sample_instance(h.n, K, rng)
-        s = score(inst, h.decode(h.observed_words(inst.sick_set)), m=h.m)
+        s = score(inst, h.decode(h.observed_words(inst.sick_set)))
         per_person.append((s.false_positives + s.false_negatives) / K)
     per_person = np.array(per_person)
     mean = float(per_person.mean())

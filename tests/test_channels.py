@@ -14,7 +14,6 @@ from gachagt.channels import (
     bsc,
     fn_channel,
     fp_channel,
-    make_channel,
     parse_channel_spec,
     plan_symmetrize,
     _error_rates,
@@ -47,7 +46,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         fp_channel(1.0)
     with pytest.raises(ValueError):
-        make_channel("bogus", 0.1)
+        parse_channel_spec("bogus:0.1")
     with pytest.raises(ValueError):
         DiscreteChannel((0.5, 0.6), (0.2, 0.8))  # does not sum to 1
     with pytest.raises(ZeroCapacityError):
@@ -279,21 +278,26 @@ def test_parse_custom_csv(tmp_path):
         parse_channel_spec(f"custom:{bad}")
 
 
-def test_noise_model_resolution():
-    assert NoiseModel.parse("none", "on") == NoiseModel()
-    for sym in ("auto", "off"):  # a bsc needs no plan: the decoder assumes s
-        assert NoiseModel.parse("BSC:0.05", sym) == NoiseModel(bsc(0.05), crossover=0.05)
-    forced = NoiseModel.parse("bsc:0.05", "on")
-    assert forced.plan == plan_symmetrize(bsc(0.05))
-    assert forced.crossover == forced.plan.crossover
+def test_noise_model_resolution(tmp_path):
+    assert NoiseModel.parse("none") == NoiseModel()
+    assert NoiseModel.parse("none", raw=True) == NoiseModel(raw=True)
+    # a bsc needs no plan: the decoder assumes s
+    assert NoiseModel.parse("BSC:0.05") == NoiseModel(bsc(0.05), crossover=0.05)
     fp = NoiseModel.parse("fp:0.2")
     assert fp.plan == plan_symmetrize(fp_channel(0.2))
     assert fp.crossover == pytest.approx(1 / 6)
-    with pytest.raises(ValueError, match="asymmetric"):
-        NoiseModel.parse("fp:0.2", "off")
-    with pytest.raises(ValueError, match="auto, on, or off"):
-        NoiseModel.parse("bsc:0.05", "yes")
-    assert NoiseModel.parse("bec:0.2", "off", raw=True) == NoiseModel(bec(0.2), raw=True)
+    # every other kind is planned, and nothing is under raw
+    path = tmp_path / "ch.csv"
+    path.write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
+    for spec in ("bsc:0.05", "bec:0.2", "fp:0.2", "fn:0.1", f"custom:{path}"):
+        channel = parse_channel_spec(spec)
+        model = NoiseModel.parse(spec)
+        assert model.channel == channel
+        assert (model.plan is None) == spec.startswith("bsc")
+        if model.plan is not None:
+            assert model.plan == plan_symmetrize(channel)
+            assert model.crossover == model.plan.crossover
+        assert NoiseModel.parse(spec, raw=True) == NoiseModel(channel, raw=True)
 
 
 def test_noise_model_receive_dtypes():
@@ -301,10 +305,10 @@ def test_noise_model_receive_dtypes():
     y = np.array([0, 1] * 50, dtype=np.uint8)
     layout = SchemeHandle(n=len(y), k_design=1, m=len(y), observe=None, decode_rows=None)
     assert NoiseModel().receive(y, layout, np.random.default_rng(0)) is y
-    cases = [("bsc:0.1", "auto", False, np.uint8), ("bec:0.2", "auto", False, np.uint8),
-             ("bec:0.2", "off", True, np.int64)]
-    for spec, sym, raw, dtype in cases:
-        model = NoiseModel.parse(spec, sym, raw=raw)
+    cases = [("bsc:0.1", False, np.uint8), ("bec:0.2", False, np.uint8),
+             ("bec:0.2", True, np.int64)]
+    for spec, raw, dtype in cases:
+        model = NoiseModel.parse(spec, raw=raw)
         got = model.receive(y, layout, np.random.default_rng(1))
         assert got.dtype == dtype and got.shape == y.shape
         # same draws as transmitting, then symmetrizing when there is a plan

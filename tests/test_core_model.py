@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gachagt.core_model import (
     ConfigMatrix,
     ProblemInstance,
-    TrialMetrics,
     run_tests,
     sample_instance,
     score,
@@ -174,8 +173,3 @@ def test_score_bounds_and_relabel_symmetry():
     est, est2 = {0, 1}, {perm[0], perm[1]}
     a, b = score(inst, est), score(inst2, est2)
     assert (a.false_positives, a.false_negatives) == (b.false_positives, b.false_negatives)
-
-
-def test_metrics_holds_timing():
-    m = TrialMetrics(false_positives=1, false_negatives=0, m=10, decode_nanos=12345)
-    assert m.decode_nanos == 12345

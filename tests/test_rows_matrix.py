@@ -29,7 +29,6 @@ def small_matrix(monkeypatch):
                                             "bad": "scheme=nope\n"})
     monkeypatch.setattr(module, "REJECTED", {})
     monkeypatch.setattr(module, "CHANNELS", ("none", "bsc:0.05"))
-    monkeypatch.setattr(module, "SYMMETRIZE", ("auto",))
     return module
 
 
@@ -38,7 +37,7 @@ def test_against_a_saved_output(small_matrix, tmp_path, capsys):
     saved = capsys.readouterr().out
     lines = saved.splitlines()
     assert len(lines) == 5 and lines[0] == f"# numpy={np.__version__}"
-    assert lines[3] == "bad none auto: config error: ValueError"
+    assert lines[3] == "bad none: config error: ValueError"
     path = tmp_path / "rows.txt"
     path.write_text(saved)
     assert small_matrix.main(["--against", str(path)]) == 0

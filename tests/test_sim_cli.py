@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import gachagt
 import gachagt.sim_cli as sim_cli
+from gachagt.channels import parse_channel_spec
 from gachagt.sim_cli import (
     AGG_HEADER,
     TRIAL_HEADER,
@@ -52,13 +53,36 @@ def test_parse_minimal_fills_defaults():
     assert (p.d, p.w, p.r, p.B) == (1, 16, 9, 192)
 
 
-def test_parse_rejects_unknown_key():
+def test_parse_rejects_unknown_key(tmp_path, capsys):
     with pytest.raises(ValueError, match="unknown key"):
         parse_config(MINIMAL + "wat=1\n")
     # the channel picks the inner layer: no key restates it
     for inner in ("auto", "cw", "linear"):
         with pytest.raises(ValueError, match="unknown key 'inner'"):
             parse_config(MINIMAL + f"inner={inner}\n")
+    # nor whether the symmetrizer runs: every channel kind but bsc has it
+    for symmetrize in ("auto", "on", "off"):
+        with pytest.raises(ValueError, match="unknown key 'symmetrize'"):
+            parse_config(MINIMAL + f"symmetrize={symmetrize}\n")
+    cfg_path = tmp_path / "sim.cfg"
+    cfg_path.write_text(MINIMAL.replace("channel=none", "channel=fp:0.05") + "symmetrize=on\n")
+    out = tmp_path / "o"
+    assert main(["simulate", str(cfg_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "'symmetrize'" in err
+    assert not out.exists()
+
+
+def test_comment_starts_only_at_a_hash_after_whitespace(tmp_path):
+    # a custom channel path may hold a #: cut there, it would name another file
+    (tmp_path / "a").write_text("symbol,mu0,mu1\n0,0.9,0.1\n1,0.1,0.9\n")
+    (tmp_path / "a#2.csv").write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
+    spec = f"custom:{tmp_path / 'a#2.csv'}"
+    text = MINIMAL.replace("channel=none", f"channel={spec}  # a comment")
+    channel = parse_config(text).noise.channel
+    assert channel == parse_channel_spec(spec) and channel.q == 3
+    with pytest.raises(ValueError, match="integer"):
+        parse_config(MINIMAL.replace("trials=4", "trials=4#x"))
 
 
 def test_noiseless_bsc_runs_the_linear_layer():
@@ -167,15 +191,20 @@ def test_run_parallel_workers_match_serial_gadgets(tmp_path):
     assert_threads_agree(cfg, tmp_path)
 
 
-@pytest.mark.parametrize("symmetrize", ["auto", "off"])
-def test_channel_kind_is_case_insensitive(symmetrize):
-    # BSC:0.05 is the same channel as bsc:0.05: no symmetrizer under auto, no
-    # "asymmetric" rejection under off, and identical rows apart from timing
-    text = (MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2")
-            + f"symmetrize={symmetrize}\n")
+@pytest.mark.parametrize("text", [
+    MINIMAL.replace("n=65536", "n=4096").replace("k=8", "k=2"),
+    "scheme=oracle\nn=12\nk=2\nchannel=none\ntrials=5\nmaster_seed=3\nm=30\n",
+], ids=["auto", "off"])
+def test_channel_kind_is_case_insensitive(text):
+    # BSC:0.05 is the same channel as bsc:0.05, both where the channel kind
+    # picks the plan (auto: gacha, which a bsc needs no symmetrizer for) and
+    # where none is made (off: the oracle's raw symbols); identical rows
+    # apart from timing
     lower = parse_config(text.replace("channel=none", "channel=bsc:0.05"))
     upper = parse_config(text.replace("channel=none", "channel=BSC:0.05"))
-    assert upper.noise.crossover == lower.noise.crossover == 0.05
+    assert upper.noise == lower.noise and lower.noise.plan is None
+    assert lower.noise.raw == (lower.scheme == "oracle")
+    assert lower.noise.crossover == (None if lower.noise.raw else 0.05)
     ts = TRIAL_HEADER.index("decode_ns")
     for t in range(3):
         a, b = run_trial(lower, t), run_trial(upper, t)
@@ -282,17 +311,19 @@ def test_cli_bad_thread_counts_are_config_errors(tmp_path, monkeypatch, capsys, 
 
 
 def test_validate_inapplicable_keys():
-    with pytest.raises(ValueError, match="only apply"):
-        parse_config("scheme=comp\nn=50\nk=2\nchannel=none\ntrials=1\nmaster_seed=1\nrho=3\n")
+    base = "n=50\nk=2\nchannel=none\ntrials=1\nmaster_seed=1\n"
+    for scheme, key in (("comp", "rho"), ("oracle", "w"), ("gacha", "m"), ("gacha", "pi"),
+                        ("gacha+gadgets", "m")):
+        with pytest.raises(ValueError, match=rf"keys \['{key}'\] do not apply to scheme="):
+            parse_config(f"scheme={scheme}\n{base}{key}=3\n")
     with pytest.raises(ValueError, match="noiseless results"):
         parse_config("scheme=comp\nn=50\nk=2\nchannel=bsc:0.1\ntrials=1\nmaster_seed=1\n")
 
 
 def test_oracle_reads_raw_symbols_without_symmetrizer(tmp_path):
     # the oracle ranks supports by the channel's own likelihoods, so a
-    # non-binary channel needs no plan even under symmetrize=off
-    text = ("scheme=oracle\nn=12\nk=2\nchannel=bec:0.2\nsymmetrize=off\n"
-            "trials=5\nmaster_seed=3\nm=30\n")
+    # non-binary channel gets no plan
+    text = "scheme=oracle\nn=12\nk=2\nchannel=bec:0.2\ntrials=5\nmaster_seed=3\nm=30\n"
     cfg = parse_config(text)
     assert cfg.noise.plan is None and cfg.noise.raw
     report = run(cfg, out_dir=tmp_path)
@@ -326,7 +357,7 @@ def test_custom_channel_is_read_once(tmp_path):
 def test_custom_channel_rejects_bad_probabilities_at_parse(tmp_path, capsys, scheme, entry):
     csv_path = tmp_path / "channel.csv"
     csv_path.write_text(f"symbol,mu0,mu1\n0,0.9,0.05\n1,{entry},0.15\n2,0.03,0.8\n")
-    text = scheme + f"channel=custom:{csv_path}\nsymmetrize=auto\ntrials=3\nmaster_seed=1\n"
+    text = scheme + f"channel=custom:{csv_path}\ntrials=3\nmaster_seed=1\n"
     with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
         parse_config(text)
     cfg_path = tmp_path / "sim.cfg"
@@ -441,7 +472,7 @@ VALUES = {
                          "bsc:", "fp:0.2", "fn:1", "bec:0.1", "bec:2", "bogus", "custom:",
                          "custom:/nonexistent/channel.csv", "custom:\0"]),
         st.sampled_from(sorted(CUSTOM_CSVS)).map(lambda name: "custom:{%s}" % name)),
-    "symmetrize": st.sampled_from(["auto", "on", "off", "yes", ""]),
+    "symmetrize": st.sampled_from(["auto", "on", "off"]),  # a retired key, now unknown
     "out": st.sampled_from(["out", ""]),
 }
 KEYS = ["scheme", "n", "k", "trials", "master_seed", "channel", "symmetrize",
