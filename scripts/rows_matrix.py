@@ -59,7 +59,7 @@ SCHEMES = {
     "gadgets-bench": ("scheme=gacha+gadgets\nn=4294967296\nk=32\ntrials=2\nmaster_seed=5\n"
                       "w=16\nd=2\nr=18\nB=384\nell=28\nweight=14\n"
                       "rho=4\nR=32\ntau_depth=2\nouter_w=16\n"),
-    # persons past 2^32, whose copy draws hash a second word of j
+    # persons past 2^32, whose copy draws key on j's high bits too
     "gadgets-rho5-w16": ("scheme=gacha+gadgets\nn=1099511627776\nk=4\ntrials=2\nmaster_seed=5\n"
                          "rho=5\nR=16\ntau_depth=2\nouter_w=16\nB=24\n"),
     # an outer dimension of 3 (rho = 6) over a w = 17 base
@@ -76,8 +76,8 @@ SCHEMES = {
     "comp-n4097": "scheme=comp\nn=4097\nk=8\ntrials=4\nmaster_seed=5\n",
     # a linear inner payload wider than the (birthday, fragment) pair
     "gacha-wide": "scheme=gacha\nn=4096\nk=4\ntrials=8\nmaster_seed=5\nw=12\nlin_dim=14\n",
-    # batch draws numpy makes by shuffling a tail (B > 10000, r > B // 50)
-    # rather than by Floyd's rule, and a person in every batch (r = B)
+    # a wide batch draw (B > 10000, r > B // 50), and a person in every
+    # batch (r = B), whose draw lists the batches it leaves out: none
     "gacha-tail": "scheme=gacha\nn=4096\nk=4\ntrials=4\nmaster_seed=5\nB=10240\nr=205\n",
     "gacha-allbatches": "scheme=gacha\nn=4096\nk=1\ntrials=8\nmaster_seed=5\nB=24\nr=24\n",
     # the bench's noisy shape, whose linear inner code is (32, 16)

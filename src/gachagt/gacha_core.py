@@ -42,7 +42,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .core_model import choice_sets
+from .core_model import GOLDEN, choice_sets, splitmix64
 from .gf2e import FieldSpec, field
 from .inner_code import (
     BinaryLinearCode,
@@ -159,10 +159,8 @@ def whiten_keys(batches, blocks: int, dim: int) -> np.ndarray:
     statistics the weight classifier assumes.
     """
     z = (np.asarray(batches, dtype=np.uint64)[..., None] * np.uint64(2)
-         + np.arange(blocks, dtype=np.uint64) + np.uint64(0x9E3779B97F4A7C15))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return ((z ^ (z >> np.uint64(31))) & np.uint64((1 << dim) - 1)).astype(np.int64)
+         + np.arange(blocks, dtype=np.uint64) + np.uint64(GOLDEN))
+    return (splitmix64(z) & np.uint64((1 << dim) - 1)).astype(np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -345,12 +343,11 @@ def column_words(params: GachaParams, js: np.ndarray):
     (len(js), r) sorted batches each person joins and the (len(js), r,
     blocks) uint64 block words written there.
 
-    Person j's batches are the sorted choice of its own stream,
-    default_rng((matrix_seed, j)).choice(B, r, replace=False), so each row
-    is deterministic in (matrix_seed, j) whatever else js holds; one
-    choice_sets call draws them for every person, one notes call writes
-    every person's note in each of its batches, and one encode_blocks call
-    encodes every note.
+    Person j's batches are a uniform r-subset of [0, B) keyed by
+    (matrix_seed, j), so each row is deterministic in (matrix_seed, j)
+    whatever else js holds; one choice_sets call draws them for every
+    person, one notes call writes every person's note in each of its
+    batches, and one encode_blocks call encodes every note.
     """
     batches = choice_sets(params.matrix_seed, js, params.B, params.r)
     birthdays, fragments = notes(params.field, params.d, js, batches)

@@ -180,7 +180,7 @@ def expander_build(inner: SchemeHandle, rho: int, R: int, outer_w: int,
 
     def observe(js, rows, nrows):
         js, rows = stacked_args(js, rows, nrows, n_out)
-        # default_rng((seed, tag, j)).choice(R, rho) for every person, sorted:
+        # every person's rho of R copies, keyed by (seed, tag, j) and sorted:
         # the copies are ORed, so their order does not matter
         copies = choice_sets((seed, _EXPANDER_TAG), js, R, rho)
         birthdays, fragments = notes(fld, d_out, js, copies)

@@ -3,8 +3,11 @@
 Per-trial seeds are derived by folding the master seed with the trial index
 through a fixed multiplier (seed_t = master_seed XOR ((t + 1) * 0x9E3779B97F4A7C15,
 truncated to 63 bits)), so any run is replayable trial-by-trial regardless of
-worker count.  The rng family is numpy's PCG64 via default_rng(seed_t); the
-family and numpy version are recorded in the aggregate file header.
+worker count.  A trial's draws come from numpy's PCG64 via default_rng(seed_t)
+(its matrix and gadget seeds, instance and channel) and default_rng(matrix_seed)
+(a Bernoulli design), and from a splitmix64 hash keyed by the matrix or gadget
+seed and the person (a Gacha person's batches, an expander person's copies);
+the family and numpy version are recorded in the aggregate file header.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from . import __version__
 from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_decode_words,
                         observe_words, words_to_bits)
 from .channels import NoiseModel
-from .core_model import ConfigMatrix, person_streams, sample_instance, score
+from .core_model import ConfigMatrix, sample_instance, score
 from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
 from .gadgets import PyramidShape, pyramid_build, pyramid_shape
 from .scheme import SchemeHandle, decode_copies, pack_groups, unpack_groups, zero_words
@@ -139,6 +142,8 @@ MAX_DESIGN_BITS = 1 << 27
 
 
 def validate_config(config: SimConfig) -> None:
+    if not config.out:
+        raise ValueError("out must name an output directory, got an empty value")
     if not 0 < config.k < config.n:
         raise ValueError(f"need 0 < k < n, got k={config.k}, n={config.n}")
     for key in ("trials", "w", "d", "r", "B", "ell", "weight", "lin_dim", "code_seed",
@@ -234,19 +239,18 @@ def bernoulli_m(config: SimConfig) -> int:
 
 
 def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
-    """The packed Bernoulli(p) design and its m: row j is
-    default_rng((matrix_seed, j)).random(m) < p, drawn through one reused
-    generator (person_streams) into a reused (DESIGN_CHUNK, m) buffer and
-    packed a chunk at a time."""
+    """The packed Bernoulli(p) design and its m: the rows of
+    default_rng(matrix_seed).random((n, m)) < p, drawn from that one stream
+    into a reused (DESIGN_CHUNK, m) buffer and packed a chunk at a time, so
+    row j depends on (matrix_seed, m, j) alone."""
     m = bernoulli_m(config)
     p = 1 - 2 ** (-1.0 / config.k)
     words = zero_words(config.n, m)
     draws = np.empty((min(DESIGN_CHUNK, config.n), m))
-    streams = person_streams(matrix_seed, range(config.n))
+    rng = np.random.default_rng(matrix_seed)
     for start in range(0, config.n, len(draws)):
         rows = min(len(draws), config.n - start)
-        for buf, gen in zip(draws[:rows], streams):
-            gen.random(out=buf)
+        rng.random(out=draws[:rows])
         pack_groups(draws[:rows] < p, out=words[start:start + rows])
     return words, m
 
@@ -391,7 +395,7 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
     with (out / "aggregate.csv").open("a", newline="") as fh:
         if fh.tell() == 0:  # a new or empty file: the header first
             fh.write(f"# gachagt={__version__}\n")
-            fh.write("# rng_family=numpy-PCG64/default_rng\n")
+            fh.write("# rng_family=numpy-PCG64/default_rng+splitmix64-keyed-batches\n")
             fh.write(f"# numpy={np.__version__}\n")
             fh.write(f"# seed_fold=seed_t=(master_seed^((t+1)*{SEED_FOLD:#x}))&(2^63-1)\n")
             fh.write(f"# master_seed={config.master_seed}\n")

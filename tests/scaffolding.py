@@ -9,10 +9,11 @@ the per-batch
 reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
-row-wise bits_to_blocks; the per-column Bernoulli design, COMP, the
-brute-force oracle's bit-by-bit column masks and the ConfigMatrix check the
-dense ones replace; the masked-searchsorted channel draw; and the scan of
-the package's modules for the names that only one module may use."""
+row-wise bits_to_blocks; the scalar keyed batch draw; the per-column
+Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks and
+the ConfigMatrix check the dense ones replace; the masked-searchsorted
+channel draw; and the scans of the package's modules for the names that
+only one module may use and for the modules they import."""
 
 import ast
 from math import comb
@@ -42,6 +43,19 @@ def package_users(names) -> dict:
                      or (isinstance(node, ast.alias) and node.name.split(".")[-1] in names))
             if named:
                 found.setdefault(path.name, []).append(getattr(node, "lineno", None))
+    return found
+
+
+def package_imports(module: str) -> dict:
+    """Module name -> lines that import module or one of its submodules, in
+    the package's modules."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            if any(name == module or name.startswith(module + ".") for name in names):
+                found.setdefault(path.name, []).append(node.lineno)
     return found
 
 
@@ -319,13 +333,47 @@ def nearest_reference(code, observed) -> np.ndarray:
     return out
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix_reference(z: int) -> int:
+    """splitmix64's finalizer of an int in [0, 2^64)."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
 def splitmix_key(s, b, dim):
     """The whitening key of block b of batch s: splitmix64's finalizer of 2 s + b."""
-    mask = (1 << 64) - 1
-    z = (s * 2 + b + 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    return (z ^ (z >> 31)) & ((1 << dim) - 1)
+    return splitmix_reference((s * 2 + b + 0x9E3779B97F4A7C15) & _MASK64) & ((1 << dim) - 1)
+
+
+def choice_set_reference(seed, j: int, B: int, r: int) -> list:
+    """Person j's sorted batches by a scalar loop: a key chained over the
+    prefix's 64-bit words and j (each step the finalizer of (key ^ word) +
+    2^64 / phi), its draws the key chained once more over a counter, mod B.
+    The row draws min(r, B - r) values on counters 0, 1, ... and sorts
+    them; each value equal to its left neighbour at column i is redrawn on
+    counter t * drawn + i in round t = 1, 2, ... until all differ; when
+    fewer than r were drawn, the row is the batches they leave out."""
+    def absorb(key, word):
+        return splitmix_reference(((key ^ word) + 0x9E3779B97F4A7C15) & _MASK64)
+
+    key = 0
+    for part in seed if isinstance(seed, tuple) else (seed,):
+        for at in range(0, max(64, int(part).bit_length()), 64):
+            key = absorb(key, int(part) >> at & _MASK64)
+    key = absorb(key, int(j))
+    drawn = min(r, B - r)
+    vals = sorted(absorb(key, c) % B for c in range(drawn))
+    t = 1
+    while any(vals[i] == vals[i - 1] for i in range(1, drawn)):
+        repeats = [i for i in range(1, drawn) if vals[i] == vals[i - 1]]
+        for i in repeats:
+            vals[i] = absorb(key, t * drawn + i) % B
+        vals.sort()
+        t += 1
+    return vals if drawn == r else sorted(set(range(B)) - set(vals))
 
 
 def scalar_pair(inner, payloads):
@@ -436,11 +484,11 @@ def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, 
 
 
 def bernoulli_columns_reference(n: int, k: int, m: int, matrix_seed: int) -> list:
-    """The COMP/oracle Bernoulli design one column at a time: a fresh
-    default_rng((matrix_seed, j)) per person, its m draws below p."""
+    """The COMP/oracle Bernoulli design one column at a time: person j's
+    tests are the draws below p in row j of default_rng(matrix_seed)'s
+    whole (n, m) draw."""
     p = 1 - 2 ** (-1.0 / k)
-    return [np.flatnonzero(np.random.default_rng((matrix_seed, j)).random(m) < p)
-            for j in range(n)]
+    return [np.flatnonzero(row < p) for row in np.random.default_rng(matrix_seed).random((n, m))]
 
 
 def comp_decode_reference(matrix, y) -> set:

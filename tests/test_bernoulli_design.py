@@ -1,25 +1,25 @@
-"""The packed Bernoulli design behind COMP and the oracle: the one-pass
-seeding against numpy's own SeedSequence and default_rng (on the state
-copy and on the setter it falls back to), the design against
-the per-column build it replaces, COMP's word ANDs against the column loop
-(no tests included), and the handle's observe against run_tests.  The word
-layout itself is checked in test_packed_format."""
+"""The packed Bernoulli design behind COMP and the oracle: the design
+against the per-column build from one whole draw, a smaller population's
+design as the leading rows of a larger one's, the design whatever the
+size of the buffer it is drawn through, COMP's word ANDs against the
+column loop (no tests included), and the handle's observe against
+run_tests.  The word layout itself is checked in test_packed_format."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gachagt import core_model
+from gachagt import sim_cli
 from gachagt.baselines import bits_to_words, comp_decode, comp_decode_words
-from gachagt.core_model import ConfigMatrix, ProblemInstance, person_streams, run_tests, seed_states
+from gachagt.core_model import ConfigMatrix, ProblemInstance, run_tests
 from gachagt.scheme import WORD, pack_groups, zero_words
-from gachagt.sim_cli import _bernoulli_design, build_scheme, parse_config
+from gachagt.sim_cli import DESIGN_CHUNK, _bernoulli_design, build_scheme, parse_config
 from scaffolding import bernoulli_columns_reference, comp_decode_reference, row_sets
 
 # (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
-# sides of 2^32 (one and two entropy words), n on both sides of a design chunk,
-# and m of one word, a full word, and a partial last word
+# sides of 2^32, n on both sides of a design chunk, and m of one word, a full
+# word, and a partial last word
 SHAPES = [
     (50, 40, 2, 0),
     (50, 40, 2, (1 << 32) - 1),
@@ -133,70 +133,32 @@ def test_comp_decode_words_matches_column_loop(n, m, seed):
     assert row_sets(comp_decode_words(pack_groups(design), m, stacked, 3), 3) == want
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, (1 << 63) - 1),
-       j=st.sampled_from([0, (1 << 32) - 1, 1 << 32, 1 << 40]))
-def test_person_streams_match_default_rng(seed, j):
-    gen = next(person_streams(seed, [j]))
-    ref = np.random.default_rng((seed, j))
-    assert np.array_equal(gen.random(7), ref.random(7))
-    assert np.array_equal(gen.bit_generator.random_raw(5), ref.bit_generator.random_raw(5))
-    assert np.array_equal(gen.choice(1000, size=6, replace=False),
-                          ref.choice(1000, size=6, replace=False))
+def comp_design(n, m, k, matrix_seed):
+    text = f"scheme=comp\nn={n}\nk={k}\ntrials=1\nmaster_seed=1\nm={m}\n"
+    return _bernoulli_design(parse_config(text), matrix_seed)[0]
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, (1 << 64) - 1),
-       js=st.lists(st.integers(0, (1 << 64) - 1), max_size=6))
-def test_seed_states_match_seed_sequence(seed, js):
-    states = seed_states(seed, np.array(js, dtype=np.uint64))
-    assert states.shape == (len(js), 4) and states.dtype == np.uint64
-    for j, state in zip(js, states):
-        assert np.array_equal(state, np.random.SeedSequence((seed, j)).generate_state(4, np.uint64))
-
-
-def test_person_streams_run_in_order():
-    js = [5, 0, 4095, 5]
-    for j, gen in zip(js, person_streams(99, js)):
-        assert gen.bit_generator.state == np.random.default_rng((99, j)).bit_generator.state
-    assert list(person_streams(99, [])) == []
-
-
-@pytest.fixture(params=["copy", "setter"])
-def writer(request, monkeypatch):
-    """person_streams on the memory copy, or with the probe made to fail."""
-    if request.param == "setter":
-        monkeypatch.setattr(core_model, "_pcg_layout", lambda: None)
-    return request.param
-
-
-def test_state_probe_finds_the_layout():
-    assert core_model._pcg_layout() is not None  # so the copy path is what runs here
-
-
-@pytest.mark.parametrize("seed", [0, (1 << 32) + 5, (1 << 64) - 1, (7, 13)])
-def test_person_streams_state_exact_after_a_buffered_uint32(writer, seed):
-    # a uint32 draw leaves half an output buffered (has_uint32 = 1); the next
-    # person's state must clear it, as the setter does
-    js = [3, 0, 1 << 33, 3, 4095]
-    for j, gen in zip(js, person_streams(seed, js)):
-        assert gen.bit_generator.state == np.random.default_rng((seed, j)).bit_generator.state
-        gen.integers(0, 2**32, dtype=np.uint32)
-        assert gen.bit_generator.state["has_uint32"] == 1
+@pytest.mark.parametrize("m", [1, 40, 64, 65, 181])
+@pytest.mark.parametrize("matrix_seed", [0, (1 << 32) + 5, (1 << 63) - 1])
+def test_fewer_persons_design_is_the_leading_rows(m, matrix_seed):
+    # row j depends on (matrix_seed, m, j) alone: the draw is one stream,
+    # whatever chunk a row lands in
+    n_big = 2 * DESIGN_CHUNK + 3
+    big = comp_design(n_big, m, 3, matrix_seed)
+    for n in (4, DESIGN_CHUNK - 1, DESIGN_CHUNK, DESIGN_CHUNK + 1, n_big - 1):
+        assert np.array_equal(comp_design(n, m, 3, matrix_seed), big[:n])
+    assert not np.array_equal(comp_design(n_big, m, 3, matrix_seed + 1), big)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_setter_path_design_equals_copy_path(shape, monkeypatch):
+    # the reused buffer's size sets only where the stream is cut: a design
+    # drawn one row at a time, or seven rows at a time, is the same design
     n, m, k, matrix_seed = shape
     text = f"scheme=comp\nn={n}\nk={k}\ntrials=1\nmaster_seed=1\n" + (f"m={m}\n" if m else "")
     config = parse_config(text)
-    copied, m_copy = _bernoulli_design(config, matrix_seed)
-    monkeypatch.setattr(core_model, "_pcg_layout", lambda: None)
-    set_words, m_set = _bernoulli_design(config, matrix_seed)
-    assert m_copy == m_set and np.array_equal(copied, set_words)
-
-
-@pytest.mark.parametrize("seed,js", [(-1, [0]), (1 << 64, [0]), (3, [-1]), (3, [0.5])])
-def test_person_streams_reject_bad_seeds_at_the_call(seed, js):
-    with pytest.raises(ValueError):
-        person_streams(seed, js)
+    words, m_words = _bernoulli_design(config, matrix_seed)
+    for chunk in (1, 7):
+        monkeypatch.setattr(sim_cli, "DESIGN_CHUNK", chunk)
+        cut, m_cut = _bernoulli_design(config, matrix_seed)
+        assert m_cut == m_words and np.array_equal(cut, words)

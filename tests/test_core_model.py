@@ -1,4 +1,5 @@
-"""Instances, matrices, test evaluation, scoring."""
+"""Instances, matrices, test evaluation, scoring; and a scan that keeps
+ctypes out of the package."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from gachagt.core_model import (
     sample_instance,
     score,
 )
-from scaffolding import config_matrix_valid_reference
+from scaffolding import config_matrix_valid_reference, package_imports
 
 
 def test_sample_size_and_range():
@@ -173,3 +174,9 @@ def test_score_bounds_and_relabel_symmetry():
     est, est2 = {0, 1}, {perm[0], perm[1]}
     a, b = score(inst, est), score(inst2, est2)
     assert (a.false_positives, a.false_negatives) == (b.false_positives, b.false_negatives)
+
+
+def test_no_module_imports_ctypes():
+    # the draws use numpy's public API; nothing writes a generator's memory
+    assert "core_model.py" in package_imports("numpy")  # the scan sees imports
+    assert package_imports("ctypes") == {}, "ctypes imported in the package"

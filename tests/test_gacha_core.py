@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gachagt.gacha_core as gacha_core
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
-from gachagt.core_model import person_rng, run_tests, sample_instance, score
+from gachagt.core_model import run_tests, sample_instance, score
 from gachagt.gf2e import FieldSpec, field
 from gachagt.gacha_core import (
     COLLISION,
@@ -32,6 +32,7 @@ from gachagt.gacha_core import (
     synthesize_blocks,
 )
 from scaffolding import (
+    choice_set_reference,
     combination_unrank,
     index_to_poly,
     package_users,
@@ -369,8 +370,7 @@ def reference_words(p, j):
     """[(batch, block words)] of person j through scalar references: the
     colex unrank, or the codebook row."""
     inner = p.inner
-    rng = person_rng(p.matrix_seed, j)
-    batches = np.sort(rng.choice(p.B, size=p.r, replace=False)).tolist()
+    batches = choice_set_reference(p.matrix_seed, j, p.B, p.r)
     g = index_to_poly(p.field, j, p.d)
     hi = poly_eval_reference(p.field, g, 0)
     out = []

@@ -22,6 +22,7 @@ from gachagt.gadgets import (
 )
 from gachagt.sim_cli import parse_config
 from scaffolding import (
+    choice_set_reference,
     fault_injected,
     identity_scheme,
     index_to_poly,
@@ -228,14 +229,13 @@ def test_expander_person_joins_rho_copies_and_load():
 
 def test_expander_observe_draws_copies_without_per_person_generators(monkeypatch):
     # 32 persons' copies come from one array draw, equal to each person's
-    # own default_rng((seed, 13, j)).choice(R, rho) at seeds of 1-3 words
+    # own scalar keyed draw under (seed, 13), at seeds of 1 and 2 words
     inner = identity_scheme(1 << 16)
     R, rho = 32, 4
     js = np.random.default_rng(8).choice(1 << 16, size=32, replace=False)
     for seed in (5, (1 << 40) + 3, (1 << 82) + 11):
         h = expander_build(inner, rho=rho, R=R, outer_w=8, seed=seed)
-        want = [set(np.random.default_rng((seed, 13, int(j))).choice(R, size=rho, replace=False))
-                for j in js]
+        want = [set(choice_set_reference((seed, 13), int(j), R, rho)) for j in js]
         calls = []
         real = np.random.default_rng
 

@@ -28,7 +28,7 @@ from gachagt.gadgets import (
     serial_build,
 )
 from gachagt.gf2e import field
-from scaffolding import identity_scheme, index_to_poly, poly_eval_reference
+from scaffolding import choice_set_reference, identity_scheme, index_to_poly, poly_eval_reference
 
 
 class Ref:
@@ -51,8 +51,7 @@ def expander_ref(inner, rho, R, outer_w, seed):
     fld, d_out = field(outer_w), (rho + 1) // 2
 
     def column(j):
-        rng = np.random.default_rng((seed, _EXPANDER_TAG, j))
-        copies = np.sort(rng.choice(R, size=rho, replace=False))
+        copies = choice_set_reference((seed, _EXPANDER_TAG), j, R, rho)
         g = index_to_poly(fld, j, d_out)
         birthday = poly_eval_reference(fld, g, 0)
         pairs = [(birthday << outer_w) | poly_eval_reference(fld, g, int(c) + 1) for c in copies]

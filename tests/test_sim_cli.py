@@ -536,6 +536,10 @@ UNBUILDABLE = {
     # a [40, 8] inner code: 2^32 syndromes, too many for a coset table
     "inner code past its table": ("scheme=gacha\nn=4096\nk=2\nchannel=bsc:0.05\nlin_dim=8\n"
                                   "ell=40\n", "no coset-leader table"),
+    # an empty out would write the CSVs into the working directory
+    "empty out": ("scheme=gacha\nn=4096\nk=2\nout=\n", "out must name an output directory"),
+    "empty out before a comment": ("scheme=gacha\nn=4096\nk=2\nout=  # x\n",
+                                   "out must name an output directory"),
 }
 # sizes whose trials would do unbounded work: each parsed, then built m =
 # R^(tau_depth - 1) base tests, or permuted 2^32 persons, in its first trial
