@@ -7,13 +7,18 @@ threshold is found by bisection.
 
 The channel works on dense test bits.  NoiseModel.receive takes a scheme's
 observation in the scheme's own layout, and unpacks it into bits and packs
-the received bits back only when there is a channel.
+the received bits back only when there is a channel.  A channel followed by
+its symmetrizer is, per input bit, one binary channel that flips a 0 with
+probability p10 and a 1 with p01, so receive draws only the flips of that
+composite channel, sparsely; the exhaustive oracle alone reads the raw
+symbols transmit_many draws.  apply_plan_many, the symmetrizer on symbols,
+is the reference the composite draw is tested against.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -210,12 +215,23 @@ class NoiseModel:
     plan       the SymmetrizerPlan applied after the channel, or None
     crossover  the BSC crossover the decoder assumes, or None when noiseless
     raw        hand the decoder raw channel symbols (the exhaustive oracle)
+    flips      derived, (p10, p01): P(1 read | 0 sent) and P(0 read | 1 sent)
+               of the channel and its plan end to end (of a binary channel's
+               symbols as bits without a plan), or None when noiseless or raw
     """
 
     channel: DiscreteChannel | None = None
     plan: SymmetrizerPlan | None = None
     crossover: float | None = None
     raw: bool = False
+    flips: tuple | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        flips = None
+        if self.channel is not None and not self.raw:
+            flips = ((self.channel.mu0[1], self.channel.mu1[0]) if self.plan is None
+                     else _error_rates(self.channel, self.plan.order, self.plan.t))
+        object.__setattr__(self, "flips", flips)
 
     @classmethod
     def parse(cls, spec: str, raw: bool = False) -> "NoiseModel":
@@ -233,16 +249,26 @@ class NoiseModel:
         """What the decoder reads for the noiseless observation words, in
         the layout of `layout` (a SchemeHandle's to_bits / from_bits and m).
 
-        Without a channel, the words themselves.  Otherwise the channel's
-        symbols for the layout's test bits, collapsed to uint8 bits by the
-        plan when there is one, or kept as int64 raw symbols, and put back
-        into the layout by from_bits.
+        Without a channel, the words themselves.  Raw, the channel's int64
+        symbols for the layout's test bits, put back into the layout by
+        from_bits.  Otherwise the test bits, each flipped independently with
+        its flips rate, packed by from_bits into the words' dtype and layout:
+        K ~ Binomial(bits, top) candidates, top the larger rate, at a uniform
+        K-subset of the positions (so each position is a candidate
+        independently with probability top), each kept with probability
+        rate / top of its bit, one uniform per candidate.
         """
         if self.channel is None:
             return words
-        z = self.channel.transmit_many(layout.to_bits(words), rng)
-        if self.plan is not None:
-            z = apply_plan_many(self.plan, z, rng)
-        elif not self.raw:
-            z = z.astype(np.uint8)
-        return layout.from_bits(z, len(z) // layout.m)
+        if self.raw:
+            z = self.channel.transmit_many(layout.to_bits(words), rng)
+            return layout.from_bits(z, len(z) // layout.m)
+        # a copy: the plain-bit layout's to_bits hands back the words themselves
+        bits = np.array(layout.to_bits(words), dtype=np.uint8)
+        rates = np.array(self.flips)
+        top = max(rates.max(), 0.0)  # a rate of 0 can round to -1e-17
+        at = rng.choice(len(bits), rng.binomial(len(bits), top), replace=False, shuffle=False)
+        if at.size:
+            keep = rng.random(at.size) < rates.take(bits[at]) / top
+            bits[at[keep]] ^= 1
+        return layout.from_bits(bits, len(bits) // layout.m)

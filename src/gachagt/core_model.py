@@ -77,18 +77,33 @@ def sample_instance(n: int, k: int, seed) -> ProblemInstance:
 
 GOLDEN = 0x9E3779B97F4A7C15  # splitmix64's increment, 2^64 / the golden ratio
 _MASK64 = (1 << 64) - 1
+_MIX1, _MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # splitmix64's multipliers
+# the same constants as uint64 scalars, so an array step converts no int; a
+# uint64 array wraps mod 2^64 by itself and needs no mask
+_U64 = {c: np.uint64(c) for c in (GOLDEN, _MIX1, _MIX2, 27, 30, 31)}
 
 
-def splitmix64(z):
-    """splitmix64's finalizer of z, an int in [0, 2^64) or a uint64 array."""
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK64
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK64
-    return z ^ (z >> 31)
+def splitmix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's finalizer of every element of a uint64 array, in place."""
+    z ^= z >> _U64[30]
+    z *= _U64[_MIX1]
+    z ^= z >> _U64[27]
+    z *= _U64[_MIX2]
+    z ^= z >> _U64[31]
+    return z
 
 
 def _absorb(key, word):
-    """One step of the keyed hash: the key with one more word mixed in."""
-    return splitmix64((key ^ word) + GOLDEN & _MASK64)
+    """One step of the keyed hash, the key with one more word mixed in: an
+    int for ints in [0, 2^64), a new array for uint64 arrays that broadcast."""
+    if isinstance(key, int):
+        z = (key ^ word) + GOLDEN & _MASK64
+        z = (z ^ (z >> 30)) * _MIX1 & _MASK64
+        z = (z ^ (z >> 27)) * _MIX2 & _MASK64
+        return z ^ (z >> 31)
+    z = key ^ word
+    z += _U64[GOLDEN]
+    return splitmix64(z)
 
 
 def _prefix_key(seed) -> int:
@@ -134,7 +149,7 @@ def choice_sets(seed, js, B: int, r: int) -> np.ndarray:
         raise ValueError("person indices must be integers below 2^64")
     if js.size and js.min() < 0:
         raise ValueError(f"person index {js.min()} is negative")
-    keys = _absorb(key, js.astype(np.uint64))[:, None]
+    keys = _absorb(np.uint64(key), js.astype(np.uint64))[:, None]
     drawn = min(r, B - r)
     vals = _absorb(keys, np.arange(drawn, dtype=np.uint64)) % np.uint64(B)
     step = 0

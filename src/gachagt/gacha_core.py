@@ -100,7 +100,10 @@ class PairInner:
         against lo."""
         if self.blocks == 1:
             return ((hi << self.w) | lo)[..., None]
-        return np.stack(np.broadcast_arrays(hi, lo), axis=-1)
+        out = np.empty(np.broadcast_shapes(np.shape(hi), np.shape(lo)) + (2,),
+                       dtype=np.result_type(hi, lo))
+        out[..., 0], out[..., 1] = hi, lo
+        return out
 
     def unpack(self, payloads: np.ndarray):
         """Inverse of pack: (hi, lo) from (..., blocks) payloads."""

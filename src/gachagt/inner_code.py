@@ -365,16 +365,22 @@ class BinaryLinearCode:
         observed = np.asarray(observed, dtype=np.uint64)
         if self.ell < 64 and (observed >> np.uint64(self.ell)).any():
             raise ValueError("observed string longer than ell")
-        _, start, leaders = self.coset_table
-        lo = observed & np.uint64((1 << self.dim) - 1)
-        syndrome = (observed ^ self.codebook[lo]) >> np.uint64(self.dim)
-        first = start[syndrome]
-        counts = start[syndrome + np.uint64(1)] - first
-        # the nearest codewords are y ^ e over the coset's leaders e; a tie
-        # goes to the smallest payload, lo(y) ^ lo(e)
-        offsets = np.cumsum(counts) - counts
-        at = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
-        return np.minimum.reduceat(np.repeat(lo, counts) ^ leaders[at], offsets).astype(np.int64)
+        tied, start, leaders = self.coset_table
+        lo = (observed & np.uint64((1 << self.dim) - 1)).astype(np.int64)
+        syndrome = ((observed ^ self.codebook[lo]) >> np.uint64(self.dim)).astype(np.int64)
+        # the nearest codewords are y ^ e over the coset's leaders e: an
+        # untied coset's one leader directly, and a tie to the smallest
+        # payload, lo(y) ^ lo(e)
+        out = lo ^ leaders[start[syndrome]]
+        tie = np.flatnonzero(tied[syndrome])
+        if tie.size:
+            lo, syndrome = lo[tie], syndrome[tie]
+            first = start[syndrome]
+            counts = start[syndrome + 1] - first
+            offsets = np.cumsum(counts) - counts
+            at = np.arange(counts.sum()) + np.repeat(first - offsets, counts)
+            out[tie] = np.minimum.reduceat(np.repeat(lo, counts) ^ leaders[at], offsets)
+        return out
 
 
 # ---------------------------------------------------------------------------

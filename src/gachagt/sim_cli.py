@@ -6,8 +6,12 @@ truncated to 63 bits)), so any run is replayable trial-by-trial regardless of
 worker count.  A trial's draws come from numpy's PCG64 via default_rng(seed_t)
 (its matrix and gadget seeds, instance and channel) and default_rng(matrix_seed)
 (a Bernoulli design), and from a splitmix64 hash keyed by the matrix or gadget
-seed and the person (a Gacha person's batches, an expander person's copies);
-the family and numpy version are recorded in the aggregate file header.
+seed and the person (a Gacha person's batches, an expander person's copies).
+The channel draws only the flips of the channel and its symmetrizer end to
+end: a binomial count of candidate tests, a uniform subset of that size and
+one uniform per candidate (the oracle alone draws raw symbols, one uniform a
+test).  The family and numpy version are recorded in the aggregate file
+header.
 """
 
 from __future__ import annotations
@@ -122,10 +126,13 @@ def parse_config(text: str) -> SimConfig:
 
 
 # Caps on the work one trial does, checked at parse time.  A trial under a
-# channel holds about 25 bytes a test at once (the bits, a float64 draw, an
-# int64 symbol and their temporaries), so m = 2^26 tests is about 1.7 GB; the
-# bench's expander shape has m = 688,128 (2^19.4), and a tau_depth 3 pyramid
-# of that shape 2^24.4.
+# channel holds at most about 17.5 bytes a test at once (tracemalloc, m =
+# 2^22.1 at bsc:0.49: the bits, their copy and their packed temporaries, and
+# numpy's int64 range over every test, which Generator.choice shuffles once
+# it draws more than a twentieth of them), so m = 2^26 tests is about 1.2 GB;
+# the bench's expander shape has m = 688,128 (2^19.4), and a tau_depth 3
+# pyramid of that shape 2^24.4.  The oracle's raw symbols take about 33 bytes
+# a test (a float64 draw, an int64 symbol and their temporaries).
 MAX_TESTS = 1 << 26
 # A vote layer draws sigma permutations of the population above it and a
 # parallel layer one of pi times that population, afresh every trial (they
@@ -395,7 +402,8 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
     with (out / "aggregate.csv").open("a", newline="") as fh:
         if fh.tell() == 0:  # a new or empty file: the header first
             fh.write(f"# gachagt={__version__}\n")
-            fh.write("# rng_family=numpy-PCG64/default_rng+splitmix64-keyed-batches\n")
+            fh.write("# rng_family=numpy-PCG64/default_rng+splitmix64-keyed-batches"
+                     "+sparse-composite-flips\n")
             fh.write(f"# numpy={np.__version__}\n")
             fh.write(f"# seed_fold=seed_t=(master_seed^((t+1)*{SEED_FOLD:#x}))&(2^63-1)\n")
             fh.write(f"# master_seed={config.master_seed}\n")

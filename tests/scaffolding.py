@@ -12,8 +12,9 @@ scalar decoders and the dict vote the stacked array decode is checked against; t
 row-wise bits_to_blocks; the scalar keyed batch draw; the per-column
 Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks and
 the ConfigMatrix check the dense ones replace; the masked-searchsorted
-channel draw; and the scans of the package's modules for the names that
-only one module may use and for the modules they import."""
+channel draw and the composite channel's sparse draw; and the scans of the
+package's modules for the names that only one module may use and for the
+modules they import."""
 
 import ast
 from math import comb
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from gachagt.channels import NoiseModel, parse_channel_spec
 from gachagt.gacha_core import COLLISION, NoiselessInner
 from gachagt.gf2e import (InsufficientEvaluations, _mulmod_poly, _powmod_poly, _prime_factors,
                           field)
@@ -538,4 +540,35 @@ def transmit_many_reference(channel, bits, rng) -> np.ndarray:
     out[~ones] = np.searchsorted(cdf0, u[~ones], side="right")
     out[ones] = np.searchsorted(cdf1, u[ones], side="right")
     np.clip(out, 0, channel.q - 1, out=out)
+    return out
+
+
+def custom_channel_spec(directory) -> str:
+    """The spec of a 3-symbol custom channel, its CSV written in directory."""
+    path = directory / "three_symbols.csv"
+    path.write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
+    return f"custom:{path}"
+
+
+def noise_model(spec: str, directory) -> NoiseModel:
+    """NoiseModel.parse of spec, where "custom" is custom_channel_spec's
+    channel and "unplanned-<spec>" is the binary channel of <spec> without a
+    plan, which keeps its two rates apart."""
+    if spec.startswith("unplanned-"):
+        return NoiseModel(parse_channel_spec(spec.removeprefix("unplanned-")))
+    return NoiseModel.parse(custom_channel_spec(directory) if spec == "custom" else spec)
+
+
+def sparse_flips_reference(flips, bits, rng) -> np.ndarray:
+    """NoiseModel.receive's composite draw on dense bits, one candidate at a
+    time: K ~ Binomial(len(bits), top) for top the larger of the flips
+    (p10, p01), K positions by rng.choice without replacement or shuffle,
+    then per candidate, in that order, one rng.random() below rate / top of
+    its bit flips it.  The result is a new uint8 array."""
+    out = np.array(bits, dtype=np.uint8)
+    top = max(*flips, 0.0)
+    for pos in rng.choice(len(out), rng.binomial(len(out), top), replace=False,
+                          shuffle=False).tolist():
+        if rng.random() < flips[out[pos]] / top:
+            out[pos] ^= 1
     return out

@@ -19,7 +19,8 @@ from gachagt.channels import (
     _error_rates,
 )
 from gachagt.scheme import SchemeHandle
-from scaffolding import transmit_many_reference
+from scaffolding import (custom_channel_spec, noise_model, sparse_flips_reference,
+                         transmit_many_reference)
 
 
 def test_bsc_zero_is_identity():
@@ -287,9 +288,7 @@ def test_noise_model_resolution(tmp_path):
     assert fp.plan == plan_symmetrize(fp_channel(0.2))
     assert fp.crossover == pytest.approx(1 / 6)
     # every other kind is planned, and nothing is under raw
-    path = tmp_path / "ch.csv"
-    path.write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
-    for spec in ("bsc:0.05", "bec:0.2", "fp:0.2", "fn:0.1", f"custom:{path}"):
+    for spec in ("bsc:0.05", "bec:0.2", "fp:0.2", "fn:0.1", custom_channel_spec(tmp_path)):
         channel = parse_channel_spec(spec)
         model = NoiseModel.parse(spec)
         assert model.channel == channel
@@ -297,13 +296,21 @@ def test_noise_model_resolution(tmp_path):
         if model.plan is not None:
             assert model.plan == plan_symmetrize(channel)
             assert model.crossover == model.plan.crossover
+            # the composite channel's flips, exactly as the plan's error rates
+            assert model.flips == _error_rates(channel, model.plan.order, model.plan.t)
+        else:  # and each bit of a bsc flips with s
+            assert model.flips == (channel.mu0[1], channel.mu0[1])
         assert NoiseModel.parse(spec, raw=True) == NoiseModel(channel, raw=True)
 
 
+def plain_layout(m: int) -> SchemeHandle:
+    """A scheme in the plain-bit layout, whose to_bits hands back its input."""
+    return SchemeHandle(n=m, k_design=1, m=m, observe=None, decode_rows=None)
+
+
 def test_noise_model_receive_dtypes():
-    # a scheme in the plain-bit layout, which keeps what the channel hands it
     y = np.array([0, 1] * 50, dtype=np.uint8)
-    layout = SchemeHandle(n=len(y), k_design=1, m=len(y), observe=None, decode_rows=None)
+    layout = plain_layout(len(y))
     assert NoiseModel().receive(y, layout, np.random.default_rng(0)) is y
     cases = [("bsc:0.1", False, np.uint8), ("bec:0.2", False, np.uint8),
              ("bec:0.2", True, np.int64)]
@@ -311,8 +318,35 @@ def test_noise_model_receive_dtypes():
         model = NoiseModel.parse(spec, raw=raw)
         got = model.receive(y, layout, np.random.default_rng(1))
         assert got.dtype == dtype and got.shape == y.shape
-        # same draws as transmitting, then symmetrizing when there is a plan
+        # raw: the channel's symbols; else the composite flips, drawn sparsely
         rng = np.random.default_rng(1)
-        z = model.channel.transmit_many(y, rng)
-        expect = apply_plan_many(model.plan, z, rng) if model.plan else z
+        expect = (model.channel.transmit_many(y, rng) if raw
+                  else sparse_flips_reference(model.flips, y, rng))
         assert np.array_equal(got, expect)
+    assert np.array_equal(y, [0, 1] * 50)  # the words handed in are not flipped
+
+
+@pytest.mark.parametrize("spec", ["bsc:0.05", "fp:0.2", "fn:0.2", "bec:0.2", "custom",
+                                  "unplanned-fp:0.3"])
+def test_receive_flips_each_input_bit_at_its_rate(spec, tmp_path):
+    # Bound, fixed before the run: the flips among n sent zeros are
+    # Binomial(n, p10) and among n sent ones Binomial(n, p01), so each count
+    # lies within 5 standard deviations sqrt(n p (1 - p)) of n p (a chance of
+    # about 6e-7 per count to fail a correct draw).  At p = 1/6 and
+    # n = 10^5 that is 16,667 +- 589, which rejects a draw that leaves the
+    # reliable side of a Z-channel unflipped.  The dense reference, the
+    # channel's symbols then the plan's threshold, meets the same bound.  A
+    # binary channel without a plan keeps its own rates, here (0.3, 0), so
+    # only its flips of a 0 survive the thinning.
+    model = noise_model(spec, tmp_path)
+    n = 10 ** 5
+    sent = np.repeat(np.array([0, 1], dtype=np.uint8), n)
+    sparse = model.receive(sent, plain_layout(2 * n), np.random.default_rng(2029))
+    rng = np.random.default_rng(2030)
+    dense = model.channel.transmit_many(sent, rng)
+    if model.plan is not None:
+        dense = apply_plan_many(model.plan, dense, rng)
+    for got in (sparse, dense):
+        flipped = (got != sent).reshape(2, n).sum(axis=1)
+        for count, p in zip(flipped.tolist(), model.flips):
+            assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p)), (spec, count, p)

@@ -7,7 +7,9 @@ reference columns, copy by copy; from_bits inverts to_bits; the decode of
 from_bits of any bit vector matches the scalar reference decode; and wrong
 lengths, shapes and dtypes raise ValueError.  A channel-free trial never
 converts its observation to bits and back, and a channel's receive draws
-exactly what transmitting the bits draws.
+exactly what transmitting the bits draws: the raw symbols for the oracle,
+and otherwise what the scalar sparse draw of the composite channel's flips
+draws from the same rng.
 """
 
 from functools import partial
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 import gachagt.gacha_core as gacha_core
 from gachagt import sim_cli
 from gachagt.baselines import brute_force_decode
-from gachagt.channels import NoiseModel, apply_plan_many
+from gachagt.channels import NoiseModel
 from gachagt.gacha_core import build_column, gacha_scheme
 from gachagt.gadgets import _PARALLEL_TAG, _SERIAL_TAG
 from gachagt.scheme import decode_copies
@@ -29,8 +31,10 @@ from scaffolding import (
     comp_decode_reference,
     expander_decode_reference,
     majority_vote_reference,
+    noise_model,
     row_sets,
     scalar_gacha_decode,
+    sparse_flips_reference,
 )
 from test_observe import Ref, cw, expander_ref, lin, parallel_ref, serial_ref
 
@@ -220,8 +224,34 @@ def test_receive_draws_what_transmitting_the_bits_draws(name, spec):
     words = h.observed_words({0, h.n - 1})
     got = model.receive(words, h, np.random.default_rng(4))
     rng = np.random.default_rng(4)
-    z = model.channel.transmit_many(h.to_bits(words), rng)
-    z = apply_plan_many(model.plan, z, rng) if model.plan else z
+    if name == "oracle":
+        z = model.channel.transmit_many(h.to_bits(words), rng)
+    else:
+        z = sparse_flips_reference(model.flips, h.to_bits(words), rng)
     assert got.dtype == words.dtype or name == "oracle"
     assert np.array_equal(h.to_bits(got), z)
     assert NoiseModel().receive(words, h, np.random.default_rng(4)) is words
+
+
+@pytest.fixture(scope="module")
+def channel_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("channels")
+
+
+# every channel kind, a flip-free bsc, and a binary channel without a plan,
+# whose two rates differ, so the thinning keeps only its flips of a 1
+@pytest.mark.parametrize("spec", ["bsc:0.05", "bsc:0", "fp:0.1", "fn:0.2", "bec:0.1", "custom",
+                                  "unplanned-fn:0.2"])
+@pytest.mark.parametrize("name", ["linear", "expander", "comp"])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2 ** 64 - 1))
+def test_receive_matches_the_scalar_sparse_draw(name, spec, channel_dir, data, seed):
+    h, _, _, layout = handle(name)
+    model = noise_model(spec, channel_dir)
+    js = data.draw(st.sets(st.integers(0, h.n - 1), min_size=1, max_size=4))
+    words = h.observed_words(js)
+    got = model.receive(words, h, np.random.default_rng(seed))
+    assert (got.shape, got.dtype) == layout(1)
+    want = sparse_flips_reference(model.flips, h.to_bits(words), np.random.default_rng(seed))
+    assert np.array_equal(h.to_bits(got), want)
+    assert np.array_equal(h.to_bits(words), h.observed_bits(js))  # words left as they were
