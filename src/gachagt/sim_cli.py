@@ -5,8 +5,11 @@ through a fixed multiplier (seed_t = master_seed XOR ((t + 1) * 0x9E3779B97F4A7C
 truncated to 63 bits)), so any run is replayable trial-by-trial regardless of
 worker count.  A trial's draws come from numpy's PCG64 via default_rng(seed_t)
 (its matrix and gadget seeds, instance and channel) and default_rng(matrix_seed)
-(a Bernoulli design), and from a splitmix64 hash keyed by the matrix or gadget
-seed and the person (a Gacha person's batches, an expander person's copies).
+(a Bernoulli design: one raw stream byte a test, 8 a PCG64 word, compared
+against 256 p, and on the rare byte equal to floor(256 p) one uniform of
+that generator's first spawned child), and from a splitmix64 hash keyed by
+the matrix or gadget seed and the person (a Gacha person's batches, an
+expander person's copies).
 The channel draws only the flips of the channel and its symmetrizer end to
 end: a binomial count of candidate tests, a uniform subset of that size and
 one uniform per candidate (the oracle alone draws raw symbols, one uniform a
@@ -131,20 +134,30 @@ def parse_config(text: str) -> SimConfig:
 # numpy's int64 range over every test, which Generator.choice shuffles once
 # it draws more than a twentieth of them), so m = 2^26 tests is about 1.2 GB;
 # the bench's expander shape has m = 688,128 (2^19.4), and a tau_depth 3
-# pyramid of that shape 2^24.4.  The oracle's raw symbols take about 33 bytes
-# a test (a float64 draw, an int64 symbol and their temporaries).
+# pyramid of that shape 2^24.4.
 MAX_TESTS = 1 << 26
+# The oracle reads raw channel symbols: its receive holds about 34 bytes a
+# test (a float64 draw, an int64 symbol and their temporaries), and its
+# likelihood ranking about 97 more (m-long Python float lists beside the
+# per-test probabilities), about 113 over a whole trial (tracemalloc, n = 2,
+# m = 2^14, bsc:0.05).  So m = 2^23 is about 0.95 GB, inside the 1.2 GB of
+# MAX_TESTS; 2^25 would keep the receive alone inside it (1.1 GB), but not
+# the trial (3.8 GB).
+MAX_ORACLE_TESTS = 1 << 23
 # A vote layer draws sigma permutations of the population above it and a
 # parallel layer one of pi times that population, afresh every trial (they
 # depend on gadget_seed), each with its argsort inverse: 2^22 permuted
 # persons is 64 MB and about a second a trial.
 MAX_PERMUTED = 1 << 22
 # A Bernoulli design trial (comp, oracle) keeps its n * m bits packed (n * m / 8
-# bytes) and draws them 256 rows at a time as float64 (8 * min(256, n) * m
-# bytes) beside their bool comparison and its padded copy; the oracle also
-# unpacks the design for its ConfigMatrix and its dense matrix (2 * n * m
-# bytes).  So n * m = 2^27 holds at most about 1.4 GB, the draws at n <= 256;
-# the bench's comp shape has n * m = 741,376 (2^19.5).
+# bytes) and draws them 256 rows at a time as one stream byte a test: the
+# bytes, their tie mask and the word-padded bool buffer they are compared
+# into, about 3 bytes a test of min(256, n) rows (tracemalloc: 424 MB at
+# n = 256, m = 2^19, the packed design included).  The oracle then unpacks
+# the design for its ConfigMatrix and its dense matrix (2 * n * m bytes).
+# So n * m = 2^27 holds at most about 0.42 GB while it draws, at n <= 256,
+# and 0.29 GB in the oracle's unpacked copies; the bench's comp shape has
+# n * m = 741,376 (2^19.5).
 MAX_DESIGN_BITS = 1 << 27
 
 
@@ -178,6 +191,9 @@ def validate_config(config: SimConfig) -> None:
              else m * config.R ** layers * config.sigma * config.pi)
     if m > MAX_TESTS:
         raise ValueError(f"a trial would run more than 2^{MAX_TESTS.bit_length() - 1} tests")
+    if config.scheme == "oracle" and m > MAX_ORACLE_TESTS:
+        raise ValueError(f"an oracle trial would run more than "
+                         f"2^{MAX_ORACLE_TESTS.bit_length() - 1} tests")
     if config.n >= 1 << 63:  # person indices are int64
         raise ValueError(f"population {config.n} is 2^63 or more")
     if config.scheme in ("comp", "oracle") and config.n * m > MAX_DESIGN_BITS:
@@ -237,7 +253,11 @@ def build_scheme(config: SimConfig, matrix_seed: int, gadget_seed: int) -> Schem
     raise ValueError(f"unknown scheme {config.scheme!r}")
 
 
-DESIGN_CHUNK = 256  # design rows drawn between two comparisons against p
+# design rows drawn at a time, one stream byte a test (a row reads its own
+# ceil(m / 8) words), compared against p's byte level into a reused
+# word-padded bool buffer and packed from it; where the stream is cut, and
+# so which chunk a tie falls in, changes no row
+DESIGN_CHUNK = 256
 
 
 def bernoulli_m(config: SimConfig) -> int:
@@ -246,19 +266,38 @@ def bernoulli_m(config: SimConfig) -> int:
 
 
 def _bernoulli_design(config: SimConfig, matrix_seed: int) -> tuple:
-    """The packed Bernoulli(p) design and its m: the rows of
-    default_rng(matrix_seed).random((n, m)) < p, drawn from that one stream
-    into a reused (DESIGN_CHUNK, m) buffer and packed a chunk at a time, so
-    row j depends on (matrix_seed, m, j) alone."""
+    """The packed Bernoulli(p) design and its m, p = 1 - 2^(-1/k), one
+    stream byte a test.
+
+    Row j reads the first m bytes of its own ceil(m / 8) words of
+    default_rng(matrix_seed)'s raw PCG64 stream (byte b of a word is its
+    bits 8b ... 8b + 7), so 8 tests share a word.  With level = floor(256 p)
+    and frac = 256 p - level, both exact, a byte u is a 1 when u < level and
+    a 0 when u > level; on a tie, u == level (probability 1/256), it is a 1
+    when the next uniform double of the stream's first spawned child is
+    below frac, the ties taken in row-major order.  So P(1) = level / 256 +
+    frac / 256 = p, to 2^-61, and row j depends on (matrix_seed, m, j)
+    alone.  DESIGN_CHUNK rows at a time are compared into a reused
+    word-padded bool buffer, whose pad stays 0, and packed from it.
+    """
     m = bernoulli_m(config)
     p = 1 - 2 ** (-1.0 / config.k)
+    level = math.floor(256 * p)
+    frac = 256 * p - level
+    stride = 8 * -(-m // 8)  # the bytes of a row's own words
     words = zero_words(config.n, m)
-    draws = np.empty((min(DESIGN_CHUNK, config.n), m))
+    bits = np.zeros((min(DESIGN_CHUNK, config.n), 64 * words.shape[1]), dtype=bool)
     rng = np.random.default_rng(matrix_seed)
-    for start in range(0, config.n, len(draws)):
-        rows = min(len(draws), config.n - start)
-        rng.random(out=draws[:rows])
-        pack_groups(draws[:rows] < p, out=words[start:start + rows])
+    raw, tie_draws = rng.bit_generator.random_raw, rng.spawn(1)[0].random
+    for start in range(0, config.n, len(bits)):
+        rows = min(len(bits), config.n - start)
+        octets = raw(rows * stride // 8).astype("<u8", copy=False).view(np.uint8)
+        np.less(octets.reshape(rows, stride)[:, :m], level, out=bits[:rows, :m])
+        row, test = np.divmod(np.flatnonzero(octets == level), stride)
+        row, test = row[test < m], test[test < m]
+        won = tie_draws(len(row)) < frac
+        bits[row[won], test[won]] = True
+        pack_groups(bits[:rows], out=words[start:start + rows])
     return words, m
 
 
@@ -403,7 +442,7 @@ def run(config: SimConfig, out_dir: str | None = None, threads: int = 1):
         if fh.tell() == 0:  # a new or empty file: the header first
             fh.write(f"# gachagt={__version__}\n")
             fh.write("# rng_family=numpy-PCG64/default_rng+splitmix64-keyed-batches"
-                     "+sparse-composite-flips\n")
+                     "+sparse-composite-flips+byte-bernoulli-design\n")
             fh.write(f"# numpy={np.__version__}\n")
             fh.write(f"# seed_fold=seed_t=(master_seed^((t+1)*{SEED_FOLD:#x}))&(2^63-1)\n")
             fh.write(f"# master_seed={config.master_seed}\n")

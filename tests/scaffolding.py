@@ -9,7 +9,7 @@ the per-batch
 reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
-row-wise bits_to_blocks; the scalar keyed batch draw; the per-column
+row-wise bits_to_blocks; the scalar keyed batch draw; the row-at-a-time
 Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks and
 the ConfigMatrix check the dense ones replace; the masked-searchsorted
 channel draw and the composite channel's sparse draw; and the scans of the
@@ -17,6 +17,7 @@ package's modules for the names that only one module may use and for the
 modules they import."""
 
 import ast
+import math
 from math import comb
 from pathlib import Path
 
@@ -486,11 +487,25 @@ def expander_decode_reference(inner_decode, inner_m: int, R: int, outer_w: int, 
 
 
 def bernoulli_columns_reference(n: int, k: int, m: int, matrix_seed: int) -> list:
-    """The COMP/oracle Bernoulli design one column at a time: person j's
-    tests are the draws below p in row j of default_rng(matrix_seed)'s
-    whole (n, m) draw."""
+    """The COMP/oracle Bernoulli design one row at a time: row j reads the
+    first m bytes of its own ceil(m / 8) little-endian words of
+    default_rng(matrix_seed)'s raw stream.  Byte u of a test is a 1 below
+    level = floor(256 p), and at u == level a 1 when the next uniform of
+    the stream's first spawned child is below frac = 256 p - level."""
     p = 1 - 2 ** (-1.0 / k)
-    return [np.flatnonzero(row < p) for row in np.random.default_rng(matrix_seed).random((n, m))]
+    level = math.floor(256 * p)
+    frac = 256 * p - level
+    rng = np.random.default_rng(matrix_seed)
+    tie_rng = rng.spawn(1)[0]
+    columns = []
+    for _ in range(n):
+        octets = b"".join(int(w).to_bytes(8, "little")
+                          for w in rng.bit_generator.random_raw(-(-m // 8)))
+        columns.append(np.array(
+            [t for t in range(m) if octets[t] < level
+             or octets[t] == level and tie_rng.random() < frac],
+            dtype=np.int64))
+    return columns
 
 
 def comp_decode_reference(matrix, y) -> set:

@@ -1,9 +1,13 @@
 """The packed Bernoulli design behind COMP and the oracle: the design
-against the per-column build from one whole draw, a smaller population's
-design as the leading rows of a larger one's, the design whatever the
-size of the buffer it is drawn through, COMP's word ANDs against the
-column loop (no tests included), and the handle's observe against
-run_tests.  The word layout itself is checked in test_packed_format."""
+against the one-row-at-a-time reference of its byte draw, its density
+against p, its byte levels at k = 1 and at a k where only ties set a bit,
+a smaller population's design as the leading rows of a larger one's, the
+design whatever the size of the buffer it is drawn through, COMP's word
+ANDs against the column loop (no tests included), and the handle's observe
+against run_tests.  The word layout itself is checked in
+test_packed_format."""
+
+import math
 
 import numpy as np
 import pytest
@@ -13,8 +17,9 @@ from hypothesis import strategies as st
 from gachagt import sim_cli
 from gachagt.baselines import bits_to_words, comp_decode, comp_decode_words
 from gachagt.core_model import ConfigMatrix, ProblemInstance, run_tests
-from gachagt.scheme import WORD, pack_groups, zero_words
-from gachagt.sim_cli import DESIGN_CHUNK, _bernoulli_design, build_scheme, parse_config
+from gachagt.scheme import WORD, pack_groups, unpack_groups, zero_words
+from gachagt.sim_cli import (DESIGN_CHUNK, SimConfig, _bernoulli_design, build_scheme,
+                             parse_config)
 from scaffolding import bernoulli_columns_reference, comp_decode_reference, row_sets
 
 # (n, m, k, matrix_seed), m = 0 for the default test count; seeds on both
@@ -162,3 +167,71 @@ def test_setter_path_design_equals_copy_path(shape, monkeypatch):
         monkeypatch.setattr(sim_cli, "DESIGN_CHUNK", chunk)
         cut, m_cut = _bernoulli_design(config, matrix_seed)
         assert m_cut == m_words and np.array_equal(cut, words)
+
+
+def stream_bytes(n, m, matrix_seed):
+    """The (n, m) bytes the design's rows read: row j the first m bytes of
+    its own ceil(m / 8) words of default_rng(matrix_seed)'s raw stream."""
+    words = np.random.default_rng(matrix_seed).bit_generator.random_raw(n * -(-m // 8))
+    return words.astype("<u8").view(np.uint8).reshape(n, -1)[:, :m]
+
+
+def byte_level(k):
+    p = 1 - 2 ** (-1.0 / k)
+    return p, math.floor(256 * p), 256 * p - math.floor(256 * p)
+
+
+def test_design_density_is_p_and_needs_the_tie_rule():
+    # k = 16: p = 0.04240, level = 10, frac = 0.8536.  One design of
+    # N = 4096 * 300 = 1,228,800 tests has sigma = sqrt(p (1 - p) / N) =
+    # 1.82e-4.  Ties read as 0 would take frac / 256 = 3.33e-3 (18 sigma) off
+    # the mean, and the tie rule inverted (a 1 when the uniform is at or
+    # above frac) would move it by (1 - 2 frac) / 256 = -2.76e-3 (15 sigma).
+    n, m, k, matrix_seed = 4096, 300, 16, 20251
+    p, level, frac = byte_level(k)
+    sigma = math.sqrt(p * (1 - p) / (n * m))
+    assert (level, round(frac, 4)) == (10, 0.8536)
+    assert frac / 256 > 8 * sigma and abs(1 - 2 * frac) / 256 > 8 * sigma
+    bits = unpack_groups(comp_design(n, m, k, matrix_seed), m)
+    assert abs(bits.mean() - p) < 4 * sigma
+    octets = stream_bytes(n, m, matrix_seed)
+    assert np.array_equal(bits[octets != level], octets[octets != level] < level)
+
+
+def test_k_1_is_the_bytes_below_128():
+    # p = 1/2 exactly: 256 p = 128 is whole, frac = 0, and no tie sets a bit
+    n, m, matrix_seed = 1000, 181, 77
+    assert byte_level(1) == (0.5, 128, 0.0)
+    bits = unpack_groups(comp_design(n, m, 1, matrix_seed), m)
+    assert np.array_equal(bits, stream_bytes(n, m, matrix_seed) < 128)
+    assert abs(bits.mean() - 0.5) < 4 * math.sqrt(0.25 / (n * m))
+
+
+def test_large_k_sets_bits_only_on_ties():
+    # k = 200: 256 p = 0.8857 < 1, so level = 0 and a bit is set only on a
+    # zero byte, on a fraction frac of them: about 16,000 ties, each a 1
+    # with probability frac
+    n, m, k, matrix_seed = 4096, 1000, 200, 3
+    p, level, frac = byte_level(k)
+    assert level == 0 and 0.88 < frac < 0.89
+    bits = unpack_groups(comp_design(n, m, k, matrix_seed), m).astype(bool)
+    ties = stream_bytes(n, m, matrix_seed) == 0
+    assert not (bits & ~ties).any()
+    won = bits.sum() / ties.sum()
+    assert abs(won - frac) < 4 * math.sqrt(frac * (1 - frac) / ties.sum())
+
+
+SIZES = [1, 7, 8, 63, 64, 65, 181]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from(SIZES), m=st.sampled_from(SIZES), k=st.sampled_from([1, 2, 8, 16, 200]),
+       matrix_seed=st.integers(0, (1 << 63) - 1))
+def test_design_equals_row_reference(n, m, k, matrix_seed):
+    # the draw itself takes n = 1 and k >= n, which a config does not
+    config = SimConfig(scheme="comp", n=n, k=k, trials=1, master_seed=1, m=m)
+    words, m_words = _bernoulli_design(config, matrix_seed)
+    assert m_words == m
+    ref = bernoulli_columns_reference(n, k, m, matrix_seed)
+    assert all(np.array_equal(np.flatnonzero(row), col)
+               for row, col in zip(unpack_groups(words, m), ref))

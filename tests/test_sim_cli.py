@@ -332,7 +332,9 @@ def test_oracle_reads_raw_symbols_without_symmetrizer(tmp_path):
 
 def test_oracle_check_builds_the_configured_scheme():
     text = "scheme=comp\nn=64\nk=2\nchannel=none\ntrials=3\nmaster_seed=1\nm=40\n"
-    assert oracle_check(parse_config(text)) == (3, 3, 3, 0, 0)
+    # seeded count: COMP keeps a false positive in one of the three trials,
+    # so it emits k indices in two; it never misses and never disagrees
+    assert oracle_check(parse_config(text)) == (3, 3, 2, 0, 0)
     gadgets = ("scheme=gacha+gadgets\nn=64\nk=2\nchannel=none\ntrials=3\nmaster_seed=1\n"
                "rho=4\nR=16\n")
     with pytest.raises(ValueError, match="gacha\\+gadgets"):
@@ -586,6 +588,16 @@ def test_oversized_trial_is_a_config_error_within_a_second(tmp_path, capsys, cas
     assert main(["simulate", str(cfg_path), "--out", str(tmp_path / "o")]) == 2
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_oracle_past_its_test_cap_is_rejected_at_parse():
+    # n = 2, k = 1 passes the enumeration and design caps, and m = 2^26 the
+    # MAX_TESTS one, but its trial would hold about 7.6 GB: parsed, never run
+    base = "scheme=oracle\nn=2\nk=1\ntrials=1\nmaster_seed=1\nchannel=bec:0.2\n"
+    for m in (1 << 26, (1 << 23) + 1):
+        with pytest.raises(ValueError, match="an oracle trial would run more than 2\\^23 tests"):
+            parse_config(base + f"m={m}\n")
+    assert parse_config(base + f"m={1 << 23}\n").m == 1 << 23
 
 
 def test_sizes_under_the_caps_parse():
