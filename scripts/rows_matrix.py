@@ -66,6 +66,8 @@ SCHEMES = {
     "gadgets-rho6-w16": ("scheme=gacha+gadgets\nn=1099511627776\nk=4\ntrials=2\nmaster_seed=5\n"
                          "rho=6\nR=16\ntau_depth=2\nouter_w=16\nB=48\n"),
     "oracle": "scheme=oracle\nn=12\nk=2\ntrials=8\nmaster_seed=5\nm=12\n",
+    # the oracle's ranking over a design of 32 words a person
+    "oracle-wide": "scheme=oracle\nn=6\nk=2\ntrials=4\nmaster_seed=5\nm=2048\n",
     "comp": "scheme=comp\nn=50\nk=2\ntrials=4\nmaster_seed=5\nm=40\n",
     # the bench's comp shape, m from its default
     "comp-bench": "scheme=comp\nn=4096\nk=8\ntrials=4\nmaster_seed=5\n",

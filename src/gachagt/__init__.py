@@ -7,7 +7,7 @@ composition gadgets, baseline decoders, and a seeded simulation CLI.
 
 __version__ = "0.4.0"
 
-from .core_model import ConfigMatrix, ProblemInstance, TrialMetrics, run_tests, sample_instance, score
+from .core_model import ConfigMatrix, ProblemInstance, TrialMetrics, sample_instance, score
 from .gf2e import FieldSpec, InsufficientEvaluations, field
 from .channels import (
     DiscreteChannel,

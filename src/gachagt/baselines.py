@@ -5,24 +5,24 @@ Bernoulli design as packed words, each person's m tests one group of
 scheme's packed format.  COMP's observation of nrows copies is the same
 format, (nrows, ceil(m / 64)) words (observe_words), read by
 comp_decode_words without unpacking; words_to_bits and bits_to_words are its
-to_bits / from_bits.  The brute-force decoder enumerates all k-subsets over
-the columns as Python int masks (group_ints): with noiseless results it
-lists every support that explains the observations exactly; with a channel
-it ranks supports by exact log-likelihood.
+to_bits / from_bits.  The brute-force decoder enumerates all k-subsets of
+the same packed rows, a block at a time: with noiseless results it lists
+every support whose OR of rows is the packed observation; with a channel it
+ranks supports by exact log-likelihood.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, islice
 
 import numpy as np
 
 from .channels import DiscreteChannel
 from .core_model import ConfigMatrix
-from .scheme import (WORD, checked_bits, checked_words, group_ints, pack_groups, stacked_args,
-                     unpack_groups, zero_words)
+from .scheme import (WORD, checked_bits, checked_words, pack_groups, stacked_args, unpack_groups,
+                     zero_words)
 
 MAX_ENUMERATION = 10 ** 6
 
@@ -72,60 +72,63 @@ def comp_decode_words(words: np.ndarray, m: int, y, nrows: int = 1):
     return np.nonzero(hit == 0)
 
 
-def brute_force_decode(matrix: ConfigMatrix, observations, k: int,
+def brute_force_decode(words: np.ndarray, m: int, observations, k: int,
                        channel: DiscreteChannel | None = None) -> OracleResult:
-    """Enumerate all k-subsets of the population.
+    """Enumerate all k-subsets of the population of a packed design.
 
-    Noiseless (channel None): supports whose OR of columns equals the results
-    bit-for-bit.  Noisy: the exact log-likelihood of the observed symbols,
-    argmax returned (ties go to the lexicographically smallest support).
+    Noiseless (channel None): supports whose OR of packed rows equals the
+    packed results.  Noisy: the exact log-likelihood of the observed symbols,
+    ranked, argmax first (ties go to the lexicographically smallest support).
     """
-    if math.comb(matrix.n, k) > MAX_ENUMERATION:
-        raise ValueError(f"C({matrix.n},{k}) exceeds the enumeration cap")
-    observations = np.asarray(observations)
-    if len(observations) != matrix.m:
-        raise ValueError(f"observation length {len(observations)} != m = {matrix.m}")
-    masks = group_ints(matrix.dense())
-
+    n = len(words)
+    if math.comb(n, k) > MAX_ENUMERATION:
+        raise ValueError(f"C({n},{k}) exceeds the enumeration cap")
+    observations = checked_bits(observations, m, dtype=np.int64)
     if channel is None:
-        target = group_ints(observations[None] != 0)[0]
-        consistent = [
-            support
-            for support in combinations(range(matrix.n), k)
-            if _or_all(masks, support) == target
-        ]
-        best = consistent[0] if consistent else tuple()
-        return OracleResult(consistent_supports=consistent, best=best)
+        target = pack_groups((observations != 0)[None])
+        consistent = [tuple(s) for block, u in _supports(words, k, k * words.shape[1])
+                      for s in block[(u == target).all(axis=1)].tolist()]
+        return OracleResult(consistent, consistent[0] if consistent else ())
 
-    # per-test log-likelihoods; zero-probability symbols tracked as masks so
-    # impossible supports rank at exactly -inf without NaN arithmetic
-    symbols = observations.astype(np.int64)
-    p0, p1 = (np.asarray(mu)[symbols] for mu in (channel.mu0, channel.mu1))
-    l0, l1 = (np.array([math.log(p) if p > 0 else 0.0 for p in ps.tolist()]) for ps in (p0, p1))
-    imp0, imp1 = group_ints(np.stack([p0 == 0, p1 == 0]))
+    # the log of each symbol's probability under either input, by math.log,
+    # 0.0 at probability 0; zero-probability tests kept as packed masks, so
+    # an impossible support ranks at exactly -inf without NaN arithmetic
+    mu = np.array([channel.mu0, channel.mu1])
+    impossible = pack_groups(mu[:, observations] == 0)
+    logs = np.array([[math.log(p) if p > 0 else 0.0 for p in row] for row in mu.tolist()])
+    l0, gain = logs[0, observations], logs[1, observations]
+    gain -= l0  # l1 - l0
     base = float(l0.sum())
-    full = (1 << matrix.m) - 1
-
-    ranked = []
-    for support in combinations(range(matrix.n), k):
-        u = _or_all(masks, support)
-        if (imp0 & (full ^ u)) or (imp1 & u):
-            ranked.append((-math.inf, support))
-            continue
-        ll = base
-        v = u
-        while v:
-            low = v & -v
-            i = low.bit_length() - 1
-            ll += float(l1[i] - l0[i])
-            v ^= low
-        ranked.append((ll, support))
-    ranked.sort(key=lambda pair: (-pair[0], pair[1]))
-    return OracleResult(consistent_supports=ranked, best=ranked[0][1])
+    scored = [(block, _log_likelihoods(u, m, base, gain, impossible))
+              for block, u in _supports(words, k, m + 1)]
+    supports, scores = (np.concatenate(part) for part in zip(*scored))
+    order = np.argsort(-scores, kind="stable")  # supports come in lexicographic order
+    ranked = list(zip(scores[order].tolist(), map(tuple, supports[order].tolist())))
+    return OracleResult(ranked, ranked[0][1])
 
 
-def _or_all(masks, support) -> int:
-    u = 0
-    for j in support:
-        u |= masks[j]
-    return u
+SCORE_CELLS = 1 << 18  # a block's float64 terms (m + 1 a support) or packed words
+
+
+def _supports(words: np.ndarray, k: int, cells: int):
+    """The k-subsets of the rows, k >= 1, in lexicographic order, as int64
+    arrays of max(1, SCORE_CELLS // cells) at most, with their ORs of rows."""
+    size = max(1, SCORE_CELLS // max(1, cells))
+    supports = combinations(range(len(words)), k)
+    while len(block := np.fromiter(chain.from_iterable(islice(supports, size)),
+                                   dtype=np.int64).reshape(-1, k)):
+        yield block, np.bitwise_or.reduce(words[block], axis=1)
+
+
+def _log_likelihoods(u: np.ndarray, m: int, base: float, gain: np.ndarray,
+                     impossible: np.ndarray) -> np.ndarray:
+    """Each support's log-likelihood from the OR u of its rows: base, then
+    each covered test's gain in ascending test order, one float add at a
+    time (an uncovered test adds 0.0, which changes no sum); -inf where it
+    misses a test of impossible[0] or covers one of impossible[1]."""
+    terms = np.empty((len(u), m + 1))
+    terms[:, 0] = base
+    np.multiply(unpack_groups(u, m), gain, out=terms[:, 1:])
+    score = np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+    score[((impossible[0] & ~u) | (impossible[1] & u)).any(axis=1)] = -math.inf
+    return score

@@ -1,9 +1,9 @@
-"""Problem instances, test evaluation, and FP/FN accounting.
+"""Problem instances, keyed draws, and FP/FN accounting.
 
 Everything downstream shares these types: an instance is the hidden sick set,
-a configuration matrix says which tests each person joins (stored as sorted
-per-person index lists since columns are sparse), and TrialMetrics carries the
-per-trial error counts.
+TrialMetrics carries the per-trial error counts, and choice_sets is the keyed
+batch draw.  ConfigMatrix (sorted per-person test lists) serves only COMP's
+matrix form, baselines.comp_decode, and the tests; no trial builds one.
 """
 
 from __future__ import annotations
@@ -166,16 +166,6 @@ def choice_sets(seed, js, B: int, r: int) -> np.ndarray:
     keep = np.ones((len(js), B), dtype=bool)
     keep[np.arange(len(js))[:, None], vals.astype(np.int64)] = False
     return np.nonzero(keep)[1].reshape(len(js), r)
-
-
-def run_tests(matrix: ConfigMatrix, inst: ProblemInstance) -> np.ndarray:
-    """Noiseless results: test i fires iff some sick person's column contains i."""
-    if matrix.n != inst.n:
-        raise ValueError(f"matrix has n={matrix.n} but instance has n={inst.n}")
-    y = np.zeros(matrix.m, dtype=np.uint8)
-    for j in inst.sick_set:
-        y[np.asarray(matrix.columns[j], dtype=np.int64)] = 1
-    return y
 
 
 def score(inst: ProblemInstance, estimate) -> TrialMetrics:

@@ -375,9 +375,8 @@ def observed_blocks(params: GachaParams, js, rows=None, nrows: int = 1) -> np.nd
     of block words, js[i]'s column written in copy rows[i] (copy 0 when rows
     is None).
 
-    With one copy, exactly equivalent to bits_to_blocks of run_tests on the
-    full matrix (gacha_scheme(params).build()), without touching the n - k
-    healthy columns.
+    With one copy, exactly bits_to_blocks of the OR of the k columns
+    build_column gives, without touching the n - k healthy columns.
     """
     js, rows = stacked_args(js, np.zeros(len(js), dtype=np.int64) if rows is None else rows,
                             nrows, params.n)

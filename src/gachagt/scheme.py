@@ -12,9 +12,9 @@ handle's to_bits / from_bits pair, and only the channel and the tests need
 the dense bits.
 
 Both packed layouts are one format, owned here: groups of test bits (a
-block's ell for Gacha, a copy's or a person's m for COMP), each zero-padded
-to whole little-endian uint64 words.  zero_words, pack_groups, unpack_groups
-and group_ints are the only code that knows its bit order and padding.
+block's ell for Gacha, a copy's or a person's m for COMP and the oracle),
+each zero-padded to whole little-endian uint64 words.  zero_words,
+pack_groups and unpack_groups alone know its bit order and padding.
 """
 
 from __future__ import annotations
@@ -24,8 +24,6 @@ from functools import partial
 from itertools import chain
 
 import numpy as np
-
-from .core_model import ConfigMatrix
 
 
 # The packed format: bit t of a group's words is its test t, in word t // 64
@@ -61,12 +59,6 @@ def unpack_groups(words, width: int) -> np.ndarray:
     words; the inverse of pack_groups."""
     octets = np.ascontiguousarray(words, dtype=WORD).view(np.uint8)
     return np.unpackbits(octets, axis=1, count=width, bitorder="little")
-
-
-def group_ints(bits) -> list:
-    """Each group of a (groups, width) array, packed, as a Python int whose
-    bit t is the group's test t."""
-    return [int.from_bytes(row.tobytes(), "little") for row in pack_groups(bits)]
 
 
 def stacked_args(js, rows, nrows: int, n: int):
@@ -187,11 +179,6 @@ class SchemeHandle:
             self.column = partial(column_from_observe, self.observe, self.to_bits)
         if self.decode is None:
             self.decode = partial(decode_from_rows, self.decode_rows)
-
-    def build(self) -> ConfigMatrix:
-        """Materialize every column (intended for small n: oracles, baselines)."""
-        cols = [np.asarray(self.column(j), dtype=np.int64) for j in range(self.n)]
-        return ConfigMatrix(m=self.m, n=self.n, columns=cols)
 
     def observed_words(self, sick_set):
         """Noiseless results of the sick set (exact, lazy: the sick columns

@@ -32,13 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (bits_to_words, brute_force_decode, comp_decode, comp_decode_words,
-                        observe_words, words_to_bits)
+from .baselines import (bits_to_words, brute_force_decode, comp_decode_words, observe_words,
+                        words_to_bits)
 from .channels import NoiseModel
-from .core_model import ConfigMatrix, sample_instance, score
+from .core_model import sample_instance, score
 from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
 from .gadgets import PyramidShape, pyramid_build, pyramid_shape
-from .scheme import SchemeHandle, decode_copies, pack_groups, unpack_groups, zero_words
+from .scheme import SchemeHandle, decode_copies, pack_groups, zero_words
 
 SEED_FOLD = 0x9E3779B97F4A7C15
 SEED_MASK = (1 << 63) - 1
@@ -136,13 +136,14 @@ def parse_config(text: str) -> SimConfig:
 # the bench's expander shape has m = 688,128 (2^19.4), and a tau_depth 3
 # pyramid of that shape 2^24.4.
 MAX_TESTS = 1 << 26
-# The oracle reads raw channel symbols: its receive holds about 34 bytes a
-# test (a float64 draw, an int64 symbol and their temporaries), and its
-# likelihood ranking about 97 more (m-long Python float lists beside the
-# per-test probabilities), about 113 over a whole trial (tracemalloc, n = 2,
-# m = 2^14, bsc:0.05).  So m = 2^23 is about 0.95 GB, inside the 1.2 GB of
-# MAX_TESTS; 2^25 would keep the receive alone inside it (1.1 GB), but not
-# the trial (3.8 GB).
+# The oracle reads raw channel symbols: a whole trial holds about 47 bytes a
+# test at n = 2, m = 2^14, bsc:0.05, and 34 at m = 2^20 and 2^23
+# (tracemalloc): its receive about 33, then the symbols, each test's l0 and
+# l1 - l0, and one block of supports' m + 1 float64 terms and covered bits
+# (9 bytes a test a support; one support a block once m reaches
+# baselines.SCORE_CELLS = 2^18).  So m = 2^23 is about 0.29 GB.  Memory
+# would allow 2^25 (1.1 GB); the cap stays, as the decode, linear in m times
+# C(n, k), already takes about 0.2 s a support there (2-core machine).
 MAX_ORACLE_TESTS = 1 << 23
 # A vote layer draws sigma permutations of the population above it and a
 # parallel layer one of pi times that population, afresh every trial (they
@@ -153,11 +154,10 @@ MAX_PERMUTED = 1 << 22
 # bytes) and draws them 256 rows at a time as one stream byte a test: the
 # bytes, their tie mask and the word-padded bool buffer they are compared
 # into, about 3 bytes a test of min(256, n) rows (tracemalloc: 424 MB at
-# n = 256, m = 2^19, the packed design included).  The oracle then unpacks
-# the design for its ConfigMatrix and its dense matrix (2 * n * m bytes).
-# So n * m = 2^27 holds at most about 0.42 GB while it draws, at n <= 256,
-# and 0.29 GB in the oracle's unpacked copies; the bench's comp shape has
-# n * m = 741,376 (2^19.5).
+# n = 256, m = 2^19, the packed design included).  The oracle scores on the
+# packed rows too, unpacking one block of supports' tests at a time.  So
+# n * m = 2^27 holds at most about 0.42 GB while it draws, at n <= 256; the
+# bench's comp shape has n * m = 741,376 (2^19.5).
 MAX_DESIGN_BITS = 1 << 27
 
 
@@ -314,14 +314,12 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
             from_bits=partial(bits_to_words, m),
             layers=("comp",),
         )
-    matrix = ConfigMatrix(m=m, n=config.n,
-                          columns=[np.flatnonzero(row) for row in unpack_groups(words, m)])
 
     def observe(js, rows, nrows):
         return words_to_bits(m, observe_words(words, m, js, rows, nrows))
 
     def decode(z):
-        return brute_force_decode(matrix, z, config.k, config.noise.channel).best
+        return brute_force_decode(words, m, z, config.k, config.noise.channel).best
 
     return SchemeHandle(  # the plain-bit layout
         n=config.n, k_design=config.k, m=m,
@@ -471,22 +469,24 @@ def oracle_check(config: SimConfig):
     if config.scheme == "gacha+gadgets":
         raise ValueError("oracle-check does not take scheme=gacha+gadgets: its composed "
                          "population exceeds n")
-    from .core_model import run_tests
-
     unique = full = mismatches = comp_bad = 0
+    everyone = np.arange(config.n)
     for trial in range(config.trials):
         _, _, handle, inst = trial_setup(config, trial)
-        matrix = handle.build()
-        y = run_tests(matrix, inst)
-        estimate = handle.decode(handle.from_bits(y, 1))
-        oracle = brute_force_decode(matrix, y, config.k)
+        m = handle.m  # the design's packed rows: copy j of a stacked observe is person j
+        design = bits_to_words(m, handle.to_bits(handle.observe(everyone, everyone, config.n)),
+                               config.n)
+        y = observe_words(design, m, inst.sick_set, [0] * config.k, 1)
+        bits = words_to_bits(m, y)
+        estimate = handle.decode(handle.from_bits(bits, 1))
+        oracle = brute_force_decode(design, m, bits, config.k)
         if set(oracle.best) and len(oracle.consistent_supports) == 1:
             unique += 1
             if len(estimate) == config.k:
                 full += 1
                 if estimate != set(oracle.best):
                     mismatches += 1
-        if not inst.sick_set <= comp_decode(matrix, y):
+        if not inst.sick_set <= set(comp_decode_words(design, m, y)[1].tolist()):
             comp_bad += 1
     return config.trials, unique, full, mismatches, comp_bad
 

@@ -10,20 +10,25 @@ reading (reference_symbols) that both the inner layers' one_writer and the
 scalar decodes are checked against, which never calls an inner layer; the
 scalar decoders and the dict vote the stacked array decode is checked against; the
 row-wise bits_to_blocks; the scalar keyed batch draw; the row-at-a-time
-Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks and
-the ConfigMatrix check the dense ones replace; the masked-searchsorted
+Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks
+and its scoring on them, which the packed one is checked against, the
+ConfigMatrix of a handle's columns and the run_tests of a sick set on it,
+and the ConfigMatrix check the dense ones replace; the masked-searchsorted
 channel draw and the composite channel's sparse draw; and the scans of the
 package's modules for the names that only one module may use and for the
 modules they import."""
 
 import ast
 import math
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
+from gachagt.baselines import OracleResult
 from gachagt.channels import NoiseModel, parse_channel_spec
+from gachagt.core_model import ConfigMatrix
 from gachagt.gacha_core import COLLISION, NoiselessInner
 from gachagt.gf2e import (InsufficientEvaluations, _mulmod_poly, _powmod_poly, _prime_factors,
                           field)
@@ -531,6 +536,77 @@ def column_masks_reference(matrix) -> list:
             mask |= 1 << int(t)
         masks.append(mask)
     return masks
+
+
+def build_matrix(handle) -> ConfigMatrix:
+    """Every column of a handle, one person at a time, as a ConfigMatrix."""
+    return ConfigMatrix(m=handle.m, n=handle.n,
+                        columns=[np.asarray(handle.column(j), dtype=np.int64)
+                                 for j in range(handle.n)])
+
+
+def run_tests(matrix, inst) -> np.ndarray:
+    """Noiseless results: test i fires iff some sick person's column contains i."""
+    if matrix.n != inst.n:
+        raise ValueError(f"matrix has n={matrix.n} but instance has n={inst.n}")
+    y = np.zeros(matrix.m, dtype=np.uint8)
+    for j in inst.sick_set:
+        y[np.asarray(matrix.columns[j], dtype=np.int64)] = 1
+    return y
+
+
+def _bit_mask(flags) -> int:
+    """The Python int whose bit t is set when flags[t] is nonzero."""
+    mask = 0
+    for t in np.flatnonzero(flags):
+        mask |= 1 << int(t)
+    return mask
+
+
+def brute_force_reference(matrix, observations, k: int, channel=None):
+    """The exhaustive oracle on Python int masks, one support and one
+    covered test at a time: noiseless, the supports whose OR of columns
+    equals the results; noisy, every support ranked by its log-likelihood,
+    base plus each covered test's l1 - l0 in ascending test order, -inf
+    where a test's symbol has probability 0 under its input, ties going to
+    the lexicographically smaller support."""
+    masks = column_masks_reference(matrix)
+    observations = np.asarray(observations)
+    if channel is None:
+        target = _bit_mask(observations)
+        consistent = [support for support in combinations(range(matrix.n), k)
+                      if _or_masks(masks, support) == target]
+        return OracleResult(consistent_supports=consistent,
+                            best=consistent[0] if consistent else tuple())
+    symbols = observations.astype(np.int64)
+    p0, p1 = (np.asarray(mu)[symbols] for mu in (channel.mu0, channel.mu1))
+    l0, l1 = (np.array([math.log(p) if p > 0 else 0.0 for p in ps.tolist()]) for ps in (p0, p1))
+    imp0, imp1 = _bit_mask(p0 == 0), _bit_mask(p1 == 0)
+    base = float(l0.sum())
+    full = (1 << matrix.m) - 1
+    ranked = []
+    for support in combinations(range(matrix.n), k):
+        u = _or_masks(masks, support)
+        if (imp0 & (full ^ u)) or (imp1 & u):
+            ranked.append((-math.inf, support))
+            continue
+        ll = base
+        v = u
+        while v:
+            low = v & -v
+            i = low.bit_length() - 1
+            ll += float(l1[i] - l0[i])
+            v ^= low
+        ranked.append((ll, support))
+    ranked.sort(key=lambda pair: (-pair[0], pair[1]))
+    return OracleResult(consistent_supports=ranked, best=ranked[0][1])
+
+
+def _or_masks(masks, support) -> int:
+    u = 0
+    for j in support:
+        u |= masks[j]
+    return u
 
 
 def config_matrix_valid_reference(m: int, columns) -> bool:

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from gachagt.core_model import (
     ConfigMatrix,
     ProblemInstance,
-    run_tests,
     sample_instance,
     score,
 )
-from scaffolding import config_matrix_valid_reference, package_imports
+from scaffolding import config_matrix_valid_reference, package_imports, run_tests
 
 
 def test_sample_size_and_range():

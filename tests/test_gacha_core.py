@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import gachagt.gacha_core as gacha_core
 from gachagt.channels import apply_plan_many, bsc, plan_symmetrize, fp_channel
-from gachagt.core_model import run_tests, sample_instance, score
+from gachagt.core_model import sample_instance, score
 from gachagt.gf2e import FieldSpec, field
 from gachagt.gacha_core import (
     COLLISION,
@@ -32,6 +32,7 @@ from gachagt.gacha_core import (
     synthesize_blocks,
 )
 from scaffolding import (
+    build_matrix,
     choice_set_reference,
     combination_unrank,
     index_to_poly,
@@ -43,6 +44,7 @@ from scaffolding import (
     reference_symbols,
     row_lists,
     row_sets,
+    run_tests,
     scalar_gacha_decode,
     splitmix_key,
 )
@@ -116,7 +118,7 @@ def test_shared_batch_is_or_of_images():
 
 def test_build_matrix_shape_and_m():
     p = small_params(n=64, k=2)
-    A = gacha_scheme(p).build()
+    A = build_matrix(gacha_scheme(p))
     assert A.m == p.B * p.bits_per_symbol
     assert A.n == 64
     rng = np.random.default_rng(0)
@@ -127,7 +129,7 @@ def test_build_matrix_shape_and_m():
 
 def test_single_column_matrix():
     p = default_params(1, 1, matrix_seed=3)
-    A = gacha_scheme(p).build()
+    A = build_matrix(gacha_scheme(p))
     assert A.n == 1
     image_weight = p.inner.blocks * p.inner.code.weight
     assert len(A.columns[0]) == p.r * image_weight
@@ -146,7 +148,7 @@ def test_classic_sizing_ratio():
 
 def test_lazy_observed_equals_run_tests():
     p = small_params(seed=8, n=128, k=3)
-    A = gacha_scheme(p).build()
+    A = build_matrix(gacha_scheme(p))
     h = gacha_scheme(p)
     for seed in range(5):
         inst = sample_instance(128, 3, seed)

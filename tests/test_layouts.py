@@ -21,13 +21,14 @@ from hypothesis import strategies as st
 
 import gachagt.gacha_core as gacha_core
 from gachagt import sim_cli
-from gachagt.baselines import brute_force_decode
 from gachagt.channels import NoiseModel
 from gachagt.gacha_core import build_column, gacha_scheme
 from gachagt.gadgets import _PARALLEL_TAG, _SERIAL_TAG
 from gachagt.scheme import decode_copies
 from scaffolding import (
     bernoulli_columns_reference,
+    brute_force_reference,
+    build_matrix,
     comp_decode_reference,
     expander_decode_reference,
     majority_vote_reference,
@@ -87,11 +88,11 @@ def bernoulli(scheme, n, k, m, matrix_seed=9):
                                   "master_seed=1\n")
     h = sim_cli.build_scheme(config, matrix_seed, 0)
     columns = bernoulli_columns_reference(n, k, m, matrix_seed)
-    matrix = h.build()
+    matrix = build_matrix(h)
     if scheme == "comp":
         return (h, columns.__getitem__, partial(comp_decode_reference, matrix),
                 lambda nrows: ((nrows, -(-m // 64)), np.uint64))
-    return (h, columns.__getitem__, lambda bits: set(brute_force_decode(matrix, bits, k).best),
+    return (h, columns.__getitem__, lambda bits: set(brute_force_reference(matrix, bits, k).best),
             lambda nrows: ((nrows * m,), np.uint8))
 
 

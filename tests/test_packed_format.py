@@ -1,17 +1,17 @@
 """The one packed-bit format, scheme's WORD / zero_words / pack_groups /
-unpack_groups / group_ints, for Gacha's blocks, COMP's design and
-observation and the oracle's masks: the word layout bit by bit against
-shifts of the words and the round trip, writes through a row slice of a
-design with pad bits zeroed, the oracle's int masks against the bit-by-bit
-loop, and a scan that keeps every packbits / unpackbits call of the package
-in scheme.py."""
+unpack_groups, for Gacha's blocks and the design and observation of COMP
+and the oracle: the word layout bit by bit against shifts of the words and
+the round trip, writes through a row slice of a design with pad bits
+zeroed, packed rows read as little-endian ints against the scalar oracle's
+bit-by-bit masks, and a scan that keeps every packbits / unpackbits call of
+the package in scheme.py."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt.core_model import ConfigMatrix
-from gachagt.scheme import WORD, group_ints, pack_groups, unpack_groups, zero_words
+from gachagt.scheme import WORD, pack_groups, unpack_groups, zero_words
 from scaffolding import column_masks_reference, package_users
 
 # every width from 0 to 200, with the word and byte edges drawn often
@@ -65,10 +65,13 @@ def test_pack_groups_writes_through_a_row_slice(groups, width, seed, data):
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(1, 12), m=st.integers(0, 200), seed=st.integers(0, 1 << 32))
-def test_group_ints_match_the_bit_loop(n, m, seed):
+def test_packed_rows_as_ints_match_the_bit_loop(n, m, seed):
+    # the scalar oracle's int mask of a column, bit t for test t, is the
+    # column's packed row read as little-endian bytes
     bits = random_bits(seed, n, m)
     matrix = ConfigMatrix(m=m, n=n, columns=[np.flatnonzero(row) for row in bits])
-    assert group_ints(matrix.dense()) == column_masks_reference(matrix)
+    ints = [int.from_bytes(row.tobytes(), "little") for row in pack_groups(matrix.dense())]
+    assert ints == column_masks_reference(matrix)
 
 
 def test_only_scheme_packs_bits():

@@ -32,6 +32,7 @@ from gachagt.sim_cli import (
     run_fingerprint,
     run_trial,
 )
+from scaffolding import bernoulli_columns_reference
 
 MINIMAL = """
 # minimal config
@@ -237,7 +238,7 @@ def test_bernoulli_column_rejects_out_of_range_index(scheme, channel):
             h.column(j)
         with pytest.raises(ValueError, match="out of range"):
             h.observed_bits({j})
-    assert h.column(11).tolist() == h.build().columns[11].tolist()
+    assert h.column(11).tolist() == bernoulli_columns_reference(12, 2, h.m, 1)[11].tolist()
     y = np.zeros(h.m, dtype=np.uint8)
     for j in (0, 11):
         y[h.column(j)] = 1
@@ -592,7 +593,7 @@ def test_oversized_trial_is_a_config_error_within_a_second(tmp_path, capsys, cas
 
 def test_oracle_past_its_test_cap_is_rejected_at_parse():
     # n = 2, k = 1 passes the enumeration and design caps, and m = 2^26 the
-    # MAX_TESTS one, but its trial would hold about 7.6 GB: parsed, never run
+    # MAX_TESTS one, but its trial would hold about 2.3 GB: parsed, never run
     base = "scheme=oracle\nn=2\nk=1\ntrials=1\nmaster_seed=1\nchannel=bec:0.2\n"
     for m in (1 << 26, (1 << 23) + 1):
         with pytest.raises(ValueError, match="an oracle trial would run more than 2\\^23 tests"):
