@@ -5,7 +5,7 @@ codes, constant-weight and linear-code inner layers, channel symmetrization,
 composition gadgets, baseline decoders, and a seeded simulation CLI.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .core_model import ConfigMatrix, ProblemInstance, TrialMetrics, sample_instance, score
 from .gf2e import FieldSpec, InsufficientEvaluations, field

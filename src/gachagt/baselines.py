@@ -8,7 +8,8 @@ comp_decode_words without unpacking; words_to_bits and bits_to_words are its
 to_bits / from_bits.  The brute-force decoder enumerates all k-subsets of
 the same packed rows, a block at a time: with noiseless results it lists
 every support whose OR of rows is the packed observation; with a channel it
-ranks supports by exact log-likelihood.
+ranks supports by exact log-likelihood.  brute_force_best, the oracle
+scheme's decode, keeps only the best support, a block at a time.
 """
 
 from __future__ import annotations
@@ -80,15 +81,46 @@ def brute_force_decode(words: np.ndarray, m: int, observations, k: int,
     packed results.  Noisy: the exact log-likelihood of the observed symbols,
     ranked, argmax first (ties go to the lexicographically smallest support).
     """
+    scored = list(_scored(words, m, observations, k, channel))
+    if channel is None:
+        consistent = [tuple(s) for block, ok in scored for s in block[ok].tolist()]
+        return OracleResult(consistent, consistent[0] if consistent else ())
+    supports, scores = (np.concatenate(part) for part in zip(*scored))
+    order = np.argsort(-scores, kind="stable")  # supports come in lexicographic order
+    ranked = list(zip(scores[order].tolist(), map(tuple, supports[order].tolist())))
+    return OracleResult(ranked, ranked[0][1])
+
+
+def brute_force_best(words: np.ndarray, m: int, observations, k: int,
+                     channel: DiscreteChannel | None = None) -> tuple:
+    """brute_force_decode(...).best, keeping only a running best a block:
+    the first consistent support in lexicographic order (() when none), or
+    the first of the highest log-likelihood, which the stable ranking puts
+    first.  Its memory is one block's, whatever C(n, k)."""
+    best, top = (), None
+    for block, score in _scored(words, m, observations, k, channel):
+        i = int(np.argmax(score))  # the first maximum
+        if channel is None and score[i]:
+            return tuple(block[i].tolist())
+        if channel is not None and (top is None or score[i] > top):
+            best, top = tuple(block[i].tolist()), score[i]
+    return best
+
+
+def _scored(words: np.ndarray, m: int, observations, k: int, channel):
+    """(supports, scores) blocks over the k-subsets in lexicographic order:
+    noiseless, whether a support's OR of rows equals the packed results;
+    under a channel, its exact log-likelihood.  Raises ValueError past the
+    enumeration cap, before any block."""
     n = len(words)
     if math.comb(n, k) > MAX_ENUMERATION:
         raise ValueError(f"C({n},{k}) exceeds the enumeration cap")
     observations = checked_bits(observations, m, dtype=np.int64)
     if channel is None:
         target = pack_groups((observations != 0)[None])
-        consistent = [tuple(s) for block, u in _supports(words, k, k * words.shape[1])
-                      for s in block[(u == target).all(axis=1)].tolist()]
-        return OracleResult(consistent, consistent[0] if consistent else ())
+        for block, u in _supports(words, k, k * words.shape[1]):
+            yield block, (u == target).all(axis=1)
+        return
 
     # the log of each symbol's probability under either input, by math.log,
     # 0.0 at probability 0; zero-probability tests kept as packed masks, so
@@ -99,12 +131,8 @@ def brute_force_decode(words: np.ndarray, m: int, observations, k: int,
     l0, gain = logs[0, observations], logs[1, observations]
     gain -= l0  # l1 - l0
     base = float(l0.sum())
-    scored = [(block, _log_likelihoods(u, m, base, gain, impossible))
-              for block, u in _supports(words, k, m + 1)]
-    supports, scores = (np.concatenate(part) for part in zip(*scored))
-    order = np.argsort(-scores, kind="stable")  # supports come in lexicographic order
-    ranked = list(zip(scores[order].tolist(), map(tuple, supports[order].tolist())))
-    return OracleResult(ranked, ranked[0][1])
+    for block, u in _supports(words, k, m + 1):
+        yield block, _log_likelihoods(u, m, base, gain, impossible)
 
 
 SCORE_CELLS = 1 << 18  # a block's float64 terms (m + 1 a support) or packed words

@@ -10,10 +10,12 @@ code is the one every pyramid layer stacks, and this module owns it: notes
 writes it, for the expander layers too, and recover_rows reads it.
 
 Decoding: find the batches exactly one person wrote, read the pair back
-from each, group pairs by birthday, and interpolate each group back to a
-polynomial; empty batches and collisions are never read.  Interpolated
-candidates are verified against the whole group before their index is
-emitted, so corrupted fragments degrade into misses rather than fabricated
+from each, group pairs by birthday, and settle each group by one vote;
+empty batches and collisions are never read.  The birthday is g(0), a point
+of the polynomial the decoder knows before it reads a fragment, so each
+fragment (at d <= 2) or window of d - 1 fragments names one candidate, and
+a group accepts only a candidate with a strict plurality of at least t
+votes, so corrupted fragments degrade into misses rather than fabricated
 indices.
 
 The scheme's observation is its (nrows * B, blocks) uint64 block words:
@@ -24,14 +26,14 @@ block is one group of ell bits in scheme's packed format, one word wide.
 
 decode_rows does this for a stack of copies at once, in arrays: one
 inner-layer one_writer call over every copy's batches returns only the
-one-writer batches and their pairs, then recover_rows, where one stable
-argsort of the key copy << w | birthday forms the groups and the field's
-array interpolation and Horner settle every group, retry included, for any
-d and w.  It returns (row, index) int64 arrays in arrival order: a
-copy's indices in the order of their groups' first fragments.  Its scalar
-reference lives in tests/scaffolding.py; the list form (column_symbols,
-build_column, synthesize_blocks, list_decode, recover_from_groups) remains
-only as adapters over the array path that bench/tracer.py wraps by name.
+one-writer batches and their pairs, then recover_rows, where one field
+division per fragment and one stable sort of (copy << w | birthday,
+candidate) count every group's votes, for any d and w.  It returns
+(row, index) int64 arrays in arrival order: a copy's indices in the order
+of their groups' first fragments.  Its scalar reference lives in
+tests/scaffolding.py; the list form (column_symbols, build_column,
+synthesize_blocks, list_decode, recover_from_groups) remains only as
+adapters over the array path that bench/tracer.py wraps by name.
 """
 
 from __future__ import annotations
@@ -455,57 +457,66 @@ def list_decode(params: GachaParams, word: SynthWord):
 
 
 def recover_rows(fld: FieldSpec, d: int, fragments, n: int):
-    """Interpolate each birthday group of the notes of many rows and verify
-    it, in arrays: the accepted indices as (row, index) int64 arrays.
+    """Settle each birthday group of the notes of many rows by one vote, in
+    arrays: the accepted indices as (row, index) int64 arrays.
 
     fragments is (row, slot, hi, lo), int64 arrays in arrival order: a note
     (hi, lo) that notes wrote in slot `slot` of row `row`, both field
-    elements, so lo is read at the slot's point s + 1.  Slots are distinct
-    within a (row, birthday) group and below 2^w - 1, and arrive in
-    ascending order.  Rows must lie below 2^(63 - w), so that one stable
-    argsort of the int64 key row << w | hi forms the groups, in the order of
-    lexsort((hi, row)).  A group of d or more is interpolated on its d
-    smallest slots, retried once on the next d (slots 1..d when it has fewer
-    than 2d), then abandoned.  A candidate g is accepted when its constant
-    term g(0) is the birthday, its index lies in [0, n) and below 2^63, and
-    it matches a strict majority (and at least d) of the group's fragments.
+    elements.  Slots are distinct within a (row, birthday) group, below
+    2^w - 1 and ascending; rows lie below 2^(63 - w), so that row << w | hi
+    is an int64 group key.
+
+    The birthday is g(0), so g(x) = hi + x h(x) for an h of dimension d - 1,
+    and a fragment reads h at its slot's point: z = (lo + hi) / (s + 1).  At
+    d = 2 each fragment names the candidate h = z; at d = 1 the one
+    candidate is g = hi, named by the fragments with z = 0; at d >= 3 each
+    window of d - 1 consecutive fragments of a group names the h through its
+    points.  A group accepts its most-voted candidate when it has at least
+    t votes, a strict plurality and an index in [0, n) (so below 2^63).
+    t = 2 at d >= 2, which is d agreeing fragments: a wrong accept then
+    takes two corrupt fragments of one row sharing a birthday and a z, about
+    2^-2w a pair, where with t = 1 every corrupt fragment would name an
+    index below n with chance n / 2^(w d).  t = 1 at d = 1, whose candidate
+    is pinned to the birthday, so a corrupt fragment votes only if lo = hi.
     The indices come in the arrival order of their groups' first fragments,
     so rows ascend when the fragments' rows do.
     """
     row, slot, hi, lo = fragments
     key = row << fld.w | hi
-    order = np.argsort(key, kind="stable")
-    key, x, lo = key[order], _point(slot[order]), lo[order]
-    hi = key & ((1 << fld.w) - 1)
-    bounds = np.ones(len(order) + 1, dtype=bool)  # where each group starts, and the end
-    bounds[1:-1] = key[1:] != key[:-1]
-    bounds = np.flatnonzero(bounds)
-    sizes = bounds[1:] - bounds[:-1]
-    ready = sizes >= d
-    starts, sizes = bounds[:-1][ready], sizes[ready]
-    accepted = np.full(len(starts), -1, dtype=np.int64)
-    todo, first, size, skip = np.arange(len(starts)), starts, sizes, 0
-    for retry in (False, True):  # the d smallest slots; then the next d, or slots 1..d
-        if not len(todo):  # no group left to settle
-            break
-        pick = (first + skip)[:, None] + np.arange(d)
-        g = fld.interpolate_many(x[pick], lo[pick])
-        group = np.repeat(np.arange(len(todo)), size)
-        at = np.repeat(first - np.cumsum(size) + size, size) + np.arange(len(group))
-        hits = fld.poly_eval_many(g.take(group, axis=0), x[at]) == lo[at]
-        j = fld.poly_to_index_many(g)
-        matches = np.bincount(group[hits], minlength=len(todo))
-        ok = ((g[:, 0] == hi[first]) & (0 <= j) & (j < n)
-              & (matches >= np.maximum(d, size // 2 + 1)))
-        accepted[todo[ok]] = j[ok]
-        if retry:
-            break
-        again = np.flatnonzero(~ok & (size > d))  # failed, with slots left
-        todo, first, size = todo[again], first[again], size[again]
-        skip = np.where(size >= 2 * d, d, 1)
-    keep = np.flatnonzero(accepted >= 0)
-    keep = keep[np.argsort(order[starts[keep]])]
-    return key[starts[keep]] >> fld.w, accepted[keep]
+    z = fld.div_many(lo ^ hi, _point(slot))
+    # votes sorted by (group, candidate): at, the fragment each vote starts
+    # at; h, the candidate it names
+    if d <= 2:  # a vote a fragment
+        at = np.lexsort((z, key))
+        h = z[at, None]
+    else:  # a vote a window of consecutive fragments of one group
+        order = np.argsort(key, kind="stable")
+        start = np.flatnonzero(key[order[:2 - d]] == key[order[d - 2:]])
+        window = order[start[:, None] + np.arange(d - 1)]
+        h = fld.interpolate_many(_point(slot[window]), z[window])
+        by = np.lexsort((*h.T, key[window[:, 0]]))
+        at, h = window[by, 0], h[by]
+    key = key[at]
+    edge = np.ones(len(at) + 1, dtype=bool)  # where each candidate's run starts, and the end
+    edge[1:-1] = (key[1:] != key[:-1]) | (h[1:] != h[:-1]).any(axis=1)
+    edge = np.flatnonzero(edge)
+    first, votes = edge[:-1], np.diff(edge)
+    if d == 1:  # the birthday is the one candidate
+        votes[h[first, 0] != 0] = 0
+    group = np.ones(len(first), dtype=bool)  # the runs that start a group
+    group[1:] = key[first[1:]] != key[first[:-1]]
+    starts = np.flatnonzero(group)
+    group = np.cumsum(group) - 1
+    top = votes == np.maximum.reduceat(votes, starts)[group]
+    best = np.flatnonzero(top & (np.add.reduceat(top, starts)[group] == 1)
+                          & (votes >= (1 if d == 1 else 2)))
+    won = key[first[best]]
+    j = fld.poly_to_index_many(np.concatenate(
+        [(won & ((1 << fld.w) - 1))[:, None], h[first[best], :d - 1]], axis=1))
+    ok = np.flatnonzero((0 <= j) & (j < n))
+    arrival = np.minimum.reduceat(at, first[starts])[group[best[ok]]]
+    ok = ok[np.argsort(arrival)]
+    return won[ok] >> fld.w, j[ok]
 
 
 def decode_rows(params: GachaParams, words, nrows: int):
@@ -538,9 +549,11 @@ def gacha_scheme(params: GachaParams) -> SchemeHandle:
 def analytic_budget(k: int, w: int, d: int, r: int) -> float:
     """Mean FN+FP budget: fragment-starvation tail plus birthday collision mass.
 
-    The first term is the Hoeffding bound on a person keeping fewer than d of
-    her r circles when each survives independently with probability >= 5/8;
-    the second is the expected number of colliding birthday pairs over 2^w.
+    The first term is the Hoeffding bound on starvation, a person's group
+    getting fewer than t votes, which takes keeping fewer than d of her r
+    circles (t votes are d agreeing fragments) when each survives
+    independently with probability >= 5/8; the second is the expected number
+    of colliding birthday pairs over 2^w.
     """
     concentrate = k * math.exp(-2 * (5 / 8 - d / r) ** 2 * r)
     birthday = k * k / (1 << (w + 1))

@@ -8,7 +8,7 @@ Each gadget wraps any SchemeHandle and returns a bigger SchemeHandle:
   keeps indices reported by at least half of them.
 * expander_build lets every person join rho of R copies under a fresh
   instance of the core scheme's birthday-number code, written by its notes,
-  so per-copy results can be re-assembled by the same group-and-interpolate
+  so per-copy results can be re-assembled by the same group-and-vote
   decoder, its recover_rows.  When one copy reports
   two pairs under one birthday, the one that arrived first is kept.
 

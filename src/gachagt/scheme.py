@@ -19,6 +19,7 @@ pack_groups and unpack_groups alone know its bit order and padding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -39,15 +40,25 @@ def zero_words(groups: int, width: int) -> np.ndarray:
 def pack_groups(bits, out=None) -> np.ndarray:
     """The packed words of a (groups, width) bool or integer array, nonzero
     read as 1, written into out (zero_words, or a slice of its rows) when
-    given: each group padded to whole words, then one flat packbits."""
+    given: one flat packbits, with each group first padded to whole words
+    when its width is not whole bytes; a width of whole bytes but not whole
+    words is copied row by row into zeroed words, in the widest unit that
+    tiles a row."""
     bits = np.asarray(bits)
     groups, width = bits.shape
     size = -(-width // 64)
-    if width % 64:
+    if width % 8:
         padded = np.zeros((groups, 64 * size), dtype=bool)
         padded[:, :width] = bits
-        bits = padded
-    words = np.packbits(bits, bitorder="little").view(WORD).reshape(groups, size)
+        bits, width = padded, 64 * size
+    octets = np.packbits(bits, bitorder="little")  # each group's bytes, back to back
+    if width % 64:
+        unit = np.dtype(f"<u{math.gcd(width // 8, 8)}")
+        per_row = width // (8 * unit.itemsize)
+        words = np.zeros((groups, size), dtype=WORD)
+        words.view(unit)[:, :per_row] = octets.view(unit).reshape(groups, per_row)
+    else:
+        words = octets.view(WORD).reshape(groups, size)
     if out is None:
         return words
     out[...] = words

@@ -32,8 +32,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .baselines import (bits_to_words, brute_force_decode, comp_decode_words, observe_words,
-                        words_to_bits)
+from .baselines import (bits_to_words, brute_force_best, brute_force_decode, comp_decode_words,
+                        observe_words, words_to_bits)
 from .channels import NoiseModel
 from .core_model import sample_instance, score
 from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
@@ -319,7 +319,7 @@ def _bernoulli_scheme(config: SimConfig, matrix_seed: int) -> SchemeHandle:
         return words_to_bits(m, observe_words(words, m, js, rows, nrows))
 
     def decode(z):
-        return brute_force_decode(words, m, z, config.k, config.noise.channel).best
+        return brute_force_best(words, m, z, config.k, config.noise.channel)
 
     return SchemeHandle(  # the plain-bit layout
         n=config.n, k_design=config.k, m=m,

@@ -20,6 +20,7 @@ modules they import."""
 
 import ast
 import math
+from collections import Counter
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -254,39 +255,32 @@ def interpolate_reference(fld, points, d: int) -> tuple:
 def recover_from_groups_reference(fld, d: int, groups, n: int) -> set:
     """recover_rows on one row, one birthday group at a time in a dict.
 
-    groups maps a birthday value to [(slot, fragment)] with pairwise-distinct
-    slots, slot s read at point s + 1.  A candidate is accepted when it
-    reproduces the birthday at 0, its index fits in [0, n), and it matches a
-    strict majority (and at least d) of the group's points.
-    Interpolation runs on the d smallest slots, with one retry on the next d
-    slots (slots 1..d when there are fewer than 2d), then the group is
-    abandoned.
+    groups maps a birthday b to [(slot, fragment)] in arrival order, slots
+    pairwise distinct, slot s read at point s + 1.  g(x) = b + x h(x), so a
+    fragment y reads h at its point as z = (y + b) / (s + 1), by a Fermat
+    inverse.  The candidates and their votes: at d = 1 the constant b, one
+    vote per fragment with z = 0; at d = 2 the constant z of every fragment;
+    at d >= 3 the h that interpolate_reference puts through each window of
+    d - 1 consecutive fragments.  The most-voted candidate is accepted when
+    it has at least t votes (1 at d = 1, else 2), strictly more than any
+    other, and its index b + x h(x) lies below n.
     """
-    found = set()
+    f, found = fld.reduction_poly, set()
     for birthday, pts in groups.items():
-        if len(pts) < d:
-            continue
-        pts = sorted(pts)
-        attempts = [pts[:d]]
-        if len(pts) >= 2 * d:
-            attempts.append(pts[d:2 * d])
-        elif len(pts) > d:
-            attempts.append(pts[1:d + 1])
-        need = max(d, len(pts) // 2 + 1)
-        for subset in attempts:
-            try:
-                g = interpolate_reference(fld, [(s + 1, y) for s, y in subset], d)
-            except InsufficientEvaluations:
-                break
-            if poly_eval_reference(fld, g, 0) != birthday:
-                continue
-            j = poly_to_index(fld, g)
-            if j >= n:
-                continue
-            matches = sum(1 for s, y in pts if poly_eval_reference(fld, g, s + 1) == y)
-            if matches >= need:
+        points = [(s + 1, _mulmod_poly(_element(fld, y) ^ birthday,
+                                       _powmod_poly(s + 1, (1 << fld.w) - 2, f), f))
+                  for s, y in pts]
+        if d == 1:
+            votes = Counter(() for _, z in points if z == 0)
+        else:
+            votes = Counter(interpolate_reference(fld, points[i:i + d - 1], d - 1)
+                            for i in range(len(points) - d + 2))
+        ranked = votes.most_common(2) + [((), 0)] * 2
+        (h, top), (_, second) = ranked[:2]
+        if top >= (1 if d == 1 else 2) and top > second:
+            j = poly_to_index(fld, (birthday,) + h)
+            if j < n:
                 found.add(j)
-                break
     return found
 
 

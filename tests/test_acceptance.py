@@ -22,7 +22,7 @@ from gachagt.channels import (
     _error_rates,
 )
 from gachagt.core_model import sample_instance, score
-from gachagt.gacha_core import default_params, gacha_scheme
+from gachagt.gacha_core import default_params, gacha_scheme, recover_rows
 from gachagt.gadgets import expander_build, serial_build
 from gachagt.gf2e import field
 from gachagt.inner_code import linear_code
@@ -241,6 +241,64 @@ def test_ac6_downgrade_equivalence(ac6_runs):
         "AC-6b", ok,
         f"FP(0.2)+symmetrizer mean {got:.3f} within 2x of BSC(1/6) mean {ref:.3f}",
     )
+
+
+AC6C_CONFIG = """
+scheme=gacha
+n=65536
+k=8
+channel=bsc:0.1
+d=2
+trials=400
+master_seed=626
+"""
+
+
+def test_vote_threshold_false_accept_arithmetic():
+    # A group accepts a candidate on t votes, so a wrong index takes t
+    # corrupt fragments of one row that share a birthday and a z: at most
+    # C(B, t) sets of them, each sharing both with chance 2^-w(t - 1), and
+    # naming an index below n with chance n / 2^(w d).  At AC-6c's sizing
+    # (w = 12, d = 2, B = 384) t = 1 would allow 1.5 wrong indices a trial
+    # and t = 2 allows 1.7e-5, against the 0.05 bar.  At d = 1 (n = 65536:
+    # w = 16, B = 192) the candidate is the birthday, so one corrupt vote
+    # takes lo = hi as well, and t = 1 allows 0.003.
+    from gachagt.sim_cli import gacha_params_for
+
+    def wrong_accepts(p, t, pinned):
+        share = 2.0 ** (-2 * p.w * (t - 1)) * 2.0 ** (-p.w * pinned)
+        return comb(p.B, t) * share * p.n / 2.0 ** (p.w * p.d)
+
+    p2 = gacha_params_for(parse_config(AC6C_CONFIG), matrix_seed=0)
+    p1 = gacha_params_for(parse_config(AC6C_CONFIG.replace("d=2", "d=1")), matrix_seed=0)
+    assert (p2.w, p2.d, p2.B, p2.m) == (12, 2, 384, 18432) and (p1.w, p1.d, p1.B) == (16, 1, 192)
+    assert wrong_accepts(p2, 1, 0) > 1.0 and wrong_accepts(p2, 2, 0) < 1e-4
+    assert wrong_accepts(p1, 1, 1) < 0.005
+
+    # and the decoder takes exactly that: a person with two true fragments
+    # and c corrupt ones under their birthday naming one wrong index J
+    fld, n = field(p2.w), p2.n
+    g, wrong = index_to_poly(fld, 1234, 2), index_to_poly(fld, 1234 + 7 * 4096, 2)
+    assert g[0] == wrong[0]
+    for true, c, want in ((2, 1, {1234}), (2, 2, set()), (2, 3, {29906}), (0, 2, {29906}),
+                          (0, 1, set())):
+        frags = [(s, poly_eval_reference(fld, g if s < true else wrong, s + 1))
+                 for s in range(true + c)]
+        row, slot, lo = (np.array(v, dtype=np.int64) for v in
+                         ([0] * len(frags), [s for s, _ in frags], [y for _, y in frags]))
+        got = recover_rows(fld, 2, (row, slot, np.full(len(frags), g[0]), lo), n)[1]
+        assert set(got.tolist()) == want, (true, c)
+
+
+def test_ac6c_vote_decodes_inside_capacity(tmp_path):
+    # bsc:0.1 at the default sizing (d = 2, m = 18,432): the interpolate,
+    # verify and retry decoder lost about 1.6 of 8 persons a trial here
+    run(parse_config(AC6C_CONFIG), out_dir=tmp_path)
+    errs = trial_error_sums(tmp_path)
+    mean = float(errs.mean())
+    band = 3 * float(errs.std()) / math.sqrt(len(errs))
+    ok = len(errs) == 400 and mean <= 0.05 + band
+    assert report_line("AC-6c", ok, f"BSC(0.1) mean FN+FP {mean:.4f} (<= 0.05 + 3sigma {band:.4f})")
 
 
 def test_ac7_serial_vote_bound():

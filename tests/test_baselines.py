@@ -1,8 +1,12 @@
 """Reference decoders: COMP and the exhaustive consistent/ML oracle, the
 oracle's packed scoring against the scalar one on int masks (supports,
-ranking and every float), and an oracle trial's time at m = 2^20."""
+ranking and every float), its running best against the scalar ranking's
+first, an oracle trial's time at m = 2^20, and its memory at C(n, k) near
+the enumeration cap."""
 
 import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gachagt import sim_cli
-from gachagt.baselines import brute_force_decode, comp_decode
+from gachagt import baselines
+from gachagt.baselines import brute_force_best, brute_force_decode, comp_decode
 from gachagt.channels import DiscreteChannel, bec, bsc, fn_channel, fp_channel
 from gachagt.core_model import ConfigMatrix, ProblemInstance, sample_instance
 from gachagt.scheme import pack_groups
@@ -186,3 +191,45 @@ def test_oracle_trial_is_linear_in_m():
     row = sim_cli.run_trial(config, 0)
     assert time.perf_counter() - start < 30.0
     assert row[4] == 1 << 20
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 8), m=st.integers(0, 120), data=st.data(),
+       channel=st.sampled_from(sorted(CHANNELS)), seed=st.integers(0, 1 << 32))
+def test_running_best_matches_the_scalar_reference(n, m, data, channel, seed):
+    # blocks from one support up to all of them, so the best is carried
+    # across blocks, ties included (identical rows, or m = 0)
+    k = data.draw(st.integers(1, min(3, n - 1)))
+    ch = CHANNELS[channel]
+    rng = np.random.default_rng(seed)
+    design = rng.random((n, m)) < rng.random()
+    design[1] = design[0] if rng.random() < 0.3 else design[1]
+    A = ConfigMatrix(m=m, n=n, columns=[np.flatnonzero(row) for row in design])
+    sick = frozenset(rng.choice(n, size=k, replace=False).tolist())
+    y = run_tests(A, ProblemInstance(n=n, k=k, sick_set=sick))
+    if ch is None:
+        observations = [y, (rng.random(m) < 0.5).astype(np.uint8)]
+    else:
+        observations = [ch.transmit_many(y, rng), rng.integers(0, ch.q, size=m)]
+    cells = data.draw(st.integers(1, 64)) * (m + 1) * k
+    with mock.patch.object(baselines, "SCORE_CELLS", cells):
+        for z in observations:
+            got = brute_force_best(pack_groups(A.dense()), A.m, z, k, ch)
+            assert got == brute_force_reference(A, z, k, ch).best
+
+
+def test_oracle_trial_memory_is_one_block():
+    # n = 1414, k = 2 under bsc:0.05 with m = 40: C(n, k) = 998,991 supports,
+    # which the enumeration cap admits.  Ranking all of them to read the
+    # first peaked at 341 MB under tracemalloc; the running best keeps one
+    # block of SCORE_CELLS float64 terms, about 4 MB in all
+    config = sim_cli.parse_config("scheme=oracle\nn=1414\nk=2\ntrials=1\nmaster_seed=1\n"
+                                  "channel=bsc:0.05\nm=40\n")
+    tracemalloc.start()
+    try:
+        row = sim_cli.run_trial(config, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row[2:5] == (1414, 2, 40)
+    assert peak < 32 << 20, peak

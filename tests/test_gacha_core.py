@@ -546,19 +546,27 @@ def bsc_blocks(p, rng):
 def crafted_blocks(p, rng):
     """Fragments written straight into batches, group by group: some under
     their polynomial's own birthday, some under a birthday from a small
-    shared pool (wrong, and merging groups), indices inside and outside
-    [0, n), and a quarter of the fragments garbage.  So the birthday check,
-    the index bound, the majority rule and the retry all decide groups."""
+    shared pool (wrong, and merging groups), some twins that share the last
+    polynomial's birthday and write as many fragments (a plurality tie),
+    indices just below, at and past n, and a quarter of the fragments
+    corrupt.  So the votes, the threshold, the strict plurality and the
+    index bound all decide groups."""
     fld, q = p.field, 1 << p.w
     pool = rng.integers(0, q, size=3).tolist()
     batches, his, los = [], [], []
     free = rng.permutation(p.B).tolist()
+    g, count = None, 0
     while len(free) > 2 * p.d + 2:
-        j = int(rng.integers(0, p.n)) if rng.random() < 0.6 else int(
-            rng.integers(0, 1 << min(p.w * p.d, 62)))
-        g = index_to_poly(fld, j, p.d)
-        hi = poly_eval_reference(fld, g, 0) if rng.random() < 0.7 else int(rng.choice(pool))
-        for _ in range(int(rng.integers(1, 2 * p.d + 3))):
+        u = rng.random()
+        if g is not None and p.d > 1 and u < 0.2:  # a twin of the last polynomial
+            g = (g[0],) + tuple(rng.integers(0, q, size=p.d - 1).tolist())
+        else:
+            j = (int(rng.integers(0, p.n)) if u < 0.6 else
+                 int(rng.integers(0, 1 << min(p.w * p.d, 62))) if u < 0.85 else
+                 min(p.n, (1 << (p.w * p.d)) - 1) - int(rng.integers(0, 2)))
+            g, count = index_to_poly(fld, j, p.d), int(rng.integers(1, 2 * p.d + 3))
+        hi = g[0] if rng.random() < 0.7 else int(rng.choice(pool))
+        for _ in range(count):
             s = free.pop()
             lo = (poly_eval_reference(fld, g, s + 1) if rng.random() < 0.75
                   else int(rng.integers(0, q)))
@@ -612,9 +620,10 @@ def test_decode_rows_keeps_arrival_order():
     assert h.decode(h.observed_words(set(sick))) == set(want)
 
 
-def test_decode_rows_retries_on_the_next_slots():
-    # the first attempt (two smallest batches) holds a garbage fragment, the
-    # retry on the next two batches recovers the person
+def test_decode_rows_outvotes_a_corrupt_fragment():
+    # five batches of one person, the first corrupt: it names a candidate of
+    # its own with one vote, the other four agree, so the group settles on
+    # the person at once, and on nothing when the index lies at or past n
     p = ac1_params(seed=6)
     fld, j = p.field, (12345 << 16) | 777
     g = index_to_poly(fld, j, p.d)
@@ -626,7 +635,8 @@ def test_decode_rows_retries_on_the_next_slots():
                                            np.array(los),
                                            batches)
     assert row_sets(decode_rows(replace(p, n=1 << 32), words, 1), 1) == [{j}]
-    assert row_sets(decode_rows(p, words, 1), 1) == [set()]  # j >= n
+    assert row_sets(decode_rows(replace(p, n=j + 1), words, 1), 1) == [{j}]
+    assert row_sets(decode_rows(replace(p, n=j), words, 1), 1) == [set()]
 
 
 def test_decode_rows_rejects_indices_past_int64():
@@ -708,24 +718,34 @@ def test_only_gacha_core_converts_indices():
 
 @st.composite
 def fragment_rows(draw, widths=(8, 17, 32)):
-    """(w, d, nrows, fragments) for recover_rows over GF(2^w), w drawn from
-    widths: per row, slots in ascending order, each holding fragments of
-    distinct birthdays in any order; fragments from a few polynomials, half
-    of them with an index below 2^24, some under wrong birthdays, some
-    garbage."""
+    """(w, d, n, nrows, fragments) for recover_rows over GF(2^w), w drawn
+    from widths: per row, slots in ascending order, each holding fragments
+    of distinct birthdays in any order.  The fragments come from a few
+    polynomials: indices below 2^24, just below or at n, or anywhere in
+    GF(2^w)^d (past n, and past 2^63 when w d > 63); twins that share an
+    earlier polynomial's birthday, merging groups whose votes can tie; some
+    written under a wrong birthday; and a fifth of the fragments corrupt."""
     w = draw(st.sampled_from(widths))
     d = draw(st.sampled_from([1, 2, 3, 4]))
+    n = draw(st.sampled_from([1 << 8, 1 << 12, 1 << 24]))
     nrows = draw(st.integers(1, 3))
-    fld, q = field(w), 1 << w
-    seed = draw(st.integers(0, 2 ** 32 - 1))
-    rng = np.random.default_rng(seed)
+    fld, q, space = field(w), 1 << w, 1 << (w * d)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     frags = []
     for row in range(nrows):
-        polys = [index_to_poly(fld, int(rng.integers(0, 1 << min(24, w * d))), d)
-                 if rng.random() < 0.5 else tuple(rng.integers(0, q, size=d).tolist())
-                 for _ in range(int(rng.integers(1, 6)))]
-        births = [poly_eval_reference(fld, g, 0) if rng.random() < 0.7
-                  else int(rng.integers(0, 4)) for g in polys]
+        polys = []
+        for _ in range(int(rng.integers(1, 6))):
+            u = rng.random()
+            if polys and d > 1 and u < 0.25:
+                twin = polys[int(rng.integers(0, len(polys)))]
+                polys.append((twin[0],) + tuple(rng.integers(0, q, size=d - 1).tolist()))
+            elif u < 0.5:
+                polys.append(tuple(rng.integers(0, q, size=d).tolist()))
+            else:
+                j = (int(rng.integers(0, min(space, 1 << 24))) if u < 0.8
+                     else min(n, space - 1) - int(rng.integers(0, 2)))
+                polys.append(index_to_poly(fld, j, d))
+        births = [g[0] if rng.random() < 0.7 else int(rng.integers(0, 4)) for g in polys]
         for slot in range(int(rng.integers(1, 40))):
             seen = set()
             for i in rng.permutation(len(polys)).tolist():
@@ -735,22 +755,31 @@ def fragment_rows(draw, widths=(8, 17, 32)):
                 lo = poly_eval_reference(fld, polys[i], slot + 1)
                 frags.append((row, slot, births[i], lo if rng.random() < 0.8 else
                               int(rng.integers(0, q))))
-    return w, d, nrows, frags
+    return w, d, n, nrows, frags
+
+
+def row_groups(frags, row):
+    """The birthday groups of one row of fragments, in a dict in arrival order."""
+    groups = {}
+    for r, slot, hi, lo in frags:
+        if r == row:
+            groups.setdefault(hi, []).append((slot, lo))
+    return groups
+
+
+def fragment_arrays(frags):
+    return tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=fragment_rows(), n=st.sampled_from([1 << 8, 1 << 12, 1 << 24]))
-def test_recover_rows_matches_recover_from_groups(case, n):
-    w, d, nrows, frags = case
+@given(case=fragment_rows())
+def test_recover_rows_matches_recover_from_groups(case):
+    w, d, n, nrows, frags = case
     fld = field(w)
-    arrays = tuple(np.array([f[i] for f in frags], dtype=np.int64).reshape(-1) for i in range(4))
-    got = row_lists(recover_rows(fld, d, arrays, n), nrows)
+    got = row_lists(recover_rows(fld, d, fragment_arrays(frags), n), nrows)
     want = []
     for row in range(nrows):
-        groups = {}
-        for r, slot, hi, lo in frags:
-            if r == row:
-                groups.setdefault(hi, []).append((slot, lo))
+        groups = row_groups(frags, row)
         want.append(recover_in_order(fld, d, groups, n))
         # the adapter bench/tracer.py wraps, over the same groups
         assert recover_from_groups(fld, d, 0, groups, lambda s: s + 1, n) == set(want[-1])
@@ -758,65 +787,74 @@ def test_recover_rows_matches_recover_from_groups(case, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=fragment_rows(widths=(32,)), data=st.data())
+@given(case=fragment_rows(widths=(17, 32)), data=st.data())
 def test_recover_rows_groups_far_apart_rows(case, data):
-    # rows up to 2^20 over GF(2^32): the grouping key row << 32 | birthday
-    # keeps every (row, birthday) group apart, row by row as the reference
-    w, d, nrows, frags = case
-    fld, n = field(w), 1 << 24
+    # rows up to 2^20 over GF(2^17) and GF(2^32): the grouping key
+    # row << w | birthday keeps every (row, birthday) group apart, row by row
+    # as the reference
+    w, d, n, nrows, frags = case
+    fld = field(w)
     labels = sorted(data.draw(st.lists(st.integers(0, 1 << 20), min_size=nrows,
                                        max_size=nrows, unique=True)))
     labelled = [(labels[r], slot, hi, lo) for r, slot, hi, lo in frags]
-    arrays = tuple(np.array([f[i] for f in labelled], dtype=np.int64) for i in range(4))
-    row, index = recover_rows(fld, d, arrays, n)
+    row, index = recover_rows(fld, d, fragment_arrays(labelled), n)
     for r, label in enumerate(labels):
-        groups = {}
-        for fr, slot, hi, lo in frags:
-            if fr == r:
-                groups.setdefault(hi, []).append((slot, lo))
+        groups = row_groups(frags, r)
         want = recover_in_order(fld, d, groups, n)
         assert index[row == label].tolist() == want
         assert set(want) == recover_from_groups_reference(fld, d, groups, n)
     assert set(row.tolist()) <= set(labels) and (np.diff(row) >= 0).all()
 
 
-def test_recover_rows_retries_after_an_index_past_int64():
+def test_recover_rows_settles_by_strict_plurality():
+    # GF(2^8), d = 2: P and Q share the birthday 5; a group accepts the one
+    # with more votes, and nothing on a tie, however many votes each has
+    fld, d, n = field(8), 2, 1 << 16
+    p, q = (5, 1), (5, 2)
+    for on_p, on_q, want in ((3, 2, {poly_to_index(fld, p)}), (2, 3, {poly_to_index(fld, q)}),
+                             (3, 3, set()), (2, 0, {poly_to_index(fld, p)}), (1, 0, set())):
+        frags = [(0, s, 5, poly_eval_reference(fld, p if s < on_p else q, s + 1))
+                 for s in range(on_p + on_q)]
+        groups = row_groups(frags, 0)
+        assert row_sets(recover_rows(fld, d, fragment_arrays(frags), n), 1) == [want]
+        assert recover_from_groups_reference(fld, d, groups, n) == want
+
+
+def test_recover_rows_rejects_an_index_past_int64():
     # d = 3 over GF(2^32): P = Q + x (x + 7) shares the birthday P(0) = Q(0)
-    # and the point x = 7 with Q, and its index passes 2^64.  Slots 0..2 lie
-    # on P, slots 3..5 on Q, slot 6 on both: the first attempt finds P, whose
-    # index no person has, so the retry on slots 3..5 must find Q, which
-    # matches 4 of the 7 points
+    # and the point x = 7 with Q, and its index passes 2^64, which int64
+    # would wrap.  The first on_p slots lie on P and the rest on Q, slot 6 on
+    # both: each window of two consecutive fragments votes.  Q wins 3 to 2,
+    # ties 2 to 2, and when P has the plurality its index is rejected and
+    # the group settles on nothing: it is never retried on Q
     fld, d, n = field(32), 3, 1 << 24
     q = index_to_poly(fld, 12345, d)
     p = (q[0], q[1] ^ 7, q[2] ^ 1)  # x (x + 7) = x^2 + 7 x
     assert poly_eval_reference(fld, p, 7) == poly_eval_reference(fld, q, 7)
     assert poly_to_index(fld, p) >= 1 << 64
-    frags = [(0, s, q[0], poly_eval_reference(fld, p if s < 3 else q, s + 1)) for s in range(7)]
-    arrays = tuple(np.array(col, dtype=np.int64) for col in zip(*frags))
-    groups = {q[0]: [(s, lo) for _, s, _, lo in frags]}
-    assert recover_from_groups_reference(fld, d, groups, n) == {12345}
-    assert row_sets(recover_rows(fld, d, arrays, n), 1) == [{12345}]
+    for on_p, size, want in ((3, 7, {12345}), (3, 6, set()), (4, 7, set()), (7, 7, set())):
+        frags = [(0, s, q[0], poly_eval_reference(fld, p if s < on_p else q, s + 1))
+                 for s in range(size)]
+        assert recover_from_groups_reference(fld, d, row_groups(frags, 0), n) == want
+        assert row_sets(recover_rows(fld, d, fragment_arrays(frags), n), 1) == [want]
 
 
-@pytest.mark.parametrize("retried", [False, True])
-def test_recover_rows_passes_once_when_no_group_can_retry(monkeypatch, retried):
-    # GF(2^8), d = 2: birthday 5 has four fragments on the constant 5, and
-    # birthday 7 fails with exactly d fragments (no retry) or with d + 1
-    fld, d = field(8), 2
-    hi, lo = [5, 5, 5, 5, 7, 7] + [7] * retried, [5, 5, 5, 5, 1, 2] + [3] * retried
-    arrays = tuple(np.array(col, dtype=np.int64)
-                   for col in ([0] * len(hi), range(len(hi)), hi, lo))
-    shapes = []
-    real = FieldSpec.interpolate_many
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_recover_rows_interpolates_only_windows(monkeypatch, d):
+    # the birthday is a known point of g: at d <= 2 a fragment names its
+    # candidate through one division, with no interpolation and no Horner
+    # pass; at d >= 3 one interpolate_many call covers every window
+    fld, n = field(16), 1 << 40
+    g = index_to_poly(fld, 987654321 % (1 << (16 * d)), d)
+    frags = [(0, s, g[0], poly_eval_reference(fld, g, s + 1)) for s in range(6)]
+    calls = []
 
-    def spied(self, xs, ys):
-        shapes.append(np.shape(xs))
-        return real(self, xs, ys)
+    def spied(name):
+        real = getattr(FieldSpec, name)
+        return lambda self, *args: calls.append((name, np.shape(args[0]))) or real(self, *args)
 
-    monkeypatch.setattr(FieldSpec, "interpolate_many", spied)
-    got = recover_rows(fld, d, arrays, 1 << 16)
-    assert shapes == [(2, 2), (1, 2)] if retried else shapes == [(2, 2)]
-    groups = {}
-    for slot, (h, v) in enumerate(zip(hi, lo)):
-        groups.setdefault(h, []).append((slot, v))
-    assert row_lists(got, 1) == [recover_in_order(fld, d, groups, 1 << 16)]
+    for name in ("interpolate_many", "poly_eval_many"):
+        monkeypatch.setattr(FieldSpec, name, spied(name))
+    got = recover_rows(fld, d, fragment_arrays(frags), n)
+    assert row_sets(got, 1) == [{poly_to_index(fld, g)}]
+    assert calls == ([] if d <= 2 else [("interpolate_many", (6 - d + 2, d - 1))])

@@ -1,7 +1,8 @@
 """scripts/rows_matrix.py: --against FILE is quiet on a matching tree and
-prints the differing lines and exits 1 otherwise (on a small matrix), every
-config of the real matrix parses, and the whole matrix still gives the
-trial rows pinned in tests/data/rows_matrix.txt."""
+prints the differing lines and exits 1 otherwise (on a small matrix),
+--errors adds each config's summed FP and FN to its line, every config of
+the real matrix parses, and the whole matrix still gives the trial rows
+pinned in tests/data/rows_matrix.txt."""
 
 import importlib.util
 from pathlib import Path
@@ -50,6 +51,31 @@ def test_against_a_saved_output(small_matrix, tmp_path, capsys):
     assert f"-{changed}" in out and f"+{lines[2]}" in out
     assert not any(line[1:] in (lines[:2] + lines[3:]) for line in out)
     assert out[-1] == f"rows_matrix: differs from {path}"
+
+
+def test_errors_sit_beside_the_digests(small_matrix, tmp_path, capsys):
+    # the same digests, each followed by the FP and FN of its trials.csv rows
+    assert small_matrix.main([]) == 0
+    plain = capsys.readouterr().out.splitlines()
+    assert small_matrix.main(["--errors"]) == 0
+    saved = capsys.readouterr().out
+    lines = saved.splitlines()
+    assert lines[0] == plain[0] and lines[3:] == plain[3:]  # errors print as they were
+    for with_errors, digest in zip(lines[1:3], plain[1:3]):
+        head, fp, fn = with_errors.rsplit(" ", 2)
+        assert head == digest and fp.startswith("fp=") and fn.startswith("fn=")
+        assert int(fp[3:]) >= 0 and int(fn[3:]) >= 0
+    gacha = small_matrix.SCHEMES["gacha"]
+    small_matrix.sim_cli.run(small_matrix.sim_cli.parse_config(gacha + "channel=none\n"),
+                             out_dir=str(tmp_path))
+    rows = (tmp_path / "trials.csv").read_text().splitlines()[1:]
+    fp = sum(int(r.split(",")[5]) for r in rows)
+    fn = sum(int(r.split(",")[6]) for r in rows)
+    assert lines[1].endswith(f" fp={fp} fn={fn}")
+    path = tmp_path / "errors.txt"
+    path.write_text(saved)
+    assert small_matrix.main(["--errors", "--against", str(path)]) == 0
+    assert small_matrix.main(["--against", str(path)]) == 1
 
 
 def test_every_config_parses():
