@@ -2,7 +2,8 @@
 
 Every combination of a channel and a scheme is parsed and run with
 `sim_cli.run`; each prints one line with the SHA-256 of its `trials.csv`
-rows without the `decode_ns` column, or the error it raised.
+rows without the `decode_ns` column and its FP and FN summed over its
+trials, or the error it raised.
 The REJECTED configs must fail at parse time, and print that error.
 The first line names the numpy version, since numpy keeps its Generator
 streams identical only within one version.  Run it against each tree and
@@ -12,11 +13,8 @@ diff the outputs:
     PYTHONPATH=src python scripts/rows_matrix.py --against rows_a.txt
 
 With --against FILE it prints only the lines that differ from the saved
-output FILE, as a unified diff, and exits 1 on any difference.  With
---errors each config's line also carries its FP and FN summed over its
-trials, so a diff of two trees shows where the errors moved:
-
-    PYTHONPATH=src python scripts/rows_matrix.py --errors > errors_a.txt
+output FILE, as a unified diff, and exits 1 on any difference, so a diff
+of two trees also shows where the errors moved.
 """
 
 from __future__ import annotations
@@ -114,7 +112,7 @@ REJECTED = {
 CUSTOM_CSV = "symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n"
 
 
-def digest(text: str, out: Path, errors: bool = False) -> str:
+def digest(text: str, out: Path) -> str:
     try:
         config = sim_cli.parse_config(text)
     except ValueError as e:
@@ -125,16 +123,12 @@ def digest(text: str, out: Path, errors: bool = False) -> str:
         return f"run error: {type(e).__name__}: {e}"
     with (out / "trials.csv").open(newline="") as fh:
         rows = [r[:7] for r in csv.reader(fh)]  # decode_ns is column 7, the last
-    line = hashlib.sha256(repr(rows).encode()).hexdigest()[:16]
-    if errors:  # fp and fn are columns 5 and 6, under a header row
-        line += "".join(f" {name}={sum(int(r[c]) for r in rows[1:])}"
-                        for name, c in (("fp", 5), ("fn", 6)))
-    return line
+    fp, fn = (sum(int(r[c]) for r in rows[1:]) for c in (5, 6))  # under a header row
+    return f"{hashlib.sha256(repr(rows).encode()).hexdigest()[:16]} fp={fp} fn={fn}"
 
 
-def matrix_lines(errors: bool = False):
-    """The numpy version, then one line per (scheme, channel) combination,
-    with its summed FP and FN when errors is set."""
+def matrix_lines():
+    """The numpy version, then one line per (scheme, channel) combination."""
     yield f"# numpy={np.__version__}"
     with tempfile.TemporaryDirectory() as tmp:
         custom = Path(tmp) / "channel.csv"
@@ -143,7 +137,7 @@ def matrix_lines(errors: bool = False):
         for i, (scheme, channel) in enumerate(itertools.product(configs, CHANNELS)):
             spec = f"custom:{custom}" if channel == "custom" else channel
             text = configs[scheme] + f"channel={spec}\n"
-            yield f"{scheme} {channel}: {digest(text, Path(tmp) / str(i), errors)}"
+            yield f"{scheme} {channel}: {digest(text, Path(tmp) / str(i))}"
 
 
 def main(argv=None) -> int:
@@ -151,16 +145,14 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="FILE",
                         help="print the lines that differ from this saved output; "
                              "exit 1 on any difference")
-    parser.add_argument("--errors", action="store_true",
-                        help="print each config's summed FP and FN beside its digest")
     args = parser.parse_args(argv)
     if args.against is None:
-        for line in matrix_lines(args.errors):
+        for line in matrix_lines():
             print(line, flush=True)
         return 0
     saved = Path(args.against).read_text().splitlines()
-    diff = list(difflib.unified_diff(saved, list(matrix_lines(args.errors)), args.against,
-                                     "this tree", n=0, lineterm=""))
+    diff = list(difflib.unified_diff(saved, list(matrix_lines()), args.against, "this tree",
+                                     n=0, lineterm=""))
     for line in diff:
         print(line)
     print(f"rows_matrix: {'differs from' if diff else 'identical to'} {args.against}")

@@ -40,21 +40,20 @@ def zero_words(groups: int, width: int) -> np.ndarray:
 def pack_groups(bits, out=None) -> np.ndarray:
     """The packed words of a (groups, width) bool or integer array, nonzero
     read as 1, written into out (zero_words, or a slice of its rows) when
-    given: one flat packbits, with each group first padded to whole words
-    when its width is not whole bytes; a width of whole bytes but not whole
-    words is copied row by row into zeroed words, in the widest unit that
-    tiles a row."""
+    given: each group padded to whole bytes, one flat packbits, and, unless
+    the width is whole words, each group's bytes copied into zeroed words in
+    the widest unit that tiles them."""
     bits = np.asarray(bits)
     groups, width = bits.shape
-    size = -(-width // 64)
+    size, nbytes = -(-width // 64), -(-width // 8)
     if width % 8:
-        padded = np.zeros((groups, 64 * size), dtype=bool)
+        padded = np.zeros((groups, 8 * nbytes), dtype=bool)
         padded[:, :width] = bits
-        bits, width = padded, 64 * size
+        bits = padded
     octets = np.packbits(bits, bitorder="little")  # each group's bytes, back to back
     if width % 64:
-        unit = np.dtype(f"<u{math.gcd(width // 8, 8)}")
-        per_row = width // (8 * unit.itemsize)
+        unit = np.dtype(f"<u{math.gcd(nbytes, 8)}")
+        per_row = nbytes // unit.itemsize
         words = np.zeros((groups, size), dtype=WORD)
         words.view(unit)[:, :per_row] = octets.view(unit).reshape(groups, per_row)
     else:
