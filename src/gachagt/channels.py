@@ -3,22 +3,22 @@
 A channel is a pair of output distributions, one per input bit.  Any
 positive-capacity channel can be post-processed by a randomized likelihood
 threshold so the end-to-end behavior is a binary symmetric channel; the
-threshold is found by bisection.
+threshold solves a piecewise-linear equation, in one pass over the
+likelihood order.
 
 The channel works on dense test bits.  NoiseModel.receive takes a scheme's
 observation in the scheme's own layout, and unpacks it into bits and packs
 the received bits back only when there is a channel.  A channel followed by
-its symmetrizer is, per input bit, one binary channel that flips a 0 with
-probability p10 and a 1 with p01, so receive draws only the flips of that
-composite channel, sparsely; the exhaustive oracle alone reads the raw
-symbols transmit_many draws.  apply_plan_many, the symmetrizer on symbols,
-is the reference the composite draw is tested against.
+its symmetrizer is BSC(crossover), so receive draws only that BSC's flips,
+sparsely; the exhaustive oracle alone reads the raw symbols transmit_many
+draws.  apply_plan_many, the symmetrizer on symbols, is the reference the
+BSC draw is tested against.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,45 +157,36 @@ class SymmetrizerPlan:
     crossover: float
 
 
-def _error_rates(ch: DiscreteChannel, order, t: float):
-    """(P(out 1 | in 0), P(out 0 | in 1)) under the threshold t."""
-    p_zero_given0 = 0.0
-    p_zero_given1 = 0.0
-    for pos, sym in enumerate(order):
-        c = min(1.0, max(0.0, t - pos))  # P(position pos+1 maps to 0)
-        p_zero_given0 += ch.mu0[sym] * c
-        p_zero_given1 += ch.mu1[sym] * c
-    return 1.0 - p_zero_given0, p_zero_given1
+def plan_symmetrize(ch: DiscreteChannel) -> SymmetrizerPlan:
+    """The threshold t at which both error directions agree.
 
-
-def plan_symmetrize(ch: DiscreteChannel, tol: float = 1e-9) -> SymmetrizerPlan:
-    """Bisection on the threshold until both error directions agree within tol."""
+    p10(t) - p01(t) = 1 - sum over positions i of (mu0 + mu1)[order[i]] *
+    clip(t - i, 0, 1), piecewise linear and non-increasing in t, so t lies in
+    the first symbol at which the running mass mu0 + mu1 reaches 1: the
+    mass below it plus the fraction of its own mass that makes up 1.  The
+    crossover is p01(t).  Both distributions sum to 1, so the mass reaches 1
+    by the last symbol and the pass always ends in a break.
+    """
     def ratio(sym):
         if ch.mu0[sym] == 0.0:
             return (1, sym)  # infinite ratio sorts after all finite ones
         return (0, ch.mu1[sym] / ch.mu0[sym], sym)
 
     order = tuple(sorted(range(ch.q), key=ratio))
-    lo, hi = 0.0, float(ch.q)
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        p10, p01 = _error_rates(ch, order, mid)
-        gap = p10 - p01
-        if abs(gap) < tol:
+    below = below1 = 0.0  # the mass mu0 + mu1, and mu1 alone, of the positions before pos
+    for pos, sym in enumerate(order):
+        mass = ch.mu0[sym] + ch.mu1[sym]
+        if below + mass >= 1.0:
             break
-        if gap > 0:
-            lo = mid
-        else:
-            hi = mid
-    else:
-        mid = (lo + hi) / 2
-    p10, p01 = _error_rates(ch, order, mid)
-    if abs(p10 - p01) >= tol:
-        raise ZeroCapacityError("bisection failed to symmetrize the channel")
-    crossover = (p10 + p01) / 2
+        below += mass
+        below1 += ch.mu1[sym]
+    # below < 1 <= below + mass, so mass > 0; the clip keeps a rounded-up
+    # fraction from reaching into the next position
+    frac = min(1.0, (1.0 - below) / mass)
+    crossover = below1 + ch.mu1[sym] * frac
     if crossover >= 0.5:
         raise ZeroCapacityError(f"symmetrized crossover {crossover} >= 1/2")
-    return SymmetrizerPlan(order=order, t=mid, crossover=crossover)
+    return SymmetrizerPlan(order=order, t=pos + frac, crossover=crossover)
 
 
 def apply_plan_many(plan: SymmetrizerPlan, symbols: np.ndarray,
@@ -214,24 +205,18 @@ class NoiseModel:
     channel    the DiscreteChannel, or None when the results are noiseless
     plan       the SymmetrizerPlan applied after the channel, or None
     crossover  the BSC crossover the decoder assumes, or None when noiseless
+               or raw; a channel and its plan end to end are BSC(crossover)
     raw        hand the decoder raw channel symbols (the exhaustive oracle)
-    flips      derived, (p10, p01): P(1 read | 0 sent) and P(0 read | 1 sent)
-               of the channel and its plan end to end (of a binary channel's
-               symbols as bits without a plan), or None when noiseless or raw
     """
 
     channel: DiscreteChannel | None = None
     plan: SymmetrizerPlan | None = None
     crossover: float | None = None
     raw: bool = False
-    flips: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        flips = None
-        if self.channel is not None and not self.raw:
-            flips = ((self.channel.mu0[1], self.channel.mu1[0]) if self.plan is None
-                     else _error_rates(self.channel, self.plan.order, self.plan.t))
-        object.__setattr__(self, "flips", flips)
+        if self.channel is not None and not self.raw and self.crossover is None:
+            raise ValueError("a channel that is not raw needs a crossover")
 
     @classmethod
     def parse(cls, spec: str, raw: bool = False) -> "NoiseModel":
@@ -251,12 +236,9 @@ class NoiseModel:
 
         Without a channel, the words themselves.  Raw, the channel's int64
         symbols for the layout's test bits, put back into the layout by
-        from_bits.  Otherwise the test bits, each flipped independently with
-        its flips rate, packed by from_bits into the words' dtype and layout:
-        K ~ Binomial(bits, top) candidates, top the larger rate, at a uniform
-        K-subset of the positions (so each position is a candidate
-        independently with probability top), each kept with probability
-        rate / top of its bit, one uniform per candidate.
+        from_bits.  Otherwise the test bits through BSC(crossover), packed by
+        from_bits into the words' dtype and layout: K ~ Binomial(bits,
+        crossover) flips, at a uniform K-subset of the positions.
         """
         if self.channel is None:
             return words
@@ -265,10 +247,6 @@ class NoiseModel:
             return layout.from_bits(z, len(z) // layout.m)
         # a copy: the plain-bit layout's to_bits hands back the words themselves
         bits = np.array(layout.to_bits(words), dtype=np.uint8)
-        rates = np.array(self.flips)
-        top = max(rates.max(), 0.0)  # a rate of 0 can round to -1e-17
-        at = rng.choice(len(bits), rng.binomial(len(bits), top), replace=False, shuffle=False)
-        if at.size:
-            keep = rng.random(at.size) < rates.take(bits[at]) / top
-            bits[at[keep]] ^= 1
+        bits[rng.choice(len(bits), rng.binomial(len(bits), self.crossover), replace=False,
+                        shuffle=False)] ^= 1
         return layout.from_bits(bits, len(bits) // layout.m)

@@ -47,6 +47,7 @@ import numpy as np
 from .core_model import GOLDEN, choice_sets, splitmix64
 from .gf2e import FieldSpec, field
 from .inner_code import (
+    DEFAULT_CODE_SEED,
     BinaryLinearCode,
     ConstantWeightCode,
     Occupancy,
@@ -234,7 +235,7 @@ def default_noiseless_inner(w: int, ell: int = 0, weight: int = 0) -> NoiselessI
 
 
 def default_noisy_inner(w: int, crossover: float, ell: int = 0, dim: int = 0,
-                        seed: int = 7) -> NoisyInner:
+                        seed: int = DEFAULT_CODE_SEED) -> NoisyInner:
     from .inner_code import MAX_ENUMERABLE_DIM, linear_code
 
     if dim == 0:
@@ -311,7 +312,7 @@ def default_sizing(n: int, k: int, w: int = 0, d: int = 0, r: int = 0, B: int = 
 def default_params(n: int, k: int, channel_crossover=None, matrix_seed: int = 0,
                    w: int = 0, d: int = 0, r: int = 0, B: int = 0,
                    ell: int = 0, weight: int = 0, lin_dim: int = 0,
-                   code_seed: int = 7) -> GachaParams:
+                   code_seed: int = DEFAULT_CODE_SEED) -> GachaParams:
     """GachaParams with unset sizing from default_sizing and the default
     inner layer: constant-weight without a channel crossover, else linear."""
     w, d, r, B = default_sizing(n, k, w, d, r, B)

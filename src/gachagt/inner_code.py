@@ -203,6 +203,7 @@ class ConstantWeightCode:
 # ---------------------------------------------------------------------------
 
 MAX_ENUMERABLE_DIM = 20
+DEFAULT_CODE_SEED = 7  # the linear inner code's seed when a config sets none
 TIE_CHUNK = 1 << 16  # error patterns the tie enumeration weighs at once
 
 

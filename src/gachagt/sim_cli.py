@@ -10,10 +10,10 @@ against 256 p, and on the rare byte equal to floor(256 p) one uniform of
 that generator's first spawned child), and from a splitmix64 hash keyed by
 the matrix or gadget seed and the person (a Gacha person's batches, an
 expander person's copies).
-The channel draws only the flips of the channel and its symmetrizer end to
-end: a binomial count of candidate tests, a uniform subset of that size and
-one uniform per candidate (the oracle alone draws raw symbols, one uniform a
-test).  The family and numpy version are recorded in the aggregate file
+The channel draws only the flips of the BSC that the channel and its
+symmetrizer make end to end: a binomial count of flipped tests and a
+uniform subset of that size (the oracle alone draws raw symbols, one uniform
+a test).  The family and numpy version are recorded in the aggregate file
 header.
 """
 
@@ -36,8 +36,9 @@ from .baselines import (bits_to_words, brute_force_best, brute_force_decode, com
                         observe_words, words_to_bits)
 from .channels import NoiseModel
 from .core_model import sample_instance, score
-from .gacha_core import analytic_budget, default_params, default_sizing, gacha_scheme
+from .gacha_core import analytic_budget, default_params, gacha_scheme
 from .gadgets import PyramidShape, pyramid_build, pyramid_shape
+from .inner_code import DEFAULT_CODE_SEED
 from .scheme import SchemeHandle, decode_copies, pack_groups, zero_words
 
 SEED_FOLD = 0x9E3779B97F4A7C15
@@ -60,7 +61,7 @@ class SimConfig:
     ell: int = 0            # per-block length
     weight: int = 0         # constant-weight ones per block
     lin_dim: int = 0        # linear-code payload bits per block
-    code_seed: int = 7
+    code_seed: int = DEFAULT_CODE_SEED
     # gadget stack
     pi: int = 1
     sigma: int = 1
@@ -375,9 +376,8 @@ class AggregateReport:
 
 def aggregate_rows(config: SimConfig, rows) -> AggregateReport:
     if config.scheme in ("gacha", "gacha+gadgets"):
-        n, k = base_population(config)
-        w, d, r, _ = default_sizing(n, k, config.w, config.d, config.r, config.B)
-        budget = analytic_budget(k, w, d, r)
+        p = gacha_params_for(config, 0)
+        budget = analytic_budget(p.k_cap, p.w, p.d, p.r)
     else:
         budget = 0.0
     if not rows:

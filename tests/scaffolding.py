@@ -14,7 +14,8 @@ Bernoulli design, COMP, the brute-force oracle's bit-by-bit column masks
 and its scoring on them, which the packed one is checked against, the
 ConfigMatrix of a handle's columns and the run_tests of a sick set on it,
 and the ConfigMatrix check the dense ones replace; the masked-searchsorted
-channel draw and the composite channel's sparse draw; and the scans of the
+channel draw, the bisection the closed-form symmetrizer is checked against
+and the BSC's sparse draw; and the scans of the
 package's modules for the names that only one module may use and for the
 modules they import."""
 
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from gachagt.baselines import OracleResult
-from gachagt.channels import NoiseModel, parse_channel_spec
+from gachagt.channels import NoiseModel, SymmetrizerPlan, ZeroCapacityError
 from gachagt.core_model import ConfigMatrix
 from gachagt.gacha_core import COLLISION, NoiselessInner
 from gachagt.gf2e import (InsufficientEvaluations, _mulmod_poly, _powmod_poly, _prime_factors,
@@ -628,32 +629,83 @@ def transmit_many_reference(channel, bits, rng) -> np.ndarray:
     return out
 
 
-def custom_channel_spec(directory) -> str:
-    """The spec of a 3-symbol custom channel, its CSV written in directory."""
-    path = directory / "three_symbols.csv"
-    path.write_text("symbol,mu0,mu1\n0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n")
+# the output symbols (mu0, mu1 rows) of the custom channels, by name: three
+# symbols, and three that are noiseless after the threshold, since symbols
+# 0 and 1 come only from a 0 and symbol 2 only from a 1
+CUSTOM_CHANNELS = {
+    "custom": "0,0.9,0.05\n1,0.07,0.15\n2,0.03,0.8\n",
+    "custom-noiseless": "0,0.7,0\n1,0.3,0\n2,0,1\n",
+}
+
+# the gap the closed-form threshold leaves between p10 and p01, and between
+# its crossover and an exact one: a few ulps of 1.0
+SYMMETRY_TOL = 8 * np.finfo(np.float64).eps
+
+
+def custom_channel_spec(directory, name: str = "custom") -> str:
+    """The spec of the custom channel CUSTOM_CHANNELS[name], its CSV written
+    in directory."""
+    path = directory / f"{name}.csv"
+    path.write_text("symbol,mu0,mu1\n" + CUSTOM_CHANNELS[name])
     return f"custom:{path}"
 
 
 def noise_model(spec: str, directory) -> NoiseModel:
-    """NoiseModel.parse of spec, where "custom" is custom_channel_spec's
-    channel and "unplanned-<spec>" is the binary channel of <spec> without a
-    plan, which keeps its two rates apart."""
-    if spec.startswith("unplanned-"):
-        return NoiseModel(parse_channel_spec(spec.removeprefix("unplanned-")))
-    return NoiseModel.parse(custom_channel_spec(directory) if spec == "custom" else spec)
+    """NoiseModel.parse of spec, where a name in CUSTOM_CHANNELS is that
+    custom channel."""
+    return NoiseModel.parse(custom_channel_spec(directory, spec) if spec in CUSTOM_CHANNELS
+                            else spec)
 
 
-def sparse_flips_reference(flips, bits, rng) -> np.ndarray:
-    """NoiseModel.receive's composite draw on dense bits, one candidate at a
-    time: K ~ Binomial(len(bits), top) for top the larger of the flips
-    (p10, p01), K positions by rng.choice without replacement or shuffle,
-    then per candidate, in that order, one rng.random() below rate / top of
-    its bit flips it.  The result is a new uint8 array."""
+def sparse_flips_reference(crossover, bits, rng) -> np.ndarray:
+    """NoiseModel.receive's BSC draw on dense bits, one flip at a time:
+    K ~ Binomial(len(bits), crossover), K positions by rng.choice without
+    replacement or shuffle, each XORed with 1.  The result is a new uint8
+    array."""
     out = np.array(bits, dtype=np.uint8)
-    top = max(*flips, 0.0)
-    for pos in rng.choice(len(out), rng.binomial(len(out), top), replace=False,
+    for pos in rng.choice(len(out), rng.binomial(len(out), crossover), replace=False,
                           shuffle=False).tolist():
-        if rng.random() < flips[out[pos]] / top:
-            out[pos] ^= 1
+        out[pos] ^= 1
     return out
+
+
+def error_rates(ch, order, t: float):
+    """(P(out 1 | in 0), P(out 0 | in 1)) of ch under the threshold t."""
+    p_zero_given0 = 0.0
+    p_zero_given1 = 0.0
+    for pos, sym in enumerate(order):
+        c = min(1.0, max(0.0, t - pos))  # P(position pos+1 maps to 0)
+        p_zero_given0 += ch.mu0[sym] * c
+        p_zero_given1 += ch.mu1[sym] * c
+    return 1.0 - p_zero_given0, p_zero_given1
+
+
+def plan_symmetrize_reference(ch, tol: float = 1e-9) -> SymmetrizerPlan:
+    """plan_symmetrize by bisection on the threshold until both error
+    directions agree within tol."""
+    def ratio(sym):
+        if ch.mu0[sym] == 0.0:
+            return (1, sym)  # infinite ratio sorts after all finite ones
+        return (0, ch.mu1[sym] / ch.mu0[sym], sym)
+
+    order = tuple(sorted(range(ch.q), key=ratio))
+    lo, hi = 0.0, float(ch.q)
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        p10, p01 = error_rates(ch, order, mid)
+        gap = p10 - p01
+        if abs(gap) < tol:
+            break
+        if gap > 0:
+            lo = mid
+        else:
+            hi = mid
+    else:
+        mid = (lo + hi) / 2
+    p10, p01 = error_rates(ch, order, mid)
+    if abs(p10 - p01) >= tol:
+        raise ZeroCapacityError("bisection failed to symmetrize the channel")
+    crossover = (p10 + p01) / 2
+    if crossover >= 0.5:
+        raise ZeroCapacityError(f"symmetrized crossover {crossover} >= 1/2")
+    return SymmetrizerPlan(order=order, t=mid, crossover=crossover)

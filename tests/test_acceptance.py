@@ -19,7 +19,6 @@ from gachagt.channels import (
     fn_channel,
     fp_channel,
     plan_symmetrize,
-    _error_rates,
 )
 from gachagt.core_model import sample_instance, score
 from gachagt.gacha_core import default_params, gacha_scheme, recover_rows
@@ -27,7 +26,8 @@ from gachagt.gadgets import expander_build, serial_build
 from gachagt.gf2e import field
 from gachagt.inner_code import linear_code
 from gachagt.sim_cli import oracle_check, parse_config, run, run_trial
-from scaffolding import fault_injected, identity_scheme, index_to_poly, poly_eval_reference
+from scaffolding import (SYMMETRY_TOL, error_rates, fault_injected, identity_scheme,
+                         index_to_poly, poly_eval_reference)
 
 AC1_CONFIG = """
 scheme=gacha
@@ -118,7 +118,7 @@ def test_ac3_symmetrizer_exactness():
     # FP(0.2): crossover q/(1+q) = 1/6, analytically then empirically both ways
     ch = fp_channel(0.2)
     plan = plan_symmetrize(ch)
-    checks.append(abs(plan.crossover - 1 / 6) < 1e-9)
+    checks.append(abs(plan.crossover - 1 / 6) <= SYMMETRY_TOL)
     rng = np.random.default_rng(3000)
     n = 10 ** 6
     b0 = apply_plan_many(plan, ch.transmit_many(np.zeros(n, dtype=np.uint8), rng), rng)
@@ -128,16 +128,16 @@ def test_ac3_symmetrizer_exactness():
     # BEC(0.4) -> 0.2, analytically and over 10^6 samples
     ch_b = bec(0.4)
     plan_b = plan_symmetrize(ch_b)
-    checks.append(abs(plan_b.crossover - 0.2) < 1e-9)
+    checks.append(abs(plan_b.crossover - 0.2) <= SYMMETRY_TOL)
     e0 = apply_plan_many(plan_b, ch_b.transmit_many(np.zeros(n, dtype=np.uint8), rng), rng)
     e1 = apply_plan_many(plan_b, ch_b.transmit_many(np.ones(n, dtype=np.uint8), rng), rng)
     checks.append(abs(float(e0.mean()) - 0.2) < 0.005)
     checks.append(abs(1 - float(e1.mean()) - 0.2) < 0.005)
-    # FN(0.3): bisection value, self-consistent empirically
+    # FN(0.3): the closed-form threshold's rates agree, and self-consistent empirically
     ch_fn = fn_channel(0.3)
     plan_f = plan_symmetrize(ch_fn)
-    p10, p01 = _error_rates(ch_fn, plan_f.order, plan_f.t)
-    checks.append(abs(p10 - p01) < 1e-9)
+    p10, p01 = error_rates(ch_fn, plan_f.order, plan_f.t)
+    checks.append(abs(p10 - p01) <= SYMMETRY_TOL)
     f0 = apply_plan_many(plan_f, ch_fn.transmit_many(np.zeros(n, dtype=np.uint8), rng), rng)
     f1 = apply_plan_many(plan_f, ch_fn.transmit_many(np.ones(n, dtype=np.uint8), rng), rng)
     checks.append(abs(float(f0.mean()) - (1 - float(f1.mean()))) < 0.005)
@@ -203,7 +203,7 @@ def test_ac5_or_weight_band():
 
 @pytest.fixture(scope="module")
 def ac6_runs(tmp_path_factory):
-    # fp:0.2's composite flips equal bsc:1/6's within 1e-9, so on one master
+    # fp:0.2's crossover equals bsc:1/6's within a few ulps, so on one master
     # seed the two runs would draw the same errors: AC-6b compares the fp:0.2
     # run with a bsc:1/6 run on a master seed of its own
     results = {}

@@ -16,10 +16,10 @@ from gachagt.channels import (
     fp_channel,
     parse_channel_spec,
     plan_symmetrize,
-    _error_rates,
 )
 from gachagt.scheme import SchemeHandle
-from scaffolding import (custom_channel_spec, noise_model, sparse_flips_reference,
+from scaffolding import (SYMMETRY_TOL, custom_channel_spec, error_rates, noise_model,
+                         plan_symmetrize_reference, sparse_flips_reference,
                          transmit_many_reference)
 
 
@@ -86,18 +86,25 @@ def test_transmit_many_matches_scalar_distribution():
 
 @st.composite
 def channels(draw):
-    """A q-ary channel, 2 <= q <= 6, with zero-mass symbols allowed; each
-    distribution is normalised and may be scaled down by up to 5e-13, so its
-    float sum can end below 1.0."""
+    """A q-ary channel, 2 <= q <= 6, with zero-mass symbols and symbols
+    with mu0 = 0 allowed, and half the time noiseless after the threshold:
+    mu0 and mu1 on disjoint supports.  Each distribution is normalised and
+    may be scaled down by up to 5e-13, so its float sum can end below 1.0."""
     q = draw(st.integers(2, 6))
+    support0 = support1 = [1] * q
+    if draw(st.booleans()):
+        support0 = draw(st.lists(st.integers(0, 1), min_size=q, max_size=q)
+                        .filter(lambda s: 0 < sum(s) < q))
+        support1 = [1 - s for s in support0]
 
-    def mu():
+    def mu(support):
         weights = draw(st.lists(st.integers(0, 9), min_size=q, max_size=q)
+                       .map(lambda w: [a * s for a, s in zip(w, support)])
                        .filter(lambda w: sum(w) > 0))
         scale = 1 - draw(st.sampled_from([0.0, 1e-16, 2e-13, 5e-13]))
         return tuple(w / sum(weights) * scale for w in weights)
 
-    mu0, mu1 = mu(), mu()
+    mu0, mu1 = mu(support0), mu(support1)
     assume(any(abs(a - b) > 1e-9 for a, b in zip(mu0, mu1)))  # positive capacity
     return DiscreteChannel(mu0, mu1)
 
@@ -160,28 +167,47 @@ def test_transmit_many_accepts_any_0_1_dtype():
 
 def test_symmetrize_fp_exact_crossover():
     plan = plan_symmetrize(fp_channel(0.2))
-    assert abs(plan.crossover - 1 / 6) < 1e-9
-    p10, p01 = _error_rates(fp_channel(0.2), plan.order, plan.t)
-    assert abs(p10 - p01) < 1e-9
+    assert abs(plan.crossover - 1 / 6) <= SYMMETRY_TOL
+    p10, p01 = error_rates(fp_channel(0.2), plan.order, plan.t)
+    assert abs(p10 - p01) <= SYMMETRY_TOL
 
 
 def test_symmetrize_bsc_fixed_point():
     for s in (0.05, 0.2, 0.4):
         plan = plan_symmetrize(bsc(s))
-        assert abs(plan.crossover - s) < 1e-9
+        assert abs(plan.crossover - s) <= SYMMETRY_TOL
 
 
 def test_symmetrize_bec_half_mass():
     plan = plan_symmetrize(bec(0.4))
-    assert abs(plan.crossover - 0.2) < 1e-9
+    assert abs(plan.crossover - 0.2) <= SYMMETRY_TOL
 
 
 def test_symmetrize_fn_self_consistent():
     ch = fn_channel(0.3)
     plan = plan_symmetrize(ch)
-    p10, p01 = _error_rates(ch, plan.order, plan.t)
-    assert abs(p10 - p01) < 1e-9
-    assert abs(plan.crossover - 3 / 13) < 1e-6  # solves 1 - t = 0.3 t
+    p10, p01 = error_rates(ch, plan.order, plan.t)
+    assert abs(p10 - p01) <= SYMMETRY_TOL
+    assert abs(plan.crossover - 3 / 13) <= SYMMETRY_TOL  # solves 1 - t = 0.3 t
+
+
+def test_symmetrize_noiseless_after_the_threshold():
+    # symbols 0 and 1 come only from a 0 and symbol 2 only from a 1, so the
+    # threshold between them reads every bit right
+    plan = plan_symmetrize(DiscreteChannel((0.7, 0.3, 0.0), (0.0, 0.0, 1.0)))
+    assert (plan.order, plan.t, plan.crossover) == ((0, 1, 2), 2.0, 0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ch=channels())
+def test_closed_form_threshold_matches_the_bisection(ch):
+    plan, ref = plan_symmetrize(ch), plan_symmetrize_reference(ch)
+    assert plan.order == ref.order
+    p10, p01 = error_rates(ch, plan.order, plan.t)
+    ref10, ref01 = error_rates(ch, ref.order, ref.t)
+    assert abs(p10 - ref10) <= 1e-9 and abs(p01 - ref01) <= 1e-9
+    assert abs(p10 - p01) <= SYMMETRY_TOL
+    assert abs(plan.crossover - p01) <= SYMMETRY_TOL
 
 
 def test_likelihood_order_non_decreasing():
@@ -198,8 +224,8 @@ def test_likelihood_order_non_decreasing():
         plan = plan_symmetrize(ch)
         ratios = [ch.mu1[s] / ch.mu0[s] for s in plan.order]
         assert all(a <= b + 1e-12 for a, b in zip(ratios, ratios[1:]))
-        p10, p01 = _error_rates(ch, plan.order, plan.t)
-        assert abs(p10 - p01) < 1e-9
+        p10, p01 = error_rates(ch, plan.order, plan.t)
+        assert abs(p10 - p01) <= SYMMETRY_TOL
         assert plan.crossover < 0.5
 
 
@@ -288,19 +314,28 @@ def test_noise_model_resolution(tmp_path):
     assert fp.plan == plan_symmetrize(fp_channel(0.2))
     assert fp.crossover == pytest.approx(1 / 6)
     # every other kind is planned, and nothing is under raw
-    for spec in ("bsc:0.05", "bec:0.2", "fp:0.2", "fn:0.1", custom_channel_spec(tmp_path)):
+    for spec in ("bsc:0.05", "bec:0.2", "fp:0.2", "fn:0.1", custom_channel_spec(tmp_path),
+                 custom_channel_spec(tmp_path, "custom-noiseless")):
         channel = parse_channel_spec(spec)
         model = NoiseModel.parse(spec)
         assert model.channel == channel
         assert (model.plan is None) == spec.startswith("bsc")
         if model.plan is not None:
+            # the channel and its plan end to end: a BSC at the plan's crossover
             assert model.plan == plan_symmetrize(channel)
             assert model.crossover == model.plan.crossover
-            # the composite channel's flips, exactly as the plan's error rates
-            assert model.flips == _error_rates(channel, model.plan.order, model.plan.t)
-        else:  # and each bit of a bsc flips with s
-            assert model.flips == (channel.mu0[1], channel.mu0[1])
+        else:  # a bsc needs no plan: each bit flips with s
+            assert model.crossover == channel.mu0[1] == channel.mu1[0]
         assert NoiseModel.parse(spec, raw=True) == NoiseModel(channel, raw=True)
+    assert noise_model("custom-noiseless", tmp_path).crossover == 0.0
+
+
+def test_noise_model_needs_a_crossover_for_a_channel():
+    with pytest.raises(ValueError, match="crossover"):
+        NoiseModel(fp_channel(0.2))
+    with pytest.raises(ValueError, match="crossover"):
+        NoiseModel(fp_channel(0.2), plan_symmetrize(fp_channel(0.2)))
+    assert NoiseModel(fp_channel(0.2), raw=True).crossover is None  # raw reads symbols
 
 
 def plain_layout(m: int) -> SchemeHandle:
@@ -318,26 +353,26 @@ def test_noise_model_receive_dtypes():
         model = NoiseModel.parse(spec, raw=raw)
         got = model.receive(y, layout, np.random.default_rng(1))
         assert got.dtype == dtype and got.shape == y.shape
-        # raw: the channel's symbols; else the composite flips, drawn sparsely
+        # raw: the channel's symbols; else the BSC's flips, drawn sparsely
         rng = np.random.default_rng(1)
         expect = (model.channel.transmit_many(y, rng) if raw
-                  else sparse_flips_reference(model.flips, y, rng))
+                  else sparse_flips_reference(model.crossover, y, rng))
         assert np.array_equal(got, expect)
     assert np.array_equal(y, [0, 1] * 50)  # the words handed in are not flipped
 
 
 @pytest.mark.parametrize("spec", ["bsc:0.05", "fp:0.2", "fn:0.2", "bec:0.2", "custom",
-                                  "unplanned-fp:0.3"])
+                                  "custom-noiseless"])
 def test_receive_flips_each_input_bit_at_its_rate(spec, tmp_path):
     # Bound, fixed before the run: the flips among n sent zeros are
-    # Binomial(n, p10) and among n sent ones Binomial(n, p01), so each count
-    # lies within 5 standard deviations sqrt(n p (1 - p)) of n p (a chance of
-    # about 6e-7 per count to fail a correct draw).  At p = 1/6 and
-    # n = 10^5 that is 16,667 +- 589, which rejects a draw that leaves the
-    # reliable side of a Z-channel unflipped.  The dense reference, the
-    # channel's symbols then the plan's threshold, meets the same bound.  A
-    # binary channel without a plan keeps its own rates, here (0.3, 0), so
-    # only its flips of a 0 survive the thinning.
+    # Binomial(n, p10) and among n sent ones Binomial(n, p01), with
+    # p10 = p01 = the crossover, so each count lies within 5 standard
+    # deviations sqrt(n p (1 - p)) of n p (a chance of about 6e-7 per count
+    # to fail a correct draw).  At p = 1/6 and n = 10^5 that is 16,667 +-
+    # 589, which rejects a draw that leaves the reliable side of a Z-channel
+    # unflipped.  The dense reference, the channel's symbols then the plan's
+    # threshold, meets the same bound.  A channel noiseless after the
+    # threshold has p = 0, so its bound is no flip at all.
     model = noise_model(spec, tmp_path)
     n = 10 ** 5
     sent = np.repeat(np.array([0, 1], dtype=np.uint8), n)
@@ -348,5 +383,5 @@ def test_receive_flips_each_input_bit_at_its_rate(spec, tmp_path):
         dense = apply_plan_many(model.plan, dense, rng)
     for got in (sparse, dense):
         flipped = (got != sent).reshape(2, n).sum(axis=1)
-        for count, p in zip(flipped.tolist(), model.flips):
+        for count, p in zip(flipped.tolist(), (model.crossover, model.crossover)):
             assert abs(count - n * p) <= 5 * np.sqrt(n * p * (1 - p)), (spec, count, p)

@@ -8,8 +8,8 @@ from_bits of any bit vector matches the scalar reference decode; and wrong
 lengths, shapes and dtypes raise ValueError.  A channel-free trial never
 converts its observation to bits and back, and a channel's receive draws
 exactly what transmitting the bits draws: the raw symbols for the oracle,
-and otherwise what the scalar sparse draw of the composite channel's flips
-draws from the same rng.
+and otherwise what the scalar sparse draw of the BSC the channel and its
+symmetrizer make draws from the same rng.
 """
 
 from functools import partial
@@ -228,7 +228,7 @@ def test_receive_draws_what_transmitting_the_bits_draws(name, spec):
     if name == "oracle":
         z = model.channel.transmit_many(h.to_bits(words), rng)
     else:
-        z = sparse_flips_reference(model.flips, h.to_bits(words), rng)
+        z = sparse_flips_reference(model.crossover, h.to_bits(words), rng)
     assert got.dtype == words.dtype or name == "oracle"
     assert np.array_equal(h.to_bits(got), z)
     assert NoiseModel().receive(words, h, np.random.default_rng(4)) is words
@@ -239,10 +239,8 @@ def channel_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("channels")
 
 
-# every channel kind, a flip-free bsc, and a binary channel without a plan,
-# whose two rates differ, so the thinning keeps only its flips of a 1
-@pytest.mark.parametrize("spec", ["bsc:0.05", "bsc:0", "fp:0.1", "fn:0.2", "bec:0.1", "custom",
-                                  "unplanned-fn:0.2"])
+# every channel kind and a flip-free bsc
+@pytest.mark.parametrize("spec", ["bsc:0.05", "bsc:0", "fp:0.1", "fn:0.2", "bec:0.1", "custom"])
 @pytest.mark.parametrize("name", ["linear", "expander", "comp"])
 @settings(max_examples=5, deadline=None)
 @given(data=st.data(), seed=st.integers(0, 2 ** 64 - 1))
@@ -253,6 +251,7 @@ def test_receive_matches_the_scalar_sparse_draw(name, spec, channel_dir, data, s
     words = h.observed_words(js)
     got = model.receive(words, h, np.random.default_rng(seed))
     assert (got.shape, got.dtype) == layout(1)
-    want = sparse_flips_reference(model.flips, h.to_bits(words), np.random.default_rng(seed))
+    want = sparse_flips_reference(model.crossover, h.to_bits(words),
+                                  np.random.default_rng(seed))
     assert np.array_equal(h.to_bits(got), want)
     assert np.array_equal(h.to_bits(words), h.observed_bits(js))  # words left as they were
